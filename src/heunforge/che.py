@@ -32,7 +32,7 @@ from .engine import (
     quantization,
     reduce_branch,
 )
-from .oracle import OdeFamily, TERMINATION_TOL, ode_residual, termination_solve
+from .oracle import OdeFamily, ode_residual, termination_solve
 from .poly import Poly
 from .scalars import EXACT, as_scalar, infer_backend
 
@@ -200,7 +200,7 @@ def _check_relation(p, label, n):
         )
 
 
-def che_accessory(p: CheParams, label, n: int, tol=TERMINATION_TOL, point=0):
+def che_accessory(p: CheParams, label, n: int, point=0):
     """Accessory values mu admitting a degree-n class solution (the mu
     stored in p is ignored; mu + nu is held at the class value). Roots
     of the degree n+1 truncation condition, validated against the
@@ -218,7 +218,7 @@ def che_accessory(p: CheParams, label, n: int, tol=TERMINATION_TOL, point=0):
     rf = reduce_branch(eq0, branch)
     direction = Poly.constant(as_scalar(-1, p.backend), p.backend)
     family = OdeFamily(rf.ode(eq0), direction)
-    return termination_solve(family, n, point=point, tol=tol)
+    return termination_solve(family, n, point=point)
 
 
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -92,8 +93,8 @@ class RunConfig:
     def __post_init__(self):
         tols = dict(DEFAULT_TOLERANCES)
         tols.update(self.tolerances or {})
-        if any(v <= 0 for v in tols.values()):
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in tols.values()):
+            raise ValueError("tolerances must be finite and positive")
         if self.samples < 8:
             raise ValueError("sample count must be at least 8")
         object.__setattr__(self, "tolerances", tols)
@@ -105,8 +106,6 @@ class RunConfig:
 def _real_json(value):
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return value
     return value
 
 
@@ -233,15 +232,18 @@ def _match_che(eq: NuEquation):
 
 def _branch_label(branch, heun_p, che_p) -> str:
     """Class label whose catalog pi matches the branch, or ''."""
-    scale = max(branch.pi.to_float().max_abs(), 1.0)
+    pi = branch.pi.to_float()
+    scale = max(pi.max_abs(), 1.0)
+    # in float: an exact equation can keep a branch whose g did not
+    # rationalize, and its float pi meets the exact catalog pi here
     if heun_p is not None:
         for cls in HEUN_CLASSES:
-            gap = (branch.pi - cls.pi(heun_p)).to_float().max_abs()
+            gap = (pi - cls.pi(heun_p).to_float()).max_abs()
             if gap <= 1e-8 * scale:
                 return cls.label
     if che_p is not None:
         for cls in CHE_CLASSES:
-            gap = (branch.pi - cls.pi(che_p)).to_float().max_abs()
+            gap = (pi - cls.pi(che_p).to_float()).max_abs()
             if gap <= 1e-8 * scale:
                 return cls.label
     return ""

@@ -19,23 +19,22 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 
 from .oracle import OdeForm
 from .poly import Poly
-from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, sqrt_exact
+from .scalars import EXACT, FLOAT, RationalComplex, as_scalar
 
 CLASSIC = "classic"
 EXTENDED = "extended"
 
 DEDUPE_TOL = 1e-8
 DIVIDE_REL_TOL = 1e-10
-NEWTON_RESIDUAL_TOL = 1e-11
-NEWTON_MAX_ITER = 100
-NEWTON_DAMPING = 0.5
-GRID_SLOPES = (0.5, -0.5, 1.5, -1.5, 2.7, -2.7, 3.9, -3.9)
-GRID_OFFSETS = (0.4, -0.4, 1.3, -1.3)
+# float remainders and Taylor coefficients below this (relative) count
+# as zero when reading sigma's root multiplicities and B's vanishing order
+ZERO_TOL = 1e-9
 
 _DEGREE_BOUNDS = {CLASSIC: (1, 2, 2), EXTENDED: (2, 3, 4)}
 
@@ -182,8 +181,6 @@ class PhiFactor:
         return val
 
     def __call__(self, z) -> complex:
-        import cmath
-
         val = cmath.exp(complex(self.exp_part.to_float()(z)))
         for root, expo in self.powers:
             val *= (z - complex(root)) ** complex(expo)
@@ -246,8 +243,8 @@ def _try_branches(eq: NuEquation, g: Poly, scale: float, s_hint=None):
 
 
 def _validated(eq: NuEquation, branches):
-    """Keep branches whose sigma_bar divides by sigma (drops spurious
-    Newton roots)."""
+    """Keep branches whose sigma_bar divides by sigma (drops candidates
+    that float error pushed off the branch set)."""
     good = []
     for b in branches:
         try:
@@ -298,7 +295,7 @@ def _rationalize(value: complex, tol=1e-9):
 
 
 def _exactify_candidates(eq: NuEquation, branches, scale):
-    """For an exact equation, swap in exact branches when the Newton g
+    """For an exact equation, swap in exact branches when the float g
     rounds to Gaussian rationals that verify exactly."""
     if eq.backend != EXACT:
         return branches
@@ -344,132 +341,105 @@ def _affine_radicand_data(eq: NuEquation):
     return bases, a_vec, b_vec
 
 
-def _quartic_remainder(u, bases, a_vec, b_vec):
-    """The two perfect-square obstructions of the quartic radicand, in
-    sqrt-free rational form (invariant under the root branch)."""
-    u1, u0 = u
-    d = [bases[i] + u1 * a_vec[i] + u0 * b_vec[i] for i in range(5)]
-    d4, d3, d2, d1, d0 = d[4], d[3], d[2], d[1], d[0]
-    if abs(d4) < 1e-30:
-        return None
-    s0_num = d2 - d3 * d3 / (4 * d4)  # 2 sqrt(d4) * s0
-    r1 = d1 - d3 * s0_num / (2 * d4)
-    r0 = d0 - s0_num * s0_num / (4 * d4)
-    return np.array([r1, r0])
+def _sigma_points(sigma: Poly):
+    """Roots of sigma as (centre, multiplicity) over the projective line,
+    so the multiplicities add up to 3 and at most one exceeds 1. When
+    deg sigma < 3 the point at infinity (centre None) comes first.
+
+    A repeated root is read off gcd(sigma, sigma'), so its centre is
+    exact when sigma is; a square-free sigma's roots come from
+    Poly.roots."""
+    points = [(None, 3 - sigma.degree)] if sigma.degree < 3 else []
+    if sigma.degree < 1:
+        return points
+    # Euclid; a float remainder below ZERO_TOL of its divisor is zero
+    common, rem = sigma, sigma.derivative()
+    while not rem.is_zero:
+        common, rem = rem, common.divrem(rem)[1]
+        if _is_negligible(rem, common.max_abs(), ZERO_TOL):
+            rem = Poly.zero(rem.backend)
+    k = common.degree
+    if k == 0:
+        return points + [(r, 1) for r in sigma.roots()]
+    # common is c' (z - c)^k: its next-to-top coefficient over its top is -k c
+    centre = -common.coeff(k - 1) / (common.leading() * k)
+    points.append((centre, k + 1))
+    rest, _ = sigma.divrem(common.monic() * Poly([-centre, 1], sigma.backend))
+    if rest.degree == 1:
+        points.append((-rest.coeff(0) / rest.coeff(1), 1))
+    return points
 
 
-def _newton_quartic(eq: NuEquation, bases, a_vec, b_vec, scale):
-    """Damped Newton for the two remainder equations from a fixed grid
-    of 32 deterministic starting points."""
-    roots = []
-    starts = []
-    for idx, (sa, sb) in enumerate(product(GRID_SLOPES, GRID_OFFSETS)):
-        u1 = sa * scale
-        u0 = sb * scale
-        if idx % 2:
-            u1 += 0.31j * scale
-            u0 -= 0.17j * scale
-        starts.append((u1, u0))
-    fd = 1e-7 * scale
-    for u1, u0 in starts:
-        u = np.array([u1, u0], dtype=complex)
-        r = _quartic_remainder(u, bases, a_vec, b_vec)
-        if r is None:
-            continue
-        for _ in range(NEWTON_MAX_ITER):
-            if np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL * scale * scale:
-                break
-            jac = np.zeros((2, 2), dtype=complex)
-            ok = True
-            for j in range(2):
-                up = u.copy()
-                up[j] += fd
-                um = u.copy()
-                um[j] -= fd
-                rp = _quartic_remainder(up, bases, a_vec, b_vec)
-                rm = _quartic_remainder(um, bases, a_vec, b_vec)
-                if rp is None or rm is None:
-                    ok = False
-                    break
-                jac[:, j] = (rp - rm) / (2 * fd)
-            if not ok:
-                break
-            try:
-                step = np.linalg.solve(jac, -r)
-            except np.linalg.LinAlgError:
-                break
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                trial = u + lam * step
-                rt = _quartic_remainder(trial, bases, a_vec, b_vec)
-                if rt is not None and np.max(np.abs(rt)) < np.max(np.abs(r)):
-                    u, r = trial, rt
-                    improved = True
-                    break
-                lam *= NEWTON_DAMPING
-            if not improved:
-                break
-        if r is not None and np.max(np.abs(r)) <= NEWTON_RESIDUAL_TOL * scale * scale:
-            roots.append((complex(u[0]), complex(u[1])))
-    return roots
+def _local_sqrt(taylor, mult):
+    """First `mult` Taylor coefficients of a square root of the series
+    sum taylor[k] t^k, by Hensel lifting; None when none exists.
 
-
-def _interp_candidates(eq_f: NuEquation, scale):
-    """Closed-form candidates when sigma has distinct roots z_i.
-
-    g sigma = s^2 - B with B = ((sigma' - tau~)/2)^2 - sigma~, so any
-    branch square root obeys s(z_i)^2 = B(z_i). Conversely, for cubic
-    sigma the quadratic interpolant of any sign choice (+-sqrt(B(z_i)))
-    works, and for quadratic sigma one more degree of freedom is pinned
-    by s^2 matching B at degree 4. This enumerates every branch. Returns
-    None when the shape does not apply (repeated roots, deg sigma < 2).
-    """
-    sig = eq_f.sigma
-    m = sig.degree
-    if m not in (2, 3):
-        return None
-    roots = sig.roots()
-    span = max([1.0] + [abs(r) for r in roots])
-    for i, r1 in enumerate(roots):
-        for r2 in roots[i + 1 :]:
-            if abs(r1 - r2) <= 1e-7 * span:
-                return None
-    half = eq_f.half_gap()
-    bpoly = half * half - eq_f.sigma_tilde
-    vals = [cmath.sqrt(complex(bpoly(r))) for r in roots]
-    candidates = []
-    if m == 3:
-        sign_sets = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-    else:
-        lead4 = complex(bpoly.coeff(4))
-        if abs(lead4) <= 1e-13 * max(scale, 1.0):
+    At a repeated point a series that vanishes to odd order below `mult`
+    has no square root; one vanishing to any other positive order
+    leaves s underdetermined, a continuum, and raises NoBranchError."""
+    if mult > 1:
+        scale = max([1.0] + [abs(c) for c in taylor])
+        zero = [not c if isinstance(c, RationalComplex)
+                else abs(c) <= ZERO_TOL * scale for c in taylor[:mult]]
+        order = zero.index(False) if False in zero else mult
+        if order % 2 and order < mult:
             return None
-        s2 = cmath.sqrt(lead4)
-        sign_sets = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    for signs in sign_sets:
-        pts = [e * v for e, v in zip(signs, vals)]
-        if m == 3:
-            s = Poly.zero(FLOAT)
-            for i, r in enumerate(roots):
-                term = Poly.one(FLOAT)
-                for j, rj in enumerate(roots):
-                    if j != i:
-                        term = term * Poly([-rj, 1.0], FLOAT)
-                        term = term * (1.0 / (r - rj))
-                s = s + term * pts[i]
+        if order:
+            raise NoBranchError(
+                "perfect-square set is not finite (the radicand vanishes "
+                "at a repeated root of sigma)"
+            )
+    root = [cmath.sqrt(complex(taylor[0]))]
+    for k in range(1, mult):
+        acc = complex(taylor[k]) - sum(root[i] * root[k - i] for i in range(1, k))
+        root.append(acc / (2 * root[0]))
+    return root
+
+
+def _hermite_row(centre, k):
+    """Coefficients mapping s = s0 + s1 z + s2 z^2 to its k-th Taylor
+    coefficient at centre (of w^2 s(1/w) at w = 0 for infinity)."""
+    if centre is None:
+        return [1.0 if j == 2 - k else 0.0 for j in range(3)]
+    c = complex(centre)
+    return [comb(j, k) * c ** (j - k) if j >= k else 0.0 for j in range(3)]
+
+
+def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
+    """(g, s) pairs with s^2 = B + g sigma, B = ((sigma' - tau~)/2)^2 - sigma~.
+
+    Such an s (deg s <= 2) solves s^2 = B mod sigma with
+    deg(s^2 - B) <= deg sigma + 1. On the projective line both are local
+    conditions: at each point of sigma, infinity included, s matches a
+    square root of B to the point's multiplicity. So sqrt(B) is lifted at
+    each point and the pieces are joined by one Hermite interpolation
+    per sign pattern; the first sign is fixed, as -s gives the same g."""
+    half = eq.half_gap()
+    bpoly = half * half - eq.sigma_tilde
+    bpoly_f = bpoly.to_float()
+    points = _sigma_points(eq.sigma)
+    roots = []
+    for centre, mult in points:
+        if centre is None:
+            taylor = [bpoly.coeff(4 - k) for k in range(5)]
         else:
-            z1, z2 = roots
-            s = Poly([z1 * z2, -(z1 + z2), 1.0], FLOAT) * s2
-            s = s + Poly([-z2, 1.0], FLOAT) * (pts[0] / (z1 - z2))
-            s = s + Poly([-z1, 1.0], FLOAT) * (pts[1] / (z2 - z1))
-        g, rem = (s * s - bpoly).divrem(sig)
-        if rem.max_abs() > 1e-7 * max(scale, 1.0, (s * s).max_abs()):
-            continue
-        if g.degree > 1:
-            continue
-        candidates.append((complex(g.coeff(1)), complex(g.coeff(0)), s))
-    return candidates
+            exact = isinstance(centre, RationalComplex)
+            local = (bpoly if exact else bpoly_f).shift(centre)
+            taylor = [local.coeff(k) for k in range(5)]
+        roots.append(_local_sqrt(taylor, mult))
+    if None in roots:
+        return []
+    mat = np.array([_hermite_row(c, k) for c, m in points for k in range(m)])
+    sig_f = eq.sigma.to_float()
+    out = []
+    for tail in product((1, -1), repeat=len(points) - 1):
+        rhs = [e * v for e, root in zip((1,) + tail, roots) for v in root]
+        s = Poly([complex(v) for v in np.linalg.solve(mat, rhs)], FLOAT)
+        g, rem = (s * s - bpoly_f).divrem(sig_f)
+        if g.degree <= 1 and rem.max_abs() <= 1e-7 * max(
+                scale, 1.0, (s * s).max_abs()):
+            out.append((g, s))
+    return out
 
 
 def _zero_radicand_candidate(eq: NuEquation, bases, a_vec, b_vec, scale):
@@ -504,71 +474,32 @@ def _disc_roots_1d(c2, c1, c0):
 def enumerate_branches(eq: NuEquation):
     """All admissible (g, pi) branches of the equation.
 
-    Extended mode runs damped Newton on the two perfect-square remainder
-    conditions from a deterministic 32-point grid (plus closed-form
-    handling of degree-degenerate radicands); classic mode solves the
+    Extended mode: every branch square root s solves s^2 = B mod sigma
+    with B = ((sigma' - tau~)/2)^2 - sigma~. The candidates are its
+    solutions of degree <= 2, built by Hensel lifting sqrt(B) at each
+    root of sigma (and at infinity when deg sigma < 3) and joining the
+    pieces by Hermite interpolation, plus the g that makes the radicand
+    vanish identically. A repeated root where B vanishes gives no
+    branch (odd vanishing order below the multiplicity) or raises
+    NoBranchError (a continuum of branches). Classic mode solves the
     scalar discriminant condition as a quadratic in k. Results are
     deduplicated at 1e-8 and validated by exact division of sigma_bar;
-    exact equations get exact branches whenever the Newton root
+    exact equations get exact branches whenever the float g
     rationalizes and re-verifies exactly.
     """
     if eq.mode == CLASSIC:
         return _enumerate_classic(eq)
     bases, a_vec, b_vec = _affine_radicand_data(eq)
     scale = max([1.0] + [abs(b) for b in bases])
-    candidates = []
-
-    hints = {}
-    quartic_active = abs(a_vec[4]) > 1e-14 * scale or abs(bases[4]) > 1e-14 * scale
-    if quartic_active:
-        interp = _interp_candidates(eq.to_float(), scale)
-        if interp is not None:
-            for u1, u0, s in interp:
-                candidates.append((u1, u0))
-                hints[(u1, u0)] = s
-        else:
-            candidates.extend(_newton_quartic(eq, bases, a_vec, b_vec, scale))
-            if abs(a_vec[4]) > 1e-14 * scale:
-                # degree-drop manifold: d4 = d3 = 0 has one affine solution
-                mat = np.array(
-                    [[a_vec[4], b_vec[4]], [a_vec[3], b_vec[3]]], dtype=complex
-                )
-                rhs = np.array([-bases[4], -bases[3]], dtype=complex)
-                try:
-                    sol = np.linalg.solve(mat, rhs)
-                    candidates.append((complex(sol[0]), complex(sol[1])))
-                except np.linalg.LinAlgError:
-                    pass
-    else:
-        # cubic band must vanish identically; then a quadratic-in-z square
-        if abs(a_vec[3]) > 1e-14 * scale:
-            # u1 = -(bases[3] + u0 b_vec[3]) / a_vec[3], one unknown left
-            def affine(i):
-                const = bases[i] - a_vec[i] * bases[3] / a_vec[3]
-                slope = b_vec[i] - a_vec[i] * b_vec[3] / a_vec[3]
-                return (const, slope)
-
-            for u0 in _disc_roots_1d(affine(2), affine(1), affine(0)):
-                u1 = -(bases[3] + u0 * b_vec[3]) / a_vec[3]
-                candidates.append((complex(u1), complex(u0)))
-        elif abs(bases[3]) > 1e-14 * scale:
-            candidates = []
-        else:
-            raise NoBranchError(
-                "perfect-square set is not finite (sigma too degenerate "
-                "for extended-mode enumeration)"
-            )
+    candidates = _sqrt_mod_sigma_candidates(eq, scale)
     zero_cand = _zero_radicand_candidate(eq, bases, a_vec, b_vec, scale)
     if zero_cand is not None:
-        candidates.append(zero_cand)
+        candidates.append((Poly([zero_cand[1], zero_cand[0]], FLOAT), None))
 
     eq_f = eq.to_float()
     branches = []
-    for u1, u0 in candidates:
-        g = Poly([u0, u1], FLOAT)
-        branches.extend(
-            _try_branches(eq_f, g, scale, s_hint=hints.get((u1, u0)))
-        )
+    for g, s in candidates:
+        branches.extend(_try_branches(eq_f, g, scale, s_hint=s))
     branches = _dedupe(_validated(eq_f, branches))
     branches = _exactify_candidates(eq, branches, scale)
     return branches
@@ -788,24 +719,19 @@ def _nullspace_exact(rows):
     return basis
 
 
-def polynomial_solution(eq: NuEquation, b: PiBranch, n: int, accessory=None) -> Poly:
+def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
     """Degree-n polynomial solution of sigma y'' + tau y' + h y = 0.
 
     Assembles the (n+2) x (n+1) coefficient map and extracts its null
     space, which must be one-dimensional with a nonzero top coefficient;
-    the monic representative is returned. If `accessory` is given it is
-    applied as the standard shift (sigma~ -> sigma~ - accessory * sigma,
-    h -> h - accessory) before solving.
+    the monic representative is returned.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rf = reduce_branch(eq, b)
     backend = rf.h.backend
     eqb = eq if eq.backend == backend else eq.to_float()
-    h = rf.h
-    if accessory is not None:
-        h = h - Poly.constant(as_scalar(accessory, backend), backend)
-    sigma, tau = eqb.sigma, rf.tau
+    sigma, tau, h = eqb.sigma, rf.tau, rf.h
     columns = []
     for j in range(n + 1):
         mono = Poly([0] * j + [1], backend)

@@ -34,7 +34,7 @@ from .engine import (
     quantization,
     reduce_branch,
 )
-from .oracle import OdeFamily, TERMINATION_TOL, ode_residual, termination_solve
+from .oracle import OdeFamily, ode_residual, termination_solve
 from .poly import Poly
 from .scalars import EXACT, as_scalar, infer_backend, scalar_sqrt
 
@@ -225,7 +225,7 @@ def _check_relation(p, label, n):
         )
 
 
-def heun_accessory(p: HeunParams, label: str, n: int, tol=TERMINATION_TOL):
+def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
     stored in p is ignored). Roots of the degree n+1 truncation
     condition, validated against the series oracle."""
@@ -237,7 +237,7 @@ def heun_accessory(p: HeunParams, label: str, n: int, tol=TERMINATION_TOL):
     rf = reduce_branch(eq0, branch)
     direction = Poly.constant(as_scalar(-1, p.backend), p.backend)
     family = OdeFamily(rf.ode(eq0), direction)
-    return termination_solve(family, n, tol=tol)
+    return termination_solve(family, n)
 
 
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:

@@ -175,10 +175,9 @@ def series_coeffs(rec: Recurrence, seed, count: int):
     return coeffs
 
 
-def termination_polynomial(
-    family: OdeFamily, n: int, point=0, exponent=0
-) -> Poly:
-    """c_{n+1} as a polynomial in the unknown accessory scalar.
+def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
+    """c_{n+1} as a polynomial in the unknown accessory scalar, for the
+    series with exponent 0 at `point`.
 
     The unknown must enter the recurrence affinely and must not touch
     the leading band (else c_j would be rational, not polynomial, in it).
@@ -187,7 +186,7 @@ def termination_polynomial(
         raise ValueError("degree must be nonnegative")
     backend = family.base.backend
     point_s = as_scalar(point, backend)
-    exponent_s = as_scalar(exponent, backend)
+    exponent_s = as_scalar(0, backend)
     p2s = family.base.p2.shift(point_s)
     p1s = family.base.p1.shift(point_s)
     p0s = family.base.p0.shift(point_s)
@@ -251,21 +250,16 @@ def termination_polynomial(
     return coeffs[n + 1]
 
 
-def termination_solve(
-    family: OdeFamily,
-    n: int,
-    point=0,
-    exponent=0,
-    tol: float = TERMINATION_TOL,
-):
-    """Accessory values for which the series terminates at degree n.
+def termination_solve(family: OdeFamily, n: int, point=0):
+    """Accessory values for which the series with exponent 0 at `point`
+    terminates at degree n.
 
     Returns the validated roots of c_{n+1}(t) as complex numbers. Each
     root is re-checked by running the numeric recurrence at that value:
-    |c_{n+1}| and |c_{n+2}| must fall below tol relative to the largest
-    retained coefficient.
+    |c_{n+1}| and |c_{n+2}| must fall below TERMINATION_TOL relative to
+    the largest retained coefficient.
     """
-    cpoly = termination_polynomial(family, n, point=point, exponent=exponent)
+    cpoly = termination_polynomial(family, n, point=point)
     if cpoly.is_zero:
         raise ValueError("termination condition vanishes identically")
     if cpoly.degree == 0:
@@ -275,10 +269,10 @@ def termination_solve(
     out = []
     for root in roots:
         ode = fam_f.at(root)
-        rec = frobenius_recurrence(ode, point, exponent)
+        rec = frobenius_recurrence(ode, point, 0)
         coeffs = series_coeffs(rec, 1.0, n + 3)
-        scale = max(abs(c) for c in coeffs[: n + 1])
-        if abs(coeffs[n + 1]) <= tol * scale and abs(coeffs[n + 2]) <= tol * scale:
+        tol = TERMINATION_TOL * max(abs(c) for c in coeffs[: n + 1])
+        if abs(coeffs[n + 1]) <= tol and abs(coeffs[n + 2]) <= tol:
             out.append(root)
     return out
 

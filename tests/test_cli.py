@@ -167,3 +167,26 @@ def test_app_table_output(capsys):
                        "--u0", "49")
     assert code == EXIT_OK
     assert "PASS" in out
+
+
+def test_classify_exact_keeps_unrationalized_branch(capsys):
+    # one branch's g does not rationalize, so the exact run keeps it in
+    # float; labelling it against the exact catalog must still work
+    code, out, _ = run(
+        capsys, "classify",
+        "--sigma=29/11*z - 40/11*z^2 + 1*z^3",
+        "--tau=145/88 - 25847/4840*z + 14/5*z^2",
+        "--sigma-tilde=116/99*z + 244/495*z^2 - 244/99*z^3 + 4/5*z^4",
+        "--backend", "exact", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["family"] == "heun"
+    labels = {b["class"] for b in doc["branches"]}
+    assert labels == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])
+def test_tolerance_must_be_finite_and_positive(capsys, value):
+    code, _, err = run(capsys, *CLASSIFY_ARGS, "--tol", "residual=" + value)
+    assert code == EXIT_USAGE
+    assert "finite and positive" in err

@@ -262,3 +262,96 @@ def test_random_equations_branch_structure():
             assert (rad - b.s * b.s).max_abs() <= 1e-7 * max(
                 rad.max_abs(), 1.0)
             reduce_branch(eq, b)
+
+
+# -- repeated roots of sigma ---------------------------------------------------
+
+
+def _exact_poly(coeffs):
+    return Poly([rc(c) for c in coeffs], EXACT)
+
+
+def _cast(p, backend):
+    return p if backend == EXACT else p.to_float()
+
+
+SHAPES = {
+    # name: (roots of sigma with multiplicity, expected branch count)
+    "cube": ((F(3, 7),) * 3, 2),
+    "square-linear": ((F(-5, 4), F(-5, 4), F(2, 3)), 4),
+    "square": ((F(5, 6), F(5, 6)), 4),
+    "linear": ((F(1, 3),), 4),
+    "constant": ((), 2),
+}
+
+
+TAU_TILDE = [F(1, 3), F(-3, 2), F(4, 5)]
+
+
+def _sigma(roots):
+    sig = _exact_poly([2])
+    for r in roots:
+        sig = sig * (Poly.x(EXACT) - Poly.constant(rc(r), EXACT))
+    return sig
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_repeated_root_sigma_planted_branch(shape, backend):
+    # sigma~ is built so that pi0 is a branch with g = g0:
+    # pi0^2 + pi0 (tau~ - sigma') + sigma~ = g0 sigma
+    roots, count = SHAPES[shape]
+    sig = _sigma(roots)
+    tt = _exact_poly(TAU_TILDE)
+    pi0 = _exact_poly([F(-7, 8), F(5, 3), F(2, 5)])
+    g0 = _exact_poly([F(3, 4), F(-1, 6)])
+    st = g0 * sig - pi0 * pi0 - pi0 * (tt - sig.derivative())
+    eq = NuEquation(_cast(tt, backend), _cast(sig, backend),
+                    _cast(st, backend), EXTENDED)
+    branches = enumerate_branches(eq)
+    assert len(branches) == count
+    hits = [b for b in branches
+            if (b.pi.to_float() - pi0.to_float()).max_abs() < 1e-9]
+    assert len(hits) == 1
+    if backend == EXACT:
+        assert hits[0].pi == pi0 and hits[0].g == g0
+    for b in branches:
+        reduce_branch(eq, b)
+
+
+# B = ((sigma' - tau~)/2)^2 - sigma~ vanishing at the repeated point of
+# sigma to order v: odd v below the multiplicity admits no branch, any
+# other v > 0 a continuum of branches. A linear sigma puts its repeated
+# point at infinity, where B vanishes to order 4 - deg B.
+VANISHING = [
+    ("cube", 1, "empty"),
+    ("cube", 2, "continuum"),
+    ("cube", 3, "continuum"),
+    ("square-linear", 1, "empty"),
+    ("square-linear", 2, "continuum"),
+    ("square", 1, "empty"),
+    ("square", 2, "continuum"),
+    ("linear", 1, "empty"),
+    ("linear", 2, "continuum"),
+]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("shape,order,outcome", VANISHING)
+def test_radicand_vanishing_at_repeated_point(shape, order, outcome, backend):
+    roots = SHAPES[shape][0]
+    sig = _sigma(roots)
+    tt = _exact_poly(TAU_TILDE)
+    bpoly = _exact_poly([F(2, 9), F(1, 2), 1, -1][: 5 - order])
+    if sig.degree >= 2:  # the repeated point is the root roots[0]
+        c = Poly.x(EXACT) - Poly.constant(rc(roots[0]), EXACT)
+        for _ in range(order):
+            bpoly = bpoly * c
+    half = (sig.derivative() - tt) * rc(F(1, 2))
+    eq = NuEquation(_cast(tt, backend), _cast(sig, backend),
+                    _cast(half * half - bpoly, backend), EXTENDED)
+    if outcome == "empty":
+        assert enumerate_branches(eq) == []
+    else:
+        with pytest.raises(NoBranchError, match="not finite"):
+            enumerate_branches(eq)
