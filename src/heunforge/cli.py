@@ -230,22 +230,25 @@ def _match_che(eq: NuEquation):
     return CheParams(alpha, beta, gamma, mu, nu)
 
 
-def _branch_label(branch, heun_p, che_p) -> str:
-    """Class label whose catalog pi matches the branch, or ''."""
+def _class_catalog(heun_p, che_p):
+    """(label, float catalog pi) of every class of the matched family.
+
+    In float: an exact equation can keep a branch whose g did not
+    rationalize, and its float pi meets the exact catalog pi here."""
+    if heun_p is not None:
+        return [(cls.label, cls.pi(heun_p).to_float()) for cls in HEUN_CLASSES]
+    if che_p is not None:
+        return [(cls.label, cls.pi(che_p).to_float()) for cls in CHE_CLASSES]
+    return []
+
+
+def _branch_label(branch, catalog) -> str:
+    """Label of the first catalog class whose pi matches the branch, or ''."""
     pi = branch.pi.to_float()
     scale = max(pi.max_abs(), 1.0)
-    # in float: an exact equation can keep a branch whose g did not
-    # rationalize, and its float pi meets the exact catalog pi here
-    if heun_p is not None:
-        for cls in HEUN_CLASSES:
-            gap = (pi - cls.pi(heun_p).to_float()).max_abs()
-            if gap <= 1e-8 * scale:
-                return cls.label
-    if che_p is not None:
-        for cls in CHE_CLASSES:
-            gap = (pi - cls.pi(che_p).to_float()).max_abs()
-            if gap <= 1e-8 * scale:
-                return cls.label
+    for label, cls_pi in catalog:
+        if (pi - cls_pi).max_abs() <= 1e-8 * scale:
+            return label
     return ""
 
 
@@ -264,13 +267,14 @@ def cmd_classify(args, config: RunConfig) -> int:
     heun_p = _match_heun(eq) if args.mode == EXTENDED else None
     che_p = _match_che(eq) if args.mode == EXTENDED else None
     family = "heun" if heun_p is not None else "che" if che_p is not None else ""
+    catalog = _class_catalog(heun_p, che_p)
     entries = []
     for branch in branches:
         reduced = reduce_branch(eq, branch)
         entries.append(
             {
                 "sign": branch.sign,
-                "class": _branch_label(branch, heun_p, che_p),
+                "class": _branch_label(branch, catalog),
                 "g": branch.g,
                 "pi": branch.pi,
                 "tau": reduced.tau,

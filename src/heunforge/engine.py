@@ -277,21 +277,23 @@ def _dedupe(branches):
     return out
 
 
-def _rationalize(value: complex, tol=1e-9):
-    """Nearest Gaussian rational, preferring small denominators so that
-    float noise does not shadow an exact value like 5/7."""
+def _rationalizations(value: complex, tol=1e-9):
+    """Gaussian rationals near value, small denominators first so that
+    float noise does not shadow an exact value like 5/7.
+
+    Each part gets every distinct fraction from the denominator ladder
+    that lands within tol (a small denominator can land within tol of a
+    value it does not equal), or the closest one with denominator at
+    most 10**12 when none does."""
     parts = []
     for part in (value.real, value.imag):
-        frac = None
+        fracs = []
         for den in (1, 6, 60, 2520, 10**4, 10**6, 10**9, 10**12):
             cand = Fraction(part).limit_denominator(den)
-            if abs(cand - part) <= tol * max(1.0, abs(part)):
-                frac = cand
-                break
-        if frac is None:
-            frac = Fraction(part).limit_denominator(10**12)
-        parts.append(frac)
-    return RationalComplex(*parts)
+            if abs(cand - part) <= tol * max(1.0, abs(part)) and cand not in fracs:
+                fracs.append(cand)
+        parts.append(fracs or [Fraction(part).limit_denominator(10**12)])
+    return [RationalComplex(re, im) for re, im in product(*parts)]
 
 
 def _exactify_candidates(eq: NuEquation, branches, scale):
@@ -304,28 +306,31 @@ def _exactify_candidates(eq: NuEquation, branches, scale):
         if b.backend == EXACT:
             out.append(b)
             continue
-        gf = b.g
-        g_exact = Poly(
-            [_rationalize(complex(gf.coeff(0))), _rationalize(complex(gf.coeff(1)))],
-            EXACT,
-        )
-        replaced = False
-        for cand in _try_branches(eq, g_exact, scale):
-            # match on pi, not on the square-root sign: different paths
-            # may pick opposite global signs for the same branch pair
-            if cand.backend == EXACT:
-                gap = (cand.pi.to_float() - b.pi).max_abs()
-                if gap <= 1e-6 * max(1.0, b.pi.max_abs()):
-                    out.append(cand)
-                    replaced = True
-                    break
-            if cand.sign == 0 and b.sign == 0:
-                out.append(cand)
-                replaced = True
-                break
-        if not replaced:
-            out.append(b)
+        gs = product(_rationalizations(complex(b.g.coeff(0))),
+                     _rationalizations(complex(b.g.coeff(1))))
+        g_exacts = (Poly(g, EXACT) for g in gs)
+        out.append(_exact_branch(eq, b, g_exacts, _same_pi, scale))
     return out
+
+
+def _same_pi(cand: PiBranch, b: PiBranch) -> bool:
+    # match on pi, not on the square-root sign: different paths may
+    # pick opposite global signs for the same branch pair
+    if cand.backend == EXACT:
+        gap = (cand.pi.to_float() - b.pi).max_abs()
+        if gap <= 1e-6 * max(1.0, b.pi.max_abs()):
+            return True
+    return cand.sign == 0 and b.sign == 0
+
+
+def _exact_branch(eq: NuEquation, b: PiBranch, g_exacts, matches, scale):
+    """The first exact branch, over the candidate exact g in order, that
+    matches the float branch b; b itself when none does."""
+    for g in g_exacts:
+        for cand in _try_branches(eq, g, scale):
+            if matches(cand, b):
+                return cand
+    return b
 
 
 def _affine_radicand_data(eq: NuEquation):
@@ -533,21 +538,16 @@ def _exactify_classic(eq: NuEquation, branches, scale):
         if b.backend == EXACT:
             out.append(b)
             continue
-        k_exact = _rationalize(complex(b.g.coeff(0)))
-        g_exact = Poly([k_exact], EXACT)
-        replaced = False
-        for cand in _try_branches(eq, g_exact, scale):
-            if cand.backend != EXACT:
-                continue
-            if cand.sign == b.sign or (cand.sign == 0 and b.sign == 0):
-                sf = cand.s.to_float()
-                if (sf - b.s).max_abs() <= 1e-6 * max(1.0, b.s.max_abs()):
-                    out.append(cand)
-                    replaced = True
-                    break
-        if not replaced:
-            out.append(b)
+        g_exacts = (Poly([k], EXACT) for k in _rationalizations(complex(b.g.coeff(0))))
+        out.append(_exact_branch(eq, b, g_exacts, _same_s, scale))
     return out
+
+
+def _same_s(cand: PiBranch, b: PiBranch) -> bool:
+    if cand.backend != EXACT or cand.sign != b.sign:
+        return False
+    sf = cand.s.to_float()
+    return (sf - b.s).max_abs() <= 1e-6 * max(1.0, b.s.max_abs())
 
 
 def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:

@@ -310,18 +310,6 @@ def residual_contour(p2: Poly, samples: int = 50):
     return points
 
 
-def _phi_log_terms(phi, z):
-    """(L, L') of the prefactor at z, L = d/dz log(phi)."""
-    ep = phi.exp_part.to_float()
-    lval = complex(ep.derivative()(z))
-    lder = complex(ep.derivative().derivative()(z))
-    for root, expo in phi.powers:
-        dz = z - complex(root)
-        lval += complex(expo) / dz
-        lder -= complex(expo) / (dz * dz)
-    return lval, lder
-
-
 def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
     """Largest relative residual of the assembled eigenfunction over the
     sample contour.
@@ -342,13 +330,22 @@ def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
     p = poly.to_float()
     dp = p.derivative()
     ddp = dp.derivative()
+    if phi is not None:
+        # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
+        de = phi.exp_part.to_float().derivative()
+        dde = de.derivative()
+        powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
     worst = 0.0
     for z in residual_contour(odef.p2, samples):
         pv, dv, ddv = p(z), dp(z), ddp(z)
         if phi is None:
             w0, w1, w2 = pv, dv, ddv
         else:
-            lval, lder = _phi_log_terms(phi, z)
+            lval, lder = de(z), dde(z)
+            for root, expo in powers:
+                dz = z - root
+                lval += expo / dz
+                lder -= expo / (dz * dz)
             w0 = pv
             w1 = dv + lval * pv
             w2 = ddv + 2 * lval * dv + (lval * lval + lder) * pv

@@ -9,6 +9,7 @@ in the float backend. The zero polynomial has degree -1.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 
@@ -27,6 +28,10 @@ from .scalars import (
 
 TRIM_REL = 1e-13
 
+# the scalar type each backend stores, and its zero
+_SCALAR_TYPE = {EXACT: RationalComplex, FLOAT: complex}
+_ZERO = {EXACT: RationalComplex(0), FLOAT: 0j}
+
 
 class Poly:
     """Immutable dense polynomial, low-order coefficients first."""
@@ -37,7 +42,8 @@ class Poly:
         coeffs = list(coeffs)
         if backend is None:
             backend = infer_backend(coeffs)
-        coeffs = [as_scalar(c, backend) for c in coeffs]
+        kind = _SCALAR_TYPE.get(backend)
+        coeffs = [c if type(c) is kind else as_scalar(c, backend) for c in coeffs]
         coeffs = _trim(coeffs, backend)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
@@ -87,7 +93,7 @@ class Poly:
         return self.coeffs[-1]
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
+        return max(map(abs, self.coeffs), default=0.0)
 
     def _check_backend(self, other):
         if self.backend != other.backend:
@@ -102,10 +108,11 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         self._check_backend(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(
-            [self.coeff(k) + other.coeff(k) for k in range(n)], self.backend
-        )
+        # the shorter side is padded with the backend zero, which is
+        # still added so that float signed zeros come out normalized
+        zero = _ZERO.get(self.backend)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+        return Poly([a + b for a, b in pairs], self.backend)
 
     __radd__ = __add__
 
@@ -174,10 +181,13 @@ class Poly:
             for c in reversed(self.coeffs):
                 acc = acc * zz + c
             return acc
+        coeffs = self.coeffs
+        if self.backend != FLOAT:
+            coeffs = [complex(c) for c in coeffs]
         zz = complex(z)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * zz + complex(c)
+        for c in reversed(coeffs):
+            acc = acc * zz + c
         return acc
 
     # -- division -----------------------------------------------------------
@@ -310,7 +320,7 @@ def _trim(coeffs, backend):
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         return coeffs
-    top = max((abs(c) for c in coeffs), default=0.0)
+    top = max(map(abs, coeffs), default=0.0)
     if top == 0.0:
         return []
     floor = TRIM_REL * top

@@ -16,6 +16,8 @@ from fractions import Fraction
 EXACT = "exact"
 FLOAT = "float"
 
+_ZERO = Fraction(0)
+
 
 class BackendMismatchError(TypeError):
     """Raised when exact and float operands meet in one operation."""
@@ -27,8 +29,9 @@ class RationalComplex:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        # a Fraction argument is stored as it is: Fraction is immutable
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalComplex is immutable")
@@ -70,6 +73,8 @@ class RationalComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self.im and not other.im:
+            return RationalComplex(self.re * other.re, _ZERO)
         return RationalComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -81,9 +86,11 @@ class RationalComplex:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division by zero scalar")
+            return RationalComplex(self.re / other.re, self.im / other.re)
         den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero scalar")
         return RationalComplex(
             (self.re * other.re + self.im * other.im) / den,
             (self.im * other.re - self.re * other.im) / den,

@@ -355,3 +355,24 @@ def test_radicand_vanishing_at_repeated_point(shape, order, outcome, backend):
     else:
         with pytest.raises(NoBranchError, match="not finite"):
             enumerate_branches(eq)
+
+
+def test_exact_branches_survive_a_near_miss_rationalization():
+    # g0 = 229211/348480 of branches 0 and 1: limit_denominator(10**4)
+    # gives 1966/2989, within 1e-9 of it but wrong, so the search must go
+    # on down the denominator ladder until a fraction verifies exactly
+    eq = NuEquation(
+        _exact_poly([F(145, 88), F(-25847, 4840), F(14, 5)]),
+        _exact_poly([0, F(29, 11), F(-40, 11), 1]),
+        _exact_poly([0, F(116, 99), F(244, 495), F(-244, 99), F(4, 5)]),
+        EXTENDED,
+    )
+    branches = enumerate_branches(eq)
+    assert len(branches) == 8
+    for b in branches:
+        assert b.backend == EXACT
+        assert all(isinstance(c, RationalComplex) for c in b.g.coeffs)
+        reduce_branch(eq, b)
+    for b in branches[:2]:
+        assert b.g.coeff(0) == rc(F(229211, 348480))
+    assert abs(F(1966, 2989) - F(229211, 348480)) <= F(1, 10**9)

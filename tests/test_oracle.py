@@ -1,10 +1,27 @@
 """Frobenius-series oracle: recurrences, termination conditions, residuals."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from heunforge.che import (
+    CHE_CLASSES,
+    che_accessory,
+    che_eigenstate,
+    che_params_for_class,
+    che_to_nu,
+)
+from heunforge.engine import PhiFactor
+from heunforge.heun import (
+    HEUN_CLASSES,
+    heun_accessory,
+    heun_eigenstate,
+    heun_params_for_class,
+    heun_to_nu,
+)
 from heunforge.oracle import (
     OdeFamily,
     OdeForm,
@@ -17,6 +34,9 @@ from heunforge.oracle import (
 )
 from heunforge.poly import Poly
 from heunforge.scalars import EXACT, FLOAT, RationalComplex
+
+
+F = Fraction
 
 
 def rc(re, im=0):
@@ -183,3 +203,62 @@ def test_ode_residual_on_known_solution():
     assert ode_residual(y, ode) < 1e-12
     bad = Poly([-0.4, 0.0, 1.0], FLOAT)
     assert ode_residual(bad, ode) > 1e-3
+
+
+def _reference_residual(state, ode, samples=50):
+    """ode_residual with the prefactor's log-derivative terms rebuilt at
+    every contour point, as a reference for the hoisted version."""
+    poly, phi = state.poly, state.phi
+    odef = ode.to_float()
+    p = poly.to_float()
+    dp = p.derivative()
+    ddp = dp.derivative()
+    worst = 0.0
+    for z in residual_contour(odef.p2, samples):
+        ep = phi.exp_part.to_float()
+        lval = complex(ep.derivative()(z))
+        lder = complex(ep.derivative().derivative()(z))
+        for root, expo in phi.powers:
+            dz = z - complex(root)
+            lval += complex(expo) / dz
+            lder -= complex(expo) / (dz * dz)
+        pv, dv, ddv = p(z), dp(z), ddp(z)
+        w0 = pv
+        w1 = dv + lval * pv
+        w2 = ddv + 2 * lval * dv + (lval * lval + lder) * pv
+        t2 = odef.p2(z) * w2
+        t1 = odef.p1(z) * w1
+        t0 = odef.p0(z) * w0
+        scale = max(abs(t2), abs(t1), abs(t0))
+        if scale == 0.0:
+            continue
+        worst = max(worst, abs(t2 + t1 + t0) / scale)
+    return worst
+
+
+def test_ode_residual_matches_per_point_reference():
+    states = []
+    for label in HEUN_CLASSES:
+        p = heun_params_for_class(label.label, 2, 1.9, 0.6, 0.8, 0.7)
+        for q in heun_accessory(p, label.label, 2):
+            states.append((heun_eigenstate(replace(p, q=q), label.label, 2),
+                           heun_to_nu(replace(p, q=q)).psi_ode()))
+    for label in CHE_CLASSES:
+        p = che_params_for_class(label.label, 1, 1.5, 0.3, 0.4)
+        for mu in che_accessory(p, label.label, 1):
+            pm = replace(p, mu=mu, nu=p.coupling - mu)
+            states.append((che_eigenstate(pm, label.label, 1),
+                           che_to_nu(pm).psi_ode()))
+    # an exact prefactor with an exponential part, on an equation the
+    # polynomial does not solve
+    z = Poly.x(EXACT)
+    phi = PhiFactor(Poly([rc(1), rc(F(-3, 2), 1), rc(F(1, 4))], EXACT),
+                    ((rc(0), rc(F(-1, 3))), (rc(1), rc(F(2, 5), -1))))
+    ode = OdeForm(z * (z - Poly.one(EXACT)), z * rc(2) + rc(F(1, 3)),
+                  z * rc(F(-5, 7), 1))
+    states.append((SimpleNamespace(poly=z * z - rc(F(1, 2)), phi=phi), ode))
+    assert len(states) > 20
+    for state, ode in states:
+        for samples in (50, 17):
+            assert ode_residual(state, ode, samples) == _reference_residual(
+                state, ode, samples)

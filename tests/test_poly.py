@@ -1,13 +1,14 @@
 """Dense polynomial kernel: arithmetic laws, division, square-root head,
 root extraction. The four randomized suites run 1000 seeded cases each."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from heunforge.poly import Poly, format_poly, parse_poly
-from heunforge.scalars import EXACT, FLOAT, RationalComplex
+from heunforge.scalars import EXACT, FLOAT, BackendMismatchError, RationalComplex
 
 CASES = 1000
 
@@ -166,3 +167,45 @@ def test_monic_and_leading():
     assert p.monic() == Poly([0.5, 1.0], FLOAT)
     with pytest.raises(ValueError):
         Poly.zero(FLOAT).monic()
+
+
+def test_construction_stores_only_backend_scalars():
+    exact_in = [0, True, 3, Fraction(-2, 3), rc(1, 2), RationalComplex(5, -1)]
+    p = Poly(exact_in, EXACT)
+    assert p.coeffs == (rc(0), rc(1), rc(3), rc(Fraction(-2, 3)), rc(1, 2),
+                        rc(5, -1))
+    float_in = [0, True, Fraction(1, 4), 2.5, rc(1, 2), 1 - 3j,
+                np.float64(0.5), np.complex128(2j)]
+    q = Poly(float_in, FLOAT)
+    assert q.coeffs == (0j, 1 + 0j, 0.25 + 0j, 2.5 + 0j, 1 + 2j, 1 - 3j,
+                        0.5 + 0j, 2j)
+    for poly in (p, p * p + p, p.derivative(), p.shift(rc(1, -1)),
+                 p.divrem(Poly([1, 2], EXACT))[0]):
+        assert all(type(c) is RationalComplex and type(c.re) is Fraction
+                   and type(c.im) is Fraction for c in poly.coeffs)
+    for poly in (q, q * q + q, q.derivative(), p.to_float(),
+                 q.divrem(Poly([1.0, 2.0], FLOAT))[0]):
+        assert all(type(c) is complex for c in poly.coeffs)
+    with pytest.raises(BackendMismatchError):
+        Poly([1, 2.5], EXACT)
+
+
+def test_add_pads_the_shorter_side_with_zero():
+    # the zero added to the longer tail turns a float -0.0 into +0.0
+    neg_zero = complex(-0.0, -0.0)
+    long = Poly([1.0, neg_zero, 1.0], FLOAT)
+    short = Poly([2.0], FLOAT)
+    for total in (long + short, short + long):
+        assert total.coeffs == (3 + 0j, 0j, 1 + 0j)
+        mid = total.coeffs[1]
+        assert math.copysign(1.0, mid.real) == 1.0
+        assert math.copysign(1.0, mid.imag) == 1.0
+    assert Poly([rc(1), rc(0, 2)], EXACT) + Poly([rc(3)], EXACT) == Poly(
+        [rc(4), rc(0, 2)], EXACT)
+
+
+def test_float_evaluation_of_exact_and_float_coefficients():
+    p = Poly([rc(1, 2), rc(Fraction(-1, 3)), rc(0, 1)], EXACT)
+    for z in (0.3 - 0.7j, 2.0, 1j):
+        assert p(z) == p.to_float()(z)
+        assert type(p(z)) is complex

@@ -1,5 +1,6 @@
 """Gaussian-rational scalar kernel: arithmetic, square roots, parsing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,51 @@ def test_hash_consistency():
     assert hash(rc(2)) == hash(rc(2))
     d = {rc(1, 1): "a"}
     assert d[rc(1, 1)] == "a"
+
+
+def _random_gaussian(rng):
+    """Gaussian rational whose parts are zero about a third of the time."""
+    def part():
+        if rng.random() < 1 / 3:
+            return Fraction(0)
+        return Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+    return RationalComplex(part(), part())
+
+
+def test_real_fast_paths_match_general_formula():
+    # products and quotients with zero imaginary parts take a shortcut;
+    # it must give exactly what the full complex formula gives
+    rng = random.Random(20261018)
+    real_pairs = 0
+    for _ in range(3000):
+        a, b = _random_gaussian(rng), _random_gaussian(rng)
+        real_pairs += not a.im and not b.im
+        prod = a * b
+        assert (prod.re, prod.im) == (a.re * b.re - a.im * b.im,
+                                      a.re * b.im + a.im * b.re)
+        assert type(prod.re) is Fraction and type(prod.im) is Fraction
+        den = b.re * b.re + b.im * b.im
+        if den:
+            quot = a / b
+            assert (quot.re, quot.im) == ((a.re * b.re + a.im * b.im) / den,
+                                          (a.im * b.re - a.re * b.im) / den)
+        else:
+            with pytest.raises(ZeroDivisionError, match="zero scalar"):
+                a / b
+    assert real_pairs > 300
+    for zero in (rc(0), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="zero scalar"):
+            rc(3, -2) / zero
+        with pytest.raises(ZeroDivisionError, match="zero scalar"):
+            rc(3) / zero
+    with pytest.raises(ZeroDivisionError, match="zero scalar"):
+        1 / rc(0)
+
+
+def test_constructor_keeps_fractions_and_converts_the_rest():
+    half = Fraction(1, 2)
+    v = RationalComplex(half, 3)
+    assert v.re is half
+    assert type(v.im) is Fraction and v.im == 3
+    w = RationalComplex(True, Fraction(-4, 6))
+    assert type(w.re) is Fraction and w == rc(1, Fraction(-2, 3))
