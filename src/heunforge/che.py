@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .engine import (
     EXTENDED,
@@ -27,12 +26,10 @@ from .engine import (
     NuEquation,
     PiBranch,
     branch_from_pi,
-    phi_factor,
-    polynomial_solution,
-    quantization,
+    eigenstates,
     reduce_branch,
 )
-from .oracle import OdeFamily, ode_residual, termination_solve
+from .oracle import OdeFamily, termination_solve
 from .poly import Poly
 from .scalars import EXACT, as_scalar, infer_backend
 
@@ -160,8 +157,13 @@ def che_to_nu(p: CheParams) -> NuEquation:
     tau_tilde = (
         sigma * p.alpha + (z - one) * (p.beta + unit) + z * (p.gamma + unit)
     )
-    sigma_tilde = (z * (p.mu + p.nu) - Poly.constant(p.mu, backend)) * sigma
-    return NuEquation(tau_tilde, sigma, sigma_tilde, EXTENDED)
+    return NuEquation(tau_tilde, sigma, _sigma_tilde(sigma, p), EXTENDED)
+
+
+def _sigma_tilde(sigma, p: CheParams) -> Poly:
+    backend = p.backend
+    slope = Poly.x(backend) * (p.mu + p.nu)
+    return (slope - Poly.constant(p.mu, backend)) * sigma
 
 
 def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
@@ -221,17 +223,30 @@ def che_accessory(p: CheParams, label, n: int, point=0):
     return termination_solve(family, n, point=point)
 
 
+def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
+    """Assembled degree-n eigenfunctions of the given class, one per
+    accessory value mu in `values` (a sequence; the mu stored in p is
+    ignored, and each value's nu is p's mu + nu minus that value), each
+    with its residual on a `samples`-point contour.
+
+    Only sigma~ depends on mu, so the states share one setup (see
+    engine.eigenstates); each state equals che_eigenstate at its mu."""
+    return _states(
+        p, label, n, [replace(p, mu=v, nu=p.coupling - v) for v in values],
+        samples,
+    )
+
+
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.mu, with its contour residual."""
+    return _states(p, label, n, [p], 50)[0]
+
+
+def _states(p: CheParams, label, n: int, params, samples):
+    if not params:
+        return []
     _check_relation(p, label, n)
-    cls = che_class(label)
     eq = che_to_nu(p)
-    branch = branch_from_pi(eq, cls.pi(p))
-    qr = quantization(eq, branch, n)
-    poly = polynomial_solution(eq, branch, n)
-    phi = phi_factor(eq, branch)
-    res = ode_residual(SimpleNamespace(poly=poly, phi=phi), eq.psi_ode())
-    return Eigenstate(
-        n=n, accessory=p.mu, quantization=qr, phi=phi, poly=poly, residual=res
-    )
+    shifts = ((pv.mu, _sigma_tilde(eq.sigma, pv)) for pv in params)
+    return eigenstates(eq, che_class(label).pi(p), n, shifts, samples)

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -36,9 +36,8 @@ from .che import (
     CHE_CLASSES,
     CheParams,
     che_accessory,
-    che_eigenstate,
+    che_eigenstates,
     che_params_for_class,
-    che_to_nu,
 )
 from .engine import (
     CLASSIC,
@@ -50,13 +49,10 @@ from .engine import (
 )
 from .heun import (
     HEUN_CLASSES,
-    HeunParams,
     heun_accessory,
-    heun_eigenstate,
+    heun_eigenstates,
     heun_params_for_class,
-    heun_to_nu,
 )
-from .oracle import ode_residual
 from .poly import Poly, format_poly, parse_poly
 from .scalars import (
     EXACT,
@@ -341,18 +337,13 @@ class UsageError(Exception):
     pass
 
 
-def _float_heun(p: HeunParams) -> HeunParams:
-    return HeunParams(*(complex(getattr(p, f)) for f in (
-        "a", "q", "alpha", "beta", "gamma", "delta", "epsilon")))
-
-
-def _float_che(p: CheParams) -> CheParams:
-    return CheParams(*(complex(getattr(p, f)) for f in (
-        "alpha", "beta", "gamma", "mu", "nu")))
+def _float_params(p):
+    """The same family parameters as complex floats."""
+    return type(p)(*(complex(getattr(p, f.name)) for f in fields(p)))
 
 
 def _solve_states(args, config: RunConfig):
-    """Family params plus one assembled eigenstate per accessory value.
+    """One assembled eigenstate per accessory value, all from one setup.
 
     Resolved accessory roots are always floats, so exact-backend runs
     assemble the eigenstates on the float copy of the parameters."""
@@ -367,41 +358,23 @@ def _solve_states(args, config: RunConfig):
             _scalar_arg(args.delta, backend),
             _scalar_arg(args.epsilon, backend),
         )
-        if args.accessory is not None:
-            values = [_scalar_arg(args.accessory, backend)]
-        else:
-            values = heun_accessory(p, args.label, n)
-        states = []
-        for v in values:
-            pv = p if isinstance(v, RationalComplex) else _float_heun(p)
-            states.append(heun_eigenstate(replace(pv, q=v), args.label, n))
-        return p, states
-    p = che_params_for_class(
-        args.label,
-        n,
-        _scalar_arg(args.alpha, backend),
-        _scalar_arg(args.beta, backend),
-        _scalar_arg(args.gamma, backend),
-    )
+        resolve, assemble = heun_accessory, heun_eigenstates
+    else:
+        p = che_params_for_class(
+            args.label,
+            n,
+            _scalar_arg(args.alpha, backend),
+            _scalar_arg(args.beta, backend),
+            _scalar_arg(args.gamma, backend),
+        )
+        resolve, assemble = che_accessory, che_eigenstates
     if args.accessory is not None:
         values = [_scalar_arg(args.accessory, backend)]
     else:
-        values = che_accessory(p, args.label, n)
-    states = []
-    for v in values:
-        if isinstance(v, RationalComplex):
-            states.append(
-                che_eigenstate(
-                    replace(p, mu=v, nu=p.coupling - v), args.label, n
-                )
-            )
-        else:
-            pf = _float_che(p)
-            nu = complex(p.coupling) - complex(v)
-            states.append(
-                che_eigenstate(replace(pf, mu=v, nu=nu), args.label, n)
-            )
-    return p, states
+        values = resolve(p, args.label, n)
+    if not all(isinstance(v, RationalComplex) for v in values):
+        p = _float_params(p)
+    return assemble(p, args.label, n, values, config.samples)
 
 
 def cmd_solve(args, config: RunConfig) -> int:
@@ -412,31 +385,16 @@ def cmd_solve(args, config: RunConfig) -> int:
             "%s solve requires %s"
             % (args.family, ", ".join("--" + f for f in missing))
         )
-    p, states = _solve_states(args, config)
+    states = _solve_states(args, config)
     if not states:
         raise NoBranchError("no accessory value admits a terminating solution")
     tol = config.tolerances["residual"]
     checks = []
     entries = []
     for state in states:
-        residual = state.residual
-        if config.samples != 50:
-            v = state.accessory
-            if args.family == "heun":
-                pv = p if isinstance(v, RationalComplex) else _float_heun(p)
-                eq = heun_to_nu(replace(pv, q=v))
-            else:
-                if isinstance(v, RationalComplex):
-                    eq = che_to_nu(replace(p, mu=v, nu=p.coupling - v))
-                else:
-                    pf = _float_che(p)
-                    eq = che_to_nu(
-                        replace(pf, mu=v, nu=complex(p.coupling) - complex(v))
-                    )
-            residual = ode_residual(state, eq.psi_ode(), config.samples)
-        check = _check("residual", residual, tol)
+        check = _check("residual", state.residual, tol)
         checks.append(check)
-        entries.append((state, residual, check))
+        entries.append((state, check))
     if config.fmt == "json":
         _emit_json(
             {
@@ -461,10 +419,10 @@ def cmd_solve(args, config: RunConfig) -> int:
                             {"root": _scalar_json(r), "exponent": _scalar_json(e)}
                             for r, e in s.phi.powers
                         ],
-                        "residual": res,
+                        "residual": s.residual,
                         "check": chk,
                     }
-                    for s, res, chk in entries
+                    for s, chk in entries
                 ],
             }
         )
@@ -472,19 +430,19 @@ def cmd_solve(args, config: RunConfig) -> int:
         _emit_csv(
             {
                 "accessory": _cell(s.accessory),
-                "residual": res,
+                "residual": s.residual,
                 "slope_residual": _cell(s.quantization.slope_residual),
                 "poly": _cell(s.poly),
                 "passed": chk["passed"],
             }
-            for s, res, chk in entries
+            for s, chk in entries
         )
     else:
         lines = [
             "%s class %s, degree %d: %d state(s)"
             % (args.family, args.label, args.n, len(entries))
         ]
-        for s, res, chk in entries:
+        for s, chk in entries:
             verdict = "PASS" if chk["passed"] else "FAIL"
             lines.append("accessory %s" % _cell(s.accessory))
             lines.append("  poly     %s" % _cell(s.poly))
@@ -494,7 +452,7 @@ def cmd_solve(args, config: RunConfig) -> int:
                     "  phi power (z - %s)^%s" % (_cell(root), _cell(expo))
                 )
             lines.append(
-                "  residual %.3e  [%s <= %g]" % (res, verdict, tol)
+                "  residual %.3e  [%s <= %g]" % (s.residual, verdict, tol)
             )
         _emit_table(lines)
     return _checks_exit(checks)

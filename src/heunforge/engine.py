@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .oracle import OdeForm
+from .oracle import OdeForm, ResidualContour
 from .poly import Poly
 from .scalars import EXACT, FLOAT, RationalComplex, as_scalar
 
@@ -550,26 +550,40 @@ def _same_s(cand: PiBranch, b: PiBranch) -> bool:
     return (sf - b.s).max_abs() <= 1e-6 * max(1.0, b.s.max_abs())
 
 
-def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
-    """Branch with a prescribed pi (used when the class catalog already
-    names it). g is recovered from the defining identity
-    pi^2 + pi (tau~ - sigma') + sigma~ = g sigma."""
+def _check_pi(eq: NuEquation, pi: Poly):
     if pi.backend != eq.backend:
         raise ValueError("pi backend differs from equation backend")
     if pi.degree > 2:
         raise ValueError("pi must have degree <= 2")
-    num = pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()) + eq.sigma_tilde
+
+
+def _branch_g(eq: NuEquation, lhs: Poly) -> Poly:
+    """g from the identity pi^2 + pi (tau~ - sigma') + sigma~ = g sigma,
+    given lhs = pi^2 + pi (tau~ - sigma'); raises unless sigma divides
+    and g keeps the mode's degree bound."""
+    num = lhs + eq.sigma_tilde
     g, rem = num.divrem(eq.sigma)
     if not _is_negligible(rem, num.max_abs(), DIVIDE_REL_TOL):
         raise NoBranchError("prescribed pi does not divide: not a branch")
     max_deg = 1 if eq.mode == EXTENDED else 0
     if g.degree > max_deg:
         raise NoBranchError("recovered g exceeds the mode's degree bound")
+    return g
+
+
+def _vanishes(p: Poly) -> bool:
+    return _is_negligible(p, p.max_abs(), 1e-14)
+
+
+def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
+    """Branch with a prescribed pi (used when the class catalog already
+    names it). g is recovered from the defining identity
+    pi^2 + pi (tau~ - sigma') + sigma~ = g sigma."""
+    _check_pi(eq, pi)
+    g = _branch_g(eq, pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()))
     s = pi - eq.half_gap()
     d = radicand(eq, g)
-    if _is_negligible(d, d.max_abs(), 1e-14) and _is_negligible(
-        s, s.max_abs(), 1e-14
-    ):
+    if _vanishes(d) and _vanishes(s):
         return PiBranch(g, Poly.zero(eq.backend), eq.half_gap(), 0)
     sign = 1
     try:
@@ -589,19 +603,19 @@ def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
 # -- reduction, quantization, prefactor --------------------------------------
 
 
-def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
-    """tau = tau~ + 2 pi and h = sigma_bar / sigma, where
-    sigma_bar = sigma~ + pi^2 + pi (tau~ - sigma') + pi' sigma.
-    A nonzero division remainder marks an inadmissible branch."""
-    if b.backend != eq.backend:
-        eq = eq.to_float()
-    pi = b.pi
-    sigma_bar = (
-        eq.sigma_tilde
-        + pi * pi
-        + pi * (eq.tau_tilde - eq.sigma.derivative())
-        + pi.derivative() * eq.sigma
+def _sigma_bar_terms(eq: NuEquation, pi: Poly):
+    """pi^2, pi (tau~ - sigma') and pi' sigma: the terms reduce_branch
+    adds to sigma~, in its order. None of them involves sigma~."""
+    return (
+        pi * pi,
+        pi * (eq.tau_tilde - eq.sigma.derivative()),
+        pi.derivative() * eq.sigma,
     )
+
+
+def _reduce(eq: NuEquation, pi: Poly, terms) -> ReducedForm:
+    pi_sq, pi_gap, dpi_sigma = terms
+    sigma_bar = eq.sigma_tilde + pi_sq + pi_gap + dpi_sigma
     h, rem = sigma_bar.divrem(eq.sigma)
     if not _is_negligible(rem, max(sigma_bar.max_abs(), 1.0), DIVIDE_REL_TOL):
         raise NoBranchError(
@@ -612,6 +626,15 @@ def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     if h.degree > max_h:
         raise NoBranchError("reduced h exceeds the mode's degree bound")
     return ReducedForm(tau, h)
+
+
+def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
+    """tau = tau~ + 2 pi and h = sigma_bar / sigma, where
+    sigma_bar = sigma~ + pi^2 + pi (tau~ - sigma') + pi' sigma.
+    A nonzero division remainder marks an inadmissible branch."""
+    if b.backend != eq.backend:
+        eq = eq.to_float()
+    return _reduce(eq, b.pi, _sigma_bar_terms(eq, b.pi))
 
 
 def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
@@ -627,12 +650,16 @@ def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rf = reduce_branch(eq, b)
+    eqb = eq if eq.backend == rf.h.backend else eq.to_float()
+    return _quantize(eqb.sigma, eq.mode, rf, n)
+
+
+def _quantize(sigma: Poly, mode, rf: ReducedForm, n: int) -> QuantizationRelation:
     backend = rf.h.backend
-    eqb = eq if eq.backend == backend else eq.to_float()
-    if eq.mode == CLASSIC:
+    if mode == CLASSIC:
         lam_n = (
             -n * rf.tau.coeff(1)
-            - as_scalar(n * (n - 1), backend) * eqb.sigma.coeff(2)
+            - as_scalar(n * (n - 1), backend) * sigma.coeff(2)
         )
         resid = rf.h.coeff(0) - lam_n
         return QuantizationRelation(
@@ -641,11 +668,11 @@ def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
     slope = (
         rf.h.coeff(1)
         + as_scalar(n, backend) * rf.tau.coeff(2)
-        + as_scalar(n * (n - 1), backend) * eqb.sigma.coeff(3)
+        + as_scalar(n * (n - 1), backend) * sigma.coeff(3)
     )
     c_n = rf.h.coeff(0) + as_scalar(Fraction(n, 2), backend) * rf.tau.coeff(1)
-    if eqb.sigma.degree == 3:
-        c_n = c_n + as_scalar(Fraction(n * (n - 1), 3), backend) * eqb.sigma.coeff(2)
+    if sigma.degree == 3:
+        c_n = c_n + as_scalar(Fraction(n * (n - 1), 3), backend) * sigma.coeff(2)
     return QuantizationRelation(
         n, EXTENDED, slope_residual=slope, constant_offset=c_n
     )
@@ -655,7 +682,11 @@ def phi_factor(eq: NuEquation, b: PiBranch) -> PhiFactor:
     """Prefactor phi with phi'/phi = pi/sigma, as exp of a polynomial
     times powers of (z - root) over the simple roots of sigma."""
     eqb = eq if eq.backend == b.backend else eq.to_float()
-    quot, _ = b.pi.divrem(eqb.sigma)
+    return _prefactor(eqb.sigma, b.pi)
+
+
+def _prefactor(sigma: Poly, pi: Poly) -> PhiFactor:
+    quot, _ = pi.divrem(sigma)
     backend = quot.backend
     exp_part = Poly(
         [as_scalar(0, backend)]
@@ -667,15 +698,15 @@ def phi_factor(eq: NuEquation, b: PiBranch) -> PhiFactor:
         ],
         backend,
     )
-    roots = eqb.sigma.to_float().roots()
+    roots = sigma.to_float().roots()
     for i, r1 in enumerate(roots):
         for r2 in roots[i + 1 :]:
             if abs(r1 - r2) < 1e-8 * max(1.0, abs(r1), abs(r2)):
                 raise ValueError(
                     "sigma has a repeated root; prefactor shape out of scope"
                 )
-    sig_der = eqb.sigma.to_float().derivative()
-    pi_f = b.pi.to_float()
+    sig_der = sigma.to_float().derivative()
+    pi_f = pi.to_float()
     powers = tuple(
         (r, pi_f(r) / sig_der(r)) for r in roots
     )
@@ -729,18 +760,31 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     rf = reduce_branch(eq, b)
-    backend = rf.h.backend
-    eqb = eq if eq.backend == backend else eq.to_float()
-    sigma, tau, h = eqb.sigma, rf.tau, rf.h
-    columns = []
+    eqb = eq if eq.backend == rf.h.backend else eq.to_float()
+    return _solve_images(_fixed_images(eqb.sigma, rf.tau, n), rf.h, n)
+
+
+def _fixed_images(sigma: Poly, tau: Poly, n: int):
+    """(z^j, sigma (z^j)'' + tau (z^j)') for j = 0..n: the columns of the
+    coefficient map without their h (z^j) part, the only part that
+    moves with the accessory value."""
+    out = []
     for j in range(n + 1):
-        mono = Poly([0] * j + [1], backend)
-        image = (
-            sigma * mono.derivative().derivative()
-            + tau * mono.derivative()
-            + h * mono
+        mono = Poly([0] * j + [1], tau.backend)
+        out.append(
+            (mono, sigma * mono.derivative().derivative() + tau * mono.derivative())
         )
-        columns.append([image.coeff(k) for k in range(n + 2)])
+    return out
+
+
+def _solve_images(images, h: Poly, n: int) -> Poly:
+    """Monic degree-n null vector of the coefficient map whose columns
+    are image + h * mono, for the (mono, image) pairs of _fixed_images."""
+    backend = h.backend
+    columns = []
+    for mono, image in images:
+        column = image + h * mono
+        columns.append([column.coeff(k) for k in range(n + 2)])
     if backend == EXACT:
         rows = [
             [columns[j][k] for j in range(n + 1)] for k in range(n + 2)
@@ -780,3 +824,58 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
         )
     vec = vec / vec[n]
     return Poly([complex(v) for v in vec], FLOAT)
+
+
+def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
+    """Degree-n eigenstates on the branch with this pi, one for each
+    (accessory, sigma~) pair in `shifts`, on the sigma and tau~ of eq.
+
+    The accessory parameter enters only sigma~ (see
+    NuEquation.with_accessory_shift), so the terms of pi that
+    branch_from_pi and reduce_branch add to sigma~, tau, the prefactor,
+    the coefficient map's columns without h and the residual contour are
+    built once, when a state first needs them. Each state then runs the
+    per-state checks and arithmetic of branch_from_pi, quantization,
+    polynomial_solution, phi_factor and ode_residual (with `samples`
+    contour points) in that order: it gets the same values and raises
+    the same errors as that sequence.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    _check_pi(eq, pi)
+    shared = {pi: _BranchWork(eq, pi)}
+    lhs = shared[pi].terms[0] + shared[pi].terms[1]
+    s_vanishes = _vanishes(pi - eq.half_gap())
+    states = []
+    for accessory, sigma_tilde in shifts:
+        eq_q = NuEquation(eq.tau_tilde, eq.sigma, sigma_tilde, eq.mode)
+        g = _branch_g(eq_q, lhs)
+        pi_q = pi
+        if s_vanishes and _vanishes(radicand(eq_q, g)):
+            # branch_from_pi's collapsed branch: pi = (sigma' - tau~)/2
+            pi_q = eq_q.half_gap()
+        if pi_q not in shared:
+            shared[pi_q] = _BranchWork(eq, pi_q)
+        work = shared[pi_q]
+        rf = _reduce(eq_q, pi_q, work.terms)
+        qr = _quantize(eq.sigma, eq.mode, rf, n)
+        if work.images is None:
+            work.images = _fixed_images(eq.sigma, rf.tau, n)
+        poly = _solve_images(work.images, rf.h, n)
+        if work.phi is None:
+            work.phi = _prefactor(eq.sigma, pi_q)
+            psi = eq.psi_ode()
+            work.contour = ResidualContour(psi.p2, psi.p1, work.phi, samples)
+        states.append(Eigenstate(
+            n=n, accessory=accessory, quantization=qr, phi=work.phi,
+            poly=poly, residual=work.contour.residual(poly, sigma_tilde),
+        ))
+    return states
+
+
+class _BranchWork:
+    """What the states on one branch pi share, filled in on first use."""
+
+    def __init__(self, eq: NuEquation, pi: Poly):
+        self.terms = _sigma_bar_terms(eq, pi)
+        self.images = self.phi = self.contour = None

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .engine import (
     EXTENDED,
@@ -29,12 +28,10 @@ from .engine import (
     NuEquation,
     PiBranch,
     branch_from_pi,
-    phi_factor,
-    polynomial_solution,
-    quantization,
+    eigenstates,
     reduce_branch,
 )
-from .oracle import OdeFamily, ode_residual, termination_solve
+from .oracle import OdeFamily, termination_solve
 from .poly import Poly
 from .scalars import EXACT, as_scalar, infer_backend, scalar_sqrt
 
@@ -171,8 +168,13 @@ def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
         + z * (z - ac) * as_scalar(delta, backend)
         + z * (z - one) * as_scalar(epsilon, backend)
     )
-    sigma_tilde = (z * product - Poly.constant(q, backend)) * sigma
-    return NuEquation(tau_tilde, sigma, sigma_tilde, EXTENDED)
+    return NuEquation(
+        tau_tilde, sigma, _sigma_tilde(sigma, product, q, backend), EXTENDED
+    )
+
+
+def _sigma_tilde(sigma, product, q, backend) -> Poly:
+    return (Poly.x(backend) * product - Poly.constant(q, backend)) * sigma
 
 
 def heun_to_nu(p: HeunParams) -> NuEquation:
@@ -240,17 +242,29 @@ def heun_accessory(p: HeunParams, label: str, n: int):
     return termination_solve(family, n)
 
 
+def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
+    """Assembled degree-n eigenfunctions of the given class, one per
+    accessory value q in `values` (a sequence; the q stored in p is
+    ignored), each with its residual on a `samples`-point contour.
+
+    Only sigma~ depends on q, so the states share one setup (see
+    engine.eigenstates); each state equals heun_eigenstate at its q."""
+    return _states(p, label, n, [replace(p, q=v) for v in values], samples)
+
+
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.q, with its contour residual."""
+    return _states(p, label, n, [p], 50)[0]
+
+
+def _states(p: HeunParams, label, n: int, params, samples):
+    if not params:
+        return []
     _check_relation(p, label, n)
-    cls = heun_class(label)
     eq = heun_to_nu(p)
-    branch = branch_from_pi(eq, cls.pi(p))
-    qr = quantization(eq, branch, n)
-    poly = polynomial_solution(eq, branch, n)
-    phi = phi_factor(eq, branch)
-    res = ode_residual(SimpleNamespace(poly=poly, phi=phi), eq.psi_ode())
-    return Eigenstate(
-        n=n, accessory=p.q, quantization=qr, phi=phi, poly=poly, residual=res
+    shifts = (
+        (pv.q, _sigma_tilde(eq.sigma, pv.product, pv.q, pv.backend))
+        for pv in params
     )
+    return eigenstates(eq, heun_class(label).pi(p), n, shifts, samples)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import Poly
-from .scalars import EXACT, as_scalar
+from .scalars import EXACT, FLOAT, as_scalar
 
 TERMINATION_TOL = 1e-8
 INDICIAL_TOL = 1e-9
@@ -99,36 +99,36 @@ class Recurrence:
         return self.bands[0]
 
 
-def _band_polys(p2s: Poly, p1s: Poly, p0s: Poly, backend):
-    """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of the
-    operator with coefficients already shifted to the expansion point."""
-    top = max(p2s.degree, p1s.degree + 1, p0s.degree + 2)
-    s = Poly.x(backend)
-    s_sq = s * s - s
-    bands = []
-    for r in range(top + 1):
-        band = s_sq * p2s.coeff(r) + s * (p1s.coeff(r - 1) if r >= 1 else 0)
-        if r >= 2:
-            band = band + Poly.constant(p0s.coeff(r - 2), backend)
-        bands.append(band)
-    return bands
+class _Bands:
+    """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of an
+    operator whose coefficients are already shifted to the expansion
+    point, for one p2 and p1 (a, b) and any p0 (d) of degree at most
+    p0_degree. The parts without p0 are built once."""
+
+    def __init__(self, p2s: Poly, p1s: Poly, p0_degree: int):
+        backend = p2s.backend
+        self.backend = backend
+        self.top = max(p2s.degree, p1s.degree + 1)
+        s = Poly.x(backend)
+        s_sq = s * s - s
+        self.fixed = [
+            s_sq * p2s.coeff(r) + s * (p1s.coeff(r - 1) if r >= 1 else 0)
+            for r in range(max(self.top, p0_degree + 2) + 1)
+        ]
+
+    def at(self, p0s: Poly):
+        top = max(self.top, p0s.degree + 2)
+        return [
+            band + Poly.constant(p0s.coeff(r - 2), self.backend) if r >= 2
+            else band
+            for r, band in enumerate(self.fixed[: top + 1])
+        ]
 
 
-def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
-    """Build the coefficient recurrence about an ordinary or regular
-    singular point.
-
-    The leading band must be quadratic in the index (an irregular
-    singular point makes it degree <= 1, which is rejected), and the
-    supplied exponent must be a root of it.
-    """
-    backend = ode.backend
-    point = as_scalar(point, backend)
-    exponent = as_scalar(exponent, backend)
-    p2s = ode.p2.shift(point)
-    p1s = ode.p1.shift(point)
-    p0s = ode.p0.shift(point)
-    bands = _band_polys(p2s, p1s, p0s, backend)
+def _recurrence(bands, point, exponent, backend) -> Recurrence:
+    """Recurrence from the full band list: the leading band must be
+    quadratic in the index (an irregular singular point makes it degree
+    <= 1, which is rejected), and the exponent must be a root of it."""
     r_star = next((r for r, b in enumerate(bands) if not b.is_zero), None)
     if r_star is None:  # pragma: no cover - p2 nonzero forbids this
         raise ValueError("all recurrence bands vanish")
@@ -146,6 +146,24 @@ def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
     if not ok:
         raise ValueError("exponent %s is not an indicial root" % (exponent,))
     return Recurrence(point, exponent, tuple(bands[r_star:]), backend)
+
+
+def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
+    """Build the coefficient recurrence about an ordinary or regular
+    singular point.
+
+    The leading band must be quadratic in the index (an irregular
+    singular point makes it degree <= 1, which is rejected), and the
+    supplied exponent must be a root of it.
+    """
+    backend = ode.backend
+    point = as_scalar(point, backend)
+    exponent = as_scalar(exponent, backend)
+    p2s = ode.p2.shift(point)
+    p1s = ode.p1.shift(point)
+    p0s = ode.p0.shift(point)
+    bands = _Bands(p2s, p1s, p0s.degree).at(p0s)
+    return _recurrence(bands, point, exponent, backend)
 
 
 def series_coeffs(rec: Recurrence, seed, count: int):
@@ -191,7 +209,7 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
     p1s = family.base.p1.shift(point_s)
     p0s = family.base.p0.shift(point_s)
     dirs = family.p0_dir.shift(point_s)
-    base_bands = _band_polys(p2s, p1s, p0s, backend)
+    base_bands = _Bands(p2s, p1s, p0s.degree).at(p0s)
     top = max(len(base_bands) - 1, dirs.degree + 2)
     dir_consts = [
         dirs.coeff(r - 2) if r >= 2 else as_scalar(0, backend)
@@ -257,7 +275,8 @@ def termination_solve(family: OdeFamily, n: int, point=0):
     Returns the validated roots of c_{n+1}(t) as complex numbers. Each
     root is re-checked by running the numeric recurrence at that value:
     |c_{n+1}| and |c_{n+2}| must fall below TERMINATION_TOL relative to
-    the largest retained coefficient.
+    the largest retained coefficient. Only p0 depends on the root, so
+    the shifted p2 and p1 and the bands without p0 are built once.
     """
     cpoly = termination_polynomial(family, n, point=point)
     if cpoly.is_zero:
@@ -266,10 +285,17 @@ def termination_solve(family: OdeFamily, n: int, point=0):
         return []
     roots = cpoly.roots()
     fam_f = OdeFamily(family.base.to_float(), family.p0_dir.to_float())
+    point_f = as_scalar(point, FLOAT)
+    exponent_f = as_scalar(0, FLOAT)
+    bands = _Bands(
+        fam_f.base.p2.shift(point_f),
+        fam_f.base.p1.shift(point_f),
+        max(fam_f.base.p0.degree, fam_f.p0_dir.degree),
+    )
     out = []
     for root in roots:
-        ode = fam_f.at(root)
-        rec = frobenius_recurrence(ode, point, 0)
+        p0s = fam_f.at(root).p0.shift(point_f)
+        rec = _recurrence(bands.at(p0s), point_f, exponent_f, FLOAT)
         coeffs = series_coeffs(rec, 1.0, n + 3)
         tol = TERMINATION_TOL * max(abs(c) for c in coeffs[: n + 1])
         if abs(coeffs[n + 1]) <= tol and abs(coeffs[n + 2]) <= tol:
@@ -310,50 +336,73 @@ def residual_contour(p2: Poly, samples: int = 50):
     return points
 
 
+class ResidualContour:
+    """The residual check's sample contour for one p2, p1 and prefactor
+    phi (None for none), with every value at each point that involves
+    neither the polynomial nor p0: p2(z), p1(z) and the prefactor's
+    log-derivative terms. Eigenstates of one equation at different
+    accessory values share it, since only p0 moves with the accessory."""
+
+    def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
+        p2f, p1f = p2.to_float(), p1.to_float()
+        if phi is not None:
+            # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
+            de = phi.exp_part.to_float().derivative()
+            dde = de.derivative()
+            powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
+        self.points = []
+        for z in residual_contour(p2f, samples):
+            logd = None
+            if phi is not None:
+                lval, lder = de(z), dde(z)
+                for root, expo in powers:
+                    dz = z - root
+                    lval += expo / dz
+                    lder -= expo / (dz * dz)
+                logd = (lval, 2 * lval, lval * lval + lder)
+            self.points.append((z, p2f(z), p1f(z), logd))
+
+    def residual(self, poly: Poly, p0: Poly) -> float:
+        """Largest relative residual of phi * poly against the ODE with
+        this contour's p2 and p1 and the given p0. The residual at each
+        point is |T2+T1+T0| / max |Ti| with the common prefactor
+        cancelled, Ti the three ODE terms."""
+        if poly.is_zero:
+            raise ValueError("zero eigenfunction")
+        p = poly.to_float()
+        dp = p.derivative()
+        ddp = dp.derivative()
+        p0f = p0.to_float()
+        worst = 0.0
+        for z, p2z, p1z, logd in self.points:
+            pv, dv, ddv = p(z), dp(z), ddp(z)
+            if logd is None:
+                w0, w1, w2 = pv, dv, ddv
+            else:
+                lval, twice, curv = logd
+                w0 = pv
+                w1 = dv + lval * pv
+                w2 = ddv + twice * dv + curv * pv
+            t2 = p2z * w2
+            t1 = p1z * w1
+            t0 = p0f(z) * w0
+            scale = max(abs(t2), abs(t1), abs(t0))
+            if scale == 0.0:
+                continue
+            worst = max(worst, abs(t2 + t1 + t0) / scale)
+        return worst
+
+
 def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
     """Largest relative residual of the assembled eigenfunction over the
-    sample contour.
+    sample contour: the one-state case of ResidualContour.
 
     `state` provides the factorized eigenfunction via attributes `phi`
     (prefactor with `exp_part` and `powers`) and `poly`; a bare Poly is
-    accepted as an eigenfunction with trivial prefactor. The residual at
-    each point is |T2+T1+T0| / max |Ti| with the common prefactor
-    cancelled, Ti the three ODE terms.
+    accepted as an eigenfunction with trivial prefactor.
     """
     if isinstance(state, Poly):
         poly, phi = state, None
     else:
         poly, phi = state.poly, state.phi
-    if poly.is_zero:
-        raise ValueError("zero eigenfunction")
-    odef = ode.to_float()
-    p = poly.to_float()
-    dp = p.derivative()
-    ddp = dp.derivative()
-    if phi is not None:
-        # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
-        de = phi.exp_part.to_float().derivative()
-        dde = de.derivative()
-        powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
-    worst = 0.0
-    for z in residual_contour(odef.p2, samples):
-        pv, dv, ddv = p(z), dp(z), ddp(z)
-        if phi is None:
-            w0, w1, w2 = pv, dv, ddv
-        else:
-            lval, lder = de(z), dde(z)
-            for root, expo in powers:
-                dz = z - root
-                lval += expo / dz
-                lder -= expo / (dz * dz)
-            w0 = pv
-            w1 = dv + lval * pv
-            w2 = ddv + 2 * lval * dv + (lval * lval + lder) * pv
-        t2 = odef.p2(z) * w2
-        t1 = odef.p1(z) * w1
-        t0 = odef.p0(z) * w0
-        scale = max(abs(t2), abs(t1), abs(t0))
-        if scale == 0.0:
-            continue
-        worst = max(worst, abs(t2 + t1 + t0) / scale)
-    return worst
+    return ResidualContour(ode.p2, ode.p1, phi, samples).residual(poly, ode.p0)

@@ -1,14 +1,31 @@
 """Command-line interface: formats, exit codes, backend selection."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from heunforge import (
+    EXACT,
+    HEUN_CLASSES,
+    NuEquation,
+    PiBranch,
+    enumerate_branches,
+    heun_accessory,
+    heun_eigenstate,
+    heun_params_for_class,
+    heun_to_nu,
+    ode_residual,
+    parse_poly,
+)
 from heunforge.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    _branch_label,
+    _class_catalog,
+    _match_heun,
     main,
 )
 
@@ -100,6 +117,24 @@ def test_solve_custom_samples(capsys):
     assert all(st["residual"] < 1e-8 for st in doc["states"])
 
 
+def test_solve_samples_residual_matches_public_api(capsys):
+    code, out, _ = run(capsys, "solve", "heun", "--class", "I", "-n", "1",
+                       "--a", "1.9", "--gamma", "0.6", "--delta", "0.8",
+                       "--epsilon", "0.7", "--samples", "32",
+                       "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    p = heun_params_for_class("I", 1, 1.9, 0.6, 0.8, 0.7)
+    roots = heun_accessory(p, "I", 1)
+    assert len(doc["states"]) == len(roots) == 2
+    for st, q in zip(doc["states"], roots):
+        pq = replace(p, q=q)
+        state = heun_eigenstate(pq, "I", 1)
+        assert st["residual"] == ode_residual(
+            state, heun_to_nu(pq).psi_ode(), 32)
+        assert st["residual"] != state.residual  # 50 points give another
+
+
 def test_solve_tight_tolerance_fails_verification(capsys):
     code, _, _ = run(capsys, "solve", "heun", "--class", "I", "-n", "2",
                      "--a", "2", "--gamma", "0.5", "--delta", "1/3",
@@ -169,9 +204,17 @@ def test_app_table_output(capsys):
     assert "PASS" in out
 
 
+RECORDED_CRASH_EQUATION = (
+    "--sigma=29/11*z - 40/11*z^2 + 1*z^3",
+    "--tau=145/88 - 25847/4840*z + 14/5*z^2",
+    "--sigma-tilde=116/99*z + 244/495*z^2 - 244/99*z^3 + 4/5*z^4",
+)
+
+
 def test_classify_exact_keeps_unrationalized_branch(capsys):
-    # one branch's g does not rationalize, so the exact run keeps it in
-    # float; labelling it against the exact catalog must still work
+    # once crashed the exact run, when branches 0 and 1 stayed in float;
+    # every branch of this equation now rationalizes, and
+    # test_float_branch_label_against_exact_catalog covers a float branch
     code, out, _ = run(
         capsys, "classify",
         "--sigma=29/11*z - 40/11*z^2 + 1*z^3",
@@ -183,6 +226,26 @@ def test_classify_exact_keeps_unrationalized_branch(capsys):
     assert doc["family"] == "heun"
     labels = {b["class"] for b in doc["branches"]}
     assert labels == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}
+
+
+def test_float_branch_label_against_exact_catalog():
+    # an exact run keeps a branch in float when its g does not
+    # rationalize; each exact branch, taken to float, must get its own
+    # label from the catalog of the exact matched parameters
+    sigma, tau, sigma_tilde = (arg.split("=", 1)[1]
+                               for arg in RECORDED_CRASH_EQUATION)
+    eq = NuEquation(parse_poly(tau, EXACT), parse_poly(sigma, EXACT),
+                    parse_poly(sigma_tilde, EXACT))
+    catalog = _class_catalog(_match_heun(eq), None)
+    labels = []
+    for b in enumerate_branches(eq):
+        assert b.backend == EXACT
+        float_b = PiBranch(b.g.to_float(), b.s.to_float(), b.pi.to_float(),
+                           b.sign)
+        label = _branch_label(b, catalog)
+        assert _branch_label(float_b, catalog) == label
+        labels.append(label)
+    assert sorted(labels) == sorted(c.label for c in HEUN_CLASSES)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])

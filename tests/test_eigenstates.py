@@ -1,0 +1,255 @@
+"""Shared eigenstate assembly against the per-state reference loop."""
+
+import random
+from dataclasses import fields, replace
+from fractions import Fraction as F
+from types import SimpleNamespace
+
+import pytest
+
+from heunforge import (
+    CHE_CLASSES,
+    FLOAT,
+    HEUN_CLASSES,
+    Eigenstate,
+    NoBranchError,
+    Poly,
+    RationalComplex,
+    branch_from_pi,
+    che_accessory,
+    che_class,
+    che_eigenstate,
+    che_eigenstates,
+    che_params_for_class,
+    che_to_nu,
+    heun_accessory,
+    heun_class,
+    heun_eigenstate,
+    heun_eigenstates,
+    heun_params_for_class,
+    heun_to_nu,
+    ode_residual,
+    phi_factor,
+    polynomial_solution,
+    quantization,
+)
+from heunforge import che as che_module
+from heunforge import heun as heun_module
+from heunforge.engine import eigenstates
+
+DEGREES = range(1, 9)
+
+
+def _reference_state(eq, pi, n, accessory, samples=50):
+    """One state assembled from scratch, as heun_eigenstate and
+    che_eigenstate did before the shared setup."""
+    branch = branch_from_pi(eq, pi)
+    qr = quantization(eq, branch, n)
+    poly = polynomial_solution(eq, branch, n)
+    phi = phi_factor(eq, branch)
+    res = ode_residual(SimpleNamespace(poly=poly, phi=phi), eq.psi_ode(),
+                       samples)
+    return Eigenstate(n=n, accessory=accessory, quantization=qr, phi=phi,
+                      poly=poly, residual=res)
+
+
+def _reference_heun(p, label, n, samples=50):
+    heun_module._check_relation(p, label, n)
+    return _reference_state(heun_to_nu(p), heun_class(label).pi(p), n, p.q,
+                            samples)
+
+
+def _reference_che(p, label, n, samples=50):
+    che_module._check_relation(p, label, n)
+    return _reference_state(che_to_nu(p), che_class(label).pi(p), n, p.mu,
+                            samples)
+
+
+def _float_params(p):
+    return type(p)(*(complex(getattr(p, f.name)) for f in fields(p)))
+
+
+def _same(a, b):
+    # repr tells signed zeros apart, which == does not
+    return a == b and repr(a) == repr(b)
+
+
+def _assert_same_state(new, ref):
+    assert _same(new.accessory, ref.accessory)
+    assert _same(new.poly.coeffs, ref.poly.coeffs)
+    assert _same(new.residual, ref.residual)
+    assert _same(new.quantization.slope_residual,
+                 ref.quantization.slope_residual)
+    assert _same(new.quantization.constant_offset,
+                 ref.quantization.constant_offset)
+    assert _same(new.phi.exp_part.coeffs, ref.phi.exp_part.coeffs)
+    assert _same(new.phi.powers, ref.phi.powers)
+
+
+def _rational(rng, lo, hi):
+    while True:
+        den = rng.randint(2, 9)
+        value = F(round(rng.uniform(lo, hi) * den), den)
+        if value.denominator != 1:  # integer exponents collide
+            return value
+
+
+def _heun_params(rng, label, n, exact):
+    wrap = RationalComplex if exact else (lambda v: v)
+    while True:
+        try:
+            return heun_params_for_class(
+                label, n, wrap(_rational(rng, 1.4, 3.0)),
+                *(wrap(_rational(rng, 0.2, 1.8)) for _ in range(3)))
+        except ValueError:  # alpha, beta not Gaussian-rational
+            continue
+
+
+def _che_params(rng, label, n, exact):
+    wrap = RationalComplex if exact else (lambda v: v)
+    return che_params_for_class(
+        label, n, wrap(_rational(rng, 0.5, 2.5)),
+        *(wrap(_rational(rng, 0.1, 1.9)) for _ in range(2)))
+
+
+def _cases():
+    for exact in (False, True):
+        for label in (c.label for c in HEUN_CLASSES):
+            yield "heun", label, exact
+        for label in (c.label for c in CHE_CLASSES):
+            yield "che", label, exact
+
+
+@pytest.mark.parametrize("family,label,exact", list(_cases()))
+def test_shared_assembly_equals_per_state_loop(family, label, exact):
+    # the float backend, and the exact backend's float roots assembled on
+    # the float copy of the parameters, as the CLI does
+    rng = random.Random("%s/%s/%s" % (family, label, exact))
+    checked = 0
+    for n in DEGREES:
+        samples = 50 if n % 2 else 32
+        if family == "heun":
+            p = _heun_params(rng, label, n, exact)
+            roots = heun_accessory(p, label, n)
+            pf = _float_params(p) if exact else p
+
+            def shared(values):
+                return heun_eigenstates(pf, label, n, values, samples)
+
+            def reference(v):
+                return _reference_heun(replace(pf, q=v), label, n, samples)
+        else:
+            p = _che_params(rng, label, n, exact)
+            roots = che_accessory(p, label, n)
+            pf = _float_params(p) if exact else p
+
+            def shared(values):
+                return che_eigenstates(pf, label, n, values, samples)
+
+            def reference(v):
+                pv = replace(pf, mu=v, nu=complex(p.coupling) - complex(v))
+                return _reference_che(pv, label, n, samples)
+        refs, error = [], None
+        for v in roots:
+            try:
+                refs.append(reference(v))
+            except NoBranchError as exc:
+                error = str(exc)
+                break
+        if error is not None:
+            # a root the float solver got too inaccurate: the shared loop
+            # fails on it with the same error
+            with pytest.raises(NoBranchError) as err:
+                shared(roots)
+            assert str(err.value) == error
+        new = shared(roots[: len(refs)])
+        assert len(new) == len(refs)
+        for got, ref in zip(new, refs):
+            _assert_same_state(got, ref)
+        checked += len(refs)
+    assert checked >= 8
+
+
+def test_single_state_functions_equal_reference():
+    rng = random.Random("single")
+    p = _heun_params(rng, "IV", 3, False)
+    for q in heun_accessory(p, "IV", 3):
+        pq = replace(p, q=q)
+        _assert_same_state(heun_eigenstate(pq, "IV", 3),
+                           _reference_heun(pq, "IV", 3))
+    # che_eigenstate keeps the nu stored in p, however it was rounded
+    p = _che_params(rng, "5", 3, False)
+    for mu in che_accessory(p, "5", 3):
+        pm = replace(p, mu=mu, nu=(3 * p.coupling - 3 * mu) / 3)
+        _assert_same_state(che_eigenstate(pm, "5", 3),
+                           _reference_che(pm, "5", 3))
+
+
+def test_exact_accessory_roots():
+    # rational accessory roots, found by factoring the exact degree-2
+    # termination conditions
+    rc = RationalComplex
+    p = heun_params_for_class("V", 1, rc(3), rc(F(13, 2)), rc(F(-2, 3)),
+                              rc(F(-8, 3)))
+    values = [rc(F(-112, 3)), rc(-39)]
+    new = heun_eigenstates(p, "V", 1, values)
+    for got, v in zip(new, values):
+        assert isinstance(got.poly.coeffs[0], RationalComplex)
+        _assert_same_state(got, _reference_heun(replace(p, q=v), "V", 1))
+    p = che_params_for_class("6", 1, rc(F(17, 6)), rc(F(17, 4)), rc(F(7, 3)))
+    values = [rc(F(595, 24)), rc(F(131, 8))]
+    new = che_eigenstates(p, "6", 1, values)
+    for got, v in zip(new, values):
+        assert isinstance(got.poly.coeffs[0], RationalComplex)
+        ref = _reference_che(replace(p, mu=v, nu=p.coupling - v), "6", 1)
+        _assert_same_state(got, ref)
+
+
+def test_wrong_accessory_raises_at_its_own_state():
+    p = heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7)
+    q0, q1, q2 = heun_accessory(p, "I", 2)
+    bad = q1 + 1e-3
+    with pytest.raises(NoBranchError) as ref_err:
+        _reference_heun(replace(p, q=bad), "I", 2)
+    with pytest.raises(NoBranchError) as err:
+        heun_eigenstates(p, "I", 2, [q0, bad, q2])
+    assert str(err.value) == str(ref_err.value)
+    # the shared loop stops at the bad value: it has asked for the states
+    # up to and including it, and none after
+    eq = heun_to_nu(p)
+    asked = []
+
+    def shifts():
+        for q in (q0, bad, q2):
+            asked.append(q)
+            yield q, heun_to_nu(replace(p, q=q)).sigma_tilde
+
+    with pytest.raises(NoBranchError) as err:
+        eigenstates(eq, heun_class("I").pi(p), 2, shifts())
+    assert str(err.value) == str(ref_err.value)
+    assert asked == [q0, bad]
+
+
+def test_no_values_no_states():
+    p = heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7)
+    assert heun_eigenstates(p, "I", 2, []) == []
+    assert che_eigenstates(che_params_for_class("2", 1, 1.5, 0.3, 0.4),
+                           "2", 1, []) == []
+
+
+def test_collapsed_branch_follows_branch_from_pi():
+    # With gamma = delta = epsilon = 1, (sigma' - tau~)/2 is zero and a pi
+    # within 1e-14 of it collapses onto it (branch_from_pi's sign-0
+    # branch) exactly where the radicand vanishes to 1e-14, which depends
+    # on the accessory value: here the first and last roots collapse to
+    # pi = 0 and the middle one keeps pi = 1e-15.
+    p = heun_params_for_class("I", 2, 2, 1, 1, 1)
+    roots = heun_accessory(p, "I", 2)
+    pi = Poly([1e-15], FLOAT)
+    shifts = [(q, heun_to_nu(replace(p, q=q)).sigma_tilde) for q in roots]
+    refs = [_reference_state(heun_to_nu(replace(p, q=q)), pi, 2, q)
+            for q in roots]
+    exps = [ref.phi.powers[1][1] for ref in refs]
+    assert exps[0] == exps[2] == 0 and exps[1] != 0
+    for got, ref in zip(eigenstates(heun_to_nu(p), pi, 2, shifts), refs):
+        _assert_same_state(got, ref)
