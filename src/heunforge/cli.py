@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -137,11 +138,11 @@ def _emit_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit_csv(rows):
-    """Rows are dicts with a common key set; header from the first."""
-    rows = list(rows)
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
-    writer.writeheader()
+def _emit_csv(header, rows):
+    """Rows hold their values in header order; no rows writes the header
+    alone."""
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
     writer.writerows(rows)
 
 
@@ -300,16 +301,12 @@ def cmd_classify(args, config: RunConfig) -> int:
         )
     elif config.fmt == "csv":
         _emit_csv(
-            {
-                "index": k,
-                "class": e["class"],
-                "sign": e["sign"],
-                "g": _cell(e["g"]),
-                "pi": _cell(e["pi"]),
-                "tau": _cell(e["tau"]),
-                "h": _cell(e["h"]),
-            }
-            for k, e in enumerate(entries)
+            ["index", "class", "sign", "g", "pi", "tau", "h"],
+            [
+                [k, e["class"], e["sign"]]
+                + [_cell(e[key]) for key in ("g", "pi", "tau", "h")]
+                for k, e in enumerate(entries)
+            ],
         )
     else:
         lines = ["%d branches (%s mode)%s" % (
@@ -428,14 +425,17 @@ def cmd_solve(args, config: RunConfig) -> int:
         )
     elif config.fmt == "csv":
         _emit_csv(
-            {
-                "accessory": _cell(s.accessory),
-                "residual": s.residual,
-                "slope_residual": _cell(s.quantization.slope_residual),
-                "poly": _cell(s.poly),
-                "passed": chk["passed"],
-            }
-            for s, chk in entries
+            ["accessory", "residual", "slope_residual", "poly", "passed"],
+            [
+                [
+                    _cell(s.accessory),
+                    s.residual,
+                    _cell(s.quantization.slope_residual),
+                    _cell(s.poly),
+                    chk["passed"],
+                ]
+                for s, chk in entries
+            ],
         )
     else:
         lines = [
@@ -562,7 +562,7 @@ def cmd_app(args, config: RunConfig) -> int:
         }
         for chk in checks:
             row[chk["name"] + "_passed"] = chk["passed"]
-        _emit_csv([row])
+        _emit_csv(list(row), [list(row.values())])
     else:
         lines = ["%s report" % args.name]
         for key, value in payload.items():
@@ -595,12 +595,14 @@ def _parse_tolerances(pairs):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: every default in it is
+    constant, and main reads the environment on each call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--backend",
         choices=(EXACT, FLOAT),
-        default=os.environ.get("HEUNFORGE_BACKEND", FLOAT),
         help="scalar arithmetic backend (env HEUNFORGE_BACKEND)",
     )
     common.add_argument(
@@ -681,8 +683,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:
+        # read on every call: the cached parser must not freeze it
+        backend = args.backend or os.environ.get("HEUNFORGE_BACKEND", FLOAT)
+        if backend not in (EXACT, FLOAT):
+            raise UsageError(
+                "HEUNFORGE_BACKEND must be %r or %r, not %r"
+                % (EXACT, FLOAT, backend)
+            )
         config = RunConfig(
-            backend=args.backend,
+            backend=backend,
             tolerances=_parse_tolerances(args.tol),
             fmt=args.fmt,
             samples=args.samples,

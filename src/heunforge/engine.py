@@ -761,7 +761,7 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
         raise ValueError("degree must be nonnegative")
     rf = reduce_branch(eq, b)
     eqb = eq if eq.backend == rf.h.backend else eq.to_float()
-    return _solve_images(_fixed_images(eqb.sigma, rf.tau, n), rf.h, n)
+    return _solve_images(_fixed_images(eqb.sigma, rf.tau, n), rf, n)
 
 
 def _fixed_images(sigma: Poly, tau: Poly, n: int):
@@ -777,9 +777,10 @@ def _fixed_images(sigma: Poly, tau: Poly, n: int):
     return out
 
 
-def _solve_images(images, h: Poly, n: int) -> Poly:
+def _solve_images(images, rf: ReducedForm, n: int) -> Poly:
     """Monic degree-n null vector of the coefficient map whose columns
     are image + h * mono, for the (mono, image) pairs of _fixed_images."""
+    h = rf.h
     backend = h.backend
     columns = []
     for mono, image in images:
@@ -808,11 +809,14 @@ def _solve_images(images, h: Poly, n: int) -> Poly:
         dtype=complex,
     )
     _, svals, vh = np.linalg.svd(mat)
-    smax = svals[0] if len(svals) else 0.0
-    if smax == 0.0:
+    # for n = 0 the map is the column h alone, whose one singular value
+    # cannot be judged against itself: judge it against the column
+    # tau + h z that a degree-1 map would add
+    scale = svals[0] if n else max(1.0, rf.tau.max_abs())
+    if scale == 0.0:
         raise NoBranchError("coefficient map vanishes; parameters degenerate")
-    small = [s for s in svals if s <= 1e-7 * smax]
-    if len(svals) < n + 1 or len(small) != 1:
+    small = [s for s in svals if s <= 1e-7 * scale]
+    if len(small) != 1:
         raise NoBranchError(
             "null space dimension is %d, not 1 (wrong accessory value or "
             "degenerate parameters)" % len(small)
@@ -861,7 +865,7 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
         qr = _quantize(eq.sigma, eq.mode, rf, n)
         if work.images is None:
             work.images = _fixed_images(eq.sigma, rf.tau, n)
-        poly = _solve_images(work.images, rf.h, n)
+        poly = _solve_images(work.images, rf, n)
         if work.phi is None:
             work.phi = _prefactor(eq.sigma, pi_q)
             psi = eq.psi_ode()

@@ -2,11 +2,14 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from heunforge import (
+    CHE_CLASSES,
     EXACT,
+    FLOAT,
     HEUN_CLASSES,
     NuEquation,
     PiBranch,
@@ -26,6 +29,7 @@ from heunforge.cli import (
     _branch_label,
     _class_catalog,
     _match_heun,
+    build_parser,
     main,
 )
 
@@ -253,3 +257,120 @@ def test_tolerance_must_be_finite_and_positive(capsys, value):
     code, _, err = run(capsys, *CLASSIFY_ARGS, "--tol", "residual=" + value)
     assert code == EXIT_USAGE
     assert "finite and positive" in err
+
+
+SOLVE_ARGS = ["solve", "heun", "--class", "I", "-n", "2", "--a", "19/10",
+              "--gamma", "3/5", "--delta", "4/5", "--epsilon", "7/10"]
+
+
+@pytest.mark.parametrize("argv", [
+    CLASSIFY_ARGS,
+    SOLVE_ARGS,
+    ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "1.5"],
+])
+def test_unknown_backend_env_rejected(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HEUNFORGE_BACKEND", "foo")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "HEUNFORGE_BACKEND" in err and "'foo'" in err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_reads_backend_env_per_call(capsys, monkeypatch):
+    monkeypatch.setenv("HEUNFORGE_BACKEND", "exact")
+    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["backend"] == "exact"
+    monkeypatch.delenv("HEUNFORGE_BACKEND")
+    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["backend"] == "float"
+
+
+def test_reused_parser_forgets_tolerances(capsys):
+    # --tol appends: a shared list default would keep the first call's entry
+    code, _, _ = run(capsys, *SOLVE_ARGS, "--tol", "residual=1e-30")
+    assert code == EXIT_VERIFICATION
+    code, _, _ = run(capsys, *SOLVE_ARGS)
+    assert code == EXIT_OK
+
+
+def test_reused_parser_forgets_samples(capsys):
+    code, _, _ = run(capsys, *SOLVE_ARGS, "--samples", "32")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, *SOLVE_ARGS, "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    p = heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7)
+    roots = heun_accessory(p, "I", 2)
+    assert len(doc["states"]) == len(roots) == 3
+    for st, q in zip(doc["states"], roots):
+        pq = replace(p, q=q)
+        state = heun_eigenstate(pq, "I", 2)
+        assert st["residual"] == ode_residual(
+            state, heun_to_nu(pq).psi_ode(), 50)
+
+
+@pytest.mark.parametrize("first, first_code", [
+    (["solve", "heun", "--class", "I"], EXIT_USAGE),
+    (["classify", "--help"], EXIT_OK),
+])
+def test_reused_parser_after_exit_inside_argparse(capsys, monkeypatch,
+                                                  first, first_code):
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    assert run(capsys, *first)[0] == first_code
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / "classify_exact.json").read_text())
+    code, out, _ = run(capsys, *golden["argv"], "--format", "json")
+    assert code == golden["exit"] == EXIT_OK
+    assert json.loads(out) == golden["output"]
+
+
+def test_classify_csv_without_branches(capsys):
+    argv = ["classify", "--sigma", "z^2", "--tau", "2*z", "--sigma-tilde=-z"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.startswith("0 branches")
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines() == ["index,class,sign,g,pi,tau,h"]
+
+
+def _degree_zero_argv(family, label):
+    if family == "heun":
+        params = ["--a", "2", "--gamma", "1/3", "--delta", "1/5",
+                  "--epsilon", "1/7"]
+    else:
+        params = ["--alpha", "3/2", "--beta", "1/3", "--gamma", "2/5"]
+    return ["solve", family, "--class", label, "-n", "0", *params]
+
+
+DEGREE_ZERO_CASES = [("heun", c.label) for c in HEUN_CLASSES] + [
+    ("che", c.label) for c in CHE_CLASSES]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("family, label", DEGREE_ZERO_CASES)
+def test_solve_degree_zero(capsys, family, label, backend):
+    code, out, _ = run(capsys, *_degree_zero_argv(family, label),
+                       "--backend", backend, "--format", "json")
+    assert code == EXIT_OK
+    (state,) = json.loads(out)["states"]
+    assert state["poly"]["text"] == "1"
+    assert state["residual"] <= 1e-8
+
+
+@pytest.mark.parametrize("family, label", DEGREE_ZERO_CASES)
+def test_solve_degree_zero_detuned_accessory(capsys, family, label):
+    argv = _degree_zero_argv(family, label)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    accessory = json.loads(out)["states"][0]["accessory"]
+    accessory = accessory["re"] if isinstance(accessory, dict) else accessory
+    code, _, err = run(capsys, *argv, "--accessory", repr(accessory + 1e-3))
+    assert code == EXIT_NO_SOLUTION
+    assert "no solution" in err
