@@ -16,10 +16,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .che import CheParams, che_accessory, che_class, che_class_relation, che_to_nu
-from .engine import NoBranchError, branch_from_pi, polynomial_solution, reduce_branch
+from .che import CHE_CLASSES, CheParams, che_accessory, che_class_relation
+from .engine import NoBranchError, branch_from_pi, polynomial_solution
+from .family import accessory_family, class_family
 from .heun import heun_class, heun_nu_from_product
-from .oracle import OdeFamily, frobenius_recurrence, series_coeffs, termination_solve
+from .oracle import frobenius_recurrence, series_coeffs, termination_solve
 from .poly import Poly
 from .scalars import FLOAT, as_scalar, infer_backend
 
@@ -143,9 +144,7 @@ def electrons_sphere_state(
     if gamma_param == 0.0:
         raise ValueError("gamma must be nonzero")
     eq0 = _electrons_equation(n, gamma_param, delta_param, 0.0)
-    branch = branch_from_pi(eq0, Poly.zero(FLOAT))
-    rf = reduce_branch(eq0, branch)
-    family = OdeFamily(rf.ode(eq0), Poly.constant(-1.0, FLOAT))
+    family = accessory_family(eq0, Poly.zero(FLOAT))
     candidates = []
     for root in termination_solve(family, n):
         if abs(root.imag) > 1e-9 * (1.0 + abs(root)):
@@ -276,7 +275,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     """
     eps = doublewell_spectrum(N, d, u0, parity)
     p = _doublewell_params(N, d, u0, parity, eps)
-    scale = max(1.0, abs(p.coupling), abs(p.alpha))
+    scale = p.relation_scale
     matched = None
     best = None
     for label in _PARITY_PAIRS[parity]:
@@ -296,13 +295,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     mu_values = che_accessory(p, label, N, point=1)
     if not mu_values:
         raise NoBranchError("no terminating accessory value at the level")
-    cls = che_class(label)
-    p0 = CheParams(p.alpha, p.beta, p.gamma, 0.0, complex(p.coupling))
-    eq0 = che_to_nu(p0)
-    branch = branch_from_pi(eq0, cls.pi(p0))
-    rf = reduce_branch(eq0, branch)
-    family = OdeFamily(rf.ode(eq0), Poly.constant(-1.0, FLOAT))
-    ode = family.at(mu_values[0])
+    ode = class_family(CHE_CLASSES, p, label).at(mu_values[0])
     rec = frobenius_recurrence(ode, 1, 0)
     coeffs = series_coeffs(rec, 1.0, N + 2)
     term = abs(coeffs[N + 1]) / max(abs(c) for c in coeffs[: N + 1])

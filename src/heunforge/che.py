@@ -19,21 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .engine import (
-    EXTENDED,
-    Eigenstate,
-    NoBranchError,
-    NuEquation,
-    PiBranch,
-    branch_from_pi,
-    eigenstates,
-    reduce_branch,
-)
-from .oracle import OdeFamily, termination_solve
+from . import family
+from .engine import EXTENDED, Eigenstate, NuEquation, PiBranch, branch_from_pi
+from .family import sigma_tilde
 from .poly import Poly
-from .scalars import EXACT, as_scalar, infer_backend
-
-RELATION_TOL = 1e-8
+from .scalars import as_scalar, infer_backend
 
 
 @dataclass(frozen=True)
@@ -57,9 +47,27 @@ class CheParams:
     def backend(self):
         return self._backend
 
+    # the family.py record interface: kappa = mu + nu, t = mu
+    coupling_name = "mu + nu"
+
     @property
     def coupling(self):
         return self.mu + self.nu
+
+    @property
+    def accessory(self):
+        return self.mu
+
+    @property
+    def relation_scale(self):
+        return max(1.0, abs(self.coupling), abs(self.alpha))
+
+    def at(self, mu) -> "CheParams":
+        """The record at accessory value mu, mu + nu held fixed."""
+        return replace(self, mu=mu, nu=self.coupling - mu)
+
+    def to_nu(self) -> NuEquation:
+        return che_to_nu(self)
 
 
 def che_auxiliary(p: CheParams):
@@ -113,6 +121,9 @@ class CheClass:
         c0, cb, cg, cn = self._shift
         return alpha * (beta * cb + gamma * cg + (c0 + cn * n))
 
+    def coupling_at(self, p: CheParams, n: int):
+        return self.coupling_value(n, p.alpha, p.beta, p.gamma)
+
     def prefactor_exponents(self, p: CheParams):
         """(coefficient of z in exp part, power at 0, power at 1)."""
         zero = as_scalar(0, p.backend)
@@ -134,18 +145,9 @@ CHE_CLASSES = (
     CheClass("8", (1, 0, 1), (2, 1, 0, 1)),
 )
 
-_BY_LABEL = {c.label: c for c in CHE_CLASSES}
-
 
 def che_class(label) -> CheClass:
-    key = str(label)
-    try:
-        return _BY_LABEL[key]
-    except KeyError:
-        raise ValueError(
-            "unknown class %r; expected one of %s"
-            % (label, ", ".join(c.label for c in CHE_CLASSES))
-        ) from None
+    return family.find_class(CHE_CLASSES, label)
 
 
 def che_to_nu(p: CheParams) -> NuEquation:
@@ -157,13 +159,9 @@ def che_to_nu(p: CheParams) -> NuEquation:
     tau_tilde = (
         sigma * p.alpha + (z - one) * (p.beta + unit) + z * (p.gamma + unit)
     )
-    return NuEquation(tau_tilde, sigma, _sigma_tilde(sigma, p), EXTENDED)
-
-
-def _sigma_tilde(sigma, p: CheParams) -> Poly:
-    backend = p.backend
-    slope = Poly.x(backend) * (p.mu + p.nu)
-    return (slope - Poly.constant(p.mu, backend)) * sigma
+    return NuEquation(
+        tau_tilde, sigma, sigma_tilde(sigma, p.coupling, p.mu, backend), EXTENDED
+    )
 
 
 def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
@@ -187,19 +185,11 @@ def che_branch(p: CheParams, label) -> PiBranch:
 def che_class_relation(p: CheParams, label, n: int):
     """Residual of the class condition on mu + nu at degree n; zero
     exactly when degree-n polynomial solutions are admissible."""
-    cls = che_class(label)
-    return p.coupling - cls.coupling_value(n, p.alpha, p.beta, p.gamma)
+    return family.class_relation(CHE_CLASSES, p, label, n)
 
 
 def _check_relation(p, label, n):
-    gap = che_class_relation(p, label, n)
-    scale = max(1.0, abs(p.coupling), abs(p.alpha))
-    ok = (not gap) if p.backend == EXACT else abs(gap) <= RELATION_TOL * scale
-    if not ok:
-        raise NoBranchError(
-            "class %s does not admit degree-%d solutions at these "
-            "parameters (mu + nu off by %s)" % (label, n, gap)
-        )
+    family.check_relation(CHE_CLASSES, p, label, n)
 
 
 def che_accessory(p: CheParams, label, n: int, point=0):
@@ -211,16 +201,7 @@ def che_accessory(p: CheParams, label, n: int, point=0):
     The expansion point may be moved to z=1 when the exponent gap at
     z=0 is a positive integer (the truncation roots do not depend on
     the expansion point)."""
-    _check_relation(p, label, n)
-    cls = che_class(label)
-    zero = as_scalar(0, p.backend)
-    p0 = replace(p, mu=zero, nu=p.coupling)
-    eq0 = che_to_nu(p0)
-    branch = branch_from_pi(eq0, cls.pi(p0))
-    rf = reduce_branch(eq0, branch)
-    direction = Poly.constant(as_scalar(-1, p.backend), p.backend)
-    family = OdeFamily(rf.ode(eq0), direction)
-    return termination_solve(family, n, point=point)
+    return family.accessory(CHE_CLASSES, p, label, n, point=point)
 
 
 def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
@@ -231,22 +212,12 @@ def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
 
     Only sigma~ depends on mu, so the states share one setup (see
     engine.eigenstates); each state equals che_eigenstate at its mu."""
-    return _states(
-        p, label, n, [replace(p, mu=v, nu=p.coupling - v) for v in values],
-        samples,
-    )
+    params = [p.at(v) for v in values]
+    return family.states(CHE_CLASSES, p, label, n, params, samples)
 
 
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
-    accessory value carried by p.mu, with its contour residual."""
-    return _states(p, label, n, [p], 50)[0]
-
-
-def _states(p: CheParams, label, n: int, params, samples):
-    if not params:
-        return []
-    _check_relation(p, label, n)
-    eq = che_to_nu(p)
-    shifts = ((pv.mu, _sigma_tilde(eq.sigma, pv)) for pv in params)
-    return eigenstates(eq, che_class(label).pi(p), n, shifts, samples)
+    accessory value carried by p.mu (and the nu stored in p), with its
+    contour residual."""
+    return family.states(CHE_CLASSES, p, label, n, [p])[0]

@@ -339,44 +339,41 @@ def _float_params(p):
     return type(p)(*(complex(getattr(p, f.name)) for f in fields(p)))
 
 
+# per family: the options its *_params_for_class takes after class and degree
+_SOLVE_PARAMS = {
+    "heun": ("a", "gamma", "delta", "epsilon"),
+    "che": ("alpha", "beta", "gamma"),
+}
+
+
 def _solve_states(args, config: RunConfig):
     """One assembled eigenstate per accessory value, all from one setup.
 
     Resolved accessory roots are always floats, so exact-backend runs
     assemble the eigenstates on the float copy of the parameters."""
     backend = config.backend
-    n = args.n
-    if args.family == "heun":
-        p = heun_params_for_class(
-            args.label,
-            n,
-            _scalar_arg(args.a, backend),
-            _scalar_arg(args.gamma, backend),
-            _scalar_arg(args.delta, backend),
-            _scalar_arg(args.epsilon, backend),
-        )
-        resolve, assemble = heun_accessory, heun_eigenstates
-    else:
-        p = che_params_for_class(
-            args.label,
-            n,
-            _scalar_arg(args.alpha, backend),
-            _scalar_arg(args.beta, backend),
-            _scalar_arg(args.gamma, backend),
-        )
-        resolve, assemble = che_accessory, che_eigenstates
+    # entry points are looked up per call, so a wrapper installed on the
+    # module attribute (bench/tracing.py) is the one that runs
+    make, resolve, assemble = (
+        (heun_params_for_class, heun_accessory, heun_eigenstates)
+        if args.family == "heun"
+        else (che_params_for_class, che_accessory, che_eigenstates)
+    )
+    p = make(args.label, args.n, *(
+        _scalar_arg(getattr(args, name), backend)
+        for name in _SOLVE_PARAMS[args.family]
+    ))
     if args.accessory is not None:
         values = [_scalar_arg(args.accessory, backend)]
     else:
-        values = resolve(p, args.label, n)
+        values = resolve(p, args.label, args.n)
     if not all(isinstance(v, RationalComplex) for v in values):
         p = _float_params(p)
-    return assemble(p, args.label, n, values, config.samples)
+    return assemble(p, args.label, args.n, values, config.samples)
 
 
 def cmd_solve(args, config: RunConfig) -> int:
-    needed = ("a", "delta", "epsilon") if args.family == "heun" else ("alpha", "beta")
-    missing = [f for f in needed if getattr(args, f) is None]
+    missing = [f for f in _SOLVE_PARAMS[args.family] if getattr(args, f) is None]
     if missing:
         raise UsageError(
             "%s solve requires %s"
@@ -643,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", parents=[common], help="resolve accessory values and "
         "assemble eigenfunctions"
     )
-    slv.add_argument("family", choices=("heun", "che"))
+    slv.add_argument("family", choices=tuple(_SOLVE_PARAMS))
     slv.add_argument("--class", dest="label", required=True)
     slv.add_argument("-n", type=int, required=True, help="polynomial degree")
     slv.add_argument("--a", help="third finite singular point (heun)")

@@ -1,0 +1,88 @@
+"""The class-solve pipeline both Heun families share.
+
+Both put a class-fixed coupling kappa and the accessory value t into
+sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
+kappa = mu + nu and t = mu in che.py. A params record supplies `backend`,
+`coupling`, `accessory`, `at(t)`, `to_nu()`, `relation_scale` (the float
+scale of the class relation) and `coupling_name`; a class supplies
+`label`, `pi(p)` and `coupling_at(p, n)`, the kappa of degree-n solutions.
+"""
+
+from __future__ import annotations
+
+from .engine import NoBranchError, branch_from_pi, eigenstates, reduce_branch
+from .oracle import OdeFamily, termination_solve
+from .poly import Poly
+from .scalars import EXACT, as_scalar
+
+RELATION_TOL = 1e-8
+
+
+def find_class(classes, label):
+    """The class with this label, matched as upper-case text."""
+    key = str(label).upper()
+    for cls in classes:
+        if cls.label == key:
+            return cls
+    raise ValueError(
+        "unknown class %r; expected one of %s"
+        % (label, ", ".join(c.label for c in classes))
+    )
+
+
+def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
+    return (Poly.x(backend) * coupling - Poly.constant(accessory, backend)) * sigma
+
+
+def class_relation(classes, p, label, n: int):
+    """Residual of the class condition on the coupling at degree n; zero
+    exactly when degree-n polynomial solutions are admissible."""
+    return p.coupling - find_class(classes, label).coupling_at(p, n)
+
+
+def check_relation(classes, p, label, n: int):
+    gap = class_relation(classes, p, label, n)
+    ok = (not gap) if p.backend == EXACT else (
+        abs(gap) <= RELATION_TOL * p.relation_scale
+    )
+    if not ok:
+        raise NoBranchError(
+            "class %s does not admit degree-%d solutions at these "
+            "parameters (%s off by %s)" % (label, n, p.coupling_name, gap)
+        )
+
+
+def accessory_family(eq0, pi: Poly) -> OdeFamily:
+    """The reduced equation for y on the branch with this pi, as a family
+    in t: eq0 is the equation at t = 0, and t enters sigma~ as -t sigma."""
+    rf = reduce_branch(eq0, branch_from_pi(eq0, pi))
+    backend = eq0.backend
+    return OdeFamily(rf.ode(eq0), Poly.constant(as_scalar(-1, backend), backend))
+
+
+def class_family(classes, p, label) -> OdeFamily:
+    """accessory_family of the class at p's coupling."""
+    p0 = p.at(as_scalar(0, p.backend))
+    return accessory_family(p0.to_nu(), find_class(classes, label).pi(p0))
+
+
+def accessory(classes, p, label, n: int, point=0):
+    """Accessory values of degree-n class solutions: the validated roots
+    of the truncation condition of the series about `point`."""
+    check_relation(classes, p, label, n)
+    return termination_solve(class_family(classes, p, label), n, point=point)
+
+
+def states(classes, p, label, n: int, params, samples=50):
+    """Degree-n eigenstates of the class, one per record in `params` (p at
+    other accessory values), all from one engine.eigenstates setup."""
+    if not params:
+        return []
+    check_relation(classes, p, label, n)
+    eq = p.to_nu()
+    shifts = (
+        (pv.accessory,
+         sigma_tilde(eq.sigma, pv.coupling, pv.accessory, pv.backend))
+        for pv in params
+    )
+    return eigenstates(eq, find_class(classes, label).pi(p), n, shifts, samples)

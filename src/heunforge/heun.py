@@ -21,21 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .engine import (
-    EXTENDED,
-    Eigenstate,
-    NoBranchError,
-    NuEquation,
-    PiBranch,
-    branch_from_pi,
-    eigenstates,
-    reduce_branch,
-)
-from .oracle import OdeFamily, termination_solve
+from . import family
+from .engine import EXTENDED, Eigenstate, NuEquation, PiBranch, branch_from_pi
+from .family import sigma_tilde
 from .poly import Poly
 from .scalars import EXACT, as_scalar, infer_backend, scalar_sqrt
-
-RELATION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,6 +68,24 @@ class HeunParams:
     @property
     def product(self):
         return self.alpha * self.beta
+
+    # the family.py record interface: kappa = alpha*beta, t = q
+    coupling = product
+    coupling_name = "alpha*beta"
+
+    @property
+    def accessory(self):
+        return self.q
+
+    @property
+    def relation_scale(self):
+        return max(1.0, abs(self.product))
+
+    def at(self, q) -> "HeunParams":
+        return replace(self, q=q)
+
+    def to_nu(self) -> NuEquation:
+        return heun_to_nu(self)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,9 @@ class HeunClass:
             return (inside[0] + inside[1] - (n + 2)) * (outside[0] + (n + 1))
         return (n + 2) * (gamma + delta + epsilon - (n + 3))
 
+    def coupling_at(self, p: HeunParams, n: int):
+        return self.product_value(n, p.gamma, p.delta, p.epsilon)
+
 
 HEUN_CLASSES = (
     HeunClass("I", (0, 0, 0)),
@@ -139,17 +150,9 @@ HEUN_CLASSES = (
     HeunClass("VIII", (1, 1, 1)),
 )
 
-_BY_LABEL = {c.label: c for c in HEUN_CLASSES}
 
-
-def heun_class(label: str) -> HeunClass:
-    try:
-        return _BY_LABEL[label.upper()]
-    except KeyError:
-        raise ValueError(
-            "unknown class %r; expected one of %s"
-            % (label, ", ".join(c.label for c in HEUN_CLASSES))
-        ) from None
+def heun_class(label) -> HeunClass:
+    return family.find_class(HEUN_CLASSES, label)
 
 
 def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
@@ -169,12 +172,8 @@ def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
         + z * (z - one) * as_scalar(epsilon, backend)
     )
     return NuEquation(
-        tau_tilde, sigma, _sigma_tilde(sigma, product, q, backend), EXTENDED
+        tau_tilde, sigma, sigma_tilde(sigma, product, q, backend), EXTENDED
     )
-
-
-def _sigma_tilde(sigma, product, q, backend) -> Poly:
-    return (Poly.x(backend) * product - Poly.constant(q, backend)) * sigma
 
 
 def heun_to_nu(p: HeunParams) -> NuEquation:
@@ -212,34 +211,18 @@ def heun_branch(p: HeunParams, label: str) -> PiBranch:
 def heun_class_relation(p: HeunParams, label: str, n: int):
     """Residual of the class condition on alpha*beta at degree n; zero
     exactly when degree-n polynomial solutions are admissible."""
-    cls = heun_class(label)
-    return p.product - cls.product_value(n, p.gamma, p.delta, p.epsilon)
+    return family.class_relation(HEUN_CLASSES, p, label, n)
 
 
 def _check_relation(p, label, n):
-    gap = heun_class_relation(p, label, n)
-    scale = max(1.0, abs(p.product))
-    ok = (not gap) if p.backend == EXACT else abs(gap) <= RELATION_TOL * scale
-    if not ok:
-        raise NoBranchError(
-            "class %s does not admit degree-%d solutions at these "
-            "parameters (alpha*beta off by %s)" % (label, n, gap)
-        )
+    family.check_relation(HEUN_CLASSES, p, label, n)
 
 
 def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
     stored in p is ignored). Roots of the degree n+1 truncation
     condition, validated against the series oracle."""
-    _check_relation(p, label, n)
-    cls = heun_class(label)
-    p0 = replace(p, q=as_scalar(0, p.backend))
-    eq0 = heun_to_nu(p0)
-    branch = branch_from_pi(eq0, cls.pi(p0))
-    rf = reduce_branch(eq0, branch)
-    direction = Poly.constant(as_scalar(-1, p.backend), p.backend)
-    family = OdeFamily(rf.ode(eq0), direction)
-    return termination_solve(family, n)
+    return family.accessory(HEUN_CLASSES, p, label, n)
 
 
 def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
@@ -249,22 +232,11 @@ def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
 
     Only sigma~ depends on q, so the states share one setup (see
     engine.eigenstates); each state equals heun_eigenstate at its q."""
-    return _states(p, label, n, [replace(p, q=v) for v in values], samples)
+    params = [p.at(v) for v in values]
+    return family.states(HEUN_CLASSES, p, label, n, params, samples)
 
 
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.q, with its contour residual."""
-    return _states(p, label, n, [p], 50)[0]
-
-
-def _states(p: HeunParams, label, n: int, params, samples):
-    if not params:
-        return []
-    _check_relation(p, label, n)
-    eq = heun_to_nu(p)
-    shifts = (
-        (pv.q, _sigma_tilde(eq.sigma, pv.product, pv.q, pv.backend))
-        for pv in params
-    )
-    return eigenstates(eq, heun_class(label).pi(p), n, shifts, samples)
+    return family.states(HEUN_CLASSES, p, label, n, [p])[0]

@@ -166,6 +166,23 @@ def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
     return _recurrence(bands, point, exponent, backend)
 
 
+def _leading_factors(rec: Recurrence, count: int):
+    """(m, G_0(m+rho)) for m = 1..count-1. Raises on reaching an m where
+    the factor vanishes (indicial roots separated by an integer, the
+    logarithmic case)."""
+    lead = rec.bands[0]
+    scale = max(lead.max_abs(), 1.0)
+    for m in range(1, count):
+        den = lead(rec.exponent + m)
+        bad = (not den) if rec.backend == EXACT else abs(den) <= 1e-14 * scale
+        if bad:
+            raise ValueError(
+                "indicial collision: leading recurrence factor vanishes at "
+                "index %d" % m
+            )
+        yield m, den
+
+
 def series_coeffs(rec: Recurrence, seed, count: int):
     """First `count` series coefficients c_0..c_{count-1} from the
     recurrence, c_0 = seed.
@@ -174,16 +191,7 @@ def series_coeffs(rec: Recurrence, seed, count: int):
     (indicial roots separated by an integer, the logarithmic case)."""
     backend = rec.backend
     coeffs = [as_scalar(seed, backend)]
-    lead = rec.bands[0]
-    scale = max(lead.max_abs(), 1.0)
-    for m in range(1, count):
-        den = lead(rec.exponent + m)
-        bad = (not den) if backend == EXACT else abs(den) <= 1e-14 * scale
-        if bad:
-            raise ValueError(
-                "indicial collision: leading recurrence factor vanishes at "
-                "index %d" % m
-            )
+    for m, den in _leading_factors(rec, count):
         acc = as_scalar(0, backend)
         for i in range(1, len(rec.bands)):
             if m - i < 0:
@@ -211,51 +219,24 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
     dirs = family.p0_dir.shift(point_s)
     base_bands = _Bands(p2s, p1s, p0s.degree).at(p0s)
     top = max(len(base_bands) - 1, dirs.degree + 2)
-    dir_consts = [
-        dirs.coeff(r - 2) if r >= 2 else as_scalar(0, backend)
-        for r in range(top + 1)
-    ]
     while len(base_bands) < top + 1:
         base_bands.append(Poly.zero(backend))
     r_star = next(
-        (
-            r
-            for r in range(top + 1)
-            if not base_bands[r].is_zero or dir_consts[r]
-        ),
-        None,
+        (r for r, band in enumerate(base_bands) if not band.is_zero), top + 1
     )
-    if r_star is None:  # pragma: no cover
-        raise ValueError("all recurrence bands vanish")
-    if dir_consts[r_star]:
+    # the unknown times dirs.coeff(r - 2) joins band r (see _Bands)
+    if any(dirs.coeff(r - 2) for r in range(r_star + 1)):
         raise ValueError(
             "unknown enters the leading recurrence band; the termination "
             "condition would not be polynomial in it"
         )
-    lead = base_bands[r_star]
-    if lead.degree != 2:
-        raise ValueError("expansion point is an irregular singular point")
-    value = lead(exponent_s)
-    ok = (not value) if backend == EXACT else abs(value) <= INDICIAL_TOL * max(
-        lead.max_abs(), 1.0
-    )
-    if not ok:
-        raise ValueError("exponent %s is not an indicial root" % (exponent_s,))
-    bands = base_bands[r_star:]
-    dir_consts = dir_consts[r_star:]
+    rec = _recurrence(base_bands, point_s, exponent_s, backend)
+    bands = rec.bands
+    dir_consts = [dirs.coeff(r_star + i - 2) for i in range(len(bands))]
     # series coefficients as polynomials in the unknown t
     coeffs = [Poly.one(backend)]
     t_poly = Poly.x(backend)
-    for m in range(1, n + 2):
-        den = lead(exponent_s + m)
-        bad = (not den) if backend == EXACT else abs(den) <= 1e-14 * max(
-            lead.max_abs(), 1.0
-        )
-        if bad:
-            raise ValueError(
-                "indicial collision: leading recurrence factor vanishes at "
-                "index %d" % m
-            )
+    for m, den in _leading_factors(rec, n + 2):
         acc = Poly.zero(backend)
         for i in range(1, len(bands)):
             if m - i < 0:

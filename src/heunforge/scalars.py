@@ -273,10 +273,6 @@ def _parse_part(part: str):
     return sign, m.group("num"), bool(m.group("imag"))
 
 
-def _literal_to_fraction(lit: str) -> Fraction:
-    return Fraction(lit)
-
-
 def parse_scalar(text: str, backend: str):
     """Parse a scalar literal ('3', '-2/5', '1.5', '2+3i', '1/2-1/3i')."""
     text = text.strip()
@@ -287,7 +283,7 @@ def parse_scalar(text: str, backend: str):
     re_part, im_part = Fraction(0), Fraction(0)
     for part in _split_terms(text):
         sign, lit, is_imag = _parse_part(part)
-        value = sign * _literal_to_fraction(lit)
+        value = sign * Fraction(lit)
         if is_imag:
             im_part += value
         else:

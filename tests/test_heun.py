@@ -54,6 +54,13 @@ def test_unknown_label_rejected():
     assert heun_class("iv").label == "IV"
 
 
+def test_non_text_label_rejected_like_unknown_text():
+    # a label is matched as text, so a number is an unknown class, not a
+    # crash on .upper()
+    with pytest.raises(ValueError, match="unknown class"):
+        heun_class(3)
+
+
 def test_catalog_is_exactly_the_enumeration():
     eq = heun_to_nu(FUCHSIAN)
     branches = enumerate_branches(eq)

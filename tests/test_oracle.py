@@ -122,6 +122,36 @@ def test_termination_polynomial_exact_quadratic():
     assert mon == want
 
 
+def _direction_family(direction):
+    z = Poly.x(EXACT)
+    base = OdeForm(z * (z - Poly.one(EXACT)),
+                   Poly([rc(F(1, 3)), rc(F(5, 2))], EXACT),
+                   Poly.constant(rc(F(2, 7)), EXACT))
+    return OdeFamily(base, direction)
+
+
+def test_termination_polynomial_nonconstant_direction_frozen():
+    # direction z adds t to a band above p0's own: it must not be dropped
+    z = Poly.x(EXACT)
+    got = termination_polynomial(_direction_family(z), 3)
+    want = Poly([rc(F(-10364679, 3073280)), rc(F(64161, 62720)),
+                 rc(F(9, 128))], EXACT)
+    assert got == want
+
+
+@pytest.mark.parametrize("power", [1, 2])
+def test_termination_polynomial_nonconstant_direction_equals_series(power):
+    # c_{n+1}(t) is the series coefficient of the ODE at t, for every t
+    z = Poly.x(EXACT)
+    fam = _direction_family(z if power == 1 else z * z)
+    for n in (3, 4, 5):
+        cpoly = termination_polynomial(fam, n)
+        assert cpoly.degree >= 1
+        for t in (F(0), F(1), F(-2, 3), F(7, 5), F(-11, 4)):
+            rec = frobenius_recurrence(fam.at(rc(t)), 0, 0)
+            assert cpoly(rc(t)) == series_coeffs(rec, 1, n + 2)[n + 1]
+
+
 def test_termination_solve_float_roots():
     al, be, ga = 1.5, 1 / 3, 0.4
     z = Poly.x(FLOAT)
