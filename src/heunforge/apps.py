@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .che import CHE_CLASSES, CheParams, che_accessory, che_class_relation
+from .che import CHE_CLASSES, CheParams, che_class_relation
 from .engine import NoBranchError, branch_from_pi, polynomial_solution
 from .family import accessory_family, class_family
 from .heun import heun_class, heun_nu_from_product
@@ -290,13 +290,13 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
             "residual %.3g)" % (parity, N, best[0], best[1])
         )
     label, gap = matched
-    # expand about z=1: its exponent gap is 1/2 for every class here
-    # (gamma = -1/2), while beta can be a positive integer at z=0
-    mu_values = che_accessory(p, label, N, point=1)
+    family = class_family(CHE_CLASSES, p, label)
+    mu_values = termination_solve(family, N)
     if not mu_values:
         raise NoBranchError("no terminating accessory value at the level")
-    ode = class_family(CHE_CLASSES, p, label).at(mu_values[0])
-    rec = frobenius_recurrence(ode, 1, 0)
+    # expand about z=1: its exponent gap is 1/2 for every class here
+    # (gamma = -1/2), while beta can be a positive integer at z=0
+    rec = frobenius_recurrence(family.at(mu_values[0]), 1, 0)
     coeffs = series_coeffs(rec, 1.0, N + 2)
     term = abs(coeffs[N + 1]) / max(abs(c) for c in coeffs[: N + 1])
     return DoubleWellReport(

@@ -11,7 +11,8 @@ infinity. Polynomial solutions come in eight classes, one per subset of
 the three elementary prefactor pieces exp(-alpha z), z^(-beta), and
 (z-1)^(-gamma). Each class fixes mu + nu as alpha times a linear
 function of the degree n; the split between mu and nu is the accessory
-freedom, resolved by a degree n+1 truncation condition.
+freedom, resolved as an eigenvalue of the operator on polynomials of
+degree <= n (a root of the degree n+1 truncation condition).
 """
 
 from __future__ import annotations
@@ -192,16 +193,12 @@ def _check_relation(p, label, n):
     family.check_relation(CHE_CLASSES, p, label, n)
 
 
-def che_accessory(p: CheParams, label, n: int, point=0):
+def che_accessory(p: CheParams, label, n: int):
     """Accessory values mu admitting a degree-n class solution (the mu
-    stored in p is ignored; mu + nu is held at the class value). Roots
-    of the degree n+1 truncation condition, validated against the
-    series oracle.
-
-    The expansion point may be moved to z=1 when the exponent gap at
-    z=0 is a positive integer (the truncation roots do not depend on
-    the expansion point)."""
-    return family.accessory(CHE_CLASSES, p, label, n, point=point)
+    stored in p is ignored; mu + nu is held at the class value): the
+    n+1 eigenvalues of the degree-n coefficient map, each validated by
+    its backward error."""
+    return family.accessory(CHE_CLASSES, p, label, n)
 
 
 def che_eigenstates(p: CheParams, label, n: int, values, samples=50):

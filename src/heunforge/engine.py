@@ -23,8 +23,8 @@ from math import comb
 
 import numpy as np
 
-from .oracle import OdeForm, ResidualContour
-from .poly import Poly
+from .oracle import OdeForm, ResidualContour, coefficient_map
+from .poly import TRIM_REL, Poly
 from .scalars import EXACT, FLOAT, RationalComplex, as_scalar
 
 CLASSIC = "classic"
@@ -761,36 +761,37 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
         raise ValueError("degree must be nonnegative")
     rf = reduce_branch(eq, b)
     eqb = eq if eq.backend == rf.h.backend else eq.to_float()
-    return _solve_images(_fixed_images(eqb.sigma, rf.tau, n), rf, n)
+    fixed = _fixed_map(eqb.sigma, rf.tau, n)
+    return _null_polynomial(_with_h(fixed, rf.h), rf, n)
 
 
-def _fixed_images(sigma: Poly, tau: Poly, n: int):
-    """(z^j, sigma (z^j)'' + tau (z^j)') for j = 0..n: the columns of the
-    coefficient map without their h (z^j) part, the only part that
-    moves with the accessory value."""
-    out = []
-    for j in range(n + 1):
-        mono = Poly([0] * j + [1], tau.backend)
-        out.append(
-            (mono, sigma * mono.derivative().derivative() + tau * mono.derivative())
-        )
+def _fixed_map(sigma: Poly, tau: Poly, n: int):
+    """The coefficient map of sigma y'' + tau y' on degree <= n: the part
+    that does not move with the accessory value."""
+    return coefficient_map(OdeForm(sigma, tau, Poly.zero(tau.backend)), n)
+
+
+def _with_h(fixed, h: Poly):
+    """The coefficient map of sigma y'' + tau y' + h y from `fixed`, the
+    map with h = 0: h adds h[0] on the diagonal and h[1] below it. In
+    floats, a column's top entry at or below TRIM_REL of the column's
+    largest counts as zero, as in the column's trimmed Poly."""
+    out = fixed.copy()
+    cols = np.arange(out.shape[1])
+    out[cols, cols] += h.coeff(0)
+    out[cols + 1, cols] += h.coeff(1)
+    if out.dtype == complex:
+        top = out[cols + 1, cols]
+        small = np.abs(top) <= TRIM_REL * np.abs(out).max(axis=0)
+        out[cols + 1, cols] = np.where(small, 0j, top)
     return out
 
 
-def _solve_images(images, rf: ReducedForm, n: int) -> Poly:
-    """Monic degree-n null vector of the coefficient map whose columns
-    are image + h * mono, for the (mono, image) pairs of _fixed_images."""
-    h = rf.h
-    backend = h.backend
-    columns = []
-    for mono, image in images:
-        column = image + h * mono
-        columns.append([column.coeff(k) for k in range(n + 2)])
-    if backend == EXACT:
-        rows = [
-            [columns[j][k] for j in range(n + 1)] for k in range(n + 2)
-        ]
-        kernel = _nullspace_exact(rows)
+def _null_polynomial(mat, rf: ReducedForm, n: int) -> Poly:
+    """Monic degree-n null vector of the coefficient map `mat` of the
+    reduced equation rf."""
+    if rf.h.backend == EXACT:
+        kernel = _nullspace_exact(mat)
         if len(kernel) != 1:
             raise NoBranchError(
                 "null space dimension is %d, not 1 (wrong accessory value "
@@ -804,10 +805,6 @@ def _solve_images(images, rf: ReducedForm, n: int) -> Poly:
             )
         lead = vec[n]
         return Poly([v / lead for v in vec], EXACT)
-    mat = np.array(
-        [[complex(columns[j][k]) for j in range(n + 1)] for k in range(n + 2)],
-        dtype=complex,
-    )
     _, svals, vh = np.linalg.svd(mat)
     # for n = 0 the map is the column h alone, whose one singular value
     # cannot be judged against itself: judge it against the column
@@ -837,7 +834,7 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     The accessory parameter enters only sigma~ (see
     NuEquation.with_accessory_shift), so the terms of pi that
     branch_from_pi and reduce_branch add to sigma~, tau, the prefactor,
-    the coefficient map's columns without h and the residual contour are
+    the coefficient map without its h part and the residual contour are
     built once, when a state first needs them. Each state then runs the
     per-state checks and arithmetic of branch_from_pi, quantization,
     polynomial_solution, phi_factor and ode_residual (with `samples`
@@ -863,9 +860,9 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
         work = shared[pi_q]
         rf = _reduce(eq_q, pi_q, work.terms)
         qr = _quantize(eq.sigma, eq.mode, rf, n)
-        if work.images is None:
-            work.images = _fixed_images(eq.sigma, rf.tau, n)
-        poly = _solve_images(work.images, rf, n)
+        if work.fixed is None:
+            work.fixed = _fixed_map(eq.sigma, rf.tau, n)
+        poly = _null_polynomial(_with_h(work.fixed, rf.h), rf, n)
         if work.phi is None:
             work.phi = _prefactor(eq.sigma, pi_q)
             psi = eq.psi_ode()
@@ -878,8 +875,10 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
 
 
 class _BranchWork:
-    """What the states on one branch pi share, filled in on first use."""
+    """What the states on one branch pi share, filled in on first use:
+    the terms pi adds to sigma~, the coefficient map of sigma y'' + tau y'
+    (h = 0), the prefactor and the residual contour."""
 
     def __init__(self, eq: NuEquation, pi: Poly):
         self.terms = _sigma_bar_terms(eq, pi)
-        self.images = self.phi = self.contour = None
+        self.fixed = self.phi = self.contour = None

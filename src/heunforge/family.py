@@ -66,11 +66,11 @@ def class_family(classes, p, label) -> OdeFamily:
     return accessory_family(p0.to_nu(), find_class(classes, label).pi(p0))
 
 
-def accessory(classes, p, label, n: int, point=0):
-    """Accessory values of degree-n class solutions: the validated roots
-    of the truncation condition of the series about `point`."""
+def accessory(classes, p, label, n: int):
+    """Accessory values of degree-n class solutions: the validated
+    eigenvalues of the class equation's degree-n coefficient map."""
     check_relation(classes, p, label, n)
-    return termination_solve(class_family(classes, p, label), n, point=point)
+    return termination_solve(class_family(classes, p, label), n)
 
 
 def states(classes, p, label, n: int, params, samples=50):

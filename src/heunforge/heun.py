@@ -12,8 +12,9 @@ accessory parameter q. Polynomial solutions come in eight classes,
 indexed by which of the three finite singular points contributes its
 shifted local exponent (1-gamma at 0, 1-delta at 1, 1-epsilon at a) to
 the eigenfunction prefactor. Each class fixes the product alpha*beta as
-a function of the degree n, and admits finitely many q, the roots of a
-degree n+1 truncation condition.
+a function of the degree n, and admits n+1 values of q: the roots of
+the degree n+1 truncation condition, which are the eigenvalues of the
+operator on polynomials of degree <= n.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def _check_relation(p, label, n):
 
 def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
-    stored in p is ignored). Roots of the degree n+1 truncation
-    condition, validated against the series oracle."""
+    stored in p is ignored): the n+1 eigenvalues of the degree-n
+    coefficient map, each validated by its backward error."""
     return family.accessory(HEUN_CLASSES, p, label, n)
 
 

@@ -2,12 +2,13 @@
 
 Everything here works directly from an ODE in polynomial-coefficient
 form, P2 w'' + P1 w' + P0 w = 0, with no knowledge of how the closed
-forms elsewhere in the package were produced. It powers three jobs:
+forms elsewhere in the package were produced. It powers four jobs:
 
 * power-series recurrences about ordinary or regular singular points,
-* resolving an accessory parameter from the condition that the series
-  terminates at a chosen degree (the coefficients are carried as
-  polynomials in the unknown, and c_{n+1} is solved for its roots),
+* the matrix of the operator on polynomials of degree <= n, whose
+  eigenvalues are the accessory values admitting a degree-n solution,
+* the exact truncation condition c_{n+1}(t) of the series, a polynomial
+  in the unknown accessory value, kept as a reference for those values,
 * residual checks of assembled eigenfunctions on a deterministic
   contour.
 """
@@ -17,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .poly import Poly
 from .scalars import EXACT, FLOAT, as_scalar
@@ -99,30 +102,21 @@ class Recurrence:
         return self.bands[0]
 
 
-class _Bands:
-    """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of an
-    operator whose coefficients are already shifted to the expansion
-    point, for one p2 and p1 (a, b) and any p0 (d) of degree at most
-    p0_degree. The parts without p0 are built once."""
-
-    def __init__(self, p2s: Poly, p1s: Poly, p0_degree: int):
-        backend = p2s.backend
-        self.backend = backend
-        self.top = max(p2s.degree, p1s.degree + 1)
-        s = Poly.x(backend)
-        s_sq = s * s - s
-        self.fixed = [
-            s_sq * p2s.coeff(r) + s * (p1s.coeff(r - 1) if r >= 1 else 0)
-            for r in range(max(self.top, p0_degree + 2) + 1)
-        ]
-
-    def at(self, p0s: Poly):
-        top = max(self.top, p0s.degree + 2)
-        return [
-            band + Poly.constant(p0s.coeff(r - 2), self.backend) if r >= 2
-            else band
-            for r, band in enumerate(self.fixed[: top + 1])
-        ]
+def _bands(p2s: Poly, p1s: Poly, p0s: Poly):
+    """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of the
+    operator with coefficients p2s (a), p1s (b) and p0s (d), already
+    shifted to the expansion point."""
+    backend = p2s.backend
+    s = Poly.x(backend)
+    s_sq = s * s - s
+    top = max(p2s.degree, p1s.degree + 1, p0s.degree + 2)
+    out = []
+    for r in range(top + 1):
+        band = s_sq * p2s.coeff(r) + s * (p1s.coeff(r - 1) if r >= 1 else 0)
+        if r >= 2:
+            band = band + Poly.constant(p0s.coeff(r - 2), backend)
+        out.append(band)
+    return out
 
 
 def _recurrence(bands, point, exponent, backend) -> Recurrence:
@@ -162,7 +156,7 @@ def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
     p2s = ode.p2.shift(point)
     p1s = ode.p1.shift(point)
     p0s = ode.p0.shift(point)
-    bands = _Bands(p2s, p1s, p0s.degree).at(p0s)
+    bands = _bands(p2s, p1s, p0s)
     return _recurrence(bands, point, exponent, backend)
 
 
@@ -217,14 +211,14 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
     p1s = family.base.p1.shift(point_s)
     p0s = family.base.p0.shift(point_s)
     dirs = family.p0_dir.shift(point_s)
-    base_bands = _Bands(p2s, p1s, p0s.degree).at(p0s)
+    base_bands = _bands(p2s, p1s, p0s)
     top = max(len(base_bands) - 1, dirs.degree + 2)
     while len(base_bands) < top + 1:
         base_bands.append(Poly.zero(backend))
     r_star = next(
         (r for r, band in enumerate(base_bands) if not band.is_zero), top + 1
     )
-    # the unknown times dirs.coeff(r - 2) joins band r (see _Bands)
+    # the unknown times dirs.coeff(r - 2) joins band r (see _bands)
     if any(dirs.coeff(r - 2) for r in range(r_star + 1)):
         raise ValueError(
             "unknown enters the leading recurrence band; the termination "
@@ -249,39 +243,62 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
     return coeffs[n + 1]
 
 
-def termination_solve(family: OdeFamily, n: int, point=0):
-    """Accessory values for which the series with exponent 0 at `point`
-    terminates at degree n.
+def coefficient_map(ode: OdeForm, n: int):
+    """Matrix of w -> p2 w'' + p1 w' + p0 w on 1, z, ..., z^n, with rows
+    for z^0..z^(n+1): entry [k, j] is the z^k coefficient of the image
+    of z^j, (j(j-1) p2[k-j+2] + j p1[k-j+1]) + p0[k-j], summed in that
+    order. A complex array in the float backend, an object array of
+    RationalComplex in the exact one.
 
-    Returns the validated roots of c_{n+1}(t) as complex numbers. Each
-    root is re-checked by running the numeric recurrence at that value:
-    |c_{n+1}| and |c_{n+2}| must fall below TERMINATION_TOL relative to
-    the largest retained coefficient. Only p0 depends on the root, so
-    the shifted p2 and p1 and the bands without p0 are built once.
-    """
-    cpoly = termination_polynomial(family, n, point=point)
-    if cpoly.is_zero:
-        raise ValueError("termination condition vanishes identically")
-    if cpoly.degree == 0:
-        return []
-    roots = cpoly.roots()
-    fam_f = OdeFamily(family.base.to_float(), family.p0_dir.to_float())
-    point_f = as_scalar(point, FLOAT)
-    exponent_f = as_scalar(0, FLOAT)
-    bands = _Bands(
-        fam_f.base.p2.shift(point_f),
-        fam_f.base.p1.shift(point_f),
-        max(fam_f.base.p0.degree, fam_f.p0_dir.degree),
-    )
-    out = []
-    for root in roots:
-        p0s = fam_f.at(root).p0.shift(point_f)
-        rec = _recurrence(bands.at(p0s), point_f, exponent_f, FLOAT)
-        coeffs = series_coeffs(rec, 1.0, n + 3)
-        tol = TERMINATION_TOL * max(abs(c) for c in coeffs[: n + 1])
-        if abs(coeffs[n + 1]) <= tol and abs(coeffs[n + 2]) <= tol:
-            out.append(root)
+    The operator may raise degrees by at most one (deg p2 <= 3,
+    deg p1 <= 2, deg p0 <= 1), as every reduced equation
+    sigma y'' + tau y' + h y = 0 of the engine does."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    if ode.p2.degree > 3 or ode.p1.degree > 2 or ode.p0.degree > 1:
+        raise ValueError("the operator raises degrees by more than one")
+    backend = ode.backend
+    dtype = complex if backend == FLOAT else object
+    out = np.full((n + 2, n + 1), as_scalar(0, backend), dtype=dtype)
+    p2, p1, p0 = ode.p2.coeff, ode.p1.coeff, ode.p0.coeff
+    for j in range(n + 1):
+        d2 = as_scalar(j * (j - 1), backend)
+        d1 = as_scalar(j, backend)
+        for k in range(max(j - 2, 0), j + 2):
+            out[k, j] = (p2(k - j + 2) * d2 + p1(k - j + 1) * d1) + p0(k - j)
     return out
+
+
+def termination_solve(family: OdeFamily, n: int):
+    """Accessory values t at which the family has a nonzero polynomial
+    solution of degree at most n, as complex numbers in ascending order
+    of real part, then imaginary part.
+
+    The direction must be a nonzero constant d. Then t moves only the
+    diagonal of the coefficient map, by t d, so the values are
+    t = -lambda/d over the eigenvalues lambda of the map's square block
+    (rows 0..n) at t = 0. The z^(n+1) row does not move with t: when it
+    is not negligible against the map, no value exists. Each eigenpair
+    is kept when its backward error on all n+2 rows is at most
+    TERMINATION_TOL.
+    """
+    if family.p0_dir.degree != 0:
+        raise ValueError("the accessory direction must be a nonzero constant")
+    mat = coefficient_map(family.base.to_float(), n)
+    scale = np.linalg.norm(mat)
+    if abs(mat[n + 1, n]) > TERMINATION_TOL * scale:
+        return []
+    lams, vecs = np.linalg.eig(mat[: n + 1])
+    resid = mat @ vecs
+    resid[: n + 1] -= vecs * lams
+    errors = np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)
+    d = complex(family.p0_dir.coeff(0))
+    values = [
+        complex(-lam / d)
+        for lam, err in zip(lams, errors)
+        if err <= TERMINATION_TOL * scale
+    ]
+    return sorted(values, key=lambda t: (t.real, t.imag))
 
 
 # -- residual check ----------------------------------------------------------

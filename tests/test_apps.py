@@ -143,6 +143,28 @@ def test_doublewell_verify_grid():
                     assert rep.matched_class in ("2", "7", "3", "5")
 
 
+def test_doublewell_verify_builds_the_class_family_once(monkeypatch):
+    # mu and the termination residual come from one accessory family, so
+    # the class branch is recovered from its pi once per call
+    import sys
+
+    from heunforge import engine
+
+    original = engine.branch_from_pi
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heunforge") and \
+                getattr(module, "branch_from_pi", None) is original:
+            monkeypatch.setattr(module, "branch_from_pi", counted)
+    doublewell_verify(3, 1.0, 9.0, SYMMETRIC)
+    assert len(calls) == 1
+
+
 def test_doublewell_parity_class_pairs():
     rep_s = doublewell_verify(1, 1.0, 100.0, SYMMETRIC)
     rep_a = doublewell_verify(1, 1.0, 100.0, ANTISYMMETRIC)

@@ -1,5 +1,6 @@
 """Two-finite-singular (confluent) polynomial classes and eigenstates."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -106,22 +107,24 @@ def test_degree_one_termination_quadratic():
 
 
 def test_accessory_expansion_point_equivalence():
-    # gamma = -1/2 keeps the z = 1 exponents off the integer-gap case, so
-    # both expansion points work and agree; beta = 1 breaks the z = 0
-    # series (integer exponent gap) while z = 1 still succeeds
+    # the accessory values are eigenvalues of the operator on polynomials,
+    # so no series expansion point enters: they match the series about
+    # z = 1, here mu^2 - (2 + gamma + beta - alpha) mu - alpha (1 + beta)
     p = che_params_for_class("2", 1, 1.5, 0.45, -0.5)
-    r0 = sorted(che_accessory(p, "2", 1), key=lambda v: v.real)
-    r1 = sorted(che_accessory(p, "2", 1, point=1), key=lambda v: v.real)
-    assert len(r0) == len(r1) == 2
-    for x, y in zip(r0, r1):
-        assert abs(x - y) < 1e-8
+    got = che_accessory(p, "2", 1)
+    root = math.sqrt(0.45 ** 2 + 4 * 1.5 * 1.45)
+    want = [(0.45 - root) / 2, (0.45 + root) / 2]
+    assert len(got) == 2
+    for x, y in zip(got, want):
+        assert abs(x - y) < 1e-12
     # class 7 divides out z^(-beta), so its reduced exponents at 0 are
-    # {0, beta}: a positive-integer beta collides and the z = 0 series
-    # breaks while z = 1 still succeeds
+    # {0, beta}: beta = 1 collides there and a series about z = 0 breaks,
+    # but the eigenvalues are the values the series about z = 1 gives
     pres = che_params_for_class("7", 1, 1.5, 1.0, -0.5)
-    with pytest.raises(ValueError, match="indicial collision"):
-        che_accessory(pres, "7", 1)
-    assert len(che_accessory(pres, "7", 1, point=1)) == 2
+    got = che_accessory(pres, "7", 1)
+    assert len(got) == 2
+    for x, y in zip(got, [0, 1]):
+        assert abs(x - y) < 1e-12
 
 
 def test_eigenstates_every_class():

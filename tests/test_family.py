@@ -45,7 +45,7 @@ def _reference_heun_accessory(p, label, n):
     return termination_solve(family, n)
 
 
-def _reference_che_accessory(p, label, n, point=0):
+def _reference_che_accessory(p, label, n):
     """che_accessory as each family module wrote it out before the
     shared pipeline."""
     che_module._check_relation(p, label, n)
@@ -57,7 +57,7 @@ def _reference_che_accessory(p, label, n, point=0):
     rf = reduce_branch(eq0, branch)
     direction = Poly.constant(as_scalar(-1, p.backend), p.backend)
     family = OdeFamily(rf.ode(eq0), direction)
-    return termination_solve(family, n, point=point)
+    return termination_solve(family, n)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -118,7 +118,5 @@ def test_che_accessory_equals_reference(label, exact):
     rng = random.Random("che/%s/%s" % (label, exact))
     for n in DEGREES:
         p = _che_params(rng, label, n, exact)
-        for point in (0, 1):
-            _assert_same(
-                _outcome(che_accessory, p, label, n, point=point),
-                _outcome(_reference_che_accessory, p, label, n, point=point))
+        _assert_same(_outcome(che_accessory, p, label, n),
+                     _outcome(_reference_che_accessory, p, label, n))

@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from heunforge.che import (
@@ -15,6 +16,7 @@ from heunforge.che import (
     che_to_nu,
 )
 from heunforge.engine import PhiFactor
+from heunforge.family import accessory_family
 from heunforge.heun import (
     HEUN_CLASSES,
     heun_accessory,
@@ -25,6 +27,7 @@ from heunforge.heun import (
 from heunforge.oracle import (
     OdeFamily,
     OdeForm,
+    coefficient_map,
     frobenius_recurrence,
     ode_residual,
     residual_contour,
@@ -186,20 +189,53 @@ def test_termination_solve_validates_roots():
         assert abs(cs[3]) < 1e-8 * scale and abs(cs[4]) < 1e-8 * scale
 
 
-def test_termination_point_independence():
-    # expanding about 0 or 1 must produce the same truncation values when
-    # both points admit a series (root sets are a property of the equation)
-    al, be, ga = 1.5, 0.45, -0.5
+def test_coefficient_map_columns_are_images_of_monomials():
+    ode = heun_ode(rc(3), rc(F(2, 3)), rc(F(1, 2)), rc(F(3, 4)),
+                   rc(F(5, 7)), rc(F(1, 5)))
+    mat = coefficient_map(ode, 4)
+    assert mat.shape == (6, 5)
+    for j in range(5):
+        image = ode.apply(Poly([0] * j + [1], EXACT))
+        assert list(mat[:, j]) == [image.coeff(k) for k in range(6)]
+    fmat = coefficient_map(ode.to_float(), 4)
+    assert fmat.dtype == complex
+    assert np.allclose(fmat, mat.astype(complex), rtol=1e-14, atol=0)
+    z = Poly.x(EXACT)
+    with pytest.raises(ValueError, match="more than one"):
+        coefficient_map(OdeForm(ode.p2, ode.p1, z * z), 2)
+
+
+def test_termination_solve_rejects_nonconstant_direction():
+    z = Poly.x(EXACT)
+    for direction in (z, Poly.zero(EXACT)):
+        with pytest.raises(ValueError, match="constant"):
+            termination_solve(_direction_family(direction), 2)
+
+
+def test_termination_solve_needs_a_negligible_top_row():
+    # off the class coupling the z^(n+1) coefficient of the image of z^n
+    # cannot vanish, whatever the accessory value
+    al, be, ga = 1.5, 1 / 3, 0.4
     z = Poly.x(FLOAT)
     one = Poly.one(FLOAT)
     sig = z * (z - one)
     tt = sig * al + (z - one) * (be + 1) + z * (ga + 1)
     fam = OdeFamily(OdeForm(sig, tt, z * (-al)), Poly.constant(-1.0, FLOAT))
-    r0 = sorted(termination_solve(fam, 1), key=lambda v: v.real)
-    r1 = sorted(termination_solve(fam, 1, point=1), key=lambda v: v.real)
-    assert len(r0) == len(r1) == 2
-    for x, y in zip(r0, r1):
-        assert abs(x - y) < 1e-8
+    assert len(termination_solve(fam, 1)) == 2
+    assert termination_solve(fam, 2) == []
+
+
+def test_termination_solve_orders_values():
+    # ascending real part, then imaginary part, and each value is within
+    # a Newton step of a root of c_{n+1}
+    p = heun_params_for_class("I", 5, 1.9, 0.6, 0.8, 0.7)
+    fam = accessory_family(heun_to_nu(replace(p, q=0.0)), Poly.zero(FLOAT))
+    values = termination_solve(fam, 5)
+    assert len(values) == 6
+    assert values == sorted(values, key=lambda t: (t.real, t.imag))
+    cpoly = termination_polynomial(fam, 5)
+    for t in values:
+        assert abs(cpoly(t)) <= 1e-9 * abs(cpoly.derivative()(t)) * max(1, abs(t))
 
 
 def test_termination_rejects_unknown_in_leading_band():
