@@ -11,6 +11,11 @@ with h = sigma_bar / sigma dividing exactly. Degree bounds:
 
     classic   deg tau~ <= 1, deg sigma <= 2, deg sigma~ <= 2, g scalar
     extended  deg tau~ <= 2, deg sigma <= 3, deg sigma~ <= 4, g affine
+
+The two modes are one algebraic problem at two degree budgets, the bound
+on deg sigma: with budget d, s has degree below d and g degree at most
+d - 2. Branch enumeration runs one construction, square roots of B
+modulo sigma, at the mode's budget.
 """
 
 from __future__ import annotations
@@ -210,7 +215,7 @@ def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
 
 def _try_branches(eq: NuEquation, g: Poly, scale: float, s_hint=None):
     """Branches for a candidate g, or [] when the radicand is not a
-    perfect square. Funnel for every enumeration path.
+    perfect square. Funnel for the enumeration and its exact re-check.
 
     A caller that already knows the square root passes it as s_hint;
     sqrt_head would divide by the radicand's leading coefficient, which
@@ -309,7 +314,7 @@ def _exactify_candidates(eq: NuEquation, branches, scale):
         gs = product(_rationalizations(complex(b.g.coeff(0))),
                      _rationalizations(complex(b.g.coeff(1))))
         g_exacts = (Poly(g, EXACT) for g in gs)
-        out.append(_exact_branch(eq, b, g_exacts, _same_pi, scale))
+        out.append(_exact_branch(eq, b, g_exacts, scale))
     return out
 
 
@@ -323,38 +328,26 @@ def _same_pi(cand: PiBranch, b: PiBranch) -> bool:
     return cand.sign == 0 and b.sign == 0
 
 
-def _exact_branch(eq: NuEquation, b: PiBranch, g_exacts, matches, scale):
-    """The first exact branch, over the candidate exact g in order, that
-    matches the float branch b; b itself when none does."""
+def _exact_branch(eq: NuEquation, b: PiBranch, g_exacts, scale):
+    """The first exact branch, over the candidate exact g in order, whose
+    pi matches the float branch b; b itself when none does."""
     for g in g_exacts:
         for cand in _try_branches(eq, g, scale):
-            if matches(cand, b):
+            if _same_pi(cand, b):
                 return cand
     return b
 
 
-def _affine_radicand_data(eq: NuEquation):
-    """Coefficients of the radicand as affine functions of the unknown
-    g = u1 z + u0: d_i = base_i + u1 A_i + u0 B_i."""
-    half = eq.half_gap().to_float()
-    base = half * half - eq.sigma_tilde.to_float()
-    sig = eq.sigma.to_float()
-    top = 4 if eq.mode == EXTENDED else 2
-    bases = [complex(base.coeff(i)) for i in range(top + 1)]
-    a_vec = [complex(sig.coeff(i - 1)) if i >= 1 else 0j for i in range(top + 1)]
-    b_vec = [complex(sig.coeff(i)) for i in range(top + 1)]
-    return bases, a_vec, b_vec
-
-
-def _sigma_points(sigma: Poly):
+def _sigma_points(sigma: Poly, budget: int):
     """Roots of sigma as (centre, multiplicity) over the projective line,
-    so the multiplicities add up to 3 and at most one exceeds 1. When
-    deg sigma < 3 the point at infinity (centre None) comes first.
+    so the multiplicities add up to the degree budget (3 in extended
+    mode, 2 in classic) and at most one exceeds 1. When deg sigma is
+    below the budget the point at infinity (centre None) comes first.
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
     exact when sigma is; a square-free sigma's roots come from
     Poly.roots."""
-    points = [(None, 3 - sigma.degree)] if sigma.degree < 3 else []
+    points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
     # Euclid; a float remainder below ZERO_TOL of its divisor is zero
@@ -401,153 +394,83 @@ def _local_sqrt(taylor, mult):
     return root
 
 
-def _hermite_row(centre, k):
-    """Coefficients mapping s = s0 + s1 z + s2 z^2 to its k-th Taylor
-    coefficient at centre (of w^2 s(1/w) at w = 0 for infinity)."""
+def _hermite_row(centre, k, budget):
+    """Coefficients mapping s = s0 + s1 z + ... + s_{budget-1} z^(budget-1)
+    to its k-th Taylor coefficient at centre (of w^(budget-1) s(1/w) at
+    w = 0 for infinity)."""
     if centre is None:
-        return [1.0 if j == 2 - k else 0.0 for j in range(3)]
+        return [1.0 if j == budget - 1 - k else 0.0 for j in range(budget)]
     c = complex(centre)
-    return [comb(j, k) * c ** (j - k) if j >= k else 0.0 for j in range(3)]
+    return [comb(j, k) * c ** (j - k) if j >= k else 0.0 for j in range(budget)]
 
 
 def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
     """(g, s) pairs with s^2 = B + g sigma, B = ((sigma' - tau~)/2)^2 - sigma~.
 
-    Such an s (deg s <= 2) solves s^2 = B mod sigma with
-    deg(s^2 - B) <= deg sigma + 1. On the projective line both are local
-    conditions: at each point of sigma, infinity included, s matches a
-    square root of B to the point's multiplicity. So sqrt(B) is lifted at
-    each point and the pieces are joined by one Hermite interpolation
-    per sign pattern; the first sign is fixed, as -s gives the same g."""
+    With the mode's degree budget (the bound on deg sigma), such an s
+    (deg s < budget) solves s^2 = B mod sigma with
+    deg(s^2 - B) <= deg sigma + budget - 2. On the projective line both
+    are local conditions: at each point of sigma, infinity included, s
+    matches a square root of B to the point's multiplicity. So sqrt(B) is
+    lifted at each point and the pieces are joined by one Hermite
+    interpolation per sign pattern; the first sign is fixed, as -s gives
+    the same g. When sigma divides B, sqrt(B) is 0 at every simple root,
+    so the interpolation gives s = 0 and the g of the zero radicand."""
+    budget = _DEGREE_BOUNDS[eq.mode][1]
     half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
     bpoly_f = bpoly.to_float()
-    points = _sigma_points(eq.sigma)
+    points = _sigma_points(eq.sigma, budget)
+    top = 2 * budget - 2
     roots = []
     for centre, mult in points:
         if centre is None:
-            taylor = [bpoly.coeff(4 - k) for k in range(5)]
+            taylor = [bpoly.coeff(top - k) for k in range(top + 1)]
         else:
             exact = isinstance(centre, RationalComplex)
             local = (bpoly if exact else bpoly_f).shift(centre)
-            taylor = [local.coeff(k) for k in range(5)]
+            taylor = [local.coeff(k) for k in range(top + 1)]
         roots.append(_local_sqrt(taylor, mult))
     if None in roots:
         return []
-    mat = np.array([_hermite_row(c, k) for c, m in points for k in range(m)])
+    mat = np.array([_hermite_row(c, k, budget) for c, m in points for k in range(m)])
     sig_f = eq.sigma.to_float()
     out = []
     for tail in product((1, -1), repeat=len(points) - 1):
         rhs = [e * v for e, root in zip((1,) + tail, roots) for v in root]
         s = Poly([complex(v) for v in np.linalg.solve(mat, rhs)], FLOAT)
         g, rem = (s * s - bpoly_f).divrem(sig_f)
-        if g.degree <= 1 and rem.max_abs() <= 1e-7 * max(
+        if g.degree <= budget - 2 and rem.max_abs() <= 1e-7 * max(
                 scale, 1.0, (s * s).max_abs()):
             out.append((g, s))
     return out
 
 
-def _zero_radicand_candidate(eq: NuEquation, bases, a_vec, b_vec, scale):
-    """The unique g with radicand identically zero, if the overdetermined
-    affine system is consistent."""
-    mat = np.array([[a_vec[i], b_vec[i]] for i in range(len(bases))], dtype=complex)
-    rhs = np.array([-b for b in bases], dtype=complex)
-    if np.linalg.matrix_rank(mat, tol=1e-12 * max(scale, 1.0)) < 2:
-        return None
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    resid = mat @ sol - rhs
-    if np.max(np.abs(resid)) > 1e-9 * max(scale, 1.0):
-        return None
-    return complex(sol[0]), complex(sol[1])
-
-
-def _disc_roots_1d(c2, c1, c0):
-    """Roots of the discriminant c1^2 - 4 c2 c0 where each c is an
-    affine pair (const, slope) in the remaining unknown."""
-    conv = [0j, 0j, 0j]
-    for i in range(2):
-        for j in range(2):
-            conv[i + j] += c1[i] * c1[j] - 4 * c2[i] * c0[j]
-    disc = Poly(conv, FLOAT)
-    if disc.is_zero:
-        raise NoBranchError("perfect-square set is not finite")
-    if disc.degree == 0:
-        return []
-    return disc.roots()
-
-
 def enumerate_branches(eq: NuEquation):
     """All admissible (g, pi) branches of the equation.
 
-    Extended mode: every branch square root s solves s^2 = B mod sigma
-    with B = ((sigma' - tau~)/2)^2 - sigma~. The candidates are its
-    solutions of degree <= 2, built by Hensel lifting sqrt(B) at each
-    root of sigma (and at infinity when deg sigma < 3) and joining the
-    pieces by Hermite interpolation, plus the g that makes the radicand
-    vanish identically. A repeated root where B vanishes gives no
-    branch (odd vanishing order below the multiplicity) or raises
-    NoBranchError (a continuum of branches). Classic mode solves the
-    scalar discriminant condition as a quadratic in k. Results are
-    deduplicated at 1e-8 and validated by exact division of sigma_bar;
-    exact equations get exact branches whenever the float g
+    Both modes solve one problem at the mode's degree budget, the bound
+    on deg sigma (3 extended, 2 classic): every branch square root s
+    solves s^2 = B mod sigma with B = ((sigma' - tau~)/2)^2 - sigma~,
+    deg s below the budget and g = (s^2 - B)/sigma of degree at most
+    budget - 2. The candidates are built by Hensel lifting sqrt(B) at
+    each root of sigma (and at infinity when deg sigma is below the
+    budget) and joining the pieces by Hermite interpolation; this also
+    finds the g that makes the radicand vanish identically. A repeated
+    root where B vanishes gives no branch (odd vanishing order below the
+    multiplicity) or raises NoBranchError (a continuum of branches).
+    Results are deduplicated at 1e-8 and validated by exact division of
+    sigma_bar; exact equations get exact branches whenever the float g
     rationalizes and re-verifies exactly.
     """
-    if eq.mode == CLASSIC:
-        return _enumerate_classic(eq)
-    bases, a_vec, b_vec = _affine_radicand_data(eq)
-    scale = max([1.0] + [abs(b) for b in bases])
-    candidates = _sqrt_mod_sigma_candidates(eq, scale)
-    zero_cand = _zero_radicand_candidate(eq, bases, a_vec, b_vec, scale)
-    if zero_cand is not None:
-        candidates.append((Poly([zero_cand[1], zero_cand[0]], FLOAT), None))
-
+    half = eq.half_gap().to_float()
+    scale = max(1.0, (half * half - eq.sigma_tilde.to_float()).max_abs())
     eq_f = eq.to_float()
     branches = []
-    for g, s in candidates:
+    for g, s in _sqrt_mod_sigma_candidates(eq, scale):
         branches.extend(_try_branches(eq_f, g, scale, s_hint=s))
     branches = _dedupe(_validated(eq_f, branches))
-    branches = _exactify_candidates(eq, branches, scale)
-    return branches
-
-
-def _enumerate_classic(eq: NuEquation):
-    bases, _, b_vec = _affine_radicand_data(eq)
-    scale = max([1.0] + [abs(b) for b in bases])
-    pairs = [(bases[i], b_vec[i]) for i in range(3)]
-    k_values = _disc_roots_1d(pairs[2], pairs[1], pairs[0])
-    # radicand identically zero for some k: only if sigma ~ radicand direction
-    mat = np.array([[b_vec[i]] for i in range(3)], dtype=complex)
-    rhs = np.array([-b for b in bases[:3]], dtype=complex)
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    if np.max(np.abs(mat @ sol - rhs)) <= 1e-9 * max(scale, 1.0):
-        k_values.append(complex(sol[0]))
-    eq_f = eq.to_float()
-    branches = []
-    for k in k_values:
-        g = Poly([k], FLOAT)
-        branches.extend(_try_branches(eq_f, g, scale))
-    branches = _dedupe(_validated(eq_f, branches))
-    return _exactify_classic(eq, branches, scale)
-
-
-def _exactify_classic(eq: NuEquation, branches, scale):
-    if eq.backend != EXACT:
-        return branches
-    out = []
-    for b in branches:
-        if b.backend == EXACT:
-            out.append(b)
-            continue
-        g_exacts = (Poly([k], EXACT) for k in _rationalizations(complex(b.g.coeff(0))))
-        out.append(_exact_branch(eq, b, g_exacts, _same_s, scale))
-    return out
-
-
-def _same_s(cand: PiBranch, b: PiBranch) -> bool:
-    if cand.backend != EXACT or cand.sign != b.sign:
-        return False
-    sf = cand.s.to_float()
-    return (sf - b.s).max_abs() <= 1e-6 * max(1.0, b.s.max_abs())
+    return _exactify_candidates(eq, branches, scale)
 
 
 def _check_pi(eq: NuEquation, pi: Poly):
@@ -819,12 +742,20 @@ def _null_polynomial(mat, rf: ReducedForm, n: int) -> Poly:
             "degenerate parameters)" % len(small)
         )
     vec = np.conj(vh[-1])
-    if abs(vec[n]) <= 1e-7 * np.max(np.abs(vec)):
+    if vec[n] == 0:
         raise NoBranchError(
             "polynomial solution has degree below %d (wrong accessory value)" % n
         )
-    vec = vec / vec[n]
-    return Poly([complex(v) for v in vec], FLOAT)
+    # the monomial coefficients of a true eigenpolynomial can span many
+    # orders of magnitude, so only a top coefficient that the monic
+    # Poly trims away marks a lower degree
+    poly = Poly([complex(v) for v in vec / vec[n]], FLOAT)
+    if poly.degree != n:
+        raise NoBranchError(
+            "polynomial solution has degree below %d (its top coefficient "
+            "is below TRIM_REL of its largest)" % n
+        )
+    return poly
 
 
 def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):

@@ -85,18 +85,12 @@ class Recurrence:
     (m >= 0) reads sum_i G_i(m - i + rho) c_{m-i} = 0, so
 
         c_m = -(sum_{i>=1} G_i(m-i+rho) c_{m-i}) / G_0(m+rho).
-
-    bandwidth is the number of back terms, len(bands) - 1.
     """
 
     point: object
     exponent: object
     bands: tuple
     backend: str
-
-    @property
-    def bandwidth(self) -> int:
-        return len(self.bands) - 1
 
     def indicial(self) -> Poly:
         return self.bands[0]

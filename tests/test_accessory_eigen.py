@@ -132,12 +132,17 @@ def _column_solve(images, rf, n):
             "degenerate parameters)" % len(small)
         )
     vec = np.conj(vh[-1])
-    if abs(vec[n]) <= 1e-7 * np.max(np.abs(vec)):
+    if vec[n] == 0:
         raise NoBranchError(
             "polynomial solution has degree below %d (wrong accessory value)" % n
         )
-    vec = vec / vec[n]
-    return Poly([complex(v) for v in vec], FLOAT)
+    poly = Poly([complex(v) for v in vec / vec[n]], FLOAT)
+    if poly.degree != n:
+        raise NoBranchError(
+            "polynomial solution has degree below %d (its top coefficient "
+            "is below TRIM_REL of its largest)" % n
+        )
+    return poly
 
 
 def _outcome(fn):
@@ -205,17 +210,7 @@ def _gate_cases():
         for n in range(2, 11):
             yield "heun", cls.label, n
     for cls in CHE_CLASSES:
-        for n in range(2, 10):
-            if (cls.label, n) == ("6", 9):
-                # the n+1 values are right (their null vectors sit at a
-                # singular-value ratio <= 1e-16), but the monomial
-                # coefficients of the eigenpolynomial at mu = 5.26 span
-                # more than 1e7, so the assembly's degree-below-n check
-                # rejects it
-                yield pytest.param("che", "6", 9, marks=pytest.mark.xfail(
-                    raises=NoBranchError, strict=True,
-                    reason="degree check on the monomial null vector"))
-                continue
+        for n in range(2, 12):
             yield "che", cls.label, n
 
 
@@ -235,6 +230,34 @@ def test_float_gate(family, label, n):
     assert _distinct(values)
     states = assemble(p, label, n, values)
     assert max(s.residual for s in states) <= 1e-8
+
+
+def test_confluent_eigenpolynomials_with_wide_coefficients_verify():
+    # the unit null vector at mu = 5.26 has its top monomial coefficient
+    # at 8.7e-8 of its largest; the state is right all the same
+    p = che_params_for_class("6", 9, 1.5, 1 / 3, 0.4)
+    states = che_eigenstates(p, "6", 9, che_accessory(p, "6", 9))
+    assert len(states) == 10
+    assert max(s.residual for s in states) <= 1e-8
+
+
+def test_degree_resonance_still_rejects_lower_degree_solutions():
+    # at these parameters two of the four degree-3 accessory values carry
+    # a degree-1 solution: the degree check must still reject them
+    p = heun_params_for_class("I", 3, 1.9, -1.2, -0.9, -0.9)
+    values = heun_accessory(p, "I", 3)
+    assert len(values) == 4
+    rejected = []
+    for q in values:
+        try:
+            state = heun_eigenstates(p, "I", 3, [q])[0]
+        except NoBranchError as exc:
+            assert "degree below 3" in str(exc)
+            rejected.append(q.real)
+        else:
+            assert state.residual <= 1e-8
+    assert len(rejected) == 2
+    assert abs(rejected[0] - 1.4855) < 1e-4 and abs(rejected[1] - 4.6045) < 1e-4
 
 
 def test_electrons_radius_grows_with_degree():

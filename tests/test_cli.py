@@ -374,3 +374,12 @@ def test_solve_degree_zero_detuned_accessory(capsys, family, label):
     code, _, err = run(capsys, *argv, "--accessory", repr(accessory + 1e-3))
     assert code == EXIT_NO_SOLUTION
     assert "no solution" in err
+
+
+def test_solve_rejects_eigenpolynomial_that_loses_its_degree(capsys):
+    # a null vector whose top coefficient the monic polynomial trims away
+    # would be reported with degree n - 1
+    code, _, err = run(capsys, "solve", "che", "--class", "2", "-n", "12",
+                       "--alpha=1/2", "--beta=1/3", "--gamma=13/9")
+    assert code == EXIT_NO_SOLUTION
+    assert "degree below 12" in err
