@@ -177,8 +177,7 @@ def _accessory_quotient(eq: NuEquation):
 
 def _match_heun(eq: NuEquation):
     """Exponent parameters when sigma = z(z-1)(z-a) and sigma~ factors
-    through sigma, else None. The alpha/beta split is never needed for
-    branch labeling, so the product is carried unsplit."""
+    through sigma, else None."""
     sig = eq.sigma
     if eq.mode != EXTENDED or sig.degree != 3:
         return None
@@ -191,8 +190,7 @@ def _match_heun(eq: NuEquation):
         return None
     if min(abs(complex(a)), abs(complex(a) - 1)) < 1e-12:
         return None
-    quot = _accessory_quotient(eq)
-    if quot is None:
+    if _accessory_quotient(eq) is None:
         return None
     tt = eq.tau_tilde
     return SimpleNamespace(
@@ -200,8 +198,6 @@ def _match_heun(eq: NuEquation):
         gamma=tt(0) / a,
         delta=tt(1) / (1 - a),
         epsilon=tt(a) / (a * (a - 1)),
-        q=-quot.coeff(0),
-        product=quot.coeff(1),
         backend=eq.backend,
     )
 

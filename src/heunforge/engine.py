@@ -129,7 +129,8 @@ def radicand(eq: NuEquation, g: Poly) -> Poly:
 class PiBranch:
     """One admissible branch: pi = (sigma' - tau~)/2 + sign * s with
     radicand(g) = s^2. sign 0 marks the degenerate collapse (radicand
-    identically zero)."""
+    identically zero). branch_from_pi gives a prescribed pi sign +1, or
+    0 when it collapses."""
 
     g: Poly
     s: Poly
@@ -473,27 +474,6 @@ def enumerate_branches(eq: NuEquation):
     return _exactify_candidates(eq, branches, scale)
 
 
-def _check_pi(eq: NuEquation, pi: Poly):
-    if pi.backend != eq.backend:
-        raise ValueError("pi backend differs from equation backend")
-    if pi.degree > 2:
-        raise ValueError("pi must have degree <= 2")
-
-
-def _branch_g(eq: NuEquation, lhs: Poly) -> Poly:
-    """g from the identity pi^2 + pi (tau~ - sigma') + sigma~ = g sigma,
-    given lhs = pi^2 + pi (tau~ - sigma'); raises unless sigma divides
-    and g keeps the mode's degree bound."""
-    num = lhs + eq.sigma_tilde
-    g, rem = num.divrem(eq.sigma)
-    if not _is_negligible(rem, num.max_abs(), DIVIDE_REL_TOL):
-        raise NoBranchError("prescribed pi does not divide: not a branch")
-    max_deg = 1 if eq.mode == EXTENDED else 0
-    if g.degree > max_deg:
-        raise NoBranchError("recovered g exceeds the mode's degree bound")
-    return g
-
-
 def _vanishes(p: Poly) -> bool:
     return _is_negligible(p, p.max_abs(), 1e-14)
 
@@ -501,26 +481,25 @@ def _vanishes(p: Poly) -> bool:
 def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
     """Branch with a prescribed pi (used when the class catalog already
     names it). g is recovered from the defining identity
-    pi^2 + pi (tau~ - sigma') + sigma~ = g sigma."""
-    _check_pi(eq, pi)
-    g = _branch_g(eq, pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()))
-    s = pi - eq.half_gap()
-    d = radicand(eq, g)
-    if _vanishes(d) and _vanishes(s):
-        return PiBranch(g, Poly.zero(eq.backend), eq.half_gap(), 0)
-    sign = 1
-    try:
-        s_hat, rem_hat = d.sqrt_head()
-    except ValueError:
-        s_hat, rem_hat = None, None
-    if s_hat is not None:
-        if (s_hat - s).to_float().max_abs() <= 1e-8 * max(1.0, s.to_float().max_abs()):
-            sign = 1
-        elif (s_hat + s).to_float().max_abs() <= 1e-8 * max(
-            1.0, s.to_float().max_abs()
-        ):
-            sign = -1
-    return PiBranch(g, s if sign == 1 else -s, pi, sign)
+    pi^2 + pi (tau~ - sigma') + sigma~ = g sigma, which sigma must divide
+    with g in the mode's degree bound. The branch gets sign +1 and
+    s = pi - (sigma' - tau~)/2, or sign 0, the collapse, when s and the
+    radicand both vanish."""
+    if pi.backend != eq.backend:
+        raise ValueError("pi backend differs from equation backend")
+    if pi.degree > 2:
+        raise ValueError("pi must have degree <= 2")
+    num = pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()) + eq.sigma_tilde
+    g, rem = num.divrem(eq.sigma)
+    if not _is_negligible(rem, num.max_abs(), DIVIDE_REL_TOL):
+        raise NoBranchError("prescribed pi does not divide: not a branch")
+    if g.degree > (1 if eq.mode == EXTENDED else 0):
+        raise NoBranchError("recovered g exceeds the mode's degree bound")
+    half = eq.half_gap()
+    s = pi - half
+    if _vanishes(s) and _vanishes(radicand(eq, g)):
+        return PiBranch(g, Poly.zero(eq.backend), half, 0)
+    return PiBranch(g, s, pi, 1)
 
 
 # -- reduction, quantization, prefactor --------------------------------------
@@ -536,9 +515,10 @@ def _sigma_bar_terms(eq: NuEquation, pi: Poly):
     )
 
 
-def _reduce(eq: NuEquation, pi: Poly, terms) -> ReducedForm:
+def _reduce(eq: NuEquation, sigma_tilde: Poly, pi: Poly, terms) -> ReducedForm:
+    """reduce_branch with this sigma~ in place of eq's."""
     pi_sq, pi_gap, dpi_sigma = terms
-    sigma_bar = eq.sigma_tilde + pi_sq + pi_gap + dpi_sigma
+    sigma_bar = sigma_tilde + pi_sq + pi_gap + dpi_sigma
     h, rem = sigma_bar.divrem(eq.sigma)
     if not _is_negligible(rem, max(sigma_bar.max_abs(), 1.0), DIVIDE_REL_TOL):
         raise NoBranchError(
@@ -557,7 +537,7 @@ def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     A nonzero division remainder marks an inadmissible branch."""
     if b.backend != eq.backend:
         eq = eq.to_float()
-    return _reduce(eq, b.pi, _sigma_bar_terms(eq, b.pi))
+    return _reduce(eq, eq.sigma_tilde, b.pi, _sigma_bar_terms(eq, b.pi))
 
 
 def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
@@ -763,53 +743,31 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     (accessory, sigma~) pair in `shifts`, on the sigma and tau~ of eq.
 
     The accessory parameter enters only sigma~ (see
-    NuEquation.with_accessory_shift), so the terms of pi that
-    branch_from_pi and reduce_branch add to sigma~, tau, the prefactor,
-    the coefficient map without its h part and the residual contour are
-    built once, when a state first needs them. Each state then runs the
-    per-state checks and arithmetic of branch_from_pi, quantization,
-    polynomial_solution, phi_factor and ode_residual (with `samples`
-    contour points) in that order: it gets the same values and raises
-    the same errors as that sequence.
+    NuEquation.with_accessory_shift), so it moves h and nothing else of
+    the branch. branch_from_pi(eq, pi) therefore runs once, before the
+    first state, and so does the construction of the terms pi adds to
+    sigma~, the coefficient map of sigma y'' + tau y' (h = 0,
+    tau = tau~ + 2 pi), the prefactor and the residual contour (with
+    `samples` points). Each state then only reduces its own sigma~ to h
+    as reduce_branch does, quantizes, solves the map with its h for the
+    polynomial and takes the contour residual, in that order.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    _check_pi(eq, pi)
-    shared = {pi: _BranchWork(eq, pi)}
-    lhs = shared[pi].terms[0] + shared[pi].terms[1]
-    s_vanishes = _vanishes(pi - eq.half_gap())
+    # a collapsed branch replaces pi by (sigma' - tau~)/2
+    pi = branch_from_pi(eq, pi).pi
+    terms = _sigma_bar_terms(eq, pi)
+    fixed = _fixed_map(eq.sigma, eq.tau_tilde + pi + pi, n)
+    phi = _prefactor(eq.sigma, pi)
+    psi = eq.psi_ode()
+    contour = ResidualContour(psi.p2, psi.p1, phi, samples)
     states = []
     for accessory, sigma_tilde in shifts:
-        eq_q = NuEquation(eq.tau_tilde, eq.sigma, sigma_tilde, eq.mode)
-        g = _branch_g(eq_q, lhs)
-        pi_q = pi
-        if s_vanishes and _vanishes(radicand(eq_q, g)):
-            # branch_from_pi's collapsed branch: pi = (sigma' - tau~)/2
-            pi_q = eq_q.half_gap()
-        if pi_q not in shared:
-            shared[pi_q] = _BranchWork(eq, pi_q)
-        work = shared[pi_q]
-        rf = _reduce(eq_q, pi_q, work.terms)
+        rf = _reduce(eq, sigma_tilde, pi, terms)
         qr = _quantize(eq.sigma, eq.mode, rf, n)
-        if work.fixed is None:
-            work.fixed = _fixed_map(eq.sigma, rf.tau, n)
-        poly = _null_polynomial(_with_h(work.fixed, rf.h), rf, n)
-        if work.phi is None:
-            work.phi = _prefactor(eq.sigma, pi_q)
-            psi = eq.psi_ode()
-            work.contour = ResidualContour(psi.p2, psi.p1, work.phi, samples)
+        poly = _null_polynomial(_with_h(fixed, rf.h), rf, n)
         states.append(Eigenstate(
-            n=n, accessory=accessory, quantization=qr, phi=work.phi,
-            poly=poly, residual=work.contour.residual(poly, sigma_tilde),
+            n=n, accessory=accessory, quantization=qr, phi=phi, poly=poly,
+            residual=contour.residual(poly, sigma_tilde),
         ))
     return states
-
-
-class _BranchWork:
-    """What the states on one branch pi share, filled in on first use:
-    the terms pi adds to sigma~, the coefficient map of sigma y'' + tau y'
-    (h = 0), the prefactor and the residual contour."""
-
-    def __init__(self, eq: NuEquation, pi: Poly):
-        self.terms = _sigma_bar_terms(eq, pi)
-        self.fixed = self.phi = self.contour = None

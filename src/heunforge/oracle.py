@@ -92,9 +92,6 @@ class Recurrence:
     bands: tuple
     backend: str
 
-    def indicial(self) -> Poly:
-        return self.bands[0]
-
 
 def _bands(p2s: Poly, p1s: Poly, p0s: Poly):
     """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of the

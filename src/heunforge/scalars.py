@@ -194,8 +194,6 @@ def as_scalar(value, backend):
             return RationalComplex(value)
         raise BackendMismatchError("cannot coerce %r to exact backend" % (value,))
     if backend == FLOAT:
-        if isinstance(value, RationalComplex):
-            return complex(value)
         return complex(value)
     raise ValueError("unknown backend %r" % (backend,))
 

@@ -240,20 +240,20 @@ def test_no_values_no_states():
 def test_collapsed_branch_follows_branch_from_pi():
     # With gamma = delta = epsilon = 1, (sigma' - tau~)/2 is zero and a pi
     # within 1e-14 of it collapses onto it (branch_from_pi's sign-0
-    # branch) exactly where the radicand vanishes to 1e-14, which depends
-    # on the accessory value: here the first and last roots collapse to
-    # pi = 0 and the middle one keeps pi = 1e-15. The margin is in the
-    # last bits of the q, so they are frozen here as they were resolved
-    # by the series-truncation solver.
+    # branch). The accessory value moves only h, so the collapse is
+    # decided once, on the equation at q = 0, and every state gets the
+    # collapsed branch pi = 0, whatever the last bits of its q. The q are
+    # frozen as they were resolved by the series-truncation solver; a
+    # per-state decision used to keep pi = 1e-15 for the middle one.
     p = heun_params_for_class("I", 2, 2, 1, 1, 1)
     roots = [complex(-2.708497377870827, -1.4432899320127035e-15),
              complex(-13.29150262212919, -1.722905672296715e-15),
              complex(-7.999999999999996, 5.915834907436654e-15)]
     pi = Poly([1e-15], FLOAT)
     shifts = [(q, heun_to_nu(replace(p, q=q)).sigma_tilde) for q in roots]
-    refs = [_reference_state(heun_to_nu(replace(p, q=q)), pi, 2, q)
-            for q in roots]
-    exps = [ref.phi.powers[1][1] for ref in refs]
-    assert exps[0] == exps[2] == 0 and exps[1] != 0
-    for got, ref in zip(eigenstates(heun_to_nu(p), pi, 2, shifts), refs):
-        _assert_same_state(got, ref)
+    got = eigenstates(heun_to_nu(p), pi, 2, shifts)
+    assert got[0].phi == got[1].phi == got[2].phi
+    for state, q in zip(got, roots):
+        ref = _reference_state(heun_to_nu(replace(p, q=q)), Poly.zero(FLOAT),
+                               2, q)
+        _assert_same_state(state, ref)

@@ -5,6 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heunforge import (
+    CHE_CLASSES,
+    HEUN_CLASSES,
+    che_accessory,
+    che_eigenstates,
+    che_params_for_class,
+    che_to_nu,
+    heun_accessory,
+    heun_eigenstates,
+    heun_params_for_class,
+    heun_to_nu,
+)
 from heunforge.engine import (
     CLASSIC,
     EXTENDED,
@@ -376,3 +388,50 @@ def test_exact_branches_survive_a_near_miss_rationalization():
     for b in branches[:2]:
         assert b.g.coeff(0) == rc(F(229211, 348480))
     assert abs(F(1966, 2989) - F(229211, 348480)) <= F(1, 10**9)
+
+
+# the README parameters, float backend
+_CLASS_CASES = [
+    (heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7), heun_to_nu,
+     HEUN_CLASSES),
+    (che_params_for_class("1", 2, 1.5, 1 / 3, 0.4), che_to_nu, CHE_CLASSES),
+]
+
+
+@pytest.mark.parametrize("p, to_nu, classes", _CLASS_CASES,
+                         ids=["heun", "che"])
+def test_branch_from_pi_gives_a_class_pi_sign_plus_one(p, to_nu, classes):
+    eq = to_nu(p)
+    for cls in classes:
+        pi = cls.pi(p)
+        b = branch_from_pi(eq, pi)
+        assert b.sign == 1, cls.label
+        assert b.pi == pi and b.s == pi - eq.half_gap()
+        rad = radicand(eq, b.g)
+        assert (rad - b.s * b.s).max_abs() <= 1e-9 * max(1.0, rad.max_abs())
+
+
+def _degree_two_solves():
+    """(p, equation, class, eigenstates function, accessory values) of
+    every class at degree 2 and the README parameters."""
+    for cls in HEUN_CLASSES:
+        p = heun_params_for_class(cls.label, 2, 1.9, 0.6, 0.8, 0.7)
+        yield (p, heun_to_nu(p), cls, heun_eigenstates,
+               heun_accessory(p, cls.label, 2))
+    for cls in CHE_CLASSES:
+        p = che_params_for_class(cls.label, 2, 1.5, 1 / 3, 0.4)
+        yield (p, che_to_nu(p), cls, che_eigenstates,
+               che_accessory(p, cls.label, 2))
+
+
+def test_class_solves_take_no_square_root(monkeypatch):
+    # a prescribed pi names its square root s = pi - (sigma' - tau~)/2
+    solves = list(_degree_two_solves())
+
+    def no_sqrt(self):
+        raise AssertionError("sqrt_head called")
+
+    monkeypatch.setattr(Poly, "sqrt_head", no_sqrt)
+    for p, eq, cls, eigenstates, values in solves:
+        branch_from_pi(eq, cls.pi(p))
+        assert len(eigenstates(p, cls.label, 2, values)) == 3
