@@ -21,7 +21,7 @@ modulo sigma, at the mode's budget.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -744,13 +744,13 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
 
     The accessory parameter enters only sigma~ (see
     NuEquation.with_accessory_shift), so it moves h and nothing else of
-    the branch. branch_from_pi(eq, pi) therefore runs once, before the
-    first state, and so does the construction of the terms pi adds to
-    sigma~, the coefficient map of sigma y'' + tau y' (h = 0,
-    tau = tau~ + 2 pi), the prefactor and the residual contour (with
-    `samples` points). Each state then only reduces its own sigma~ to h
-    as reduce_branch does, quantizes, solves the map with its h for the
-    polynomial and takes the contour residual, in that order.
+    the branch. So branch_from_pi(eq, pi), the terms pi adds to sigma~,
+    the coefficient map of sigma y'' + tau y' (h = 0, tau = tau~ + 2 pi),
+    the prefactor and the residual contour (`samples` points) are built
+    once. Each state then reduces its own sigma~ to h as reduce_branch
+    does, quantizes and solves the map with its h for the polynomial, in
+    that order. After the last state, one array pass over the stacked
+    polynomials and sigma~ gives all residuals (ResidualContour.residuals).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
@@ -761,13 +761,13 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     phi = _prefactor(eq.sigma, pi)
     psi = eq.psi_ode()
     contour = ResidualContour(psi.p2, psi.p1, phi, samples)
-    states = []
+    states, p0s = [], []
     for accessory, sigma_tilde in shifts:
         rf = _reduce(eq, sigma_tilde, pi, terms)
         qr = _quantize(eq.sigma, eq.mode, rf, n)
         poly = _null_polynomial(_with_h(fixed, rf.h), rf, n)
+        p0s.append(sigma_tilde)
         states.append(Eigenstate(
-            n=n, accessory=accessory, quantization=qr, phi=phi, poly=poly,
-            residual=contour.residual(poly, sigma_tilde),
-        ))
-    return states
+            n=n, accessory=accessory, quantization=qr, phi=phi, poly=poly))
+    residuals = contour.residuals([s.poly for s in states], p0s)
+    return [replace(s, residual=r) for s, r in zip(states, residuals)]

@@ -327,71 +327,111 @@ def residual_contour(p2: Poly, samples: int = 50):
 
 class ResidualContour:
     """The residual check's sample contour for one p2, p1 and prefactor
-    phi (None for none), with every value at each point that involves
-    neither the polynomial nor p0: p2(z), p1(z) and the prefactor's
-    log-derivative terms. Eigenstates of one equation at different
-    accessory values share it, since only p0 moves with the accessory."""
+    phi (None for none), shared by the eigenstates of one equation since
+    only p0 moves with the accessory. At each point it keeps z, p2(z),
+    p1(z) and phi's log-derivative terms (L, 2L, L^2 + L'), computed in
+    Python complex numbers and stored as (real, imaginary) float64 array
+    pairs for the array pass of `residuals`."""
 
     def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
         p2f, p1f = p2.to_float(), p1.to_float()
-        if phi is not None:
-            # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
-            de = phi.exp_part.to_float().derivative()
-            dde = de.derivative()
-            powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
-        self.points = []
-        for z in residual_contour(p2f, samples):
-            logd = None
-            if phi is not None:
-                lval, lder = de(z), dde(z)
-                for root, expo in powers:
-                    dz = z - root
-                    lval += expo / dz
-                    lder -= expo / (dz * dz)
-                logd = (lval, 2 * lval, lval * lval + lder)
-            self.points.append((z, p2f(z), p1f(z), logd))
+        points = residual_contour(p2f, samples)
+        self.z = _split(points)
+        self.p2 = _split([p2f(z) for z in points])
+        self.p1 = _split([p1f(z) for z in points])
+        self.logd = None
+        if phi is None:
+            return
+        # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
+        de = phi.exp_part.to_float().derivative()
+        dde = de.derivative()
+        powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
+        logds = []
+        for z in points:
+            lval, lder = de(z), dde(z)
+            for root, expo in powers:
+                dz = z - root
+                lval += expo / dz
+                lder -= expo / (dz * dz)
+            logds.append((lval, 2 * lval, lval * lval + lder))
+        self.logd = tuple(_split(column) for column in zip(*logds))
 
-    def residual(self, poly: Poly, p0: Poly) -> float:
+    def residuals(self, polys, p0s) -> list:
         """Largest relative residual of phi * poly against the ODE with
-        this contour's p2 and p1 and the given p0. The residual at each
-        point is |T2+T1+T0| / max |Ti| with the common prefactor
-        cancelled, Ti the three ODE terms."""
-        if poly.is_zero:
-            raise ValueError("zero eigenfunction")
-        p = poly.to_float()
-        dp = p.derivative()
-        ddp = dp.derivative()
-        p0f = p0.to_float()
-        worst = 0.0
-        for z, p2z, p1z, logd in self.points:
-            pv, dv, ddv = p(z), dp(z), ddp(z)
-            if logd is None:
-                w0, w1, w2 = pv, dv, ddv
+        this contour's p2, p1 and the matching p0, per pair of `polys` and
+        `p0s`: the largest |T2+T1+T0| / max |Ti| over the points, Ti the
+        ODE terms with phi cancelled, skipping a point where max |Ti| is
+        <= 64 eps of the largest magnitude summed into a term (noise).
+
+        The coefficients of every p, p', p'' and p0 are stacked, high order
+        first and zero-padded in front, into one block for one Horner loop
+        at all points. Products are written out on split real and imaginary
+        float64 arrays in Python's complex order, and moduli come from hypot,
+        since numpy's complex multiply and abs may round the last bit
+        otherwise: each residual is bit-identical to Python complex math."""
+        rows = []
+        for poly, p0 in zip(polys, p0s, strict=True):
+            if poly.is_zero:
+                raise ValueError("zero eigenfunction")
+            p = poly.to_float()
+            dp = p.derivative()
+            rows += [p.coeffs, dp.coeffs, dp.derivative().coeffs, p0.to_float().coeffs]
+        width = max(map(len, rows), default=0)
+        block = np.zeros((len(rows), width), dtype=complex)  # storage only
+        for row, coeffs in zip(block, rows):
+            row[width - len(coeffs):] = coeffs[::-1]
+        block = _split(block)[..., None]
+        acc = np.zeros((2, len(rows), self.z.shape[1]))
+        with np.errstate(all="ignore"):
+            for k in range(width):
+                acc = _mul(acc, self.z) + block[:, :, k]
+            pv, dv, ddv, p0v = (acc[:, k::4] for k in range(4))
+            if self.logd is None:
+                w1, w2, big1, big2 = dv, ddv, np.hypot(*dv), np.hypot(*ddv)
             else:
-                lval, twice, curv = logd
-                w0 = pv
-                w1 = dv + lval * pv
-                w2 = ddv + twice * dv + curv * pv
-            t2 = p2z * w2
-            t1 = p1z * w1
-            t0 = p0f(z) * w0
-            scale = max(abs(t2), abs(t1), abs(t0))
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(t2 + t1 + t0) / scale)
-        return worst
+                lval, twice, curv = self.logd
+                lp, tdv, cp = _mul(lval, pv), _mul(twice, dv), _mul(curv, pv)
+                w1, w2 = dv + lp, ddv + tdv + cp
+                big1 = np.hypot(*dv) + np.hypot(*lp)
+                big2 = np.hypot(*ddv) + np.hypot(*tdv) + np.hypot(*cp)
+            t2, t1, t0 = _mul(self.p2, w2), _mul(self.p1, w1), _mul(p0v, pv)
+            a2, a1, a0 = _abs(t2), _abs(t1), _abs(t0)
+            # max(a2, a1, a0) as Python's max takes it, NaN included
+            scale = np.where(a1 > a2, a1, a2)
+            scale = np.where(a0 > scale, a0, scale)
+            big = np.maximum(np.hypot(*self.p2) * big2, np.hypot(*self.p1) * big1)
+            ratio = _abs(t2 + t1 + t0) / scale
+            ratio[scale <= 64 * np.finfo(float).eps * np.maximum(big, a0)] = np.nan
+        return np.fmax.reduce(ratio, axis=1, initial=0.0).tolist()
+
+
+def _split(values):
+    arr = np.array(values, dtype=complex)  # storage only
+    return np.stack((arr.real, arr.imag))
+
+
+def _mul(a, b):
+    """Product of (real, imaginary) stacks, as Python's complex multiply."""
+    return np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+
+
+def _abs(a):
+    """Modulus of a (real, imaginary) stack, as Python's abs of a complex."""
+    out = np.hypot(*a)
+    if np.isinf(out[np.isfinite(a).all(axis=0)]).any():
+        raise OverflowError("absolute value too large")
+    return out
 
 
 def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
     """Largest relative residual of the assembled eigenfunction over the
-    sample contour: the one-state case of ResidualContour.
-
+    sample contour: the one-state case of ResidualContour.residuals.
     `state` provides the factorized eigenfunction via attributes `phi`
     (prefactor with `exp_part` and `powers`) and `poly`; a bare Poly is
-    accepted as an eigenfunction with trivial prefactor.
-    """
+    accepted as an eigenfunction with trivial prefactor."""
     if isinstance(state, Poly):
         poly, phi = state, None
     else:
         poly, phi = state.poly, state.phi
-    return ResidualContour(ode.p2, ode.p1, phi, samples).residual(poly, ode.p0)
+    contour = ResidualContour(ode.p2, ode.p1, phi, samples)
+    return contour.residuals([poly], [ode.p0])[0]

@@ -383,3 +383,16 @@ def test_solve_rejects_eigenpolynomial_that_loses_its_degree(capsys):
                        "--alpha=1/2", "--beta=1/3", "--gamma=13/9")
     assert code == EXIT_NO_SOLUTION
     assert "degree below 12" in err
+
+
+def test_solve_exact_state_with_vanishing_terms_verifies(capsys):
+    # at beta = 1 the mu = 0 state of class 7 is psi = 1: every ODE term
+    # is rounding noise at every contour point, which the residual skips
+    code, out, _ = run(capsys, "solve", "che", "--class", "7", "-n", "1",
+                       "--alpha", "1.5", "--beta", "1", "--gamma=-1/2",
+                       "--format", "json")
+    assert code == EXIT_OK
+    states = json.loads(out)["states"]
+    assert [complex(s["accessory"]) for s in states] == [0, 1]
+    assert states[0]["residual"] <= 1e-8
+    assert all(s["residual"] <= 1e-8 for s in states)

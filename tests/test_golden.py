@@ -5,6 +5,10 @@ Each golden file holds the argv (without --format json), the exit code
 and the parsed JSON output. Outputs are compared as parsed JSON, so key
 order and whitespace do not matter but every value does, floats
 included, so a change that moves a float in its last bit shows here.
+
+The table and CSV outputs of two README commands are frozen byte for
+byte in tests/golden/<name>.<format>.txt, since both print the
+residual and other floats in their own text form.
 """
 
 import json
@@ -37,3 +41,34 @@ def test_golden_output(name, capsys, monkeypatch):
     code = main(golden["argv"] + ["--format", "json"])
     assert code == golden["exit"]
     assert json.loads(capsys.readouterr().out) == golden["output"]
+
+
+TEXT_CASES = {
+    "classify_exact": [
+        "classify",
+        "--sigma", "z^3 - 3*z^2 + 2*z",
+        "--tau", "1 - 35/12*z + 19/12*z^2",
+        "--sigma-tilde", "-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4",
+        "--backend", "exact",
+    ],
+    "solve_heun_float": [
+        "solve", "heun", "--class", "I", "-n", "2",
+        "--a", "2", "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
+    ],
+}
+FORMATS = ("table", "csv")
+
+
+def test_every_golden_text_file_is_a_case():
+    assert sorted(p.name for p in GOLDEN.glob("*.txt")) == sorted(
+        "%s.%s.txt" % (name, fmt) for name in TEXT_CASES for fmt in FORMATS)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_golden_text_output(name, fmt, capsys, monkeypatch):
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    assert main(TEXT_CASES[name] + ["--format", fmt]) == 0
+    # bytes, so that CSV's \r\n line ends are compared too
+    golden = (GOLDEN / ("%s.%s.txt" % (name, fmt))).read_bytes().decode()
+    assert capsys.readouterr().out == golden

@@ -12,21 +12,24 @@ from heunforge.che import (
     CHE_CLASSES,
     che_accessory,
     che_eigenstate,
+    che_eigenstates,
     che_params_for_class,
     che_to_nu,
 )
-from heunforge.engine import PhiFactor
+from heunforge.engine import NoBranchError, PhiFactor
 from heunforge.family import accessory_family
 from heunforge.heun import (
     HEUN_CLASSES,
     heun_accessory,
     heun_eigenstate,
+    heun_eigenstates,
     heun_params_for_class,
     heun_to_nu,
 )
 from heunforge.oracle import (
     OdeFamily,
     OdeForm,
+    ResidualContour,
     coefficient_map,
     frobenius_recurrence,
     ode_residual,
@@ -328,3 +331,205 @@ def test_ode_residual_matches_per_point_reference():
         for samples in (50, 17):
             assert ode_residual(state, ode, samples) == _reference_residual(
                 state, ode, samples)
+
+
+def _plain_reference_residual(poly, ode, samples=50):
+    """ode_residual of a bare polynomial, point by point in Python
+    complex numbers."""
+    odef = ode.to_float()
+    p = poly.to_float()
+    dp = p.derivative()
+    ddp = dp.derivative()
+    worst = 0.0
+    for z in residual_contour(odef.p2, samples):
+        t2 = odef.p2(z) * ddp(z)
+        t1 = odef.p1(z) * dp(z)
+        t0 = odef.p0(z) * p(z)
+        scale = max(abs(t2), abs(t1), abs(t0))
+        if scale == 0.0:
+            continue
+        worst = max(worst, abs(t2 + t1 + t0) / scale)
+    return worst
+
+
+def _assert_bits(a, b):
+    assert type(a) is float and type(b) is float
+    assert a.hex() == b.hex()
+
+
+# README parameters: four-point a, gamma, delta, epsilon; confluent
+# alpha, beta, gamma
+FAMILIES = {
+    "heun": (HEUN_CLASSES, heun_params_for_class, heun_accessory,
+             heun_eigenstates, heun_eigenstate, heun_to_nu,
+             lambda p, t: replace(p, q=t), (1.9, 0.6, 0.8, 0.7)),
+    "che": (CHE_CLASSES, che_params_for_class, che_accessory,
+            che_eigenstates, che_eigenstate, che_to_nu,
+            lambda p, t: replace(p, mu=t, nu=p.coupling - t),
+            (1.5, 1 / 3, 0.4)),
+}
+
+
+def _per_state_error(single, p, label, n):
+    try:
+        single(p, label, n)
+    except NoBranchError as exc:
+        return str(exc)
+    return None
+
+
+def _check_eigenstates_call(family, label, n, args):
+    """One eigenstates call against the per-state reference: each state's
+    residual is the point-by-point one, to the bit, and a call that fails
+    fails on the first state the per-state loop fails on, with its error.
+    Returns the number of states checked, or None for a failed call."""
+    (_, params_for_class, accessory, batch, single, to_nu, at,
+     _) = FAMILIES[family]
+    p = params_for_class(label, n, *args)
+    values = accessory(p, label, n)
+    try:
+        states = batch(p, label, n, values)
+    except NoBranchError as exc:
+        errors = [_per_state_error(single, at(p, t), label, n) for t in values]
+        k = next(k for k, error in enumerate(errors) if error is not None)
+        assert errors[k] == str(exc), (label, n)
+        with pytest.raises(NoBranchError):
+            batch(p, label, n, values[k: k + 1])
+        states = batch(p, label, n, values[:k])
+        failed = True
+    else:
+        assert len(states) == len(values)
+        failed = False
+    for state in states:
+        ode = to_nu(at(p, state.accessory)).psi_ode()
+        _assert_bits(state.residual, _reference_residual(state, ode))
+    return None if failed else len(states)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_eigenstates_residuals_are_the_per_point_reference(family):
+    classes, args = FAMILIES[family][0], FAMILIES[family][-1]
+    checked = sum(_check_eigenstates_call(family, cls.label, n, args)
+                  for cls in classes for n in range(13))
+    assert checked == len(classes) * sum(n + 1 for n in range(13))
+
+
+@pytest.mark.parametrize("family, label, n, args", [
+    # degree resonances: states 1 and 3 of 4, and 1 of 3, have a null
+    # vector of lower degree; states 0 and 2 verify
+    ("heun", "I", 3, (1.9, -0.9, -0.9, -1.2)),
+    ("heun", "III", 2, (1.9, -2.1, -1.2, -2.1)),
+    # the monic eigenpolynomial's top coefficient is trimmed in state 0
+    ("che", "2", 12, (0.5, 1 / 3, 13 / 9)),
+])
+def test_failing_eigenstates_call_raises_the_per_state_error(
+        family, label, n, args):
+    assert _check_eigenstates_call(family, label, n, args) is None
+
+
+def test_residuals_batch_with_rows_of_different_degrees():
+    z = Poly.x(FLOAT)
+    phi = PhiFactor(Poly([0.3, -0.2j, 0.05], FLOAT),
+                    ((0j, -1 / 3 + 0j), (1 + 0j, 0.4 - 1j)))
+    p2 = z * (z - Poly.one(FLOAT)) * (z - Poly.constant(1.9, FLOAT))
+    p1 = z * z * (0.5 + 0.25j) + z * 2.0 + 1 / 3
+    polys = [
+        Poly([-0.5, 0.0, 1.0], FLOAT),
+        Poly([0.25 + 1j, 1.0], FLOAT),
+        Poly.one(FLOAT),
+        Poly([1.0, -2.0, 0.5j, 3.0, -0.75 + 0.1j, 1.0], FLOAT),
+        Poly([rc(F(-1, 3)), rc(0), rc(1)], EXACT),
+    ]
+    p0s = [
+        Poly.constant(4.0, FLOAT),
+        Poly([0.7, -1.3j, 2.0, 0.1, -0.02j], FLOAT),
+        Poly([0.0, 0.0, 0.0, 0.1, -5.0], FLOAT),
+        Poly.zero(FLOAT),
+        Poly([rc(F(2, 3)), rc(F(-5, 7), 1)], EXACT),
+    ]
+    for samples in (50, 17):
+        contour = ResidualContour(p2, p1, phi, samples)
+        got = contour.residuals(polys, p0s)
+        assert len(got) == len(polys)
+        for poly, p0, value in zip(polys, p0s, got):
+            state = SimpleNamespace(poly=poly, phi=phi)
+            ode = OdeForm(p2, p1, p0.to_float())
+            _assert_bits(value, _reference_residual(state, ode, samples))
+            _assert_bits(value, ode_residual(state, ode, samples))
+    assert ResidualContour(p2, p1, phi).residuals([], []) == []
+
+
+def test_phi_free_residual_is_the_per_point_reference():
+    z = Poly.x(FLOAT)
+    odes = [
+        OdeForm(Poly.one(FLOAT), z * (-2.0), Poly.constant(4.0, FLOAT)),
+        OdeForm(z * (z - Poly.one(FLOAT)), z * (1.5 - 0.5j) + 0.3,
+                z * 0.2 - Poly.constant(1.1j, FLOAT)),
+    ]
+    polys = [
+        Poly([-0.5, 0.0, 1.0], FLOAT),
+        Poly([-0.4, 0.0, 1.0], FLOAT),
+        Poly([0.3 - 0.1j, -1.7, 0.2j, 1.0], FLOAT),
+    ]
+    for ode in odes:
+        for poly in polys:
+            for samples in (50, 17):
+                _assert_bits(ode_residual(poly, ode, samples),
+                             _plain_reference_residual(poly, ode, samples))
+
+
+def test_residual_on_a_contour_that_dropped_points():
+    # two sigma roots close together on the circle: one of the 17 sample
+    # points cannot be pushed clear of both and is dropped
+    z = Poly.x(FLOAT)
+    r1, r2 = 0.95 + 0.05j, 0.95 - 0.08j
+    p2 = (z - Poly.constant(r1, FLOAT)) * (z - Poly.constant(r2, FLOAT))
+    assert len(residual_contour(p2, 17)) < 17
+    ode = OdeForm(p2, z * (0.7 + 0.2j) - 1.0, Poly.constant(-0.6, FLOAT))
+    phi = PhiFactor(Poly([0.0, 0.3], FLOAT), ((r1, 0.25 + 0j), (r2, -0.5j)))
+    for poly in (Poly([-0.5, 0.0, 1.0], FLOAT), Poly([0.2j, 1.0], FLOAT)):
+        state = SimpleNamespace(poly=poly, phi=phi)
+        _assert_bits(ode_residual(state, ode, 17),
+                     _reference_residual(state, ode, 17))
+        _assert_bits(ode_residual(poly, ode, 17),
+                     _plain_reference_residual(poly, ode, 17))
+
+
+def test_residual_where_all_three_terms_are_zero():
+    # p = z - z3 and p1 = z - z3 vanish at the contour point z3, and
+    # p'' = 0, so T2, T1 and T0 are exactly 0 there and the point is
+    # skipped; every other point counts
+    z3 = residual_contour(Poly.one(FLOAT))[3]
+    poly = Poly([-z3, 1.0], FLOAT)
+    ode = OdeForm(Poly.one(FLOAT), Poly([-z3, 1.0], FLOAT),
+                  Poly([-1.0, 0.5], FLOAT))
+    terms = (ode.p2(z3) * 0, ode.p1(z3) * poly.derivative()(z3),
+             ode.p0(z3) * poly(z3))
+    assert all(t == 0 for t in terms)
+    value = ode_residual(poly, ode)
+    _assert_bits(value, _plain_reference_residual(poly, ode))
+    assert 0.0 < value < math.inf
+
+
+def test_residual_skips_points_where_the_terms_are_rounding_noise():
+    # the mu = 0 state of confluent class 7 at beta = 1 is psi = 1, an
+    # exact solution whose terms are all about 1e-18 at every point:
+    # noise divided by itself used to read 1.88 there
+    p = che_params_for_class("7", 1, 1.5, 1.0, -0.5)
+    values = che_accessory(p, "7", 1)
+    states = che_eigenstates(p, "7", 1, values)
+    zero = [s for s in states if abs(s.accessory) < 1e-12]
+    assert len(zero) == 1 and zero[0].residual <= 1e-8
+    assert all(s.residual <= 1e-8 for s in states)
+
+
+def test_residual_overflow_raises_as_python_abs_does():
+    # a term whose finite parts overflow in the modulus raises, as abs()
+    # of a Python complex does
+    huge = Poly.constant(1.5e308, FLOAT)
+    ode = OdeForm(Poly.one(FLOAT), Poly.zero(FLOAT),
+                  Poly.constant(1 + 1j, FLOAT))
+    with pytest.raises(OverflowError):
+        _plain_reference_residual(huge, ode)
+    with pytest.raises(OverflowError):
+        ode_residual(huge, ode)
