@@ -189,10 +189,6 @@ def che_class_relation(p: CheParams, label, n: int):
     return family.class_relation(CHE_CLASSES, p, label, n)
 
 
-def _check_relation(p, label, n):
-    family.check_relation(CHE_CLASSES, p, label, n)
-
-
 def che_accessory(p: CheParams, label, n: int):
     """Accessory values mu admitting a degree-n class solution (the mu
     stored in p is ignored; mu + nu is held at the class value): the

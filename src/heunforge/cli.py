@@ -8,6 +8,16 @@ the eigenfunctions with their contour residuals; `app` runs one of the
 bundled model problems and reports closed-form values next to their
 verification residuals.
 
+Each `cmd_*` formats nothing itself: it returns a record
+(top, items, checks) of raw values. `top` holds the top-level
+fields, `items` the branches, the states or the app report, and
+`checks` the named verification checks. One dispatch, `_render`, prints
+the record. JSON turns every Poly and scalar into its JSON form in one
+recursive pass (`_jsonable`) and prints the document indented, with
+sorted keys. CSV and table output come from the command's own row and
+line functions over the same record. The exit code follows from the
+checks alone: 4 if any failed, else 0.
+
 Exit codes: 0 all checks passed, 2 usage or parse error, 3 no solution
 exists (no branch / no accessory root / class relation violated),
 4 a verification residual exceeded its tolerance.
@@ -22,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -134,16 +144,20 @@ def _check(name: str, value: float, tolerance: float):
     }
 
 
-def _emit_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _verdict(check) -> str:
+    verdict = "PASS" if check["passed"] else "FAIL"
+    return "[%s <= %g]" % (verdict, check["tolerance"])
 
 
-def _emit_csv(header, rows):
-    """Rows hold their values in header order; no rows writes the header
-    alone."""
-    writer = csv.writer(sys.stdout)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _jsonable(value):
+    """value with every Poly and scalar in it in its JSON form."""
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Poly):
+        return _poly_json(value)
+    return _scalar_json(value)
 
 
 def _cell(value) -> str:
@@ -152,15 +166,6 @@ def _cell(value) -> str:
     if isinstance(value, (RationalComplex, complex)):
         return format_scalar(value)
     return str(value)
-
-
-def _emit_table(lines):
-    for line in lines:
-        print(line)
-
-
-def _checks_exit(checks) -> int:
-    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_VERIFICATION
 
 
 # -- family detection ---------------------------------------------------------
@@ -248,7 +253,7 @@ def _branch_label(branch, catalog) -> str:
 # -- classify -----------------------------------------------------------------
 
 
-def cmd_classify(args, config: RunConfig) -> int:
+def cmd_classify(args, config: RunConfig):
     backend = config.backend
     eq = NuEquation(
         parse_poly(args.tau, backend),
@@ -264,56 +269,36 @@ def cmd_classify(args, config: RunConfig) -> int:
     entries = []
     for branch in branches:
         reduced = reduce_branch(eq, branch)
-        entries.append(
-            {
-                "sign": branch.sign,
-                "class": _branch_label(branch, catalog),
-                "g": branch.g,
-                "pi": branch.pi,
-                "tau": reduced.tau,
-                "h": reduced.h,
-            }
-        )
-    if config.fmt == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "classify",
-                "backend": backend,
-                "mode": args.mode,
-                "family": family,
-                "branches": [
-                    {
-                        "sign": e["sign"],
-                        "class": e["class"],
-                        "g": _poly_json(e["g"]),
-                        "pi": _poly_json(e["pi"]),
-                        "tau": _poly_json(e["tau"]),
-                        "h": _poly_json(e["h"]),
-                    }
-                    for e in entries
-                ],
-            }
-        )
-    elif config.fmt == "csv":
-        _emit_csv(
-            ["index", "class", "sign", "g", "pi", "tau", "h"],
-            [
-                [k, e["class"], e["sign"]]
-                + [_cell(e[key]) for key in ("g", "pi", "tau", "h")]
-                for k, e in enumerate(entries)
-            ],
-        )
-    else:
-        lines = ["%d branches (%s mode)%s" % (
-            len(entries), args.mode, " family: " + family if family else "")]
-        for k, e in enumerate(entries):
-            tag = " class %s" % e["class"] if e["class"] else ""
-            lines.append("branch %d  sign %+d%s" % (k, e["sign"], tag))
-            for key in ("g", "pi", "tau", "h"):
-                lines.append("  %-4s %s" % (key, _cell(e[key])))
-        _emit_table(lines)
-    return EXIT_OK
+        entries.append({
+            "sign": branch.sign,
+            "class": _branch_label(branch, catalog),
+            "g": branch.g,
+            "pi": branch.pi,
+            "tau": reduced.tau,
+            "h": reduced.h,
+        })
+    return {"backend": backend, "mode": args.mode, "family": family}, entries, []
+
+
+_BRANCH_POLYS = ("g", "pi", "tau", "h")
+
+
+def _classify_csv(top, branches, checks):
+    return ["index", "class", "sign", *_BRANCH_POLYS], [
+        [k, b["class"], b["sign"], *(_cell(b[key]) for key in _BRANCH_POLYS)]
+        for k, b in enumerate(branches)
+    ]
+
+
+def _classify_table(top, branches, checks):
+    family = top["family"]
+    yield "%d branches (%s mode)%s" % (
+        len(branches), top["mode"], " family: " + family if family else "")
+    for k, b in enumerate(branches):
+        tag = " class %s" % b["class"] if b["class"] else ""
+        yield "branch %d  sign %+d%s" % (k, b["sign"], tag)
+        for key in _BRANCH_POLYS:
+            yield "  %-4s %s" % (key, _cell(b[key]))
 
 
 # -- solve --------------------------------------------------------------------
@@ -368,7 +353,7 @@ def _solve_states(args, config: RunConfig):
     return assemble(p, args.label, args.n, values, config.samples)
 
 
-def cmd_solve(args, config: RunConfig) -> int:
+def cmd_solve(args, config: RunConfig):
     missing = [f for f in _SOLVE_PARAMS[args.family] if getattr(args, f) is None]
     if missing:
         raise UsageError(
@@ -379,140 +364,80 @@ def cmd_solve(args, config: RunConfig) -> int:
     if not states:
         raise NoBranchError("no accessory value admits a terminating solution")
     tol = config.tolerances["residual"]
-    checks = []
-    entries = []
-    for state in states:
-        check = _check("residual", state.residual, tol)
-        checks.append(check)
-        entries.append((state, check))
-    if config.fmt == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "solve",
-                "backend": config.backend,
-                "family": args.family,
-                "class": args.label,
-                "n": args.n,
-                "states": [
-                    {
-                        "accessory": _scalar_json(s.accessory),
-                        "slope_residual": _scalar_json(
-                            s.quantization.slope_residual
-                        ),
-                        "constant_offset": _scalar_json(
-                            s.quantization.constant_offset
-                        ),
-                        "poly": _poly_json(s.poly),
-                        "phi_exp": _poly_json(s.phi.exp_part),
-                        "phi_powers": [
-                            {"root": _scalar_json(r), "exponent": _scalar_json(e)}
-                            for r, e in s.phi.powers
-                        ],
-                        "residual": s.residual,
-                        "check": chk,
-                    }
-                    for s, chk in entries
-                ],
-            }
-        )
-    elif config.fmt == "csv":
-        _emit_csv(
-            ["accessory", "residual", "slope_residual", "poly", "passed"],
-            [
-                [
-                    _cell(s.accessory),
-                    s.residual,
-                    _cell(s.quantization.slope_residual),
-                    _cell(s.poly),
-                    chk["passed"],
-                ]
-                for s, chk in entries
-            ],
-        )
-    else:
-        lines = [
-            "%s class %s, degree %d: %d state(s)"
-            % (args.family, args.label, args.n, len(entries))
-        ]
-        for s, chk in entries:
-            verdict = "PASS" if chk["passed"] else "FAIL"
-            lines.append("accessory %s" % _cell(s.accessory))
-            lines.append("  poly     %s" % _cell(s.poly))
-            lines.append("  phi exp  %s" % _cell(s.phi.exp_part))
-            for root, expo in s.phi.powers:
-                lines.append(
-                    "  phi power (z - %s)^%s" % (_cell(root), _cell(expo))
-                )
-            lines.append(
-                "  residual %.3e  [%s <= %g]" % (s.residual, verdict, tol)
-            )
-        _emit_table(lines)
-    return _checks_exit(checks)
+    entries = [
+        {
+            "accessory": s.accessory,
+            "slope_residual": s.quantization.slope_residual,
+            "constant_offset": s.quantization.constant_offset,
+            "poly": s.poly,
+            "phi_exp": s.phi.exp_part,
+            "phi_powers": [{"root": r, "exponent": e} for r, e in s.phi.powers],
+            "residual": s.residual,
+            "check": _check("residual", s.residual, tol),
+        }
+        for s in states
+    ]
+    top = {"backend": config.backend, "family": args.family,
+           "class": args.label, "n": args.n}
+    return top, entries, [e["check"] for e in entries]
+
+
+def _solve_csv(top, states, checks):
+    return ["accessory", "residual", "slope_residual", "poly", "passed"], [
+        [_cell(s["accessory"]), s["residual"], _cell(s["slope_residual"]),
+         _cell(s["poly"]), s["check"]["passed"]]
+        for s in states
+    ]
+
+
+def _solve_table(top, states, checks):
+    yield "%s class %s, degree %d: %d state(s)" % (
+        top["family"], top["class"], top["n"], len(states))
+    for s in states:
+        yield "accessory %s" % _cell(s["accessory"])
+        yield "  poly     %s" % _cell(s["poly"])
+        yield "  phi exp  %s" % _cell(s["phi_exp"])
+        for power in s["phi_powers"]:
+            yield "  phi power (z - %s)^%s" % (
+                _cell(power["root"]), _cell(power["exponent"]))
+        yield "  residual %.3e  %s" % (s["residual"], _verdict(s["check"]))
 
 
 # -- app ----------------------------------------------------------------------
 
 
-def _app_coulomb(args, config: RunConfig):
-    for name in ("n", "m", "gamma"):
-        if getattr(args, name) is None:
-            raise UsageError("coulomb3s requires --n, --m, --gamma")
+def _app_coulomb(args, tols):
     report = coulomb3s_verify(args.n, args.m, float(args.gamma))
-    tol = config.tolerances["relation"]
     checks = [
-        _check("relation_direct", report.residual_direct, tol),
-        _check("relation_flipped", report.residual_flipped, tol),
+        _check("relation_direct", report.residual_direct, tols["relation"]),
+        _check("relation_flipped", report.residual_flipped, tols["relation"]),
     ]
-    payload = {
-        "n": report.n,
-        "m": report.m,
-        "gamma": report.gamma,
-        "energy": _scalar_json(report.energy),
-        "s_plus": _scalar_json(report.s_plus),
-        "s_minus": _scalar_json(report.s_minus),
-        "residual_direct": report.residual_direct,
-        "residual_flipped": report.residual_flipped,
-    }
-    return payload, checks
+    return asdict(report), checks
 
 
-def _app_electrons(args, config: RunConfig):
-    for name in ("n", "gamma", "delta"):
-        if getattr(args, name) is None:
-            raise UsageError("electrons-sphere requires --n, --gamma, --delta")
+def _app_electrons(args, tols):
     state = electrons_sphere_state(args.n, float(args.gamma), float(args.delta))
-    checks = [_check("bethe", state.bethe, config.tolerances["bethe"])]
     payload = {
         "n": state.n,
         "gamma": state.gamma_param,
         "delta": state.delta_param,
         "radius": state.radius,
         "energy": state.energy,
-        "accessory": _scalar_json(state.accessory),
-        "roots": [_scalar_json(r) for r in state.roots],
+        "accessory": state.accessory,
+        "roots": state.roots,
         "bethe": state.bethe,
     }
-    return payload, checks
+    return payload, [_check("bethe", state.bethe, tols["bethe"])]
 
 
-def _app_doublewell(args, config: RunConfig):
-    for name in ("n", "d", "u0"):
-        if getattr(args, name) is None:
-            raise UsageError("double-well requires --n, --d, --u0")
+def _app_doublewell(args, tols):
     parity = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}[
         args.parity
     ]
     report = doublewell_verify(args.n, float(args.d), float(args.u0), parity)
     checks = [
-        _check(
-            "relation", report.relation_residual, config.tolerances["relation"]
-        ),
-        _check(
-            "termination",
-            report.termination_residual,
-            config.tolerances["termination"],
-        ),
+        _check("relation", report.relation_residual, tols["relation"]),
+        _check("termination", report.termination_residual, tols["termination"]),
     ]
     payload = {
         "N": report.N,
@@ -522,54 +447,80 @@ def _app_doublewell(args, config: RunConfig):
         "epsilon": report.epsilon,
         "matched_class": report.matched_class,
         "relation_residual": report.relation_residual,
-        "resolved_mu": [_scalar_json(v) for v in report.resolved_mu],
+        "resolved_mu": report.resolved_mu,
         "termination_residual": report.termination_residual,
     }
     return payload, checks
 
 
+# per app: its report function and the options it requires
 _APPS = {
-    "coulomb3s": _app_coulomb,
-    "electrons-sphere": _app_electrons,
-    "double-well": _app_doublewell,
+    "coulomb3s": (_app_coulomb, ("n", "m", "gamma")),
+    "electrons-sphere": (_app_electrons, ("n", "gamma", "delta")),
+    "double-well": (_app_doublewell, ("n", "d", "u0")),
 }
 
 
-def cmd_app(args, config: RunConfig) -> int:
-    payload, checks = _APPS[args.name](args, config)
-    if config.fmt == "json":
-        _emit_json(
-            {
-                "schema": SCHEMA_VERSION,
-                "command": "app",
-                "app": args.name,
-                "backend": config.backend,
-                "report": payload,
-                "checks": checks,
-            }
-        )
-    elif config.fmt == "csv":
-        row = {
-            k: _cell(v) if not isinstance(v, (list, dict)) else json.dumps(v)
-            for k, v in payload.items()
-        }
-        for chk in checks:
-            row[chk["name"] + "_passed"] = chk["passed"]
-        _emit_csv(list(row), [list(row.values())])
+def cmd_app(args, config: RunConfig):
+    run, required = _APPS[args.name]
+    if any(getattr(args, name) is None for name in required):
+        raise UsageError("%s requires %s" % (
+            args.name, ", ".join("--" + name for name in required)))
+    report, checks = run(args, config.tolerances)
+    return {"app": args.name, "backend": config.backend}, report, checks
+
+
+def _app_csv(top, report, checks):
+    row = {
+        key: json.dumps(v) if isinstance(v, (list, dict)) else str(v)
+        for key, v in _jsonable(report).items()
+    }
+    for check in checks:
+        row[check["name"] + "_passed"] = check["passed"]
+    return list(row), [list(row.values())]
+
+
+def _app_table(top, report, checks):
+    yield "%s report" % top["app"]
+    for key, value in _jsonable(report).items():
+        if isinstance(value, list):
+            value = ", ".join(str(v) for v in value)
+        yield "  %-20s %s" % (key, value)
+    for check in checks:
+        yield "  check %-14s %.3e  %s" % (
+            check["name"], check["value"], _verdict(check))
+
+
+# -- output -------------------------------------------------------------------
+
+# per command: the JSON key of its items, whether its checks get a JSON
+# key of their own (solve puts each state's check in the state), and its
+# CSV (header, rows) and table lines functions
+_RENDERERS = {
+    "classify": ("branches", False, _classify_csv, _classify_table),
+    "solve": ("states", False, _solve_csv, _solve_table),
+    "app": ("report", True, _app_csv, _app_table),
+}
+
+
+def _render(command: str, fmt: str, record):
+    top, items, checks = record
+    items_key, own_checks, csv_rows, table_lines = _RENDERERS[command]
+    if fmt == "json":
+        doc = {"schema": SCHEMA_VERSION, "command": command, **top,
+               items_key: items}
+        if own_checks:
+            doc["checks"] = checks
+        print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    elif fmt == "csv":
+        # no rows writes the header alone
+        header, rows = csv_rows(*record)
+        writer = csv.writer(sys.stdout)
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        lines = ["%s report" % args.name]
-        for key, value in payload.items():
-            if isinstance(value, list):
-                value = ", ".join(str(v) for v in value)
-            lines.append("  %-20s %s" % (key, value))
-        for chk in checks:
-            verdict = "PASS" if chk["passed"] else "FAIL"
-            lines.append(
-                "  check %-14s %.3e  [%s <= %g]"
-                % (chk["name"], chk["value"], verdict, chk["tolerance"])
-            )
-        _emit_table(lines)
-    return _checks_exit(checks)
+        for line in table_lines(*record):
+            print(line)
 
 
 # -- parser -------------------------------------------------------------------
@@ -689,7 +640,10 @@ def main(argv=None) -> int:
             fmt=args.fmt,
             samples=args.samples,
         )
-        return args.func(args, config)
+        record = args.func(args, config)
+        _render(args.command, config.fmt, record)
+        failed = any(not check["passed"] for check in record[2])
+        return EXIT_VERIFICATION if failed else EXIT_OK
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

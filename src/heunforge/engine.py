@@ -99,18 +99,6 @@ class NuEquation:
         half = as_scalar(Fraction(1, 2), self.backend)
         return diff * half
 
-    def with_accessory_shift(self, amount) -> "NuEquation":
-        """Shift sigma~ by -amount * sigma (how the accessory parameter
-        enters both equation families); branches are unaffected except
-        for h, which drops by the same amount."""
-        amount = as_scalar(amount, self.backend)
-        return NuEquation(
-            self.tau_tilde,
-            self.sigma,
-            self.sigma_tilde - self.sigma * amount,
-            self.mode,
-        )
-
     def psi_ode(self) -> OdeForm:
         """The equation as polynomial ODE: sigma^2 psi'' + sigma tau~ psi'
         + sigma~ psi = 0."""
@@ -742,15 +730,15 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     """Degree-n eigenstates on the branch with this pi, one for each
     (accessory, sigma~) pair in `shifts`, on the sigma and tau~ of eq.
 
-    The accessory parameter enters only sigma~ (see
-    NuEquation.with_accessory_shift), so it moves h and nothing else of
-    the branch. So branch_from_pi(eq, pi), the terms pi adds to sigma~,
-    the coefficient map of sigma y'' + tau y' (h = 0, tau = tau~ + 2 pi),
-    the prefactor and the residual contour (`samples` points) are built
-    once. Each state then reduces its own sigma~ to h as reduce_branch
-    does, quantizes and solves the map with its h for the polynomial, in
-    that order. After the last state, one array pass over the stacked
-    polynomials and sigma~ gives all residuals (ResidualContour.residuals).
+    The accessory parameter enters only sigma~, as -accessory * sigma,
+    so it moves h and nothing else of the branch. So branch_from_pi(eq,
+    pi), the terms pi adds to sigma~, the coefficient map of
+    sigma y'' + tau y' (h = 0, tau = tau~ + 2 pi), the prefactor and the
+    residual contour (`samples` points) are built once. Each state then
+    reduces its own sigma~ to h as reduce_branch does, quantizes and
+    solves the map with its h for the polynomial, in that order. After
+    the last state, one array pass over the stacked polynomials and
+    sigma~ gives all residuals (ResidualContour.residuals).
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")

@@ -215,10 +215,6 @@ def heun_class_relation(p: HeunParams, label: str, n: int):
     return family.class_relation(HEUN_CLASSES, p, label, n)
 
 
-def _check_relation(p, label, n):
-    family.check_relation(HEUN_CLASSES, p, label, n)
-
-
 def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
     stored in p is ignored): the n+1 eigenvalues of the degree-n

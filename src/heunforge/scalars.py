@@ -288,7 +288,11 @@ def parse_scalar(text: str, backend: str):
             re_part += value
     if backend == EXACT:
         return RationalComplex(re_part, im_part)
-    return complex(float(re_part), float(im_part))
+    try:
+        return complex(float(re_part), float(im_part))
+    except OverflowError:
+        raise ValueError(
+            "numeric literal %r is beyond float range" % text) from None
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, backend selection."""
 
 import json
+import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from heunforge import (
     HEUN_CLASSES,
     NuEquation,
     PiBranch,
+    RationalComplex,
     enumerate_branches,
     heun_accessory,
     heun_eigenstate,
@@ -32,6 +35,7 @@ from heunforge.cli import (
     build_parser,
     main,
 )
+from heunforge.scalars import parse_scalar
 
 CLASSIFY_ARGS = [
     "classify",
@@ -396,3 +400,49 @@ def test_solve_exact_state_with_vanishing_terms_verifies(capsys):
     assert [complex(s["accessory"]) for s in states] == [0, 1]
     assert states[0]["residual"] <= 1e-8
     assert all(s["residual"] <= 1e-8 for s in states)
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--sigma", "z^2 - z", "--tau", "1 - 2*z",
+     "--sigma-tilde", "1e400*z"],
+    ["solve", "heun", "--class", "I", "-n", "1", "--a", "2", "--gamma", "1/2",
+     "--delta", "1/3", "--epsilon", "3/4", "--accessory", "1e400"],
+])
+def test_float_literal_beyond_float_range_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--backend", "float")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:") and "beyond float range" in err
+    # the exact backend keeps the literal as it is
+    assert parse_scalar("1e400", EXACT) == RationalComplex(10**400, 0)
+
+
+def _readme_commands():
+    """Every `heunforge ...` command of README's sh blocks, as argv lists
+    without the program name."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for command in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(command)
+            if argv and argv[0] == "heunforge":
+                commands.append(argv[1:])
+    return commands
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_seven_commands():
+    assert len(README_COMMANDS) == 7
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[
+    "%d-%s" % (k, argv[0]) for k, argv in enumerate(README_COMMANDS)])
+def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    # a later --format overrides the one a README command gives
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == EXIT_OK, err
+    assert out and not err

@@ -33,9 +33,8 @@ from heunforge import (
     polynomial_solution,
     quantization,
 )
-from heunforge import che as che_module
-from heunforge import heun as heun_module
 from heunforge.engine import eigenstates
+from heunforge.family import check_relation
 
 DEGREES = range(1, 9)
 
@@ -54,13 +53,13 @@ def _reference_state(eq, pi, n, accessory, samples=50):
 
 
 def _reference_heun(p, label, n, samples=50):
-    heun_module._check_relation(p, label, n)
+    check_relation(HEUN_CLASSES, p, label, n)
     return _reference_state(heun_to_nu(p), heun_class(label).pi(p), n, p.q,
                             samples)
 
 
 def _reference_che(p, label, n, samples=50):
-    che_module._check_relation(p, label, n)
+    check_relation(CHE_CLASSES, p, label, n)
     return _reference_state(che_to_nu(p), che_class(label).pi(p), n, p.mu,
                             samples)
 

@@ -243,8 +243,10 @@ def test_classic_mode_hermite():
 
 
 def test_accessory_shift_moves_h_only():
+    # the accessory enters sigma~ = (alpha beta z - q) sigma, so q + 0.25
+    # moves sigma~ by -0.25 sigma
     eq = heun_nu(2.3, 0.7, 1.2, 0.9, 1.37, 0.41)
-    shifted = eq.with_accessory_shift(0.25)
+    shifted = heun_nu(2.3, 0.7, 1.2, 0.9, 1.37, 0.41 + 0.25)
     b = branch_from_pi(eq, Poly.zero(FLOAT))
     bs = branch_from_pi(shifted, Poly.zero(FLOAT))
     h0 = reduce_branch(eq, b).h

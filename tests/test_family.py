@@ -24,8 +24,7 @@ from heunforge import (
     reduce_branch,
     termination_solve,
 )
-from heunforge import che as che_module
-from heunforge import heun as heun_module
+from heunforge.family import check_relation
 from heunforge.scalars import as_scalar
 
 DEGREES = range(0, 9)
@@ -34,7 +33,7 @@ DEGREES = range(0, 9)
 def _reference_heun_accessory(p, label, n):
     """heun_accessory as each family module wrote it out before the
     shared pipeline."""
-    heun_module._check_relation(p, label, n)
+    check_relation(HEUN_CLASSES, p, label, n)
     cls = heun_class(label)
     p0 = replace(p, q=as_scalar(0, p.backend))
     eq0 = heun_to_nu(p0)
@@ -48,7 +47,7 @@ def _reference_heun_accessory(p, label, n):
 def _reference_che_accessory(p, label, n):
     """che_accessory as each family module wrote it out before the
     shared pipeline."""
-    che_module._check_relation(p, label, n)
+    check_relation(CHE_CLASSES, p, label, n)
     cls = che_class(label)
     zero = as_scalar(0, p.backend)
     p0 = replace(p, mu=zero, nu=p.coupling)

@@ -6,9 +6,10 @@ and the parsed JSON output. Outputs are compared as parsed JSON, so key
 order and whitespace do not matter but every value does, floats
 included, so a change that moves a float in its last bit shows here.
 
-The table and CSV outputs of two README commands are frozen byte for
-byte in tests/golden/<name>.<format>.txt, since both print the
-residual and other floats in their own text form.
+The JSON, table and CSV outputs of five README commands are frozen
+byte for byte in tests/golden/<name>.<format>.txt: the text formats
+print the residual and other floats in their own text form, and the
+JSON text pins indentation, key order and escaping as well as values.
 """
 
 import json
@@ -55,8 +56,16 @@ TEXT_CASES = {
         "solve", "heun", "--class", "I", "-n", "2",
         "--a", "2", "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
     ],
+    "app_coulomb3s": ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"],
+    "app_electrons_sphere": [
+        "app", "electrons-sphere", "--n", "1", "--gamma", "1", "--delta", "2",
+    ],
+    "app_double_well": [
+        "app", "double-well", "--n", "1", "--d", "1", "--u0", "100",
+        "--parity", "antisymmetric",
+    ],
 }
-FORMATS = ("table", "csv")
+FORMATS = ("json", "table", "csv")
 
 
 def test_every_golden_text_file_is_a_case():
