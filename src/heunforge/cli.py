@@ -12,10 +12,10 @@ Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
 fields, `items` the branches, the states or the app report, and
 `checks` the named verification checks. One dispatch, `_render`, prints
-the record. JSON turns every Poly and scalar into its JSON form in one
-recursive pass (`_jsonable`) and prints the document indented, with
-sorted keys. CSV and table output come from the command's own row and
-line functions over the same record. The exit code follows from the
+the record. JSON is written in one pass, `_json_text`, that puts each
+Poly and scalar in its JSON form as it meets it and writes the bytes
+json.dumps(indent=2, sort_keys=True) would. CSV and table output come
+from the command's own row and line functions over the same record. The exit code follows from the
 checks alone: 4 if any failed, else 0.
 
 Exit codes: 0 all checks passed, 2 usage or parse error, 3 no solution
@@ -34,6 +34,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .apps import (
@@ -110,29 +111,65 @@ class RunConfig:
 # -- serialization ------------------------------------------------------------
 
 
-def _real_json(value):
-    if isinstance(value, Fraction):
-        return {"num": value.numerator, "den": value.denominator}
-    return value
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _scalar_json(value):
-    if isinstance(value, RationalComplex):
-        return {"re": _real_json(value.re), "im": _real_json(value.im)}
-    if isinstance(value, complex):
-        if value.imag == 0:
-            return value.real
-        return {"re": value.real, "im": value.imag}
-    if isinstance(value, Fraction):
-        return _real_json(value)
-    return value
+def _float_text(x, nl):
+    text = float.__repr__(x)  # numpy 2's repr(np.float64(x)) is "np.float64(x)"
+    return _NONFINITE.get(text, text)
 
 
-def _poly_json(p: Poly):
-    return {
-        "coeffs": [_scalar_json(c) for c in p.coeffs],
-        "text": format_poly(p),
-    }
+def _complex_text(z, nl):
+    if z.imag == 0:
+        return _float_text(z.real, nl)
+    return '{%s"im": %s,%s"re": %s%s}' % (
+        nl + "  ", _float_text(z.imag, nl), nl + "  ", _float_text(z.real, nl), nl)
+
+
+def _list_text(items, nl):
+    inner = nl + "  "
+    return "[%s%s%s]" % (inner, ("," + inner).join(
+        [_JSON_WRITERS[type(v)](v, inner) for v in items]), nl) if items else "[]"
+
+
+def _dict_text(d, nl):
+    inner = nl + "  "
+    return "{%s%s%s}" % (inner, ("," + inner).join([
+        encode_basestring_ascii(key) + ": " + _JSON_WRITERS[type(v)](v, inner)
+        for key, v in sorted(d.items())]), nl) if d else "{}"
+
+
+class _Writers(dict):
+    """JSON writer per type; a subclass (numpy's float64) takes its base's."""
+
+    def __missing__(self, kind):
+        for base in kind.__mro__:
+            if base in self:
+                return self[base]
+        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
+
+
+_JSON_WRITERS = _Writers({
+    str: lambda s, nl: encode_basestring_ascii(s),
+    int: lambda i, nl: int.__repr__(i),
+    bool: lambda b, nl: "true" if b else "false",
+    type(None): lambda _, nl: "null",
+    float: _float_text,
+    complex: _complex_text,
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+    Poly: lambda p, nl: _dict_text({"coeffs": p.coeffs, "text": format_poly(p)}, nl),
+    RationalComplex: lambda v, nl: _dict_text({"im": v.im, "re": v.re}, nl),
+    Fraction: lambda v, nl: _dict_text({"den": v.denominator, "num": v.numerator}, nl),
+})
+
+
+def _json_text(value) -> str:
+    """value's JSON form, byte for byte as json.dumps(indent=2, sort_keys=True)
+    writes it: a Poly as {"coeffs", "text"}, a RationalComplex as {"im", "re"},
+    a Fraction as {"den", "num"}, a complex with imaginary part 0 as a real."""
+    return _JSON_WRITERS[type(value)](value, "\n")
 
 
 def _check(name: str, value: float, tolerance: float):
@@ -147,17 +184,6 @@ def _check(name: str, value: float, tolerance: float):
 def _verdict(check) -> str:
     verdict = "PASS" if check["passed"] else "FAIL"
     return "[%s <= %g]" % (verdict, check["tolerance"])
-
-
-def _jsonable(value):
-    """value with every Poly and scalar in it in its JSON form."""
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Poly):
-        return _poly_json(value)
-    return _scalar_json(value)
 
 
 def _cell(value) -> str:
@@ -256,9 +282,9 @@ def _branch_label(branch, catalog) -> str:
 def cmd_classify(args, config: RunConfig):
     backend = config.backend
     eq = NuEquation(
-        parse_poly(args.tau, backend),
-        parse_poly(args.sigma, backend),
-        parse_poly(args.sigma_tilde, backend),
+        _arg(args, "tau", backend, parse_poly),
+        _arg(args, "sigma", backend, parse_poly),
+        _arg(args, "sigma_tilde", backend, parse_poly),
         mode=args.mode,
     )
     branches = enumerate_branches(eq)
@@ -304,11 +330,15 @@ def _classify_table(top, branches, checks):
 # -- solve --------------------------------------------------------------------
 
 
-def _scalar_arg(text: str, backend: str):
+def _arg(args, name: str, backend: str, parse=parse_scalar):
+    """Option `name` in the backend; exact runs still compute in float."""
+    value = parse(getattr(args, name), backend)
     try:
-        return parse_scalar(text, backend)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        for c in value.coeffs if isinstance(value, Poly) else (value,):
+            complex(c)
+    except OverflowError:
+        raise UsageError("--%s has a value beyond float range" % name.replace("_", "-"))
+    return value
 
 
 class UsageError(Exception):
@@ -341,11 +371,9 @@ def _solve_states(args, config: RunConfig):
         else (che_params_for_class, che_accessory, che_eigenstates)
     )
     p = make(args.label, args.n, *(
-        _scalar_arg(getattr(args, name), backend)
-        for name in _SOLVE_PARAMS[args.family]
-    ))
+        _arg(args, name, backend) for name in _SOLVE_PARAMS[args.family]))
     if args.accessory is not None:
-        values = [_scalar_arg(args.accessory, backend)]
+        values = [_arg(args, "accessory", backend)]
     else:
         values = resolve(p, args.label, args.n)
     if not all(isinstance(v, RationalComplex) for v in values):
@@ -470,10 +498,22 @@ def cmd_app(args, config: RunConfig):
     return {"app": args.name, "backend": config.backend}, report, checks
 
 
+def _report_json(value):
+    """An app report in the JSON form its CSV and table cells show: tuples
+    as lists, a complex value as {"re", "im"} or, if it is real, a float."""
+    if isinstance(value, dict):
+        return {key: _report_json(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_report_json(v) for v in value]
+    if not isinstance(value, complex):
+        return value
+    return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
+
+
 def _app_csv(top, report, checks):
     row = {
         key: json.dumps(v) if isinstance(v, (list, dict)) else str(v)
-        for key, v in _jsonable(report).items()
+        for key, v in _report_json(report).items()
     }
     for check in checks:
         row[check["name"] + "_passed"] = check["passed"]
@@ -482,7 +522,7 @@ def _app_csv(top, report, checks):
 
 def _app_table(top, report, checks):
     yield "%s report" % top["app"]
-    for key, value in _jsonable(report).items():
+    for key, value in _report_json(report).items():
         if isinstance(value, list):
             value = ", ".join(str(v) for v in value)
         yield "  %-20s %s" % (key, value)
@@ -511,7 +551,7 @@ def _render(command: str, fmt: str, record):
                items_key: items}
         if own_checks:
             doc["checks"] = checks
-        print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+        print(_json_text(doc))
     elif fmt == "csv":
         # no rows writes the header alone
         header, rows = csv_rows(*record)

@@ -417,6 +417,40 @@ def test_float_literal_beyond_float_range_is_a_usage_error(capsys, argv):
     assert parse_scalar("1e400", EXACT) == RationalComplex(10**400, 0)
 
 
+SOLVE_HEUN_ARGS = ["solve", "heun", "--class", "I", "-n", "1", "--a", "2",
+                   "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["classify", "--sigma", "z^2", "--tau", "z", "--sigma-tilde", "1e400*z"],
+     "--sigma-tilde"),
+    # each term fits a float, their sum does not
+    (["classify", "--sigma", "z^2 - z", "--tau", "1 - 2*z",
+      "--sigma-tilde", "1e308*z + 1e308*z"], "--sigma-tilde"),
+    (SOLVE_HEUN_ARGS + ["--accessory", "1e400"], "--accessory"),
+    (SOLVE_HEUN_ARGS[:7] + ["1e400"] + SOLVE_HEUN_ARGS[8:], "--a"),
+], ids=["classify", "classify-summed", "solve-accessory", "solve-parameter"])
+def test_exact_literal_without_float_image_is_a_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv, "--backend", "exact")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: %s has a value beyond float range\n" % option
+
+
+@pytest.mark.parametrize("literal", ["1e-400", "%d/%d" % (10**400, 10**399)],
+                         ids=["1e-400", "10^400/10^399"])
+def test_exact_literal_with_float_image_runs(capsys, literal):
+    code, out, err = run(capsys, "classify", "--sigma", "z^2 - z",
+                         "--tau", "1 - 2*z", "--sigma-tilde", literal + "*z",
+                         "--backend", "exact", "--format", "json")
+    assert code == EXIT_OK, err
+    assert json.loads(out)["branches"]
+    code, _, err = run(capsys, *SOLVE_HEUN_ARGS, "--accessory", literal,
+                       "--backend", "exact")
+    # parsed and solved: no state admits this accessory value
+    assert code == EXIT_NO_SOLUTION, err
+
+
 def _readme_commands():
     """Every `heunforge ...` command of README's sh blocks, as argv lists
     without the program name."""
@@ -446,3 +480,6 @@ def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == EXIT_OK, err
     assert out and not err
+    if fmt == "json":
+        # the emitter writes what json.dumps writes
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

@@ -1,0 +1,144 @@
+"""The CLI's JSON emitter against json.dumps.
+
+`cli._json_text` writes a document in one pass. The reference below is
+the two-pass path it replaced: every Poly and scalar turned into its
+JSON form first, then json.dumps(indent=2, sort_keys=True). Both must
+give the same text on seeded random nested documents.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from heunforge import EXACT, FLOAT, Poly, RationalComplex
+from heunforge.cli import _json_text
+from heunforge.poly import format_poly
+
+
+def _real_json(value):
+    if isinstance(value, Fraction):
+        return {"num": value.numerator, "den": value.denominator}
+    return value
+
+
+def _scalar_json(value):
+    if isinstance(value, RationalComplex):
+        return {"re": _real_json(value.re), "im": _real_json(value.im)}
+    if isinstance(value, complex):
+        if value.imag == 0:
+            return value.real
+        return {"re": value.real, "im": value.imag}
+    if isinstance(value, Fraction):
+        return _real_json(value)
+    return value
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Poly):
+        return {"coeffs": [_scalar_json(c) for c in value.coeffs],
+                "text": format_poly(value)}
+    return _scalar_json(value)
+
+
+def reference(value) -> str:
+    return json.dumps(_jsonable(value), indent=2, sort_keys=True)
+
+
+# ASCII, control characters, quotes, backslash, Latin-1, BMP and astral
+CHARS = "az_ \"\\/\x00\x01\x1f\x7f\t\n\réÿ σ\U0001d4b5"
+FLOATS = (-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22, 1e-7, 0.1,
+          1.8999999999999977, math.nan, math.inf, -math.inf)
+
+
+def _text(rng):
+    return "".join(rng.choice(CHARS) for _ in range(rng.randint(0, 6)))
+
+
+def _float(rng):
+    x = rng.choice(FLOATS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+    return np.float64(x) if rng.random() < 0.25 else x
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-10**30, 10**30), rng.choice((1, 1, 3, 10**25)))
+
+
+def _scalar(rng):
+    kind = rng.randrange(11)
+    if kind == 0:
+        return _text(rng)
+    if kind == 1:
+        return rng.choice((0, -1, 7, 2**64, -(2**64) - 1, 3**90))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return _float(rng)
+    if kind == 4:
+        return _fraction(rng)
+    if kind == 5:
+        im = Fraction(0) if rng.random() < 0.5 else _fraction(rng)
+        return RationalComplex(_fraction(rng), im)
+    if kind == 6:
+        # a zero imaginary part of either sign prints the bare real
+        return complex(_float(rng), rng.choice((0.0, -0.0, _float(rng))))
+    if kind == 7:
+        return np.complex128(complex(_float(rng), rng.choice((0.0, -0.0, 1.5))))
+    if kind == 8:
+        coeffs = [RationalComplex(_fraction(rng), _fraction(rng))
+                  for _ in range(rng.randint(0, 4))]
+        return Poly(coeffs, EXACT)
+    if kind == 9:
+        coeffs = [complex(rng.uniform(-9, 9), rng.choice((0.0, rng.uniform(-1, 1))))
+                  for _ in range(rng.randint(0, 4))]
+        return Poly(coeffs, FLOAT)
+    return rng.choice(({}, [], (), {"": {}}, [[]], {"x": [{}]}))
+
+
+def _document(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _scalar(rng)
+    size = rng.randint(0, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return {_text(rng): _document(rng, depth - 1) for _ in range(size)}
+    items = [_document(rng, depth - 1) for _ in range(size)]
+    return items if kind == 1 else tuple(items)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_emitter_matches_json_dumps_on_random_documents(seed):
+    rng = random.Random(seed)
+    for _ in range(25):
+        doc = _document(rng, 4)
+        assert _json_text(doc) == reference(doc)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[[]]],
+    -0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf,
+    np.float64(0.1), np.float64(math.nan), 2**64 + 1, -(3**80), True, False,
+    None, Fraction(7), Fraction(-3, 4), RationalComplex(Fraction(1, 3), 0),
+    complex(2.5, 0.0), complex(2.5, -0.0), complex(-0.0, 1.0),
+    np.complex128(1.5), Poly([], FLOAT), Poly([1, 2j], FLOAT),
+    Poly([Fraction(1, 2), RationalComplex(0, 3)], EXACT),
+    {"é\x00\"": " \U0001d4b5\\", "b": [1, "x"], "a": 0.5},
+])
+def test_emitter_matches_json_dumps_on_edge_values(value):
+    assert _json_text(value) == reference(value)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3),
+                                   np.bool_(True), b"bytes"])
+def test_unknown_type_raises_type_error(value):
+    with pytest.raises(TypeError):
+        reference({"k": [value]})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        _json_text({"k": [value]})
