@@ -690,7 +690,7 @@ def main(argv=None) -> int:
     except NoBranchError as exc:
         print("no solution: %s" % exc, file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except ZeroDivisionError as exc:

@@ -326,6 +326,9 @@ def _trim(coeffs, backend):
     floor = TRIM_REL * top
     while coeffs and abs(coeffs[-1]) <= floor:
         coeffs.pop()
+    if not coeffs:
+        # a finite top coefficient stays above its floor: this one is inf
+        raise OverflowError("polynomial coefficient overflows the float range")
     return coeffs
 
 

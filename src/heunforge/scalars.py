@@ -1,9 +1,10 @@
 """Scalar arithmetic for the two coefficient backends.
 
-The exact backend stores complex numbers with Fraction real and imaginary
-parts (RationalComplex), so all ring operations and divisions are exact.
-The float backend uses plain Python complex. Polynomials and everything
-built on them carry a backend tag and refuse to mix the two.
+The exact backend stores a complex number as a Gaussian-integer numerator
+over one positive denominator, (a + b·i)/d (RationalComplex), so all ring
+operations and divisions are exact and each result needs one gcd. The
+float backend uses plain Python complex. Polynomials and everything built
+on them carry a backend tag and refuse to mix the two.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import cmath
 import math
 import re as _re
 from fractions import Fraction
+from math import gcd
 
 EXACT = "exact"
 FLOAT = "float"
-
-_ZERO = Fraction(0)
 
 
 class BackendMismatchError(TypeError):
@@ -24,117 +24,167 @@ class BackendMismatchError(TypeError):
 
 
 class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Gaussian rational (a + b·i)/d, stored as the ints (a, b, d).
 
-    __slots__ = ("re", "im")
+    The stored form is canonical: d > 0 and gcd(a, b, d) = 1, so a value
+    has one form and equality compares the three ints. `.re` and `.im`
+    are computed on each read, as Fraction(a, d) and Fraction(b, d).
+    """
+
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        # a Fraction argument is stored as it is: Fraction is immutable
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is not int and type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not int and type(im) is not Fraction:
+            im = Fraction(im)
+        q, s = re.denominator, im.denominator
+        # d = lcm(q, s) needs no gcd: each prime of d divides q or s to its
+        # full power, and that part's numerator is prime to it
+        d = q // gcd(q, s) * s
+        _store(self, (re.numerator * (d // q), im.numerator * (d // s), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalComplex is immutable")
 
+    @property
+    def re(self):
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self):
+        _, b, d = self._abd
+        return Fraction(b, d)
+
     # -- ring operations ------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RationalComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RationalComplex(other)
-        if isinstance(other, (float, complex)):
-            raise BackendMismatchError(
-                "cannot mix float scalar %r with exact backend" % (other,)
-            )
-        return NotImplemented
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalComplex(self.re + other.re, self.im + other.im)
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalComplex(self.re - other.re, self.im - other.im)
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalComplex(other.re - self.re, other.im - self.im)
+        other = _coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self.im and not other.im:
-            return RationalComplex(self.re * other.re, _ZERO)
-        return RationalComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other.im:
-            if not other.re:
+        if type(other) is not RationalComplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, d = self._abd
+        c, e, f = other._abd
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero scalar")
-            return RationalComplex(self.re / other.re, self.im / other.re)
-        den = other.re * other.re + other.im * other.im
-        return RationalComplex(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+            if c < 0:
+                c, f = -c, -f
+            return _reduced(a * f, b * f, d * c)
+        # (a + bi)/d / ((c + ei)/f) = (a + bi)(c - ei) f / (d (c² + e²))
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f,
+                        d * (c * c + e * e))
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__truediv__(self)
+        other = _coerce(other)
+        return NotImplemented if other is None else other / self
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        a, b, d = self._abd
+        return _reduced(-a, -b, d)
 
     def __pos__(self):
         return self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalComplex(other)
         if isinstance(other, RationalComplex):
-            return self.re == other.re and self.im == other.im
+            return self._abd == other._abd
+        if isinstance(other, (int, Fraction)):
+            return self._abd == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        a, b, _ = self._abd
+        return a != 0 or b != 0
 
     def __abs__(self):
-        return math.hypot(float(self.re), float(self.im))
+        a, b, d = self._abd
+        return math.hypot(a / d, b / d)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        a, b, d = self._abd
+        return complex(a / d, b / d)
 
     def conjugate(self):
-        return RationalComplex(self.re, -self.im)
+        a, b, d = self._abd
+        return _reduced(a, -b, d)
 
     def __repr__(self):
         return "RationalComplex(%s, %s)" % (self.re, self.im)
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+# the slot's own setter, which the immutability guard above does not see
+_store = RationalComplex._abd.__set__
+
+
+def _reduced(a, b, d):
+    """RationalComplex (a + b·i)/d for d > 0, divided through by
+    gcd(a, b, d) and built without __init__."""
+    z = _new(RationalComplex)
+    g = gcd(a, b, d)
+    _store(z, (a, b, d) if g == 1 else (a // g, b // g, d // g))
+    return z
+
+
+def _coerce(other):
+    """An exact operand as a RationalComplex, None for a foreign type."""
+    if isinstance(other, (int, Fraction)):
+        return _reduced(other.numerator, 0, other.denominator)
+    if isinstance(other, RationalComplex):
+        return other
+    if isinstance(other, (float, complex)):
+        raise BackendMismatchError(
+            "cannot mix float scalar %r with exact backend" % (other,)
+        )
+    return None
 
 
 def _fraction_sqrt(value: Fraction):
@@ -295,8 +345,10 @@ def parse_scalar(text: str, backend: str):
             "numeric literal %r is beyond float range" % text) from None
 
 
-def _format_fraction(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
+def _format_ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, as 'n' or 'n/d'."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else "%d/%d" % (n // g, d // g)
 
 
 def _format_real(x: float) -> str:
@@ -308,8 +360,8 @@ def _format_real(x: float) -> str:
 def format_scalar(value) -> str:
     """Inverse of parse_scalar; exact values round-trip bit for bit."""
     if isinstance(value, RationalComplex):
-        re_s, im_s = _format_fraction(value.re), _format_fraction(value.im)
-        re_v, im_v = value.re, value.im
+        re_v, im_v, d = value._abd
+        re_s, im_s = _format_ratio(re_v, d), _format_ratio(im_v, d)
     else:
         c = complex(value)
         re_s, im_s = _format_real(c.real), _format_real(c.imag)

@@ -421,6 +421,25 @@ SOLVE_HEUN_ARGS = ["solve", "heun", "--class", "I", "-n", "1", "--a", "2",
                    "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4"]
 
 
+def test_float_sum_beyond_float_range_is_a_usage_error(capsys):
+    # each term fits a float, their sum does not; the relative trim floor
+    # of an infinite coefficient once trimmed the polynomial to zero
+    code, out, err = run(capsys, "classify", "--sigma", "z^2 - z",
+                         "--tau", "1 - 2*z", "--sigma-tilde", "1e308*z + 1e308*z",
+                         "--backend", "float")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: polynomial coefficient overflows the float range\n"
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+def test_parameter_whose_products_overflow_is_a_usage_error(capsys, backend):
+    argv = SOLVE_HEUN_ARGS[:7] + ["1e200"] + SOLVE_HEUN_ARGS[8:]
+    code, out, err = run(capsys, *argv, "--backend", backend)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "error: polynomial coefficient overflows the float range" in err
+    assert "p2 must be nonzero" not in err
+
+
 @pytest.mark.parametrize("argv, option", [
     (["classify", "--sigma", "z^2", "--tau", "z", "--sigma-tilde", "1e400*z"],
      "--sigma-tilde"),

@@ -161,6 +161,14 @@ def test_parse_format_roundtrip():
         parse_poly("", FLOAT)
 
 
+def test_float_coefficient_beyond_float_range_raises():
+    assert parse_poly("1e307*z + 1e307*z", FLOAT).coeffs == (0j, 2e307 + 0j)
+    with pytest.raises(OverflowError, match="overflows the float range"):
+        parse_poly("1e308*z + 1e308*z", FLOAT)
+    with pytest.raises(OverflowError):
+        Poly([1.0, complex(0, math.inf)], FLOAT)
+
+
 def test_monic_and_leading():
     p = Poly([2.0, 4.0], FLOAT)
     assert p.leading() == 4.0

@@ -171,7 +171,10 @@ def test_real_fast_paths_match_general_formula():
 def test_constructor_keeps_fractions_and_converts_the_rest():
     half = Fraction(1, 2)
     v = RationalComplex(half, 3)
-    assert v.re is half
+    assert v.re == half and type(v.re) is Fraction
+    # stored canonically as (a + b·i)/d with d > 0 and gcd(a, b, d) = 1
+    assert v._abd == (1, 6, 2)
     assert type(v.im) is Fraction and v.im == 3
     w = RationalComplex(True, Fraction(-4, 6))
     assert type(w.re) is Fraction and w == rc(1, Fraction(-2, 3))
+    assert w._abd == (3, -2, 3)
