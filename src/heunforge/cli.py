@@ -257,7 +257,7 @@ def _match_che(eq: NuEquation):
 def _class_catalog(heun_p, che_p):
     """(label, float catalog pi) of every class of the matched family.
 
-    In float: an exact equation can keep a branch whose g did not
+    In float: an exact equation can keep a branch whose pi did not
     rationalize, and its float pi meets the exact catalog pi here."""
     if heun_p is not None:
         return [(cls.label, cls.pi(heun_p).to_float()) for cls in HEUN_CLASSES]

@@ -30,7 +30,7 @@ import numpy as np
 
 from .oracle import OdeForm, ResidualContour, coefficient_map
 from .poly import TRIM_REL, Poly
-from .scalars import EXACT, FLOAT, RationalComplex, as_scalar
+from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, sqrt_exact
 
 CLASSIC = "classic"
 EXTENDED = "extended"
@@ -202,40 +202,6 @@ def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
     return p.max_abs() <= tol * max(scale, 1.0)
 
 
-def _try_branches(eq: NuEquation, g: Poly, scale: float, s_hint=None):
-    """Branches for a candidate g, or [] when the radicand is not a
-    perfect square. Funnel for the enumeration and its exact re-check.
-
-    A caller that already knows the square root passes it as s_hint;
-    sqrt_head would divide by the radicand's leading coefficient, which
-    amplifies noise badly when that coefficient is nearly zero."""
-    d = radicand(eq, g)
-    half = eq.half_gap()
-    if _is_negligible(d, scale, 1e-9):
-        return [PiBranch(g, Poly.zero(eq.backend), half, 0)]
-    if d.degree % 2 != 0:
-        return []
-    s = None
-    if s_hint is not None and _is_negligible(
-        d - s_hint * s_hint, max(scale, d.max_abs()), 1e-8
-    ):
-        s = s_hint
-    if s is None:
-        try:
-            s, rem = d.sqrt_head()
-        except ValueError:
-            return []
-        if not _is_negligible(rem, max(scale, d.max_abs()), 1e-8):
-            return []
-    out = []
-    for sign in (1, -1):
-        pi = half + s if sign == 1 else half - s
-        if pi.degree > 2:
-            continue
-        out.append(PiBranch(g, s, pi, sign))
-    return out
-
-
 def _validated(eq: NuEquation, branches):
     """Keep branches whose sigma_bar divides by sigma (drops candidates
     that float error pushed off the branch set)."""
@@ -277,53 +243,36 @@ def _rationalizations(value: complex, tol=1e-9):
 
     Each part gets every distinct fraction from the denominator ladder
     that lands within tol (a small denominator can land within tol of a
-    value it does not equal), or the closest one with denominator at
-    most 10**12 when none does."""
+    value it does not equal). A part that no rung fits gets none. A
+    larger rung would add fractions for irrational values too, and each
+    costs an exact check that fails."""
     parts = []
     for part in (value.real, value.imag):
         fracs = []
-        for den in (1, 6, 60, 2520, 10**4, 10**6, 10**9, 10**12):
+        for den in (1, 6, 60, 2520, 10**4, 10**6):
             cand = Fraction(part).limit_denominator(den)
             if abs(cand - part) <= tol * max(1.0, abs(part)) and cand not in fracs:
                 fracs.append(cand)
-        parts.append(fracs or [Fraction(part).limit_denominator(10**12)])
+        parts.append(fracs)
     return [RationalComplex(re, im) for re, im in product(*parts)]
 
 
-def _exactify_candidates(eq: NuEquation, branches, scale):
-    """For an exact equation, swap in exact branches when the float g
-    rounds to Gaussian rationals that verify exactly."""
-    if eq.backend != EXACT:
-        return branches
-    out = []
-    for b in branches:
-        if b.backend == EXACT:
-            out.append(b)
+def _exact_branch(eq: NuEquation, b: PiBranch) -> PiBranch:
+    """The exact branch of an exact equation whose pi rationalizes the
+    float branch b's pi, or b itself when none does: the first candidate
+    pi, in ladder order, that branch_from_pi certifies. Its sign is +1
+    when s = pi - (sigma' - tau~)/2 leads with the principal square root
+    of its square, else -1 with s negated; a collapse keeps sign 0."""
+    for coeffs in product(*(_rationalizations(complex(c)) for c in b.pi.coeffs)):
+        try:
+            cand = branch_from_pi(eq, Poly(coeffs, EXACT))
+        except NoBranchError:
             continue
-        gs = product(_rationalizations(complex(b.g.coeff(0))),
-                     _rationalizations(complex(b.g.coeff(1))))
-        g_exacts = (Poly(g, EXACT) for g in gs)
-        out.append(_exact_branch(eq, b, g_exacts, scale))
-    return out
-
-
-def _same_pi(cand: PiBranch, b: PiBranch) -> bool:
-    # match on pi, not on the square-root sign: different paths may
-    # pick opposite global signs for the same branch pair
-    if cand.backend == EXACT:
-        gap = (cand.pi.to_float() - b.pi).max_abs()
-        if gap <= 1e-6 * max(1.0, b.pi.max_abs()):
-            return True
-    return cand.sign == 0 and b.sign == 0
-
-
-def _exact_branch(eq: NuEquation, b: PiBranch, g_exacts, scale):
-    """The first exact branch, over the candidate exact g in order, whose
-    pi matches the float branch b; b itself when none does."""
-    for g in g_exacts:
-        for cand in _try_branches(eq, g, scale):
-            if _same_pi(cand, b):
-                return cand
+        if cand.sign:
+            lead = cand.s.leading()
+            if sqrt_exact(lead * lead) != lead:
+                cand = replace(cand, s=-cand.s, sign=-1)
+        return cand
     return b
 
 
@@ -448,18 +397,28 @@ def enumerate_branches(eq: NuEquation):
     finds the g that makes the radicand vanish identically. A repeated
     root where B vanishes gives no branch (odd vanishing order below the
     multiplicity) or raises NoBranchError (a continuum of branches).
-    Results are deduplicated at 1e-8 and validated by exact division of
-    sigma_bar; exact equations get exact branches whenever the float g
-    rationalizes and re-verifies exactly.
+    Each candidate (g, s) gives the branches pi = (sigma' - tau~)/2 +- s,
+    or the one collapse branch with sign 0 when its radicand vanishes.
+    Results are validated by division of sigma_bar and deduplicated at
+    1e-8. An exact equation gets an exact branch wherever a float
+    branch's pi rationalizes to one that branch_from_pi certifies.
     """
-    half = eq.half_gap().to_float()
-    scale = max(1.0, (half * half - eq.sigma_tilde.to_float()).max_abs())
+    gap = eq.half_gap().to_float()
+    scale = max(1.0, (gap * gap - eq.sigma_tilde.to_float()).max_abs())
     eq_f = eq.to_float()
+    half = eq_f.half_gap()
     branches = []
     for g, s in _sqrt_mod_sigma_candidates(eq, scale):
-        branches.extend(_try_branches(eq_f, g, scale, s_hint=s))
+        if _is_negligible(radicand(eq_f, g), scale, 1e-9):
+            branches.append(PiBranch(g, Poly.zero(FLOAT), half, 0))
+            continue
+        for sign, pi in ((1, half + s), (-1, half - s)):
+            if pi.degree <= 2:
+                branches.append(PiBranch(g, s, pi, sign))
     branches = _dedupe(_validated(eq_f, branches))
-    return _exactify_candidates(eq, branches, scale)
+    if eq.backend == EXACT:
+        branches = [_exact_branch(eq, b) for b in branches]
+    return branches
 
 
 def _vanishes(p: Poly) -> bool:

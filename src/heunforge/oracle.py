@@ -276,7 +276,8 @@ def termination_solve(family: OdeFamily, n: int):
     if family.p0_dir.degree != 0:
         raise ValueError("the accessory direction must be a nonzero constant")
     mat = coefficient_map(family.base.to_float(), n)
-    scale = np.linalg.norm(mat)
+    with np.errstate(over="ignore"):  # a huge parameter's norm is inf
+        scale = np.linalg.norm(mat)
     if abs(mat[n + 1, n]) > TERMINATION_TOL * scale:
         return []
     lams, vecs = np.linalg.eig(mat[: n + 1])

@@ -51,6 +51,10 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the guarded setattr
+        return Poly, (self.coeffs, self.backend)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

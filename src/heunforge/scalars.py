@@ -47,6 +47,10 @@ class RationalComplex:
     def __setattr__(self, name, value):
         raise AttributeError("RationalComplex is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, not the guarded setattr
+        return RationalComplex, (self.re, self.im)
+
     @property
     def re(self):
         a, _, d = self._abd

@@ -9,6 +9,7 @@ in k, on a seeded grid of classic equations.
 
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,11 +18,12 @@ from heunforge.engine import (
     CLASSIC,
     NoBranchError,
     NuEquation,
+    PiBranch,
     _dedupe,
-    _rationalizations,
-    _try_branches,
+    _is_negligible,
     _validated,
     enumerate_branches,
+    radicand,
     reduce_branch,
 )
 from heunforge.poly import Poly
@@ -38,6 +40,46 @@ def _poly(coeffs, backend=EXACT):
 
 
 # -- the discriminant root-finder classic mode used to run -------------------------
+
+
+def _try_branches(eq, g, scale):
+    """Branches for a candidate g, or [] when the radicand is not a
+    perfect square: the radicand's sqrt_head, the funnel the
+    discriminant root-finder fed."""
+    d = radicand(eq, g)
+    half = eq.half_gap()
+    if _is_negligible(d, scale, 1e-9):
+        return [PiBranch(g, Poly.zero(eq.backend), half, 0)]
+    if d.degree % 2 != 0:
+        return []
+    try:
+        s, rem = d.sqrt_head()
+    except ValueError:
+        return []
+    if not _is_negligible(rem, max(scale, d.max_abs()), 1e-8):
+        return []
+    out = []
+    for sign in (1, -1):
+        pi = half + s if sign == 1 else half - s
+        if pi.degree > 2:
+            continue
+        out.append(PiBranch(g, s, pi, sign))
+    return out
+
+
+def _rationalizations(value, tol=1e-9):
+    """Gaussian rationals near value from the denominator ladder, small
+    denominators first, or the closest one with denominator at most
+    10**12 when no rung lands within tol."""
+    parts = []
+    for part in (value.real, value.imag):
+        fracs = []
+        for den in (1, 6, 60, 2520, 10**4, 10**6, 10**9, 10**12):
+            cand = F(part).limit_denominator(den)
+            if abs(cand - part) <= tol * max(1.0, abs(part)) and cand not in fracs:
+                fracs.append(cand)
+        parts.append(fracs or [F(part).limit_denominator(10**12)])
+    return [RationalComplex(re, im) for re, im in product(*parts)]
 
 
 def _reference_branches(eq):

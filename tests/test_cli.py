@@ -431,13 +431,14 @@ def test_float_sum_beyond_float_range_is_a_usage_error(capsys):
     assert err == "error: polynomial coefficient overflows the float range\n"
 
 
+# a numpy overflow warning on the way must not leak next to the error line
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("backend", ["float", "exact"])
 def test_parameter_whose_products_overflow_is_a_usage_error(capsys, backend):
     argv = SOLVE_HEUN_ARGS[:7] + ["1e200"] + SOLVE_HEUN_ARGS[8:]
     code, out, err = run(capsys, *argv, "--backend", backend)
     assert (code, out) == (EXIT_USAGE, "")
-    assert "error: polynomial coefficient overflows the float range" in err
-    assert "p2 must be nonzero" not in err
+    assert err == "error: polynomial coefficient overflows the float range\n"
 
 
 @pytest.mark.parametrize("argv, option", [

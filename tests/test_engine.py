@@ -372,9 +372,10 @@ def test_radicand_vanishing_at_repeated_point(shape, order, outcome, backend):
 
 
 def test_exact_branches_survive_a_near_miss_rationalization():
-    # g0 = 229211/348480 of branches 0 and 1: limit_denominator(10**4)
-    # gives 1966/2989, within 1e-9 of it but wrong, so the search must go
-    # on down the denominator ladder until a fraction verifies exactly
+    # g0 = 229211/348480 of branches 0 and 1 lies within 1e-9 of 1966/2989,
+    # so g rounded on a denominator ladder can come out wrong. The exact g
+    # must come from the branch identity, here through pi = 87/88 - 15/11 z
+    # + 3/8 z^2 and -2753/4840 z - 7/40 z^2, whose denominators are small
     eq = NuEquation(
         _exact_poly([F(145, 88), F(-25847, 4840), F(14, 5)]),
         _exact_poly([0, F(29, 11), F(-40, 11), 1]),

@@ -1,7 +1,9 @@
 """Dense polynomial kernel: arithmetic laws, division, square-root head,
 root extraction. The four randomized suites run 1000 seeded cases each."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -217,3 +219,19 @@ def test_float_evaluation_of_exact_and_float_coefficients():
     for z in (0.3 - 0.7j, 2.0, 1j):
         assert p(z) == p.to_float()(z)
         assert type(p(z)) is complex
+
+
+@pytest.mark.parametrize("poly", [
+    Poly([rc(1, 2), rc(Fraction(-1, 3)), rc(0, 1)], EXACT),
+    Poly([0.5, -2 + 1e-3j, 3.0], FLOAT),
+    Poly.zero(EXACT),
+    Poly.zero(FLOAT),
+], ids=["exact", "float", "zero-exact", "zero-float"])
+def test_copy_and_pickle_round_trip(poly):
+    for twin in (copy.copy(poly), copy.deepcopy(poly),
+                 pickle.loads(pickle.dumps(poly))):
+        assert type(twin) is Poly
+        assert twin == poly
+        assert [type(c) for c in twin.coeffs] == [type(c) for c in poly.coeffs]
+    with pytest.raises(AttributeError, match="Poly is immutable"):
+        poly.backend = FLOAT

@@ -1,5 +1,7 @@
 """Gaussian-rational scalar kernel: arithmetic, square roots, parsing."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -178,3 +180,14 @@ def test_constructor_keeps_fractions_and_converts_the_rest():
     w = RationalComplex(True, Fraction(-4, 6))
     assert type(w.re) is Fraction and w == rc(1, Fraction(-2, 3))
     assert w._abd == (3, -2, 3)
+
+
+@pytest.mark.parametrize("value", [rc(0), rc(Fraction(-5, 6), 0), rc(0, 7),
+                                   rc(Fraction(3, 4), Fraction(-2, 9))])
+def test_copy_and_pickle_round_trip(value):
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is RationalComplex
+        assert twin == value and twin._abd == value._abd
+    with pytest.raises(AttributeError, match="RationalComplex is immutable"):
+        value.re = 1
