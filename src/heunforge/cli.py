@@ -71,6 +71,7 @@ from .scalars import (
     FLOAT,
     RationalComplex,
     format_scalar,
+    negligible,
     parse_scalar,
 )
 
@@ -200,8 +201,8 @@ def _cell(value) -> str:
 def _accessory_quotient(eq: NuEquation):
     """sigma~ / sigma when the division is exact and affine, else None."""
     quot, rem = eq.sigma_tilde.divrem(eq.sigma)
-    scale = max(eq.sigma_tilde.max_abs(), 1.0)
-    if rem.to_float().max_abs() > 1e-10 * scale or quot.degree > 1:
+    bound = 1e-10 * max(eq.sigma_tilde.max_abs(), 1.0)
+    if not rem.negligible(bound) or quot.degree > 1:
         return None
     return quot
 
@@ -212,14 +213,12 @@ def _match_heun(eq: NuEquation):
     sig = eq.sigma
     if eq.mode != EXTENDED or sig.degree != 3:
         return None
-    if abs(complex(sig.coeff(3)) - 1) > 1e-12 or abs(complex(sig.coeff(0))) > 1e-12:
+    if not negligible(sig.coeff(3) - 1, 1e-12) or not negligible(sig.coeff(0), 1e-12):
         return None
     a = sig.coeff(1)
-    if abs(complex(sig.coeff(2)) + complex(a) + 1) > 1e-10 * max(
-        1.0, abs(complex(a))
-    ):
+    if not negligible(sig.coeff(2) + a + 1, 1e-10 * max(1.0, abs(a))):
         return None
-    if min(abs(complex(a)), abs(complex(a) - 1)) < 1e-12:
+    if negligible(a, 1e-12) or negligible(a - 1, 1e-12):
         return None
     if _accessory_quotient(eq) is None:
         return None
@@ -239,8 +238,7 @@ def _match_che(eq: NuEquation):
     sig = eq.sigma
     if eq.mode != EXTENDED or sig.degree != 2:
         return None
-    shape = Poly([0, -1, 1], eq.backend) - sig
-    if shape.to_float().max_abs() > 1e-12:
+    if not (Poly([0, -1, 1], eq.backend) - sig).negligible(1e-12):
         return None
     quot = _accessory_quotient(eq)
     if quot is None:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .oracle import OdeForm, ResidualContour, coefficient_map
 from .poly import TRIM_REL, Poly
-from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, sqrt_exact
+from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, negligible, sqrt_exact
 
 CLASSIC = "classic"
 EXTENDED = "extended"
@@ -174,12 +174,6 @@ class PhiFactor:
             val += complex(expo) / (z - complex(root))
         return val
 
-    def __call__(self, z) -> complex:
-        val = cmath.exp(complex(self.exp_part.to_float()(z)))
-        for root, expo in self.powers:
-            val *= (z - complex(root)) ** complex(expo)
-        return val
-
 
 @dataclass(frozen=True)
 class Eigenstate:
@@ -197,9 +191,7 @@ class Eigenstate:
 
 
 def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
-    if p.backend == EXACT:
-        return p.is_zero
-    return p.max_abs() <= tol * max(scale, 1.0)
+    return p.negligible(tol * max(scale, 1.0))
 
 
 def _validated(eq: NuEquation, branches):
@@ -237,22 +229,25 @@ def _dedupe(branches):
     return out
 
 
-def _rationalizations(value: complex, tol=1e-9):
+def _rationalizations(value: complex):
     """Gaussian rationals near value, small denominators first so that
     float noise does not shadow an exact value like 5/7.
 
     Each part gets every distinct fraction from the denominator ladder
-    that lands within tol (a small denominator can land within tol of a
+    that lands within 1e-9 (a small denominator can land within it of a
     value it does not equal). A part that no rung fits gets none. A
     larger rung would add fractions for irrational values too, and each
     costs an exact check that fails."""
     parts = []
     for part in (value.real, value.imag):
+        exact = Fraction(part)
         fracs = []
         for den in (1, 6, 60, 2520, 10**4, 10**6):
-            cand = Fraction(part).limit_denominator(den)
-            if abs(cand - part) <= tol * max(1.0, abs(part)) and cand not in fracs:
+            cand = exact.limit_denominator(den)
+            if abs(cand - part) <= 1e-9 * max(1.0, abs(part)) and cand not in fracs:
                 fracs.append(cand)
+            if cand == exact:  # every larger rung gives it again
+                break
         parts.append(fracs)
     return [RationalComplex(re, im) for re, im in product(*parts)]
 
@@ -284,7 +279,9 @@ def _sigma_points(sigma: Poly, budget: int):
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
     exact when sigma is; a square-free sigma's roots come from
-    Poly.roots."""
+    Poly.roots, and for an exact sigma each becomes the first of its
+    rationalizations at which sigma is exactly zero and that no earlier
+    root took, if one is (two close roots can share a candidate)."""
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
@@ -296,7 +293,13 @@ def _sigma_points(sigma: Poly, budget: int):
             rem = Poly.zero(rem.backend)
     k = common.degree
     if k == 0:
-        return points + [(r, 1) for r in sigma.roots()]
+        roots = []
+        for r in sigma.roots():
+            if sigma.backend == EXACT:
+                r = next((c for c in _rationalizations(r)
+                          if not sigma(c) and c not in roots), r)
+            roots.append(r)
+        return points + [(r, 1) for r in roots]
     # common is c' (z - c)^k: its next-to-top coefficient over its top is -k c
     centre = -common.coeff(k - 1) / (common.leading() * k)
     points.append((centre, k + 1))
@@ -314,9 +317,8 @@ def _local_sqrt(taylor, mult):
     has no square root; one vanishing to any other positive order
     leaves s underdetermined, a continuum, and raises NoBranchError."""
     if mult > 1:
-        scale = max([1.0] + [abs(c) for c in taylor])
-        zero = [not c if isinstance(c, RationalComplex)
-                else abs(c) <= ZERO_TOL * scale for c in taylor[:mult]]
+        bound = ZERO_TOL * max([1.0] + [abs(c) for c in taylor])
+        zero = [negligible(c, bound) for c in taylor[:mult]]
         order = zero.index(False) if False in zero else mult
         if order % 2 and order < mult:
             return None
@@ -478,12 +480,17 @@ def _reduce(eq: NuEquation, sigma_tilde: Poly, pi: Poly, terms) -> ReducedForm:
     return ReducedForm(tau, h)
 
 
+def _on_branch(eq: NuEquation, b: PiBranch) -> NuEquation:
+    """The equation in the branch's backend: a float branch of an exact
+    equation runs on the equation's float copy."""
+    return eq if eq.backend == b.backend else eq.to_float()
+
+
 def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     """tau = tau~ + 2 pi and h = sigma_bar / sigma, where
     sigma_bar = sigma~ + pi^2 + pi (tau~ - sigma') + pi' sigma.
     A nonzero division remainder marks an inadmissible branch."""
-    if b.backend != eq.backend:
-        eq = eq.to_float()
+    eq = _on_branch(eq, b)
     return _reduce(eq, eq.sigma_tilde, b.pi, _sigma_bar_terms(eq, b.pi))
 
 
@@ -499,9 +506,8 @@ def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    rf = reduce_branch(eq, b)
-    eqb = eq if eq.backend == rf.h.backend else eq.to_float()
-    return _quantize(eqb.sigma, eq.mode, rf, n)
+    eq = _on_branch(eq, b)
+    return _quantize(eq.sigma, eq.mode, reduce_branch(eq, b), n)
 
 
 def _quantize(sigma: Poly, mode, rf: ReducedForm, n: int) -> QuantizationRelation:
@@ -531,23 +537,13 @@ def _quantize(sigma: Poly, mode, rf: ReducedForm, n: int) -> QuantizationRelatio
 def phi_factor(eq: NuEquation, b: PiBranch) -> PhiFactor:
     """Prefactor phi with phi'/phi = pi/sigma, as exp of a polynomial
     times powers of (z - root) over the simple roots of sigma."""
-    eqb = eq if eq.backend == b.backend else eq.to_float()
-    return _prefactor(eqb.sigma, b.pi)
+    return _prefactor(_on_branch(eq, b).sigma, b.pi)
 
 
 def _prefactor(sigma: Poly, pi: Poly) -> PhiFactor:
     quot, _ = pi.divrem(sigma)
-    backend = quot.backend
     exp_part = Poly(
-        [as_scalar(0, backend)]
-        + [
-            c * as_scalar(Fraction(1, k + 1), backend)
-            if backend == EXACT
-            else c / (k + 1)
-            for k, c in enumerate(quot.coeffs)
-        ],
-        backend,
-    )
+        [0] + [c / (k + 1) for k, c in enumerate(quot.coeffs)], quot.backend)
     roots = sigma.to_float().roots()
     for i, r1 in enumerate(roots):
         for r2 in roots[i + 1 :]:
@@ -609,9 +605,9 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
+    eq = _on_branch(eq, b)
     rf = reduce_branch(eq, b)
-    eqb = eq if eq.backend == rf.h.backend else eq.to_float()
-    fixed = _fixed_map(eqb.sigma, rf.tau, n)
+    fixed = _fixed_map(eq.sigma, rf.tau, n)
     return _null_polynomial(_with_h(fixed, rf.h), rf, n)
 
 

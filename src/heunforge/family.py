@@ -13,7 +13,7 @@ from __future__ import annotations
 from .engine import NoBranchError, branch_from_pi, eigenstates, reduce_branch
 from .oracle import OdeFamily, termination_solve
 from .poly import Poly
-from .scalars import EXACT, as_scalar
+from .scalars import as_scalar, negligible
 
 RELATION_TOL = 1e-8
 
@@ -42,10 +42,7 @@ def class_relation(classes, p, label, n: int):
 
 def check_relation(classes, p, label, n: int):
     gap = class_relation(classes, p, label, n)
-    ok = (not gap) if p.backend == EXACT else (
-        abs(gap) <= RELATION_TOL * p.relation_scale
-    )
-    if not ok:
+    if not negligible(gap, RELATION_TOL * p.relation_scale):
         raise NoBranchError(
             "class %s does not admit degree-%d solutions at these "
             "parameters (%s off by %s)" % (label, n, p.coupling_name, gap)

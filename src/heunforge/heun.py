@@ -26,7 +26,7 @@ from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation, PiBranch, branch_from_pi
 from .family import sigma_tilde
 from .poly import Poly
-from .scalars import EXACT, as_scalar, infer_backend, scalar_sqrt
+from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,12 @@ class HeunParams:
         for name in ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon"):
             object.__setattr__(self, name, as_scalar(getattr(self, name), backend))
         object.__setattr__(self, "_backend", backend)
-        if abs(self.a) <= 1e-12 or abs(self.a - as_scalar(1, backend)) <= 1e-12:
+        if negligible(self.a, 1e-12) or negligible(self.a - 1, 1e-12):
             raise ValueError("the third singular point a must differ from 0 and 1")
         gap = self.epsilon - (
             self.alpha + self.beta - self.gamma - self.delta + as_scalar(1, backend)
         )
-        ok = (not gap) if backend == EXACT else abs(gap) <= 1e-10 * max(
-            1.0, abs(self.epsilon)
-        )
-        if not ok:
+        if not negligible(gap, 1e-10 * max(1.0, abs(self.epsilon))):
             raise ValueError(
                 "exponent-sum constraint violated: epsilon must equal "
                 "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Poly
-from .scalars import EXACT, FLOAT, as_scalar
+from .scalars import FLOAT, as_scalar, negligible
 
 TERMINATION_TOL = 1e-8
 INDICIAL_TOL = 1e-9
@@ -93,11 +93,12 @@ class Recurrence:
     backend: str
 
 
-def _bands(p2s: Poly, p1s: Poly, p0s: Poly):
+def _bands(ode: OdeForm, point):
     """Band polynomials F_r(s) = a_r s(s-1) + b_{r-1} s + d_{r-2} of the
-    operator with coefficients p2s (a), p1s (b) and p0s (d), already
+    operator, where a, b and d are the coefficients of p2, p1 and p0
     shifted to the expansion point."""
-    backend = p2s.backend
+    backend = ode.backend
+    p2s, p1s, p0s = (p.shift(point) for p in (ode.p2, ode.p1, ode.p0))
     s = Poly.x(backend)
     s_sq = s * s - s
     top = max(p2s.degree, p1s.degree + 1, p0s.degree + 2)
@@ -123,12 +124,7 @@ def _recurrence(bands, point, exponent, backend) -> Recurrence:
             "expansion point is an irregular singular point "
             "(leading band has degree %d in the index)" % lead.degree
         )
-    value = lead(exponent)
-    if backend == EXACT:
-        ok = not value
-    else:
-        ok = abs(value) <= INDICIAL_TOL * max(lead.max_abs(), 1.0)
-    if not ok:
+    if not negligible(lead(exponent), INDICIAL_TOL * max(lead.max_abs(), 1.0)):
         raise ValueError("exponent %s is not an indicial root" % (exponent,))
     return Recurrence(point, exponent, tuple(bands[r_star:]), backend)
 
@@ -144,11 +140,7 @@ def frobenius_recurrence(ode: OdeForm, point, exponent) -> Recurrence:
     backend = ode.backend
     point = as_scalar(point, backend)
     exponent = as_scalar(exponent, backend)
-    p2s = ode.p2.shift(point)
-    p1s = ode.p1.shift(point)
-    p0s = ode.p0.shift(point)
-    bands = _bands(p2s, p1s, p0s)
-    return _recurrence(bands, point, exponent, backend)
+    return _recurrence(_bands(ode, point), point, exponent, backend)
 
 
 def _leading_factors(rec: Recurrence, count: int):
@@ -156,11 +148,10 @@ def _leading_factors(rec: Recurrence, count: int):
     the factor vanishes (indicial roots separated by an integer, the
     logarithmic case)."""
     lead = rec.bands[0]
-    scale = max(lead.max_abs(), 1.0)
+    bound = 1e-14 * max(lead.max_abs(), 1.0)
     for m in range(1, count):
         den = lead(rec.exponent + m)
-        bad = (not den) if rec.backend == EXACT else abs(den) <= 1e-14 * scale
-        if bad:
+        if negligible(den, bound):
             raise ValueError(
                 "indicial collision: leading recurrence factor vanishes at "
                 "index %d" % m
@@ -186,9 +177,9 @@ def series_coeffs(rec: Recurrence, seed, count: int):
     return coeffs
 
 
-def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
+def termination_polynomial(family: OdeFamily, n: int) -> Poly:
     """c_{n+1} as a polynomial in the unknown accessory scalar, for the
-    series with exponent 0 at `point`.
+    series with exponent 0 at z = 0.
 
     The unknown must enter the recurrence affinely and must not touch
     the leading band (else c_j would be rational, not polynomial, in it).
@@ -196,13 +187,9 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     backend = family.base.backend
-    point_s = as_scalar(point, backend)
-    exponent_s = as_scalar(0, backend)
-    p2s = family.base.p2.shift(point_s)
-    p1s = family.base.p1.shift(point_s)
-    p0s = family.base.p0.shift(point_s)
-    dirs = family.p0_dir.shift(point_s)
-    base_bands = _bands(p2s, p1s, p0s)
+    zero = as_scalar(0, backend)
+    dirs = family.p0_dir
+    base_bands = _bands(family.base, zero)
     top = max(len(base_bands) - 1, dirs.degree + 2)
     while len(base_bands) < top + 1:
         base_bands.append(Poly.zero(backend))
@@ -215,7 +202,7 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
             "unknown enters the leading recurrence band; the termination "
             "condition would not be polynomial in it"
         )
-    rec = _recurrence(base_bands, point_s, exponent_s, backend)
+    rec = _recurrence(base_bands, zero, zero, backend)
     bands = rec.bands
     dir_consts = [dirs.coeff(r_star + i - 2) for i in range(len(bands))]
     # series coefficients as polynomials in the unknown t
@@ -226,7 +213,7 @@ def termination_polynomial(family: OdeFamily, n: int, point=0) -> Poly:
         for i in range(1, len(bands)):
             if m - i < 0:
                 break
-            gi = bands[i](exponent_s + (m - i))
+            gi = bands[i](m - i)
             acc = acc + coeffs[m - i] * gi
             if dir_consts[i]:
                 acc = acc + coeffs[m - i] * t_poly * dir_consts[i]

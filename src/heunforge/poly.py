@@ -99,6 +99,14 @@ class Poly:
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs), default=0.0)
 
+    def negligible(self, bound) -> bool:
+        """Whether the polynomial counts as zero (scalars.negligible):
+        an exact one only when it is zero, a float one when no
+        coefficient exceeds bound in modulus."""
+        if self.backend == EXACT:
+            return self.is_zero
+        return self.max_abs() <= bound
+
     def _check_backend(self, other):
         if self.backend != other.backend:
             raise BackendMismatchError(
@@ -406,7 +414,7 @@ def format_poly(p: Poly) -> str:
         return "0"
     parts = []
     for k, c in enumerate(p.coeffs):
-        if not _nonzero(c):
+        if not c:
             continue
         if k == 0:
             parts.append(_coeff_text(c))
@@ -415,7 +423,3 @@ def format_poly(p: Poly) -> str:
             parts.append("%s*%s" % (_coeff_text(c), zk))
     out = " + ".join(parts)
     return out.replace("+ -", "- ")
-
-
-def _nonzero(c) -> bool:
-    return bool(c) if isinstance(c, RationalComplex) else c != 0

@@ -5,6 +5,10 @@ over one positive denominator, (a + b·i)/d (RationalComplex), so all ring
 operations and divisions are exact and each result needs one gcd. The
 float backend uses plain Python complex. Polynomials and everything built
 on them carry a backend tag and refuse to mix the two.
+
+The backends differ in one rule, when a value counts as zero
+(`negligible`): an exact value only when it is exactly zero, a float
+when its modulus is at most the caller's bound.
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ def as_scalar(value, backend):
     raise ValueError("unknown backend %r" % (backend,))
 
 
-def infer_backend(values, default=FLOAT):
+def infer_backend(values):
     """Backend implied by a mixed bag of numbers, EXACT only if some
     value is RationalComplex and none is float/complex."""
     seen_exact = seen_float = False
@@ -267,13 +271,15 @@ def infer_backend(values, default=FLOAT):
         raise BackendMismatchError("exact and float scalars in one collection")
     if seen_exact:
         return EXACT
-    if seen_float:
-        return FLOAT
-    return default
+    return FLOAT
 
 
-def to_complex(value) -> complex:
-    return complex(value)
+def negligible(value, bound) -> bool:
+    """Whether a scalar counts as zero: a RationalComplex only when it is
+    exactly zero, a float when abs(value) <= bound."""
+    if isinstance(value, RationalComplex):
+        return not value
+    return abs(value) <= bound
 
 
 def scalar_sqrt(value, backend):

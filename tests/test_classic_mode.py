@@ -325,13 +325,11 @@ def test_classic_zero_radicand_gives_sign_zero_branch(sigma, backend):
         assert branches[0].g.coeffs == (rc(k),)
 
 
-@pytest.mark.xfail(strict=True, reason="B vanishes at a simple root of sigma "
-                   "that Poly.roots returns inexactly")
 def test_double_discriminant_root_at_an_inexact_float_root():
-    # sigma = -3/2 (z + 1)(z + 3) and B vanishes at z = -1. The float root
-    # misses -1 by rounding, so sqrt(B) there is about 1e-8 instead of 0
-    # and the two sign patterns give two g about 1e-7 apart, both around
-    # the planted k = -7/3: 4 float branches instead of 2 exact ones
+    # sigma = -3/2 (z + 1)(z + 3) and B vanishes at z = -1. Poly.roots
+    # misses -1 by rounding, which would leave sqrt(B) there about 1e-8
+    # instead of 0 and split the planted k = -7/3 into two g about 1e-7
+    # apart; the exact root -1 gives B exactly 0 and 2 exact branches
     eq = _classic([0, 1], [F(-9, 2), -6, F(-3, 2)],
                   [F(31, 2), 18, F(7, 2)], EXACT)
     assert _disc_has_double_root(eq)

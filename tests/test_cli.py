@@ -236,8 +236,39 @@ def test_classify_exact_keeps_unrationalized_branch(capsys):
     assert labels == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}
 
 
+def test_classify_decides_the_family_in_the_run_backend(capsys):
+    # sigma = z^3 - 3 z^2 + (2 + 1e-13) z has singular points 0 and about
+    # 1 + 1e-13 and 2 - 1e-13: z(z - 1)(z - a) only to float tolerance
+    sigma = "z^3 - 3*z^2 + 20000000000001/10000000000000*z"
+    argv = ["classify", "--sigma", sigma, *CLASSIFY_ARGS[3:], "--format", "json"]
+    for backend, family in ((EXACT, ""), (FLOAT, "heun")):
+        code, out, _ = run(capsys, *argv, "--backend", backend)
+        assert code == EXIT_OK
+        assert json.loads(out)["family"] == family
+
+
+def test_classify_exact_branches_at_a_degenerate_exponent(capsys):
+    # a four-point equation with a = 8/5 and epsilon = 1: B vanishes at
+    # the singular point 8/5, the classes pair up, and each pair's one pi
+    # is exact; float roots of sigma gave 8 float branches, 4 unlabelled
+    code, out, _ = run(
+        capsys, "classify",
+        "--sigma", "8/5*z - 13/5*z^2 + 1*z^3",
+        "--tau", "176/35 + 687/35*z - 97/7*z^2",
+        "--sigma-tilde", "32/3*z - 68/15*z^2 - 212/15*z^3 + 8*z^4",
+        "--backend", "exact", "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["family"] == "heun"
+    assert [b["class"] for b in doc["branches"]] == ["I", "IV", "II", "III"]
+    for b in doc["branches"]:
+        for key in ("g", "pi", "tau", "h"):
+            assert all(set(c["re"]) == {"num", "den"}
+                       for c in b[key]["coeffs"])
+
+
 def test_float_branch_label_against_exact_catalog():
-    # an exact run keeps a branch in float when its g does not
+    # an exact run keeps a branch in float when its pi does not
     # rationalize; each exact branch, taken to float, must get its own
     # label from the catalog of the exact matched parameters
     sigma, tau, sigma_tilde = (arg.split("=", 1)[1]
@@ -327,11 +358,11 @@ def test_reused_parser_after_exit_inside_argparse(capsys, monkeypatch,
                                                   first, first_code):
     monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
     assert run(capsys, *first)[0] == first_code
-    golden = json.loads(
-        (Path(__file__).parent / "golden" / "classify_exact.json").read_text())
-    code, out, _ = run(capsys, *golden["argv"], "--format", "json")
-    assert code == golden["exit"] == EXIT_OK
-    assert json.loads(out) == golden["output"]
+    golden = Path(__file__).parent / "golden" / "classify_exact.json.txt"
+    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", "exact",
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert out == golden.read_bytes().decode()
 
 
 def test_classify_csv_without_branches(capsys):

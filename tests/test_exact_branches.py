@@ -5,11 +5,18 @@ float branch's pi is rationalized and certified by branch_from_pi. These
 tests hold that to a copy of the exactification it replaced, which
 rationalized g on a longer denominator ladder and took the radicand's
 square root again, on a seeded grid of equations with a planted branch.
+A second seeded grid of family equations with degenerate exponents runs
+through the CLI: each class branch must come out once, exact and
+labelled.
 """
 
+import json
 import random
 from fractions import Fraction as F
 from itertools import product
+
+from heunforge.che import CHE_CLASSES, CheParams, che_to_nu
+from heunforge.cli import main
 
 from heunforge.engine import (
     EXTENDED,
@@ -17,13 +24,15 @@ from heunforge.engine import (
     PiBranch,
     _dedupe,
     _is_negligible,
+    _sigma_points,
     _sqrt_mod_sigma_candidates,
     _validated,
     enumerate_branches,
     radicand,
     reduce_branch,
 )
-from heunforge.poly import Poly
+from heunforge.heun import HEUN_CLASSES, HeunParams, heun_to_nu
+from heunforge.poly import Poly, format_poly
 from heunforge.scalars import EXACT, RationalComplex
 
 
@@ -214,3 +223,66 @@ def test_exact_branch_where_the_g_ladder_found_none():
         reduce_branch(eq, b)
         assert b.s * b.s == radicand(eq, b.g)
         assert b.pi == eq.half_gap() + b.s * RationalComplex(b.sign)
+
+
+def test_close_roots_of_an_exact_sigma_keep_distinct_centres():
+    # sigma = z (z - 1)(z - 1 - 1e-14): both float roots near 1 rationalize
+    # to 1, where sigma is exactly zero. Only the first may take it, as a
+    # repeated centre makes the Hermite interpolation singular.
+    e = F(1, 10**14)
+    sigma = _poly([0, 1 + e, -2 - e, 1])
+    centres = [c for c, _ in _sigma_points(sigma, 3)]
+    assert sum(c == RationalComplex(1) for c in centres) == 1
+    assert sum(c == RationalComplex(0) for c in centres) == 1
+    eq = NuEquation(_poly([1, F(-35, 12), F(19, 12)]), sigma,
+                    _poly([0, F(-2, 5), F(-1, 15), F(4, 5), F(-1, 3)]), EXTENDED)
+    enumerate_branches(eq)
+
+
+# -- family equations with degenerate exponents -----------------------------------
+
+
+def _degenerate_family(i, rng):
+    """(family, equation, [(label, pi)] over its classes) of a family
+    equation in which a nonempty subset of the exponent parameters is
+    degenerate: gamma, delta or epsilon = 1 for Heun, alpha, beta or
+    gamma = 0 for the confluent equation. A degenerate parameter zeroes
+    its class's pi part, so the classes that differ only there share one
+    pi, and B vanishes at that point of sigma (at infinity for alpha)."""
+    rc = RationalComplex
+    mask = rng.randrange(1, 8)
+    if i % 2 == 0:
+        a = _frac(rng)
+        while a in (0, 1):
+            a = _frac(rng)
+        exps = [F(1) if mask >> k & 1 else _frac(rng) for k in range(3)]
+        alpha = _frac(rng)
+        beta = sum(exps) - 1 - alpha
+        p = HeunParams(rc(a), rc(_frac(rng)), rc(alpha), rc(beta),
+                       *(rc(e) for e in exps))
+        return "heun", heun_to_nu(p), [(c.label, c.pi(p)) for c in HEUN_CLASSES]
+    exps = [F(0) if mask >> k & 1 else _frac(rng) for k in range(3)]
+    p = CheParams(*(rc(e) for e in exps), rc(_frac(rng)), rc(_frac(rng)))
+    return "che", che_to_nu(p), [(c.label, c.pi(p)) for c in CHE_CLASSES]
+
+
+def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys):
+    rng = random.Random(1504)
+    for i in range(40):
+        family, eq, catalog = _degenerate_family(i, rng)
+        argv = ["classify", "--sigma", format_poly(eq.sigma),
+                "--tau", format_poly(eq.tau_tilde),
+                "--sigma-tilde", format_poly(eq.sigma_tilde),
+                "--backend", "exact", "--format", "json"]
+        assert main(argv) == 0, i
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["family"] == family, i
+        # the first label of each distinct class pi, as the CLI labels
+        want = {}
+        for label, pi in catalog:
+            want.setdefault(pi, label)
+        branches = doc["branches"]
+        assert sorted(b["class"] for b in branches) == sorted(want.values()), i
+        for b in branches:
+            assert all(isinstance(c, dict) and set(c["re"]) == {"num", "den"}
+                       for c in b["pi"]["coeffs"]), i

@@ -48,6 +48,22 @@ def test_params_validation():
     assert abs(complex(FUCHSIAN.product) - 1.1 * 0.25) < 1e-14
 
 
+def test_params_zero_tests_follow_the_backend():
+    # an exact a counts as 0 only when it is 0; a float one within 1e-12
+    tiny = rc(F(1, 10**13))
+    p = HeunParams(tiny, rc(0), rc(1), rc(1), rc(F(1, 2)), rc(F(1, 2)), rc(2))
+    assert p.a == tiny
+    HeunParams(1 + tiny, rc(0), rc(1), rc(1), rc(F(1, 2)), rc(F(1, 2)), rc(2))
+    for a in (0.0, 1e-13, 1.0 + 1e-13):
+        with pytest.raises(ValueError, match="differ from 0 and 1"):
+            HeunParams(a, 0.1, 1.0, 1.0, 0.5, 0.5, 2.0)
+    # and the exponent-sum gap likewise
+    with pytest.raises(ValueError, match="exponent-sum"):
+        HeunParams(rc(2), rc(0), rc(1), rc(1), rc(F(1, 2)), rc(F(1, 2)),
+                   rc(2) + tiny)
+    HeunParams(2.0, 0.1, 1.0, 1.0, 0.5, 0.5, 2.0 + 1e-13)
+
+
 def test_unknown_label_rejected():
     with pytest.raises(ValueError, match="unknown class"):
         heun_class("IX")

@@ -19,7 +19,6 @@ from heunforge.scalars import (
     parse_scalar,
     scalar_sqrt,
     sqrt_exact,
-    to_complex,
 )
 
 
@@ -104,7 +103,6 @@ def test_backend_helpers():
     assert as_scalar(3, EXACT) == rc(3)
     assert as_scalar(Fraction(1, 3), EXACT) == rc(Fraction(1, 3))
     assert as_scalar(rc(2), FLOAT) == 2.0 + 0j
-    assert to_complex(rc(1, -2)) == 1 - 2j
 
 
 def test_parse_format_roundtrip_exact():
