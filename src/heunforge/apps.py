@@ -310,37 +310,3 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
         termination_residual=term,
     )
 
-
-def doublewell_level_solve(
-    N: int, d, u0, parity: str, start=None, tol=1e-12, max_iter=80
-):
-    """Solve the implicit level condition numerically instead of using
-    the closed form: damped Newton on the class-relation residual as a
-    function of eps (exploration helper; agrees with the closed form)."""
-    closed = doublewell_spectrum(N, d, u0, parity)
-    label = doublewell_verify(N, d, u0, parity).matched_class
-
-    def gap(eps):
-        p = _doublewell_params(N, d, u0, parity, eps)
-        return complex(che_class_relation(p, label, N))
-
-    eps = complex(start) if start is not None else complex(closed) * 1.07 - 0.1
-    step = 1e-7 * max(1.0, abs(eps))
-    for _ in range(max_iter):
-        val = gap(eps)
-        if abs(val) <= tol * max(1.0, abs(eps)):
-            break
-        der = (gap(eps + step) - gap(eps - step)) / (2 * step)
-        if der == 0:
-            break
-        full = -val / der
-        lam = 1.0
-        while lam > 1e-6:
-            trial = eps + lam * full
-            if abs(gap(trial)) < abs(val):
-                eps = trial
-                break
-            lam *= 0.5
-        else:
-            break
-    return eps

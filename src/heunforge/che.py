@@ -18,10 +18,9 @@ degree <= n (a root of the degree n+1 truncation condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import family
-from .engine import EXTENDED, Eigenstate, NuEquation, PiBranch, branch_from_pi
+from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
 from .poly import Poly
 from .scalars import as_scalar, infer_backend
@@ -69,25 +68,6 @@ class CheParams:
 
     def to_nu(self) -> NuEquation:
         return che_to_nu(self)
-
-
-def che_auxiliary(p: CheParams):
-    """The alternate accessory pair (delta_aux, eta_aux) used by the
-    other common normal form of the equation:
-
-        delta_aux = mu + nu - (alpha/2)(beta + gamma + 2)
-        eta_aux   = (alpha/2)(beta + 1) - mu - (beta + gamma + beta*gamma)/2
-    """
-    backend = p.backend
-    half = as_scalar(Fraction(1, 2), backend)
-    two = as_scalar(2, backend)
-    delta_aux = p.mu + p.nu - p.alpha * half * (p.beta + p.gamma + two)
-    eta_aux = (
-        p.alpha * half * (p.beta + as_scalar(1, backend))
-        - p.mu
-        - (p.beta + p.gamma + p.beta * p.gamma) * half
-    )
-    return delta_aux, eta_aux
 
 
 @dataclass(frozen=True)
@@ -176,11 +156,6 @@ def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
     mu = as_scalar(mu, backend)
     coupling = cls.coupling_value(n, alpha, beta, gamma)
     return CheParams(alpha, beta, gamma, mu, coupling - mu)
-
-
-def che_branch(p: CheParams, label) -> PiBranch:
-    cls = che_class(label)
-    return branch_from_pi(che_to_nu(p), cls.pi(p))
 
 
 def che_class_relation(p: CheParams, label, n: int):

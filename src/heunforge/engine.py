@@ -21,6 +21,7 @@ modulo sigma, at the mode's budget.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -168,12 +169,6 @@ class PhiFactor:
     exp_part: Poly
     powers: tuple
 
-    def log_deriv(self, z) -> complex:
-        val = complex(self.exp_part.to_float().derivative()(z))
-        for root, expo in self.powers:
-            val += complex(expo) / (z - complex(root))
-        return val
-
 
 @dataclass(frozen=True)
 class Eigenstate:
@@ -309,9 +304,10 @@ def _sigma_points(sigma: Poly, budget: int):
     return points
 
 
-def _local_sqrt(taylor, mult):
+def _local_sqrt(taylor, mult, noise):
     """First `mult` Taylor coefficients of a square root of the series
-    sum taylor[k] t^k, by Hensel lifting; None when none exists.
+    sum taylor[k] t^k, by Hensel lifting; None when none exists. A
+    taylor[0] within `noise`, its rounding error, counts as zero.
 
     At a repeated point a series that vanishes to odd order below `mult`
     has no square root; one vanishing to any other positive order
@@ -327,7 +323,7 @@ def _local_sqrt(taylor, mult):
                 "perfect-square set is not finite (the radicand vanishes "
                 "at a repeated root of sigma)"
             )
-    root = [cmath.sqrt(complex(taylor[0]))]
+    root = [cmath.sqrt(0 if negligible(taylor[0], noise) else complex(taylor[0]))]
     for k in range(1, mult):
         acc = complex(taylor[k]) - sum(root[i] * root[k - i] for i in range(1, k))
         root.append(acc / (2 * root[0]))
@@ -364,13 +360,19 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
     top = 2 * budget - 2
     roots = []
     for centre, mult in points:
+        noise = 0.0
         if centre is None:
             taylor = [bpoly.coeff(top - k) for k in range(top + 1)]
         else:
             exact = isinstance(centre, RationalComplex)
             local = (bpoly if exact else bpoly_f).shift(centre)
             taylor = [local.coeff(k) for k in range(top + 1)]
-        roots.append(_local_sqrt(taylor, mult))
+            if mult == 1 and not exact:
+                # B(centre) within the shift's rounding bound gamma_2d |B|(|centre|),
+                # d = deg B (Higham, Accuracy and Stability, eq. 5.3), is zero
+                terms = sum(abs(c) * abs(centre) ** k for k, c in enumerate(bpoly_f.coeffs))
+                noise = sys.float_info.epsilon * bpoly_f.degree * terms
+        roots.append(_local_sqrt(taylor, mult, noise))
     if None in roots:
         return []
     mat = np.array([_hermite_row(c, k, budget) for c, m in points for k in range(m)])

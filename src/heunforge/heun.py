@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import family
-from .engine import EXTENDED, Eigenstate, NuEquation, PiBranch, branch_from_pi
+from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
 from .poly import Poly
 from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
@@ -199,11 +199,6 @@ def heun_params_for_class(
     alpha = (total + root) * half
     beta = (total - root) * half
     return HeunParams(a, q, alpha, beta, gamma, delta, epsilon)
-
-
-def heun_branch(p: HeunParams, label: str) -> PiBranch:
-    cls = heun_class(label)
-    return branch_from_pi(heun_to_nu(p), cls.pi(p))
 
 
 def heun_class_relation(p: HeunParams, label: str, n: int):

@@ -50,14 +50,6 @@ class OdeForm:
     def to_float(self) -> "OdeForm":
         return OdeForm(self.p2.to_float(), self.p1.to_float(), self.p0.to_float())
 
-    def apply(self, w: Poly) -> Poly:
-        """The polynomial P2 w'' + P1 w' + P0 w."""
-        return (
-            self.p2 * w.derivative().derivative()
-            + self.p1 * w.derivative()
-            + self.p0 * w
-        )
-
 
 @dataclass(frozen=True)
 class OdeFamily:
@@ -263,13 +255,15 @@ def termination_solve(family: OdeFamily, n: int):
     if family.p0_dir.degree != 0:
         raise ValueError("the accessory direction must be a nonzero constant")
     mat = coefficient_map(family.base.to_float(), n)
-    with np.errstate(over="ignore"):  # a huge parameter's norm is inf
-        scale = np.linalg.norm(mat)
-    if abs(mat[n + 1, n]) > TERMINATION_TOL * scale:
+    # checked on mat / unit, exact for a power of two, so no norm overflows
+    unit = 2.0 ** math.frexp(max(np.abs(mat).max(), 1.0))[1]
+    scaled = mat / unit
+    scale = np.linalg.norm(scaled)
+    if abs(scaled[n + 1, n]) > TERMINATION_TOL * scale:
         return []
     lams, vecs = np.linalg.eig(mat[: n + 1])
-    resid = mat @ vecs
-    resid[: n + 1] -= vecs * lams
+    resid = scaled @ vecs
+    resid[: n + 1] -= vecs * (lams / unit)
     errors = np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)
     d = complex(family.p0_dir.coeff(0))
     values = [

@@ -142,7 +142,8 @@ class RationalComplex:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its Fraction, so it hashes as that Fraction
+        return hash((self.re, self.im) if self._abd[1] else self.re)
 
     def __bool__(self):
         a, b, _ = self._abd

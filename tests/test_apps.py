@@ -11,7 +11,6 @@ from heunforge.apps import (
     bethe_residual,
     coulomb3s_energy,
     coulomb3s_verify,
-    doublewell_level_solve,
     doublewell_spectrum,
     doublewell_verify,
     electrons_sphere_state,
@@ -182,8 +181,3 @@ def test_doublewell_shift_identity():
         assert abs(doublewell_spectrum(upper, d, u0, SYMMETRIC)
                    - doublewell_spectrum(upper, d, u0p, ANTISYMMETRIC)) \
             < 1e-12
-
-
-def test_doublewell_level_solve_agrees():
-    eps = doublewell_level_solve(1, 1.0, 100.0, SYMMETRIC)
-    assert abs(eps - doublewell_spectrum(1, 1.0, 100.0, SYMMETRIC)) < 1e-9

@@ -10,8 +10,6 @@ from heunforge.che import (
     CHE_CLASSES,
     CheParams,
     che_accessory,
-    che_auxiliary,
-    che_branch,
     che_class,
     che_class_relation,
     che_eigenstate,
@@ -20,6 +18,7 @@ from heunforge.che import (
 )
 from heunforge.engine import (
     NoBranchError,
+    branch_from_pi,
     enumerate_branches,
     quantization,
 )
@@ -36,13 +35,8 @@ def rc(re, im=0):
 GENERIC = CheParams(alpha=1.3, beta=0.4, gamma=0.7, mu=0.9, nu=-1.1)
 
 
-def test_coupling_and_auxiliary_pair():
+def test_coupling_is_mu_plus_nu():
     assert abs(complex(GENERIC.coupling) - (0.9 - 1.1)) < 1e-14
-    p = CheParams(2.0, 0.5, 0.25, 0.3, 0.7)
-    da, ea = che_auxiliary(p)
-    assert abs(complex(da) - (0.3 + 0.7 - 1.0 * (0.5 + 0.25 + 2))) < 1e-12
-    assert abs(complex(ea) - (1.0 * 1.5 - 0.3 - (0.5 + 0.25 + 0.125) / 2)) \
-        < 1e-12
 
 
 def test_unknown_label_rejected():
@@ -65,7 +59,7 @@ def test_catalog_is_exactly_the_enumeration():
 def test_relation_matches_quantization_slope():
     eq = che_to_nu(GENERIC)
     for cls in CHE_CLASSES:
-        b = che_branch(GENERIC, cls.label)
+        b = branch_from_pi(eq, cls.pi(GENERIC))
         for n in (0, 1, 2, 5):
             qr = quantization(eq, b, n)
             rel = che_class_relation(GENERIC, cls.label, n)

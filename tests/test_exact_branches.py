@@ -15,6 +15,8 @@ import random
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
+
 from heunforge.che import CHE_CLASSES, CheParams, che_to_nu
 from heunforge.cli import main
 
@@ -266,14 +268,17 @@ def _degenerate_family(i, rng):
     return "che", che_to_nu(p), [(c.label, c.pi(p)) for c in CHE_CLASSES]
 
 
-def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys):
+# in float, B's rounding noise at a float root of sigma where B vanishes
+# must read as zero, or a shared pi splits into a pair of noise branches
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys, backend):
     rng = random.Random(1504)
     for i in range(40):
         family, eq, catalog = _degenerate_family(i, rng)
         argv = ["classify", "--sigma", format_poly(eq.sigma),
                 "--tau", format_poly(eq.tau_tilde),
                 "--sigma-tilde", format_poly(eq.sigma_tilde),
-                "--backend", "exact", "--format", "json"]
+                "--backend", backend, "--format", "json"]
         assert main(argv) == 0, i
         doc = json.loads(capsys.readouterr().out)
         assert doc["family"] == family, i
@@ -284,5 +289,6 @@ def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys):
         branches = doc["branches"]
         assert sorted(b["class"] for b in branches) == sorted(want.values()), i
         for b in branches:
-            assert all(isinstance(c, dict) and set(c["re"]) == {"num", "den"}
-                       for c in b["pi"]["coeffs"]), i
+            assert backend == "float" or all(
+                isinstance(c, dict) and set(c["re"]) == {"num", "den"}
+                for c in b["pi"]["coeffs"]), i

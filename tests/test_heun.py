@@ -17,7 +17,6 @@ from heunforge.heun import (
     HEUN_CLASSES,
     HeunParams,
     heun_accessory,
-    heun_branch,
     heun_class,
     heun_class_relation,
     heun_eigenstate,
@@ -91,7 +90,7 @@ def test_catalog_is_exactly_the_enumeration():
 def test_relation_matches_quantization_slope():
     eq = heun_to_nu(FUCHSIAN)
     for cls in HEUN_CLASSES:
-        b = heun_branch(FUCHSIAN, cls.label)
+        b = branch_from_pi(eq, cls.pi(FUCHSIAN))
         for n in (0, 1, 2, 3, 7):
             qr = quantization(eq, b, n)
             rel = heun_class_relation(FUCHSIAN, cls.label, n)

@@ -192,13 +192,18 @@ def test_termination_solve_validates_roots():
         assert abs(cs[3]) < 1e-8 * scale and abs(cs[4]) < 1e-8 * scale
 
 
+def _apply(ode, w: Poly) -> Poly:
+    """The polynomial P2 w'' + P1 w' + P0 w."""
+    return ode.p2 * w.derivative().derivative() + ode.p1 * w.derivative() + ode.p0 * w
+
+
 def test_coefficient_map_columns_are_images_of_monomials():
     ode = heun_ode(rc(3), rc(F(2, 3)), rc(F(1, 2)), rc(F(3, 4)),
                    rc(F(5, 7)), rc(F(1, 5)))
     mat = coefficient_map(ode, 4)
     assert mat.shape == (6, 5)
     for j in range(5):
-        image = ode.apply(Poly([0] * j + [1], EXACT))
+        image = _apply(ode, Poly([0] * j + [1], EXACT))
         assert list(mat[:, j]) == [image.coeff(k) for k in range(6)]
     fmat = coefficient_map(ode.to_float(), 4)
     assert fmat.dtype == complex
@@ -226,6 +231,17 @@ def test_termination_solve_needs_a_negligible_top_row():
     fam = OdeFamily(OdeForm(sig, tt, z * (-al)), Poly.constant(-1.0, FLOAT))
     assert len(termination_solve(fam, 1)) == 2
     assert termination_solve(fam, 2) == []
+
+
+# at alpha = 1e170 the map's norm overflows a float; the backward-error
+# check must still drop the spurious t = 0, with no numpy warning
+@pytest.mark.filterwarnings("error")
+def test_termination_solve_checks_a_map_whose_norm_overflows():
+    p = che_params_for_class("2", 2, 1e170, 1 / 3, 2 / 5, 0.0)
+    values = che_accessory(p, "2", 2)
+    assert len(values) == 2
+    for got, want in zip(values, (-2e170, -1e170)):
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_termination_solve_orders_values():

@@ -127,6 +127,11 @@ def test_hash_consistency():
     assert hash(rc(2)) == hash(rc(2))
     d = {rc(1, 1): "a"}
     assert d[rc(1, 1)] == "a"
+    # equal values hash equally, a real one as the int or Fraction it equals
+    for value in (3, Fraction(1, 2)):
+        assert RationalComplex(value) == value
+        assert hash(RationalComplex(value)) == hash(value)
+        assert len({RationalComplex(value), value}) == 1
 
 
 def _random_gaussian(rng):
