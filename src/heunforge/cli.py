@@ -12,11 +12,11 @@ Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
 fields, `items` the branches, the states or the app report, and
 `checks` the named verification checks. One dispatch, `_render`, prints
-the record. JSON is written in one pass, `_json_text`, that puts each
-Poly and scalar in its JSON form as it meets it and writes the bytes
-json.dumps(indent=2, sort_keys=True) would. CSV and table output come
-from the command's own row and line functions over the same record. The exit code follows from the
-checks alone: 4 if any failed, else 0.
+the record. JSON is one line, json.dumps(sort_keys=True) of the
+record, with `_json_form` giving each Poly and scalar its JSON form. CSV
+and table output come from the command's own row and line functions over
+the same record. The exit code follows from the checks alone: 4 if any
+failed, else 0.
 
 Exit codes: 0 all checks passed, 2 usage or parse error, 3 no solution
 exists (no branch / no accessory root / class relation violated),
@@ -34,7 +34,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from .apps import (
@@ -112,65 +111,21 @@ class RunConfig:
 # -- serialization ------------------------------------------------------------
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x, nl):
-    text = float.__repr__(x)  # numpy 2's repr(np.float64(x)) is "np.float64(x)"
-    return _NONFINITE.get(text, text)
-
-
-def _complex_text(z, nl):
-    if z.imag == 0:
-        return _float_text(z.real, nl)
-    return '{%s"im": %s,%s"re": %s%s}' % (
-        nl + "  ", _float_text(z.imag, nl), nl + "  ", _float_text(z.real, nl), nl)
-
-
-def _list_text(items, nl):
-    inner = nl + "  "
-    return "[%s%s%s]" % (inner, ("," + inner).join(
-        [_JSON_WRITERS[type(v)](v, inner) for v in items]), nl) if items else "[]"
-
-
-def _dict_text(d, nl):
-    inner = nl + "  "
-    return "{%s%s%s}" % (inner, ("," + inner).join([
-        encode_basestring_ascii(key) + ": " + _JSON_WRITERS[type(v)](v, inner)
-        for key, v in sorted(d.items())]), nl) if d else "{}"
-
-
-class _Writers(dict):
-    """JSON writer per type; a subclass (numpy's float64) takes its base's."""
-
-    def __missing__(self, kind):
-        for base in kind.__mro__:
-            if base in self:
-                return self[base]
-        raise TypeError("Object of type %s is not JSON serializable" % kind.__name__)
-
-
-_JSON_WRITERS = _Writers({
-    str: lambda s, nl: encode_basestring_ascii(s),
-    int: lambda i, nl: int.__repr__(i),
-    bool: lambda b, nl: "true" if b else "false",
-    type(None): lambda _, nl: "null",
-    float: _float_text,
-    complex: _complex_text,
-    list: _list_text,
-    tuple: _list_text,
-    dict: _dict_text,
-    Poly: lambda p, nl: _dict_text({"coeffs": p.coeffs, "text": format_poly(p)}, nl),
-    RationalComplex: lambda v, nl: _dict_text({"im": v.im, "re": v.re}, nl),
-    Fraction: lambda v, nl: _dict_text({"den": v.denominator, "num": v.numerator}, nl),
-})
-
-
-def _json_text(value) -> str:
-    """value's JSON form, byte for byte as json.dumps(indent=2, sort_keys=True)
-    writes it: a Poly as {"coeffs", "text"}, a RationalComplex as {"im", "re"},
-    a Fraction as {"den", "num"}, a complex with imaginary part 0 as a real."""
-    return _JSON_WRITERS[type(value)](value, "\n")
+def _json_form(value):
+    """The JSON form json.dumps is given for a value it cannot write: a Poly
+    as {"coeffs", "text"}, a RationalComplex as {"im", "re"}, a Fraction as
+    {"den", "num"}, and a complex as a real when its imaginary part is 0,
+    else as {"im", "re"}."""
+    if isinstance(value, Poly):
+        return {"coeffs": value.coeffs, "text": format_poly(value)}
+    if isinstance(value, RationalComplex):
+        return {"im": value.im, "re": value.re}
+    if isinstance(value, Fraction):
+        return {"den": value.denominator, "num": value.numerator}
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
 
 
 def _check(name: str, value: float, tolerance: float):
@@ -286,8 +241,8 @@ def cmd_classify(args, config: RunConfig):
         mode=args.mode,
     )
     branches = enumerate_branches(eq)
-    heun_p = _match_heun(eq) if args.mode == EXTENDED else None
-    che_p = _match_che(eq) if args.mode == EXTENDED else None
+    heun_p = _match_heun(eq)
+    che_p = _match_che(eq)
     family = "heun" if heun_p is not None else "che" if che_p is not None else ""
     catalog = _class_catalog(heun_p, che_p)
     entries = []
@@ -549,7 +504,7 @@ def _render(command: str, fmt: str, record):
                items_key: items}
         if own_checks:
             doc["checks"] = checks
-        print(_json_text(doc))
+        print(json.dumps(doc, sort_keys=True, default=_json_form))
     elif fmt == "csv":
         # no rows writes the header alone
         header, rows = csv_rows(*record)
@@ -575,6 +530,15 @@ def _parse_tolerances(pairs):
             )
         out[name] = float(value)
     return out
+
+
+def finite(text: str) -> float:
+    """An app option's float. argparse exits 2 on any other text, NaN and
+    the infinities included, with "invalid finite value"."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 @functools.cache
@@ -645,10 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
     app.add_argument("name", choices=sorted(_APPS))
     app.add_argument("--n", type=int, help="level / degree")
     app.add_argument("--m", type=int, help="angular index (coulomb3s)")
-    app.add_argument("--gamma", type=float, help="coupling")
-    app.add_argument("--delta", type=float, help="exponent parameter")
-    app.add_argument("--d", type=float, help="well width (double-well)")
-    app.add_argument("--u0", type=float, help="well depth (double-well)")
+    app.add_argument("--gamma", type=finite, help="coupling")
+    app.add_argument("--delta", type=finite, help="exponent parameter")
+    app.add_argument("--d", type=finite, help="well width (double-well)")
+    app.add_argument("--u0", type=finite, help="well depth (double-well)")
     app.add_argument(
         "--parity",
         choices=("symmetric", "antisymmetric"),

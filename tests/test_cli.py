@@ -205,6 +205,26 @@ def test_app_doublewell(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+# per app float option: a run that is valid once the option is finite
+APP_FLOAT_OPTIONS = {
+    "gamma": ["coulomb3s", "--n", "1", "--m", "0"],
+    "delta": ["electrons-sphere", "--n", "2", "--gamma", "1"],
+    "d": ["double-well", "--n", "1", "--u0", "100"],
+    "u0": ["double-well", "--n", "1", "--d", "1"],
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", sorted(APP_FLOAT_OPTIONS))
+def test_app_float_option_must_be_finite(capsys, option, value):
+    # "--opt=-inf": as a separate word, argparse would read -inf as an option
+    code, out, err = run(capsys, "app", *APP_FLOAT_OPTIONS[option],
+                         "--%s=%s" % (option, value), "--format", "json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "invalid finite value" in err
+
+
 def test_app_table_output(capsys):
     code, out, _ = run(capsys, "app", "double-well", "--n", "0", "--d", "1",
                        "--u0", "49")
@@ -532,5 +552,5 @@ def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
     assert code == EXIT_OK, err
     assert out and not err
     if fmt == "json":
-        # the emitter writes what json.dumps writes
-        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+        # one line, as json.dumps(sort_keys=True) writes it
+        assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out

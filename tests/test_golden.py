@@ -6,8 +6,8 @@ run with non-finite values are frozen byte for byte, and so is the JSON
 of two exact solves. The comparison is of bytes, so every value counts,
 floats included (a change that moves a float in its last bit shows
 here), and so do the text formats' own number forms, the JSON
-indentation, key order and escaping, and json.dumps' NaN/Infinity
-tokens.
+separators, key order and escaping, and json.dumps' NaN/Infinity
+tokens. JSON is one line, in the form json.dumps(sort_keys=True) writes.
 """
 
 from pathlib import Path

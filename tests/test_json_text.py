@@ -1,9 +1,10 @@
-"""The CLI's JSON emitter against json.dumps.
+"""The CLI's JSON output against a two-pass reference.
 
-`cli._json_text` writes a document in one pass. The reference below is
-the two-pass path it replaced: every Poly and scalar turned into its
-JSON form first, then json.dumps(indent=2, sort_keys=True). Both must
-give the same text on seeded random nested documents.
+`cli._render` writes json.dumps(doc, sort_keys=True, default=_json_form):
+the stdlib encoder asks `_json_form` for each Poly and scalar it cannot
+write. The reference below turns every Poly and scalar into its JSON form
+first, then calls json.dumps(sort_keys=True). Both must give the same text
+on seeded random nested documents.
 """
 
 import json
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from heunforge import EXACT, FLOAT, Poly, RationalComplex
-from heunforge.cli import _json_text
+from heunforge.cli import _json_form
 from heunforge.poly import format_poly
 
 
@@ -49,7 +50,11 @@ def _jsonable(value):
 
 
 def reference(value) -> str:
-    return json.dumps(_jsonable(value), indent=2, sort_keys=True)
+    return json.dumps(_jsonable(value), sort_keys=True)
+
+
+def written(value) -> str:
+    return json.dumps(value, sort_keys=True, default=_json_form)
 
 
 # ASCII, control characters, quotes, backslash, Latin-1, BMP and astral
@@ -90,7 +95,7 @@ def _scalar(rng):
         # a zero imaginary part of either sign prints the bare real
         return complex(_float(rng), rng.choice((0.0, -0.0, _float(rng))))
     if kind == 7:
-        return np.complex128(complex(_float(rng), rng.choice((0.0, -0.0, 1.5))))
+        return np.complex128(complex(_float(rng), rng.choice((0.0, -0.0, _float(rng)))))
     if kind == 8:
         coeffs = [RationalComplex(_fraction(rng), _fraction(rng))
                   for _ in range(rng.randint(0, 4))]
@@ -118,7 +123,7 @@ def test_emitter_matches_json_dumps_on_random_documents(seed):
     rng = random.Random(seed)
     for _ in range(25):
         doc = _document(rng, 4)
-        assert _json_text(doc) == reference(doc)
+        assert written(doc) == reference(doc)
 
 
 @pytest.mark.parametrize("value", [
@@ -130,9 +135,11 @@ def test_emitter_matches_json_dumps_on_random_documents(seed):
     np.complex128(1.5), Poly([], FLOAT), Poly([1, 2j], FLOAT),
     Poly([Fraction(1, 2), RationalComplex(0, 3)], EXACT),
     {"é\x00\"": " \U0001d4b5\\", "b": [1, "x"], "a": 0.5},
+    np.complex128(complex(1.5, -2.0)), np.complex128(complex(math.nan, 0.0)),
+    np.complex128(complex(0.0, math.inf)),
 ])
 def test_emitter_matches_json_dumps_on_edge_values(value):
-    assert _json_text(value) == reference(value)
+    assert written(value) == reference(value)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3),
@@ -141,4 +148,4 @@ def test_unknown_type_raises_type_error(value):
     with pytest.raises(TypeError):
         reference({"k": [value]})
     with pytest.raises(TypeError, match="not JSON serializable"):
-        _json_text({"k": [value]})
+        written({"k": [value]})
