@@ -105,15 +105,6 @@ class CheClass:
     def coupling_at(self, p: CheParams, n: int):
         return self.coupling_value(n, p.alpha, p.beta, p.gamma)
 
-    def prefactor_exponents(self, p: CheParams):
-        """(coefficient of z in exp part, power at 0, power at 1)."""
-        zero = as_scalar(0, p.backend)
-        return (
-            -p.alpha if self.flags[0] else zero,
-            -p.beta if self.flags[1] else zero,
-            -p.gamma if self.flags[2] else zero,
-        )
-
 
 CHE_CLASSES = (
     CheClass("1", (1, 1, 1), (2, 0, 0, 1)),

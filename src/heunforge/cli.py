@@ -247,7 +247,10 @@ def cmd_classify(args, config: RunConfig):
     catalog = _class_catalog(heun_p, che_p)
     entries = []
     for branch in branches:
-        reduced = reduce_branch(eq, branch)
+        try:
+            reduced = reduce_branch(eq, branch)
+        except NoBranchError:  # it can reject a float branch; see enumerate_branches
+            continue
         entries.append({
             "sign": branch.sign,
             "class": _branch_label(branch, catalog),

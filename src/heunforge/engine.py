@@ -189,19 +189,6 @@ def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
     return p.negligible(tol * max(scale, 1.0))
 
 
-def _validated(eq: NuEquation, branches):
-    """Keep branches whose sigma_bar divides by sigma (drops candidates
-    that float error pushed off the branch set)."""
-    good = []
-    for b in branches:
-        try:
-            reduce_branch(eq, b)
-        except ValueError:
-            continue
-        good.append(b)
-    return good
-
-
 def _dedupe(branches):
     seen = []
     out = []
@@ -340,8 +327,9 @@ def _hermite_row(centre, k, budget):
     return [comb(j, k) * c ** (j - k) if j >= k else 0.0 for j in range(budget)]
 
 
-def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
-    """(g, s) pairs with s^2 = B + g sigma, B = ((sigma' - tau~)/2)^2 - sigma~.
+def _sqrt_mod_sigma_candidates(eq: NuEquation):
+    """Float (g, s, collapse) with s^2 = B + g sigma, where
+    B = ((sigma' - tau~)/2)^2 - sigma~.
 
     With the mode's degree budget (the bound on deg sigma), such an s
     (deg s < budget) solves s^2 = B mod sigma with
@@ -351,11 +339,22 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
     lifted at each point and the pieces are joined by one Hermite
     interpolation per sign pattern; the first sign is fixed, as -s gives
     the same g. When sigma divides B, sqrt(B) is 0 at every simple root,
-    so the interpolation gives s = 0 and the g of the zero radicand."""
+    so the interpolation gives s = 0 and the g of the zero radicand.
+
+    For pi = (sigma' - tau~)/2 +- s, pi^2 + pi (tau~ - sigma') + sigma~
+    is (pi - (sigma' - tau~)/2)^2 - B = s^2 - B, and sigma_bar adds only
+    pi' sigma to it. So the remainder of s^2 - B modulo sigma is the
+    remainder reduce_branch tests, and a candidate is kept when it is
+    within 1e-7 of max(1, |B|, |s^2|): the one certificate of both its
+    branches. It is looser than reduce_branch's DIVIDE_REL_TOL because
+    close roots of sigma make the Hermite solve ill-conditioned, and
+    genuine branches then leave remainders above DIVIDE_REL_TOL. collapse
+    marks a radicand B + g sigma within 1e-9 of max(1, |B|)."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
     half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
     bpoly_f = bpoly.to_float()
+    scale = bpoly_f.max_abs()
     points = _sigma_points(eq.sigma, budget)
     top = 2 * budget - 2
     roots = []
@@ -374,18 +373,16 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, scale):
                 noise = sys.float_info.epsilon * bpoly_f.degree * terms
         roots.append(_local_sqrt(taylor, mult, noise))
     if None in roots:
-        return []
+        return
     mat = np.array([_hermite_row(c, k, budget) for c, m in points for k in range(m)])
     sig_f = eq.sigma.to_float()
-    out = []
     for tail in product((1, -1), repeat=len(points) - 1):
         rhs = [e * v for e, root in zip((1,) + tail, roots) for v in root]
         s = Poly([complex(v) for v in np.linalg.solve(mat, rhs)], FLOAT)
         g, rem = (s * s - bpoly_f).divrem(sig_f)
-        if g.degree <= budget - 2 and rem.max_abs() <= 1e-7 * max(
-                scale, 1.0, (s * s).max_abs()):
-            out.append((g, s))
-    return out
+        if g.degree <= budget - 2 and _is_negligible(
+                rem, max(scale, (s * s).max_abs()), 1e-7):
+            yield g, s, _is_negligible(bpoly_f + g * sig_f, scale, 1e-9)
 
 
 def enumerate_branches(eq: NuEquation):
@@ -403,23 +400,25 @@ def enumerate_branches(eq: NuEquation):
     multiplicity) or raises NoBranchError (a continuum of branches).
     Each candidate (g, s) gives the branches pi = (sigma' - tau~)/2 +- s,
     or the one collapse branch with sign 0 when its radicand vanishes.
-    Results are validated by division of sigma_bar and deduplicated at
-    1e-8. An exact equation gets an exact branch wherever a float
-    branch's pi rationalizes to one that branch_from_pi certifies.
+    A float branch is certified once, where its candidate is made, by
+    the remainder of s^2 - B modulo sigma, which is sigma_bar's (see
+    _sqrt_mod_sigma_candidates). reduce_branch tests that remainder at
+    DIVIDE_REL_TOL of sigma_bar, so it can still reject a float branch:
+    one of a sigma with close roots, or one whose pi is far smaller than
+    (sigma' - tau~)/2 and so keeps only the absolute accuracy of its two
+    parts. classify, which reduces each branch once, leaves such a
+    branch out. Branches are deduplicated at 1e-8. An exact equation
+    gets an exact branch wherever a float branch's pi rationalizes to
+    one that branch_from_pi certifies.
     """
-    gap = eq.half_gap().to_float()
-    scale = max(1.0, (gap * gap - eq.sigma_tilde.to_float()).max_abs())
-    eq_f = eq.to_float()
-    half = eq_f.half_gap()
+    half = eq.to_float().half_gap()
     branches = []
-    for g, s in _sqrt_mod_sigma_candidates(eq, scale):
-        if _is_negligible(radicand(eq_f, g), scale, 1e-9):
+    for g, s, collapse in _sqrt_mod_sigma_candidates(eq):
+        if collapse:
             branches.append(PiBranch(g, Poly.zero(FLOAT), half, 0))
-            continue
-        for sign, pi in ((1, half + s), (-1, half - s)):
-            if pi.degree <= 2:
-                branches.append(PiBranch(g, s, pi, sign))
-    branches = _dedupe(_validated(eq_f, branches))
+        else:
+            branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
+    branches = _dedupe(branches)
     if eq.backend == EXACT:
         branches = [_exact_branch(eq, b) for b in branches]
     return branches

@@ -111,13 +111,6 @@ class HeunClass:
                 out = out + part
         return out
 
-    def exponents(self, p: HeunParams) -> tuple:
-        """Local prefactor exponents at (0, 1, a)."""
-        unit = as_scalar(1, p.backend)
-        zero = as_scalar(0, p.backend)
-        vals = (unit - p.gamma, unit - p.delta, unit - p.epsilon)
-        return tuple(v if f else zero for f, v in zip(self.flags, vals))
-
     def product_value(self, n: int, gamma, delta, epsilon):
         """The value of alpha*beta admitting degree-n solutions."""
         if n < 0:

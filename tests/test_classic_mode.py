@@ -21,7 +21,6 @@ from heunforge.engine import (
     PiBranch,
     _dedupe,
     _is_negligible,
-    _validated,
     enumerate_branches,
     radicand,
     reduce_branch,
@@ -40,6 +39,20 @@ def _poly(coeffs, backend=EXACT):
 
 
 # -- the discriminant root-finder classic mode used to run -------------------------
+
+
+def _validated(eq, branches):
+    """Keep branches whose sigma_bar divides by sigma: the second pass
+    enumerate_branches ran over its float branches before each candidate
+    carried its own certificate."""
+    good = []
+    for b in branches:
+        try:
+            reduce_branch(eq, b)
+        except ValueError:
+            continue
+        good.append(b)
+    return good
 
 
 def _try_branches(eq, g, scale):
@@ -255,7 +268,7 @@ GRID = list(_grid(420, seed=2015))
 
 @pytest.mark.parametrize("backend", [EXACT, FLOAT])
 def test_classic_enumeration_matches_discriminant_reference(backend):
-    compared = differ = 0
+    compared = differ = unreduced = 0
     for tau, sigma, sigma_tilde, _ in GRID:
         eq = _classic(tau, sigma, sigma_tilde, backend)
         if _disc_has_double_root(_classic(tau, sigma, sigma_tilde, EXACT)):
@@ -265,8 +278,14 @@ def test_classic_enumeration_matches_discriminant_reference(backend):
         want = _outcome(lambda: _reference_branches(eq))
         if not _same_set(got, want):
             differ += 1
+        if not isinstance(got, str):
+            unreduced += sum(isinstance(_outcome(lambda: reduce_branch(eq, b)), str)
+                             for b in got)
     assert compared >= 400
     assert differ == 0
+    # a candidate's remainder test is the one reduce_branch makes, and on
+    # this grid no branch enumerate_branches returns fails the reduction
+    assert unreduced == 0
 
 
 def test_planted_branches_come_out_exact():

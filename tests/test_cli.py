@@ -93,6 +93,51 @@ def test_classify_float_backend_env(capsys, monkeypatch):
     assert json.loads(out)["backend"] == "exact"
 
 
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_classify_reduces_each_printed_branch_once(capsys, monkeypatch, backend):
+    # a candidate's remainder test is its certificate, so the only
+    # reduction is the one that prints tau and h
+    import sys
+
+    from heunforge import engine
+
+    original = engine.reduce_branch
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heunforge") and \
+                getattr(module, "reduce_branch", None) is original:
+            monkeypatch.setattr(module, "reduce_branch", counted)
+    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", backend,
+                       "--format", "json")
+    assert code == EXIT_OK
+    assert len(calls) == len(json.loads(out)["branches"]) == 8
+
+
+def test_classify_past_a_float_pi_lost_to_cancellation(capsys):
+    # sigma~ = (3/10) sigma plants pi = 0 where (sigma' - tau~)/2 is 1e4 in
+    # size. Its float pi, (sigma' - tau~)/2 + s, is accurate to about 1e-12
+    # only, which reduce_branch rejects: the float run prints the other
+    # branches, and the exact run certifies pi = 0 exactly.
+    argv = ["classify", "--mode", "classic", "--sigma", "z^2 - 1",
+            "--tau", "10000 - 6000*z", "--sigma-tilde", "-3/10 + 3/10*z^2",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--backend", "exact")
+    assert code == EXIT_OK
+    exact = [parse_poly(b["pi"]["text"], EXACT)
+             for b in json.loads(out)["branches"]]
+    assert len(exact) == 4 and parse_poly("0", EXACT) in exact
+    code, out, _ = run(capsys, *argv, "--backend", "float")
+    assert code == EXIT_OK
+    for b in json.loads(out)["branches"]:
+        pi = parse_poly(b["pi"]["text"], FLOAT)
+        assert min((pi - e.to_float()).max_abs() for e in exact) <= 1e-8 * 1e4
+
+
 def test_solve_heun_three_states(capsys):
     code, out, _ = run(capsys, "solve", "heun", "--class", "I", "-n", "2",
                        "--a", "2", "--gamma", "0.5", "--delta", "1/3",

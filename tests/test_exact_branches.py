@@ -28,7 +28,6 @@ from heunforge.engine import (
     _is_negligible,
     _sigma_points,
     _sqrt_mod_sigma_candidates,
-    _validated,
     enumerate_branches,
     radicand,
     reduce_branch,
@@ -43,6 +42,20 @@ def _poly(coeffs):
 
 
 # -- the g-ladder exactification enumerate_branches used to run ------------------
+
+
+def _validated(eq, branches):
+    """Keep branches whose sigma_bar divides by sigma: the second pass
+    enumerate_branches ran over its float branches before each candidate
+    carried its own certificate."""
+    good = []
+    for b in branches:
+        try:
+            reduce_branch(eq, b)
+        except ValueError:
+            continue
+        good.append(b)
+    return good
 
 
 def _try_branches(eq, g, scale, s_hint=None):
@@ -107,7 +120,7 @@ def _reference_branches(eq):
     scale = max(1.0, (half * half - eq.sigma_tilde.to_float()).max_abs())
     eq_f = eq.to_float()
     branches = []
-    for g, s in _sqrt_mod_sigma_candidates(eq, scale):
+    for g, s, _ in _sqrt_mod_sigma_candidates(eq):
         branches.extend(_try_branches(eq_f, g, scale, s_hint=s))
     out = []
     for b in _dedupe(_validated(eq_f, branches)):
@@ -225,6 +238,31 @@ def test_exact_branch_where_the_g_ladder_found_none():
         reduce_branch(eq, b)
         assert b.s * b.s == radicand(eq, b.g)
         assert b.pi == eq.half_gap() + b.s * RationalComplex(b.sign)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_close_roots_keep_a_planted_branch(backend):
+    # sigma = (z - 3)(z - 3 - 1/50000)(z + 9/4) makes the Hermite solve
+    # ill-conditioned: the planted branch's float s leaves s^2 - B a
+    # remainder above 1e-10 of |B|. The candidate test (1e-7) keeps it,
+    # and it passes reduce_branch; the exact run certifies it exactly.
+    sigma = _times(_times([-3, 1], [F(-150001, 50000), 1]), [F(9, 4), 1])
+    tau, pi, g = [0, F(-9, 2), 1], [1, 0, F(-5, 2)], [1, -6]
+    dsigma = [c * j for j, c in enumerate(sigma)][1:]
+    gap = [a - b for a, b in zip(tau, dsigma)]
+    terms = (_times(g, sigma), _times(pi, pi), _times(pi, gap))
+    eq = NuEquation(_poly(tau), _poly(sigma),
+                    _poly([a - b - c for a, b, c in zip(*terms)]), EXTENDED)
+    if backend == "float":
+        eq = eq.to_float()
+    pi0 = _poly(pi).to_float()
+    found = []
+    for b in enumerate_branches(eq):
+        if (b.pi.to_float() - pi0).max_abs() <= 1e-6 * pi0.max_abs():
+            reduce_branch(eq, b)
+            found.append(b)
+    assert len(found) == 1
+    assert backend == "float" or found[0].pi == _poly(pi)
 
 
 def test_close_roots_of_an_exact_sigma_keep_distinct_centres():
