@@ -234,22 +234,29 @@ def _rationalizations(value: complex):
     return [RationalComplex(re, im) for re, im in product(*parts)]
 
 
+def _signed(b: PiBranch) -> PiBranch:
+    """An exact branch with its s leading with the principal square root
+    of its square (real part positive, or zero and imaginary part
+    positive): b itself, or b with s and sign negated, the same pi. A
+    collapse (sign 0) or a float branch as it is."""
+    if b.backend != EXACT or not b.sign:
+        return b
+    lead = b.s.leading()
+    if lead.re > 0 or lead.re == 0 and lead.im > 0:
+        return b
+    return replace(b, s=-b.s, sign=-b.sign)
+
+
 def _exact_branch(eq: NuEquation, b: PiBranch) -> PiBranch:
     """The exact branch of an exact equation whose pi rationalizes the
     float branch b's pi, or b itself when none does: the first candidate
-    pi, in ladder order, that branch_from_pi certifies. Its sign is +1
-    when s = pi - (sigma' - tau~)/2 leads with the principal square root
-    of its square, else -1 with s negated; a collapse keeps sign 0."""
+    pi, in ladder order, that branch_from_pi certifies, signed by
+    _signed."""
     for coeffs in product(*(_rationalizations(complex(c)) for c in b.pi.coeffs)):
         try:
-            cand = branch_from_pi(eq, Poly(coeffs, EXACT))
+            return _signed(branch_from_pi(eq, Poly(coeffs, EXACT)))
         except NoBranchError:
             continue
-        if cand.sign:
-            lead = cand.s.leading()
-            if sqrt_exact(lead * lead) != lead:
-                cand = replace(cand, s=-cand.s, sign=-1)
-        return cand
     return b
 
 
@@ -291,10 +298,12 @@ def _sigma_points(sigma: Poly, budget: int):
     return points
 
 
-def _local_sqrt(taylor, mult, noise):
+def _local_sqrt(taylor, mult, noise, backend):
     """First `mult` Taylor coefficients of a square root of the series
-    sum taylor[k] t^k, by Hensel lifting; None when none exists. A
-    taylor[0] within `noise`, its rounding error, counts as zero.
+    sum taylor[k] t^k, by Hensel lifting in `backend`; None when none
+    exists there. An exact head root is sqrt_exact's, None when taylor[0]
+    has no Gaussian-rational root; a float taylor[0] within `noise`, its
+    rounding error, counts as zero.
 
     At a repeated point a series that vanishes to odd order below `mult`
     has no square root; one vanishing to any other positive order
@@ -310,26 +319,45 @@ def _local_sqrt(taylor, mult, noise):
                 "perfect-square set is not finite (the radicand vanishes "
                 "at a repeated root of sigma)"
             )
-    root = [cmath.sqrt(0 if negligible(taylor[0], noise) else complex(taylor[0]))]
+    if backend == EXACT:
+        root = [sqrt_exact(taylor[0])]
+        if root[0] is None:
+            return None
+    else:
+        root = [cmath.sqrt(0 if negligible(taylor[0], noise) else complex(taylor[0]))]
     for k in range(1, mult):
-        acc = complex(taylor[k]) - sum(root[i] * root[k - i] for i in range(1, k))
+        acc = as_scalar(taylor[k], backend) - sum(root[i] * root[k - i] for i in range(1, k))
         root.append(acc / (2 * root[0]))
     return root
 
 
-def _hermite_row(centre, k, budget):
+def _hermite_row(centre, k, budget, backend):
     """Coefficients mapping s = s0 + s1 z + ... + s_{budget-1} z^(budget-1)
     to its k-th Taylor coefficient at centre (of w^(budget-1) s(1/w) at
-    w = 0 for infinity)."""
+    w = 0 for infinity), as `backend` scalars."""
+    one, zero = as_scalar(1, backend), as_scalar(0, backend)
     if centre is None:
-        return [1.0 if j == budget - 1 - k else 0.0 for j in range(budget)]
-    c = complex(centre)
-    return [comb(j, k) * c ** (j - k) if j >= k else 0.0 for j in range(budget)]
+        return [one if j == budget - 1 - k else zero for j in range(budget)]
+    c, power, row = as_scalar(centre, backend), one, [zero] * k
+    for j in range(k, budget):
+        row.append(comb(j, k) * power)
+        power = power * c
+    return row
 
 
-def _sqrt_mod_sigma_candidates(eq: NuEquation):
-    """Float (g, s, collapse) with s^2 = B + g sigma, where
-    B = ((sigma' - tau~)/2)^2 - sigma~.
+def _taylor(poly: Poly, centre, top):
+    """Taylor coefficients 0..top of poly at centre (of w^top poly(1/w)
+    at w = 0 for infinity, centre None)."""
+    if centre is None:
+        return [poly.coeff(top - k) for k in range(top + 1)]
+    local = poly.shift(centre)
+    return [local.coeff(k) for k in range(top + 1)]
+
+
+def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
+    """(g, s, collapse) with s^2 = B + g sigma, where
+    B = ((sigma' - tau~)/2)^2 - sigma~ and `points` are sigma's
+    (_sigma_points).
 
     With the mode's degree budget (the bound on deg sigma), such an s
     (deg s < budget) solves s^2 = B mod sigma with
@@ -344,45 +372,66 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation):
     For pi = (sigma' - tau~)/2 +- s, pi^2 + pi (tau~ - sigma') + sigma~
     is (pi - (sigma' - tau~)/2)^2 - B = s^2 - B, and sigma_bar adds only
     pi' sigma to it. So the remainder of s^2 - B modulo sigma is the
-    remainder reduce_branch tests, and a candidate is kept when it is
-    within 1e-7 of max(1, |B|, |s^2|): the one certificate of both its
-    branches. It is looser than reduce_branch's DIVIDE_REL_TOL because
-    close roots of sigma make the Hermite solve ill-conditioned, and
-    genuine branches then leave remainders above DIVIDE_REL_TOL. collapse
-    marks a radicand B + g sigma within 1e-9 of max(1, |B|)."""
+    remainder reduce_branch tests: the one certificate of a candidate's
+    branches.
+
+    An exact equation whose centres are all exact gets exact candidates:
+    the lift and the Hermite solve run in RationalComplex, the remainder
+    must be zero, and collapse marks B + g sigma = 0. If a head of B has
+    no Gaussian-rational root, no exact branch exists (s(c)^2 = B(c) at
+    each centre c) and the construction runs in floats. There the
+    remainder must be within 1e-7 of max(1, |B|, |s^2|), looser than
+    reduce_branch's DIVIDE_REL_TOL because close roots of sigma make the
+    Hermite solve ill-conditioned, and collapse marks B + g sigma within
+    DIVIDE_REL_TOL of max(1, |B|), as reduce_branch tests the collapse
+    branch at that tolerance."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
     half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
-    bpoly_f = bpoly.to_float()
-    scale = bpoly_f.max_abs()
-    points = _sigma_points(eq.sigma, budget)
+    sigma = eq.sigma
     top = 2 * budget - 2
-    roots = []
-    for centre, mult in points:
-        noise = 0.0
-        if centre is None:
-            taylor = [bpoly.coeff(top - k) for k in range(top + 1)]
-        else:
-            exact = isinstance(centre, RationalComplex)
-            local = (bpoly if exact else bpoly_f).shift(centre)
-            taylor = [local.coeff(k) for k in range(top + 1)]
-            if mult == 1 and not exact:
+    exact = [c is None or isinstance(c, RationalComplex) for c, _ in points]
+    backend = EXACT if eq.backend == EXACT and all(exact) else FLOAT
+    if backend == EXACT:
+        roots = [_local_sqrt(_taylor(bpoly, c, top), m, 0.0, EXACT) for c, m in points]
+        if None in roots:
+            backend = FLOAT
+    if backend == FLOAT:
+        bpoly_f, sigma = bpoly.to_float(), sigma.to_float()
+        roots = []
+        for (centre, mult), at_exact in zip(points, exact):
+            noise = 0.0
+            if mult == 1 and not at_exact:
                 # B(centre) within the shift's rounding bound gamma_2d |B|(|centre|),
                 # d = deg B (Higham, Accuracy and Stability, eq. 5.3), is zero
                 terms = sum(abs(c) * abs(centre) ** k for k, c in enumerate(bpoly_f.coeffs))
                 noise = sys.float_info.epsilon * bpoly_f.degree * terms
-        roots.append(_local_sqrt(taylor, mult, noise))
-    if None in roots:
+            taylor = _taylor(bpoly if at_exact else bpoly_f, centre, top)
+            roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
+        if None in roots:
+            return
+        bpoly = bpoly_f
+    rows = [_hermite_row(c, k, budget, backend) for c, m in points for k in range(m)]
+    rhs = [[e * v for e, root in zip((1,) + tail, roots) for v in root]
+           for tail in product((1, -1), repeat=len(points) - 1)]
+    if backend == EXACT:
+        # one elimination of [M | -rhs_1 | -rhs_2 ...]: the kernel vector
+        # of the free column of rhs_t starts with the solution for rhs_t
+        aug = [row + [-r[i] for r in rhs] for i, row in enumerate(rows)]
+        for vec in _nullspace_exact(aug):
+            s = Poly(vec[:budget], EXACT)
+            g, rem = (s * s - bpoly).divrem(sigma)
+            if g.degree <= budget - 2 and rem.is_zero:
+                yield g, s, s.is_zero
         return
-    mat = np.array([_hermite_row(c, k, budget) for c, m in points for k in range(m)])
-    sig_f = eq.sigma.to_float()
-    for tail in product((1, -1), repeat=len(points) - 1):
-        rhs = [e * v for e, root in zip((1,) + tail, roots) for v in root]
-        s = Poly([complex(v) for v in np.linalg.solve(mat, rhs)], FLOAT)
-        g, rem = (s * s - bpoly_f).divrem(sig_f)
-        if g.degree <= budget - 2 and _is_negligible(
-                rem, max(scale, (s * s).max_abs()), 1e-7):
-            yield g, s, _is_negligible(bpoly_f + g * sig_f, scale, 1e-9)
+    scale = bpoly.max_abs()
+    mat = np.array(rows)
+    for r in rhs:
+        s = Poly([complex(v) for v in np.linalg.solve(mat, r)], FLOAT)
+        sq = s * s
+        g, rem = (sq - bpoly).divrem(sigma)
+        if g.degree <= budget - 2 and _is_negligible(rem, max(scale, sq.max_abs()), 1e-7):
+            yield g, s, _is_negligible(bpoly + g * sigma, scale, DIVIDE_REL_TOL)
 
 
 def enumerate_branches(eq: NuEquation):
@@ -408,20 +457,26 @@ def enumerate_branches(eq: NuEquation):
     (sigma' - tau~)/2 and so keeps only the absolute accuracy of its two
     parts. classify, which reduces each branch once, leaves such a
     branch out. Branches are deduplicated at 1e-8. An exact equation
-    gets an exact branch wherever a float branch's pi rationalizes to
-    one that branch_from_pi certifies.
+    whose centres are all exact gets its branches made and certified
+    exactly, or its float branches when no exact branch exists. One
+    with an inexact centre (an irrational root of sigma) gets an exact
+    branch wherever a float branch's pi rationalizes to one that
+    branch_from_pi certifies. Exact branches are signed by _signed.
     """
-    half = eq.to_float().half_gap()
-    branches = []
-    for g, s, collapse in _sqrt_mod_sigma_candidates(eq):
+    points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
+    branches, half = [], None
+    for g, s, collapse in _sqrt_mod_sigma_candidates(eq, points):
+        if half is None:
+            half = (eq if g.backend == eq.backend else eq.to_float()).half_gap()
         if collapse:
-            branches.append(PiBranch(g, Poly.zero(FLOAT), half, 0))
+            branches.append(PiBranch(g, Poly.zero(g.backend), half, 0))
         else:
             branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
     branches = _dedupe(branches)
-    if eq.backend == EXACT:
-        branches = [_exact_branch(eq, b) for b in branches]
-    return branches
+    if eq.backend == EXACT and any(
+            c is not None and not isinstance(c, RationalComplex) for c, _ in points):
+        return [_exact_branch(eq, b) for b in branches]
+    return [_signed(b) for b in branches]
 
 
 def _vanishes(p: Poly) -> bool:

@@ -96,26 +96,46 @@ def test_classify_float_backend_env(capsys, monkeypatch):
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_classify_reduces_each_printed_branch_once(capsys, monkeypatch, backend):
     # a candidate's remainder test is its certificate, so the only
-    # reduction is the one that prints tau and h
+    # reduction is the one that prints tau and h; sigma's roots 0, 1 and 2
+    # are exact, so no exact branch is recovered from a rationalized pi
     import sys
 
     from heunforge import engine
 
-    original = engine.reduce_branch
-    calls = []
+    calls = {"reduce_branch": [], "branch_from_pi": []}
+    for fname, calls_of in calls.items():
+        original = getattr(engine, fname)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+        def counted(*args, original=original, calls_of=calls_of):
+            calls_of.append(args)
+            return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("heunforge") and \
-                getattr(module, "reduce_branch", None) is original:
-            monkeypatch.setattr(module, "reduce_branch", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("heunforge") and \
+                    getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
     code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", backend,
                        "--format", "json")
     assert code == EXIT_OK
-    assert len(calls) == len(json.loads(out)["branches"]) == 8
+    assert len(calls["reduce_branch"]) == len(json.loads(out)["branches"]) == 8
+    assert calls["branch_from_pi"] == []
+
+
+def test_classify_keeps_a_near_collapse(capsys):
+    # sigma~ = ((sigma' - tau~)/2)^2 + 2 sigma + delta: the radicand is
+    # the constant -delta at g = 2. A candidate flagged as a collapse
+    # gives pi = (sigma' - tau~)/2, which reduce_branch tests at
+    # DIVIDE_REL_TOL, so the flag takes that tolerance too: every offset
+    # prints the collapse branch or a +- pair, none prints no branch
+    deltas = [sign * 10 ** (-12 + k / 12) for k in range(61) for sign in (1, -1)]
+    for delta in deltas:
+        code, out, _ = run(
+            capsys, "classify", "--mode", "classic", "--sigma", "z^2 - 1",
+            "--tau", "0.3 - 0.5*z",
+            "--sigma-tilde=%r - 0.375*z + 3.5625*z^2" % (-1.9775 + delta),
+            "--format", "json")
+        assert code == EXIT_OK, delta
+        assert json.loads(out)["branches"], delta
 
 
 def test_classify_past_a_float_pi_lost_to_cancellation(capsys):

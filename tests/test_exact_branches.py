@@ -1,20 +1,27 @@
 """Exact branches of exact extended-mode equations.
 
-enumerate_branches finds branches in floats; for an exact equation each
-float branch's pi is rationalized and certified by branch_from_pi. These
-tests hold that to a copy of the exactification it replaced, which
-rationalized g on a longer denominator ladder and took the radicand's
-square root again, on a seeded grid of equations with a planted branch.
+enumerate_branches runs the branch construction exactly when every
+centre of sigma is exact; otherwise it finds branches in floats and
+rationalizes each float branch's pi, certified by branch_from_pi. These
+tests hold that to a copy of the exactification the pi ladder replaced,
+which rationalized g on a longer denominator ladder and took the
+radicand's square root again, and to a copy of the float construction
+with the pi ladder that the exact construction replaced, on a seeded
+grid of equations with a planted branch.
 A second seeded grid of family equations with degenerate exponents runs
 through the CLI: each class branch must come out once, exact and
 labelled.
 """
 
+import cmath
 import json
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
+import numpy as np
 import pytest
 
 from heunforge.che import CHE_CLASSES, CheParams, che_to_nu
@@ -22,19 +29,20 @@ from heunforge.cli import main
 
 from heunforge.engine import (
     EXTENDED,
+    NoBranchError,
     NuEquation,
     PiBranch,
     _dedupe,
+    _exact_branch,
     _is_negligible,
     _sigma_points,
-    _sqrt_mod_sigma_candidates,
     enumerate_branches,
     radicand,
     reduce_branch,
 )
 from heunforge.heun import HEUN_CLASSES, HeunParams, heun_to_nu
 from heunforge.poly import Poly, format_poly
-from heunforge.scalars import EXACT, RationalComplex
+from heunforge.scalars import EXACT, FLOAT, RationalComplex, negligible
 
 
 def _poly(coeffs):
@@ -56,6 +64,110 @@ def _validated(eq, branches):
             continue
         good.append(b)
     return good
+
+
+def _float_local_sqrt(taylor, mult, noise):
+    """Float Hensel lift of sqrt(sum taylor[k] t^k) to `mult` terms: None
+    at odd vanishing order below mult, NoBranchError at any other."""
+    if mult > 1:
+        bound = 1e-9 * max([1.0] + [abs(c) for c in taylor])
+        zero = [negligible(c, bound) for c in taylor[:mult]]
+        order = zero.index(False) if False in zero else mult
+        if order % 2 and order < mult:
+            return None
+        if order:
+            raise NoBranchError("perfect-square set is not finite")
+    root = [cmath.sqrt(0 if negligible(taylor[0], noise) else complex(taylor[0]))]
+    for k in range(1, mult):
+        acc = complex(taylor[k]) - sum(root[i] * root[k - i] for i in range(1, k))
+        root.append(acc / (2 * root[0]))
+    return root
+
+
+def _float_candidates(eq):
+    """Float (g, s, collapse) with s^2 = B + g sigma as enumerate_branches
+    built them before an exact equation with exact centres ran the
+    construction exactly: sqrt(B) lifted in floats at each point of sigma,
+    joined by a float Hermite solve and kept at the 1e-7 remainder test;
+    collapse marked B + g sigma within 1e-9 of max(1, |B|)."""
+    budget = 3 if eq.mode == EXTENDED else 2
+    half = eq.half_gap()
+    bpoly = half * half - eq.sigma_tilde
+    bpoly_f = bpoly.to_float()
+    scale = bpoly_f.max_abs()
+    points = _sigma_points(eq.sigma, budget)
+    top = 2 * budget - 2
+    roots = []
+    for centre, mult in points:
+        noise = 0.0
+        if centre is None:
+            taylor = [bpoly.coeff(top - k) for k in range(top + 1)]
+        else:
+            exact = isinstance(centre, RationalComplex)
+            local = (bpoly if exact else bpoly_f).shift(centre)
+            taylor = [local.coeff(k) for k in range(top + 1)]
+            if mult == 1 and not exact:
+                terms = sum(abs(c) * abs(centre) ** k for k, c in enumerate(bpoly_f.coeffs))
+                noise = sys.float_info.epsilon * bpoly_f.degree * terms
+        roots.append(_float_local_sqrt(taylor, mult, noise))
+    if None in roots:
+        return
+    rows = []
+    for c, m in points:
+        for k in range(m):
+            if c is None:
+                rows.append([1.0 if j == budget - 1 - k else 0.0 for j in range(budget)])
+            else:
+                rows.append([comb(j, k) * complex(c) ** (j - k) if j >= k else 0.0
+                             for j in range(budget)])
+    sig_f = eq.sigma.to_float()
+    for tail in product((1, -1), repeat=len(points) - 1):
+        rhs = [e * v for e, root in zip((1,) + tail, roots) for v in root]
+        s = Poly([complex(v) for v in np.linalg.solve(np.array(rows), rhs)], FLOAT)
+        g, rem = (s * s - bpoly_f).divrem(sig_f)
+        if g.degree <= budget - 2 and _is_negligible(
+                rem, max(scale, (s * s).max_abs()), 1e-7):
+            yield g, s, _is_negligible(bpoly_f + g * sig_f, scale, 1e-9)
+
+
+def _ladder_branches(eq):
+    """The branches enumerate_branches gave an exact equation before it
+    ran the construction exactly: the float candidates' branches,
+    deduplicated, each then rationalized on the pi ladder (_exact_branch)."""
+    half = eq.to_float().half_gap()
+    branches = []
+    for g, s, collapse in _float_candidates(eq):
+        if collapse:
+            branches.append(PiBranch(g, Poly.zero(FLOAT), half, 0))
+        else:
+            branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
+    return [_exact_branch(eq, b) for b in _dedupe(branches)]
+
+
+def _exact_centres(eq):
+    budget = 3 if eq.mode == EXTENDED else 2
+    return all(c is None or isinstance(c, RationalComplex)
+               for c, _ in _sigma_points(eq.sigma, budget))
+
+
+def _check_against_ladder(eq, got, i):
+    """Every branch the float construction with the pi ladder made exact
+    comes out with the same g, pi, s and sign in the same position; where
+    sigma's centres are all exact, no branch stays float (every equation
+    checked here has an exact branch, so B's heads are Gaussian-rational
+    squares). Returns the number of ladder float branches made exact."""
+    want = _ladder_branches(eq)
+    exact_centres = _exact_centres(eq)
+    assert len(got) == len(want), i
+    for b, ref in zip(got, want):
+        if ref.backend == EXACT or not exact_centres:
+            assert b.backend == ref.backend, i
+            assert (b.g, b.pi, b.s, b.sign) == (ref.g, ref.pi, ref.s, ref.sign), i
+        else:
+            assert b.backend == EXACT and bool(b.sign) == bool(ref.sign), i
+            gap = (b.pi.to_float() - ref.pi).max_abs()
+            assert gap <= 1e-9 * max(1.0, ref.pi.max_abs()), i
+    return sum(b.backend != ref.backend for b, ref in zip(got, want))
 
 
 def _try_branches(eq, g, scale, s_hint=None):
@@ -120,7 +232,7 @@ def _reference_branches(eq):
     scale = max(1.0, (half * half - eq.sigma_tilde.to_float()).max_abs())
     eq_f = eq.to_float()
     branches = []
-    for g, s, _ in _sqrt_mod_sigma_candidates(eq):
+    for g, s, _ in _float_candidates(eq):
         branches.extend(_try_branches(eq_f, g, scale, s_hint=s))
     out = []
     for b in _dedupe(_validated(eq_f, branches)):
@@ -200,9 +312,10 @@ def _grid(count, seed):
 
 
 def test_exact_branches_match_the_g_ladder_and_add_more():
-    gained = 0
+    gained = made_exact = 0
     for i, (eq, pi0) in enumerate(_grid(64, seed=2015)):
         got = enumerate_branches(eq)
+        made_exact += _check_against_ladder(eq, got, i)
         want = _reference_branches(eq)
         assert len(got) == len(want), i
         for b, ref in zip(got, want):
@@ -216,6 +329,19 @@ def test_exact_branches_match_the_g_ladder_and_add_more():
                 assert (b.g, b.pi, b.sign) == (ref.g, ref.pi, ref.sign), i
         assert any(b.backend == EXACT and b.pi == pi0 for b in got), i
     assert gained > 0
+    assert made_exact > 0
+
+
+def _four_exact_branches(eq, g):
+    """eq has four branches, all exact; the second pair has this g."""
+    branches = enumerate_branches(eq)
+    assert len(branches) == 4
+    assert all(b.backend == EXACT for b in branches)
+    assert [b.g == g for b in branches] == [False, False, True, True]
+    for b in branches:
+        reduce_branch(eq, b)
+        assert b.s * b.s == radicand(eq, b.g)
+        assert b.pi == eq.half_gap() + b.s * RationalComplex(b.sign)
 
 
 def test_exact_branch_where_the_g_ladder_found_none():
@@ -229,15 +355,53 @@ def test_exact_branch_where_the_g_ladder_found_none():
                F(-57323, 14520), F(1289, 1100)]),
         EXTENDED,
     )
-    branches = enumerate_branches(eq)
-    assert len(branches) == 4
-    assert all(b.backend == EXACT for b in branches)
-    g = _poly([F(-578251181, 58104200), F(11594439, 2905210)])
-    assert [b.g == g for b in branches] == [False, False, True, True]
-    for b in branches:
-        reduce_branch(eq, b)
-        assert b.s * b.s == radicand(eq, b.g)
-        assert b.pi == eq.half_gap() + b.s * RationalComplex(b.sign)
+    _four_exact_branches(eq, _poly([F(-578251181, 58104200), F(11594439, 2905210)]))
+
+
+def test_exact_branch_beyond_the_pi_ladder():
+    # sigma = (z + 6/5)^2 (z + 1/4): the second pair's pi have denominators
+    # up to 6254325, beyond the pi ladder's top rung of 10**6, so it stayed
+    # float until the construction ran exactly at sigma's rational roots
+    eq = NuEquation(
+        _poly([F(1, 2), F(-1, 7), 1]),
+        _poly([F(9, 25), F(51, 25), F(53, 20), 1]),
+        _poly([F(-877, 810), F(10447, 3500), F(2716639, 693000),
+               F(69973, 23100), F(601, 605)]),
+        EXTENDED,
+    )
+    _four_exact_branches(eq, _poly([F(13707458994059, 625865299290),
+                                    F(3409038449249, 312932649645)]))
+
+
+def test_non_square_head_keeps_the_float_branches(capsys, monkeypatch):
+    # sigma = z^2 (z - 1) has exact centres, but B(0) = 2 has no
+    # Gaussian-rational root, so no exact branch exists: the float
+    # branches come out as the float construction made them, and no pi is
+    # rationalized
+    from heunforge import engine
+
+    sigma, tau = _poly([0, 0, -1, 1]), _poly([F(1, 2), F(-1, 3), 2])
+    half = (sigma.derivative() - tau) * RationalComplex(F(1, 2))
+    bpoly = _poly([2, F(1, 3), F(-3, 4), F(5, 2), 3])
+    eq = NuEquation(tau, sigma, half * half - bpoly, EXTENDED)
+    want = _ladder_branches(eq)
+    assert len(want) == 4 and all(b.backend == FLOAT for b in want)
+    calls = []
+    original = engine._rationalizations
+    monkeypatch.setattr(engine, "_rationalizations",
+                        lambda value: calls.append(value) or original(value))
+    got = enumerate_branches(eq)
+    assert [(b.g, b.pi, b.s, b.sign) for b in got] == \
+        [(b.g, b.pi, b.s, b.sign) for b in want]
+    argv = ["classify", "--sigma", format_poly(eq.sigma),
+            "--tau", format_poly(eq.tau_tilde),
+            "--sigma-tilde", format_poly(eq.sigma_tilde),
+            "--backend", "exact", "--format", "json"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["branches"]
+    assert [(b["sign"], b["g"]["text"], b["pi"]["text"]) for b in printed] == \
+        [(b.sign, format_poly(b.g), format_poly(b.pi)) for b in want]
+    assert calls == []
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
@@ -317,6 +481,8 @@ def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys, back
                 "--tau", format_poly(eq.tau_tilde),
                 "--sigma-tilde", format_poly(eq.sigma_tilde),
                 "--backend", backend, "--format", "json"]
+        if backend == "exact":
+            _check_against_ladder(eq, enumerate_branches(eq), i)
         assert main(argv) == 0, i
         doc = json.loads(capsys.readouterr().out)
         assert doc["family"] == family, i
