@@ -69,9 +69,12 @@ def coulomb3s_verify(n: int, m: int, gamma) -> Coulomb3SReport:
     ab = -n(eps + Gamma + Delta + n - 1); the flipped branch uses
     Gamma = 1 + s+ and the companion condition
     ab = (n + Delta + eps)(Gamma - n - 1). Both collapse to the same
-    identity (n+A)^2 + i gamma/2 = (n+A) s+.
+    identity (n+A)^2 + i gamma/2 = (n+A) s+. Raises OverflowError
+    if the energy overflows.
     """
     energy = complex(coulomb3s_energy(n, m, gamma))
+    if not cmath.isfinite(energy):
+        raise OverflowError("coulomb3s energy overflows the float range")
     gval = complex(gamma)
     s_plus = cmath.sqrt(1 + energy + 1j * gval)
     s_minus = cmath.sqrt(1 + energy - 1j * gval)
@@ -271,7 +274,8 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     Substituting eps_N makes exactly one class condition of the parity
     pair hold (which one depends on the sign of beta); mu is then
     resolved from the degree-N termination condition and the series is
-    re-run to report |c_{N+1}| relative to the retained coefficients.
+    re-run to report |c_{N+1}| relative to the retained coefficients. A
+    class relation beyond float range raises OverflowError.
     """
     eps = doublewell_spectrum(N, d, u0, parity)
     p = _doublewell_params(N, d, u0, parity, eps)
@@ -280,6 +284,8 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     best = None
     for label in _PARITY_PAIRS[parity]:
         gap = abs(complex(che_class_relation(p, label, N)))
+        if not math.isfinite(gap):
+            raise OverflowError("class relation overflows the float range")
         if best is None or gap < best[1]:
             best = (label, gap)
         if gap <= 1e-9 * scale and matched is None:

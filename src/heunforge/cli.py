@@ -12,15 +12,15 @@ Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
 fields, `items` the branches, the states or the app report, and
 `checks` the named verification checks. One dispatch, `_render`, prints
-the record. JSON is one line, json.dumps(sort_keys=True) of the
-record, with `_json_form` giving each Poly and scalar its JSON form. CSV
-and table output come from the command's own row and line functions over
-the same record. The exit code follows from the checks alone: 4 if any
-failed, else 0.
+the record. JSON is one line, json.dumps(sort_keys=True, allow_nan=False)
+of the record, with `_json_form` giving each Poly and scalar its JSON
+form. CSV and table output come from the command's own row and line
+functions, with `_cell` giving each value its text. The exit code
+follows from the checks alone: 4 if any failed, else 0.
 
-Exit codes: 0 all checks passed, 2 usage or parse error, 3 no solution
-exists (no branch / no accessory root / class relation violated),
-4 a verification residual exceeded its tolerance.
+Exit codes: 0 all checks passed, 2 usage error, parse error or a value
+beyond float range, 3 no solution exists (no branch / no accessory
+root / class relation violated), 4 a verification check failed.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ DEFAULT_TOLERANCES = {
     "bethe": 1e-8,
 }
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,11 @@ class RunConfig:
 
 def _json_form(value):
     """The JSON form json.dumps is given for a value it cannot write: a Poly
-    as {"coeffs", "text"}, a RationalComplex as {"im", "re"}, a Fraction as
+    as {"coeffs"}, a RationalComplex as {"im", "re"}, a Fraction as
     {"den", "num"}, and a complex as a real when its imaginary part is 0,
     else as {"im", "re"}."""
     if isinstance(value, Poly):
-        return {"coeffs": value.coeffs, "text": format_poly(value)}
+        return {"coeffs": value.coeffs}
     if isinstance(value, RationalComplex):
         return {"im": value.im, "re": value.re}
     if isinstance(value, Fraction):
@@ -143,10 +143,14 @@ def _verdict(check) -> str:
 
 
 def _cell(value) -> str:
+    """The CSV and table text of a value: a Poly and a scalar as they are
+    parsed, a list or tuple as its cells joined by ", "."""
     if isinstance(value, Poly):
         return format_poly(value)
     if isinstance(value, (RationalComplex, complex)):
         return format_scalar(value)
+    if isinstance(value, (list, tuple)):
+        return ", ".join(map(_cell, value))
     return str(value)
 
 
@@ -454,23 +458,8 @@ def cmd_app(args, config: RunConfig):
     return {"app": args.name, "backend": config.backend}, report, checks
 
 
-def _report_json(value):
-    """An app report in the JSON form its CSV and table cells show: tuples
-    as lists, a complex value as {"re", "im"} or, if it is real, a float."""
-    if isinstance(value, dict):
-        return {key: _report_json(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_report_json(v) for v in value]
-    if not isinstance(value, complex):
-        return value
-    return value.real if value.imag == 0 else {"re": value.real, "im": value.imag}
-
-
 def _app_csv(top, report, checks):
-    row = {
-        key: json.dumps(v) if isinstance(v, (list, dict)) else str(v)
-        for key, v in _report_json(report).items()
-    }
+    row = {key: _cell(v) for key, v in report.items()}
     for check in checks:
         row[check["name"] + "_passed"] = check["passed"]
     return list(row), [list(row.values())]
@@ -478,10 +467,8 @@ def _app_csv(top, report, checks):
 
 def _app_table(top, report, checks):
     yield "%s report" % top["app"]
-    for key, value in _report_json(report).items():
-        if isinstance(value, list):
-            value = ", ".join(str(v) for v in value)
-        yield "  %-20s %s" % (key, value)
+    for key, value in report.items():
+        yield "  %-20s %s" % (key, _cell(value))
     for check in checks:
         yield "  check %-14s %.3e  %s" % (
             check["name"], check["value"], _verdict(check))
@@ -507,7 +494,8 @@ def _render(command: str, fmt: str, record):
                items_key: items}
         if own_checks:
             doc["checks"] = checks
-        print(json.dumps(doc, sort_keys=True, default=_json_form))
+        print(json.dumps(doc, sort_keys=True, default=_json_form,
+                         allow_nan=False))
     elif fmt == "csv":
         # no rows writes the header alone
         header, rows = csv_rows(*record)

@@ -10,6 +10,8 @@ scale of the class relation) and `coupling_name`; a class supplies
 
 from __future__ import annotations
 
+import cmath
+
 from .engine import NoBranchError, branch_from_pi, eigenstates, reduce_branch
 from .oracle import OdeFamily, termination_solve
 from .poly import Poly
@@ -42,6 +44,8 @@ def class_relation(classes, p, label, n: int):
 
 def check_relation(classes, p, label, n: int):
     gap = class_relation(classes, p, label, n)
+    if isinstance(gap, complex) and not cmath.isfinite(gap):
+        raise OverflowError("class relation overflows the float range")
     if not negligible(gap, RELATION_TOL * p.relation_scale):
         raise NoBranchError(
             "class %s does not admit degree-%d solutions at these "

@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from heunforge import (
     HEUN_CLASSES,
     NuEquation,
     PiBranch,
+    Poly,
     RationalComplex,
     enumerate_branches,
     heun_accessory,
@@ -51,18 +53,40 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _refuse_constant(token):
+    """json.loads' parse_constant: refuse the NaN and Infinity tokens that
+    strict JSON has no place for."""
+    raise ValueError("non-finite JSON token %s" % token)
+
+
+def _scalar_from_json(form):
+    if not isinstance(form, dict):
+        return form
+    if "num" in form:
+        return Fraction(form["num"], form["den"])
+    re, im = _scalar_from_json(form["re"]), _scalar_from_json(form["im"])
+    return RationalComplex(re, im) if isinstance(re, Fraction) else complex(re, im)
+
+
+def _poly_from_json(form, backend):
+    """The Poly of a JSON {"coeffs": [...]} form."""
+    return Poly([_scalar_from_json(c) for c in form["coeffs"]], backend)
+
+
 def test_classify_exact_json(capsys):
     code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", "exact",
                        "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["family"] == "heun"
     assert doc["mode"] == "extended"
     assert len(doc["branches"]) == 8
     labels = {b["class"] for b in doc["branches"]}
     assert labels == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}
-    # exact scalars serialize as {num, den} pairs
+    # a Poly is its coefficients alone, and exact scalars serialize as
+    # {num, den} pairs
+    assert set(doc["branches"][0]["g"]) == {"coeffs"}
     g0 = doc["branches"][0]["g"]["coeffs"][0]
     assert set(g0["re"]) == {"num", "den"}
 
@@ -148,13 +172,13 @@ def test_classify_past_a_float_pi_lost_to_cancellation(capsys):
             "--format", "json"]
     code, out, _ = run(capsys, *argv, "--backend", "exact")
     assert code == EXIT_OK
-    exact = [parse_poly(b["pi"]["text"], EXACT)
+    exact = [_poly_from_json(b["pi"], EXACT)
              for b in json.loads(out)["branches"]]
     assert len(exact) == 4 and parse_poly("0", EXACT) in exact
     code, out, _ = run(capsys, *argv, "--backend", "float")
     assert code == EXIT_OK
     for b in json.loads(out)["branches"]:
-        pi = parse_poly(b["pi"]["text"], FLOAT)
+        pi = _poly_from_json(b["pi"], FLOAT)
         assert min((pi - e.to_float()).max_abs() for e in exact) <= 1e-8 * 1e4
 
 
@@ -480,7 +504,7 @@ def test_solve_degree_zero(capsys, family, label, backend):
                        "--backend", backend, "--format", "json")
     assert code == EXIT_OK
     (state,) = json.loads(out)["states"]
-    assert state["poly"]["text"] == "1"
+    assert state["poly"] == {"coeffs": [1.0]}
     assert state["residual"] <= 1e-8
 
 
@@ -557,6 +581,19 @@ def test_parameter_whose_products_overflow_is_a_usage_error(capsys, backend):
     assert err == "error: polynomial coefficient overflows the float range\n"
 
 
+# a class relation that overflows to NaN is no verdict on the class
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "che", "--class", "1", "-n", "1", "--alpha", "1e308",
+     "--beta", "1/3", "--gamma", "2/5"],
+    ["app", "double-well", "--n", "1", "--d", "1e200", "--u0", "100"],
+], ids=["solve-che", "app-double-well"])
+def test_class_relation_that_overflows_is_a_usage_error(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--backend", "float", "--format", fmt)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: class relation overflows the float range\n"
+
+
 @pytest.mark.parametrize("argv, option", [
     (["classify", "--sigma", "z^2", "--tau", "z", "--sigma-tilde", "1e400*z"],
      "--sigma-tilde"),
@@ -617,5 +654,6 @@ def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
     assert code == EXIT_OK, err
     assert out and not err
     if fmt == "json":
-        # one line, as json.dumps(sort_keys=True) writes it
-        assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
+        # one line, as json.dumps(sort_keys=True) writes it, and strict
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert json.dumps(doc, sort_keys=True) + "\n" == out

@@ -1,15 +1,17 @@
 """Golden CLI outputs: the README commands, run through cli.main, must
 print exactly what tests/golden/<name>.<format>.txt records.
 
-The JSON, table and CSV outputs of five README commands and of one app
-run with non-finite values are frozen byte for byte, and so is the JSON
-of two exact solves. The comparison is of bytes, so every value counts,
-floats included (a change that moves a float in its last bit shows
-here), and so do the text formats' own number forms, the JSON
-separators, key order and escaping, and json.dumps' NaN/Infinity
-tokens. JSON is one line, in the form json.dumps(sort_keys=True) writes.
+The JSON, table and CSV outputs of five README commands are frozen byte
+for byte, and so is the JSON of two exact solves. The comparison is of
+bytes, so every value counts, floats included (a change that moves a
+float in its last bit shows here), and so do the text formats' own
+number forms, the JSON separators, key order and escaping. JSON is
+schema 2: one line, in the form json.dumps(sort_keys=True) writes, a
+Poly as its coefficients alone, and no NaN or Infinity token, which the
+strict parse below would refuse.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,13 @@ import pytest
 from heunforge.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _refuse_constant(token):
+    """json.loads' parse_constant: refuse the NaN and Infinity tokens that
+    strict JSON has no place for."""
+    raise ValueError("non-finite JSON token %s" % token)
+
 
 TEXT_CASES = {
     "classify_exact": [
@@ -38,11 +47,6 @@ TEXT_CASES = {
         "app", "double-well", "--n", "1", "--d", "1", "--u0", "100",
         "--parity", "antisymmetric",
     ],
-    # overflows to inf and nan: exit 4, with NaN and Infinity in the JSON
-    # until the schema decides how to print non-finite values
-    "app_coulomb3s_nonfinite": [
-        "app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "1e308",
-    ],
     "solve_heun_exact": [
         "solve", "heun", "--class", "I", "-n", "2", "--a", "2",
         "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
@@ -54,9 +58,8 @@ TEXT_CASES = {
     ],
 }
 FORMATS = ("json", "table", "csv")
-# the cases frozen in JSON alone, and the exit codes other than 0
+# the cases frozen in JSON alone
 TEXT_FORMATS = {"solve_heun_exact": ("json",), "solve_che_exact": ("json",)}
-TEXT_EXIT = {"app_coulomb3s_nonfinite": 4}
 TEXT_FILES = [(name, fmt) for name in sorted(TEXT_CASES)
               for fmt in TEXT_FORMATS.get(name, FORMATS)]
 
@@ -69,7 +72,19 @@ def test_every_golden_text_file_is_a_case():
 @pytest.mark.parametrize("name, fmt", TEXT_FILES)
 def test_golden_text_output(name, fmt, capsys, monkeypatch):
     monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
-    assert main(TEXT_CASES[name] + ["--format", fmt]) == TEXT_EXIT.get(name, 0)
+    assert main(TEXT_CASES[name] + ["--format", fmt]) == 0
     # bytes, so that CSV's \r\n line ends are compared too
     golden = (GOLDEN / ("%s.%s.txt" % (name, fmt))).read_bytes().decode()
     assert capsys.readouterr().out == golden
+    if fmt == "json":
+        assert json.loads(golden, parse_constant=_refuse_constant)["schema"] == 2
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_overflowing_app_value_is_a_usage_error(fmt, capsys):
+    # gamma^2 overflows, so the energy is not finite: no output, exit 2
+    argv = ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "1e308"]
+    assert main(argv + ["--format", fmt]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "overflows the float range" in out.err

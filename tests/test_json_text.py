@@ -1,12 +1,15 @@
 """The CLI's JSON output against a two-pass reference.
 
-`cli._render` writes json.dumps(doc, sort_keys=True, default=_json_form):
-the stdlib encoder asks `_json_form` for each Poly and scalar it cannot
-write. The reference below turns every Poly and scalar into its JSON form
-first, then calls json.dumps(sort_keys=True). Both must give the same text
-on seeded random nested documents.
+`cli._render` writes json.dumps(doc, sort_keys=True, default=_json_form,
+allow_nan=False): the stdlib encoder asks `_json_form` for each Poly and
+scalar it cannot write. The reference below turns every Poly and scalar
+into its JSON form first, then calls json.dumps(sort_keys=True,
+allow_nan=False). Both must give the same text on seeded random nested
+documents, and both must refuse a document that holds NaN or an infinity
+with ValueError.
 """
 
+import cmath
 import json
 import math
 import random
@@ -17,7 +20,6 @@ import pytest
 
 from heunforge import EXACT, FLOAT, Poly, RationalComplex
 from heunforge.cli import _json_form
-from heunforge.poly import format_poly
 
 
 def _real_json(value):
@@ -44,17 +46,25 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Poly):
-        return {"coeffs": [_scalar_json(c) for c in value.coeffs],
-                "text": format_poly(value)}
+        return {"coeffs": [_scalar_json(c) for c in value.coeffs]}
     return _scalar_json(value)
 
 
 def reference(value) -> str:
-    return json.dumps(_jsonable(value), sort_keys=True)
+    return json.dumps(_jsonable(value), sort_keys=True, allow_nan=False)
 
 
 def written(value) -> str:
-    return json.dumps(value, sort_keys=True, default=_json_form)
+    return json.dumps(value, sort_keys=True, default=_json_form,
+                      allow_nan=False)
+
+
+def outcome(encode, value):
+    """The text encode gives for value, or ValueError if it refuses it."""
+    try:
+        return encode(value)
+    except ValueError:
+        return ValueError
 
 
 # ASCII, control characters, quotes, backslash, Latin-1, BMP and astral
@@ -121,9 +131,14 @@ def _document(rng, depth):
 @pytest.mark.parametrize("seed", range(40))
 def test_emitter_matches_json_dumps_on_random_documents(seed):
     rng = random.Random(seed)
+    texts = []
     for _ in range(25):
         doc = _document(rng, 4)
-        assert written(doc) == reference(doc)
+        texts.append(outcome(written, doc))
+        assert texts[-1] == outcome(reference, doc)
+    # NaN and the infinities are 3 of the 13 FLOATS, so a refusal on every
+    # document would be an encoder fault: at least 10 of the 25 are written
+    assert texts.count(ValueError) <= 15
 
 
 @pytest.mark.parametrize("value", [
@@ -139,7 +154,11 @@ def test_emitter_matches_json_dumps_on_random_documents(seed):
     np.complex128(complex(0.0, math.inf)),
 ])
 def test_emitter_matches_json_dumps_on_edge_values(value):
-    assert written(value) == reference(value)
+    got = outcome(written, value)
+    assert got == outcome(reference, value)
+    # strict JSON has no token for NaN or an infinity
+    non_finite = isinstance(value, (float, complex)) and not cmath.isfinite(value)
+    assert (got is ValueError) == non_finite
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3),
