@@ -125,6 +125,8 @@ def _electrons_equation(n, gamma_param, delta_param, q):
     inv = 1.0 / gamma_param
     half = 0.5 * (delta_param - inv)
     product = -n * (n + delta_param - 1)
+    if not math.isfinite(product):
+        raise OverflowError("electrons degree condition overflows the float range")
     return heun_nu_from_product(-1.0, q, product, inv, half, half)
 
 

@@ -27,10 +27,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-import numpy as np
-
 from .oracle import OdeForm, ResidualContour, coefficient_map
-from .poly import TRIM_REL, Poly
+from .poly import Poly
 from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, negligible, sqrt_exact
 
 CLASSIC = "classic"
@@ -260,6 +258,60 @@ def _exact_branch(eq: NuEquation, b: PiBranch) -> PiBranch:
     return b
 
 
+def _cubic_estimates(cubic: Poly):
+    """Float estimates of the three roots of an exact cubic, by Cardano's
+    formula."""
+    a0, a1, a2 = (complex(c / cubic.leading()) for c in cubic.coeffs[:3])
+    # z = t - a2/3 turns the monic cubic into t^3 + p t + q
+    p = a1 - a2 * a2 / 3
+    q = 2 * a2 ** 3 / 27 - a2 * a1 / 3 + a0
+    disc = cmath.sqrt(q * q / 4 + p ** 3 / 27)
+    # the larger of -q/2 +- disc, so that the sum does not cancel
+    u3 = max(-q / 2 + disc, -q / 2 - disc, key=abs)
+    if not u3:  # p = q = 0: a triple root
+        return [-a2 / 3] * 3
+    us = [u3 ** (1 / 3) * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+    return [u - p / (3 * u) - a2 / 3 for u in us]
+
+
+def _exact_roots(sigma: Poly):
+    """All roots of an exact sigma of degree at most 3, with
+    multiplicity, in descending order of (re, im), when every one is
+    Gaussian rational; else None.
+
+    The factor z^m gives m zero roots. Of a cubic rest, the first root
+    estimate (_cubic_estimates) with a rationalization at which the rest
+    is exactly zero gives one root, divided out exactly. A quadratic rest
+    is solved with sqrt_exact of its discriminant, which has no
+    Gaussian-rational root when its roots are irrational."""
+    coeffs = list(sigma.coeffs)
+    roots = []
+    while not coeffs[0]:
+        roots.append(RationalComplex(0))
+        coeffs.pop(0)
+    rest = Poly(coeffs, EXACT)
+    if rest.degree == 3:
+        try:
+            estimates = _cubic_estimates(rest)
+        except OverflowError:  # a coefficient ratio beyond float range
+            return None
+        root = next((c for z in estimates if cmath.isfinite(z)
+                     for c in _rationalizations(z) if not rest(c)), None)
+        if root is None:
+            return None
+        roots.append(root)
+        rest = rest.divrem(Poly([-root, 1], EXACT))[0]
+    if rest.degree == 2:
+        c0, c1, c2 = rest.coeffs
+        disc = sqrt_exact(c1 * c1 - 4 * c0 * c2)
+        if disc is None:
+            return None
+        roots += [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
+    elif rest.degree == 1:
+        roots.append(-rest.coeff(0) / rest.coeff(1))
+    return sorted(roots, key=lambda c: (c.re, c.im), reverse=True)
+
+
 def _sigma_points(sigma: Poly, budget: int):
     """Roots of sigma as (centre, multiplicity) over the projective line,
     so the multiplicities add up to the degree budget (3 in extended
@@ -267,10 +319,12 @@ def _sigma_points(sigma: Poly, budget: int):
     below the budget the point at infinity (centre None) comes first.
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
-    exact when sigma is; a square-free sigma's roots come from
-    Poly.roots, and for an exact sigma each becomes the first of its
-    rationalizations at which sigma is exactly zero and that no earlier
-    root took, if one is (two close roots can share a candidate)."""
+    exact when sigma is. The roots of an exact square-free sigma come
+    from _exact_roots, exact and without floats, when all of them are
+    Gaussian rational. Otherwise they come from Poly.roots, and for an
+    exact sigma each becomes the first of its rationalizations at which
+    sigma is exactly zero and that no earlier root took, if one is (two
+    close roots can share a candidate)."""
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
@@ -282,12 +336,14 @@ def _sigma_points(sigma: Poly, budget: int):
             rem = Poly.zero(rem.backend)
     k = common.degree
     if k == 0:
-        roots = []
-        for r in sigma.roots():
-            if sigma.backend == EXACT:
-                r = next((c for c in _rationalizations(r)
-                          if not sigma(c) and c not in roots), r)
-            roots.append(r)
+        roots = _exact_roots(sigma) if sigma.backend == EXACT else None
+        if roots is None:
+            roots = []
+            for r in sigma.roots():
+                if sigma.backend == EXACT:
+                    r = next((c for c in _rationalizations(r)
+                              if not sigma(c) and c not in roots), r)
+                roots.append(r)
         return points + [(r, 1) for r in roots]
     # common is c' (z - c)^k: its next-to-top coefficient over its top is -k c
     centre = -common.coeff(k - 1) / (common.leading() * k)
@@ -424,10 +480,11 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
             if g.degree <= budget - 2 and rem.is_zero:
                 yield g, s, s.is_zero
         return
+    from .floatkernel import solve_each
+
     scale = bpoly.max_abs()
-    mat = np.array(rows)
-    for r in rhs:
-        s = Poly([complex(v) for v in np.linalg.solve(mat, r)], FLOAT)
+    for coeffs in solve_each(rows, rhs):
+        s = Poly(coeffs, FLOAT)
         sq = s * s
         g, rem = (sq - bpoly).divrem(sigma)
         if g.degree <= budget - 2 and _is_negligible(rem, max(scale, sq.max_abs()), 1e-7):
@@ -456,12 +513,14 @@ def enumerate_branches(eq: NuEquation):
     one of a sigma with close roots, or one whose pi is far smaller than
     (sigma' - tau~)/2 and so keeps only the absolute accuracy of its two
     parts. classify, which reduces each branch once, leaves such a
-    branch out. Branches are deduplicated at 1e-8. An exact equation
+    branch out. Branches are deduplicated at 1e-8. The centres of an
+    exact sigma are all exact when _exact_roots finds its roots Gaussian
+    rational, close ones included (_sigma_points). An exact equation
     whose centres are all exact gets its branches made and certified
-    exactly, or its float branches when no exact branch exists. One
-    with an inexact centre (an irrational root of sigma) gets an exact
-    branch wherever a float branch's pi rationalizes to one that
-    branch_from_pi certifies. Exact branches are signed by _signed.
+    exactly, or its float branches when no exact branch exists. One with
+    an inexact centre (an irrational root of sigma) gets an exact branch
+    wherever a float branch's pi rationalizes to one that branch_from_pi
+    certifies. Exact branches are signed by _signed.
     """
     points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
     branches, half = [], None
@@ -663,8 +722,7 @@ def polynomial_solution(eq: NuEquation, b: PiBranch, n: int) -> Poly:
         raise ValueError("degree must be nonnegative")
     eq = _on_branch(eq, b)
     rf = reduce_branch(eq, b)
-    fixed = _fixed_map(eq.sigma, rf.tau, n)
-    return _null_polynomial(_with_h(fixed, rf.h), rf, n)
+    return _null_polynomial(_fixed_map(eq.sigma, rf.tau, n), rf, n)
 
 
 def _fixed_map(sigma: Poly, tau: Poly, n: int):
@@ -673,25 +731,12 @@ def _fixed_map(sigma: Poly, tau: Poly, n: int):
     return coefficient_map(OdeForm(sigma, tau, Poly.zero(tau.backend)), n)
 
 
-def _with_h(fixed, h: Poly):
-    """The coefficient map of sigma y'' + tau y' + h y from `fixed`, the
-    map with h = 0: h adds h[0] on the diagonal and h[1] below it. In
-    floats, a column's top entry at or below TRIM_REL of the column's
-    largest counts as zero, as in the column's trimmed Poly."""
-    out = fixed.copy()
-    cols = np.arange(out.shape[1])
-    out[cols, cols] += h.coeff(0)
-    out[cols + 1, cols] += h.coeff(1)
-    if out.dtype == complex:
-        top = out[cols + 1, cols]
-        small = np.abs(top) <= TRIM_REL * np.abs(out).max(axis=0)
-        out[cols + 1, cols] = np.where(small, 0j, top)
-    return out
+def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
+    """Monic degree-n null vector of the coefficient map of the reduced
+    equation rf, built from `fixed`, its map with h = 0."""
+    from .floatkernel import null_vector, with_h
 
-
-def _null_polynomial(mat, rf: ReducedForm, n: int) -> Poly:
-    """Monic degree-n null vector of the coefficient map `mat` of the
-    reduced equation rf."""
+    mat = with_h(fixed, rf.h)
     if rf.h.backend == EXACT:
         kernel = _nullspace_exact(mat)
         if len(kernel) != 1:
@@ -707,7 +752,7 @@ def _null_polynomial(mat, rf: ReducedForm, n: int) -> Poly:
             )
         lead = vec[n]
         return Poly([v / lead for v in vec], EXACT)
-    _, svals, vh = np.linalg.svd(mat)
+    svals, vec = null_vector(mat, n)
     # for n = 0 the map is the column h alone, whose one singular value
     # cannot be judged against itself: judge it against the column
     # tau + h z that a degree-1 map would add
@@ -720,15 +765,14 @@ def _null_polynomial(mat, rf: ReducedForm, n: int) -> Poly:
             "null space dimension is %d, not 1 (wrong accessory value or "
             "degenerate parameters)" % len(small)
         )
-    vec = np.conj(vh[-1])
-    if vec[n] == 0:
+    if vec is None:
         raise NoBranchError(
             "polynomial solution has degree below %d (wrong accessory value)" % n
         )
     # the monomial coefficients of a true eigenpolynomial can span many
     # orders of magnitude, so only a top coefficient that the monic
     # Poly trims away marks a lower degree
-    poly = Poly([complex(v) for v in vec / vec[n]], FLOAT)
+    poly = Poly(vec, FLOAT)
     if poly.degree != n:
         raise NoBranchError(
             "polynomial solution has degree below %d (its top coefficient "
@@ -764,7 +808,7 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     for accessory, sigma_tilde in shifts:
         rf = _reduce(eq, sigma_tilde, pi, terms)
         qr = _quantize(eq.sigma, eq.mode, rf, n)
-        poly = _null_polynomial(_with_h(fixed, rf.h), rf, n)
+        poly = _null_polynomial(fixed, rf, n)
         p0s.append(sigma_tilde)
         states.append(Eigenstate(
             n=n, accessory=accessory, quantization=qr, phi=phi, poly=poly))

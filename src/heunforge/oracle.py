@@ -19,10 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .poly import Poly
-from .scalars import FLOAT, as_scalar, negligible
+from .scalars import as_scalar, negligible
 
 TERMINATION_TOL = 1e-8
 INDICIAL_TOL = 1e-9
@@ -227,9 +225,10 @@ def coefficient_map(ode: OdeForm, n: int):
         raise ValueError("degree must be nonnegative")
     if ode.p2.degree > 3 or ode.p1.degree > 2 or ode.p0.degree > 1:
         raise ValueError("the operator raises degrees by more than one")
+    from .floatkernel import full
+
     backend = ode.backend
-    dtype = complex if backend == FLOAT else object
-    out = np.full((n + 2, n + 1), as_scalar(0, backend), dtype=dtype)
+    out = full((n + 2, n + 1), as_scalar(0, backend))
     p2, p1, p0 = ode.p2.coeff, ode.p1.coeff, ode.p0.coeff
     for j in range(n + 1):
         d2 = as_scalar(j * (j - 1), backend)
@@ -250,27 +249,15 @@ def termination_solve(family: OdeFamily, n: int):
     (rows 0..n) at t = 0. The z^(n+1) row does not move with t: when it
     is not negligible against the map, no value exists. Each eigenpair
     is kept when its backward error on all n+2 rows is at most
-    TERMINATION_TOL.
+    TERMINATION_TOL. A map with a non-finite entry raises OverflowError.
     """
+    from .floatkernel import accessory_values
+
     if family.p0_dir.degree != 0:
         raise ValueError("the accessory direction must be a nonzero constant")
     mat = coefficient_map(family.base.to_float(), n)
-    # checked on mat / unit, exact for a power of two, so no norm overflows
-    unit = 2.0 ** math.frexp(max(np.abs(mat).max(), 1.0))[1]
-    scaled = mat / unit
-    scale = np.linalg.norm(scaled)
-    if abs(scaled[n + 1, n]) > TERMINATION_TOL * scale:
-        return []
-    lams, vecs = np.linalg.eig(mat[: n + 1])
-    resid = scaled @ vecs
-    resid[: n + 1] -= vecs * (lams / unit)
-    errors = np.linalg.norm(resid, axis=0) / np.linalg.norm(vecs, axis=0)
     d = complex(family.p0_dir.coeff(0))
-    values = [
-        complex(-lam / d)
-        for lam, err in zip(lams, errors)
-        if err <= TERMINATION_TOL * scale
-    ]
+    values = accessory_values(mat, n, d, TERMINATION_TOL)
     return sorted(values, key=lambda t: (t.real, t.imag))
 
 
@@ -312,15 +299,14 @@ class ResidualContour:
     phi (None for none), shared by the eigenstates of one equation since
     only p0 moves with the accessory. At each point it keeps z, p2(z),
     p1(z) and phi's log-derivative terms (L, 2L, L^2 + L'), computed in
-    Python complex numbers and stored as (real, imaginary) float64 array
-    pairs for the array pass of `residuals`."""
+    Python complex numbers, for the array pass of `residuals`."""
 
     def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
         p2f, p1f = p2.to_float(), p1.to_float()
         points = residual_contour(p2f, samples)
-        self.z = _split(points)
-        self.p2 = _split([p2f(z) for z in points])
-        self.p1 = _split([p1f(z) for z in points])
+        self.z = points
+        self.p2 = [p2f(z) for z in points]
+        self.p1 = [p1f(z) for z in points]
         self.logd = None
         if phi is None:
             return
@@ -336,7 +322,7 @@ class ResidualContour:
                 lval += expo / dz
                 lder -= expo / (dz * dz)
             logds.append((lval, 2 * lval, lval * lval + lder))
-        self.logd = tuple(_split(column) for column in zip(*logds))
+        self.logd = tuple(zip(*logds))
 
     def residuals(self, polys, p0s) -> list:
         """Largest relative residual of phi * poly against the ODE with
@@ -347,10 +333,10 @@ class ResidualContour:
 
         The coefficients of every p, p', p'' and p0 are stacked, high order
         first and zero-padded in front, into one block for one Horner loop
-        at all points. Products are written out on split real and imaginary
-        float64 arrays in Python's complex order, and moduli come from hypot,
-        since numpy's complex multiply and abs may round the last bit
-        otherwise: each residual is bit-identical to Python complex math."""
+        at all points (floatkernel.contour_residuals), and each residual
+        is bit-identical to Python complex math."""
+        from .floatkernel import contour_residuals
+
         rows = []
         for poly, p0 in zip(polys, p0s, strict=True):
             if poly.is_zero:
@@ -358,51 +344,7 @@ class ResidualContour:
             p = poly.to_float()
             dp = p.derivative()
             rows += [p.coeffs, dp.coeffs, dp.derivative().coeffs, p0.to_float().coeffs]
-        width = max(map(len, rows), default=0)
-        block = np.zeros((len(rows), width), dtype=complex)  # storage only
-        for row, coeffs in zip(block, rows):
-            row[width - len(coeffs):] = coeffs[::-1]
-        block = _split(block)[..., None]
-        acc = np.zeros((2, len(rows), self.z.shape[1]))
-        with np.errstate(all="ignore"):
-            for k in range(width):
-                acc = _mul(acc, self.z) + block[:, :, k]
-            pv, dv, ddv, p0v = (acc[:, k::4] for k in range(4))
-            if self.logd is None:
-                w1, w2, big1, big2 = dv, ddv, np.hypot(*dv), np.hypot(*ddv)
-            else:
-                lval, twice, curv = self.logd
-                lp, tdv, cp = _mul(lval, pv), _mul(twice, dv), _mul(curv, pv)
-                w1, w2 = dv + lp, ddv + tdv + cp
-                big1 = np.hypot(*dv) + np.hypot(*lp)
-                big2 = np.hypot(*ddv) + np.hypot(*tdv) + np.hypot(*cp)
-            t2, t1, t0 = _mul(self.p2, w2), _mul(self.p1, w1), _mul(p0v, pv)
-            a2, a1, a0 = _abs(t2), _abs(t1), _abs(t0)
-            # max(a2, a1, a0) as Python's max takes it, NaN included
-            scale = np.where(a1 > a2, a1, a2)
-            scale = np.where(a0 > scale, a0, scale)
-            big = np.maximum(np.hypot(*self.p2) * big2, np.hypot(*self.p1) * big1)
-            ratio = _abs(t2 + t1 + t0) / scale
-            ratio[scale <= 64 * np.finfo(float).eps * np.maximum(big, a0)] = np.nan
-        return np.fmax.reduce(ratio, axis=1, initial=0.0).tolist()
-
-
-def _split(values):
-    arr = np.array(values, dtype=complex)  # storage only
-    return np.stack((arr.real, arr.imag))
-
-
-def _mul(a, b):
-    """Product of (real, imaginary) stacks, as Python's complex multiply."""
-    return np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
-
-
-def _abs(a):
-    """Modulus of a (real, imaginary) stack, as Python's abs of a complex."""
-    out = np.hypot(*a)
-    if np.isinf(out[np.isfinite(a).all(axis=0)]).any():
-        raise OverflowError("absolute value too large")
-    return out
+        return contour_residuals(self.z, self.p2, self.p1, self.logd, rows)
 
 
 def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:

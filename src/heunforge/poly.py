@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 
-import numpy as np
-
 from .scalars import (
     EXACT,
     FLOAT,
@@ -286,13 +284,11 @@ class Poly:
             return []
         lead = c[-1]
         body = [v / lead for v in c[:-1]]
-        n = len(body)
-        if n == 1:
+        if len(body) == 1:
             return [-body[0]]
-        comp = np.zeros((n, n), dtype=complex)
-        comp[1:, :-1] = np.eye(n - 1)
-        comp[:, -1] = [-v for v in body]
-        return [complex(v) for v in np.linalg.eigvals(comp)]
+        from .floatkernel import companion_roots
+
+        return companion_roots(body)
 
     # -- conversions and composition ------------------------------------------
 

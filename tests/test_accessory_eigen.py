@@ -41,8 +41,9 @@ from heunforge import (
     termination_polynomial,
     termination_solve,
 )
-from heunforge.engine import _nullspace_exact, _with_h, eigenstates
+from heunforge.engine import _nullspace_exact, eigenstates
 from heunforge.family import accessory_family
+from heunforge.floatkernel import with_h
 from heunforge.oracle import OdeForm
 
 HEUN_VALUES = (F(19, 10), F(3, 5), F(4, 5), F(7, 10))  # a, gamma, delta, epsilon
@@ -157,7 +158,7 @@ def _check_same_assembly(eq, pi, n, value):
     rf = reduce_branch(eq, branch_from_pi(eq, pi))
     images = _column_images(eq.sigma, rf.tau, n)
     fixed = coefficient_map(OdeForm(eq.sigma, rf.tau, Poly.zero(eq.backend)), n)
-    assert _with_h(fixed, rf.h).tolist() == _column_rows(images, rf.h, n)
+    assert with_h(fixed, rf.h).tolist() == _column_rows(images, rf.h, n)
     want = _outcome(lambda: _column_solve(images, rf, n))
     got = _outcome(lambda: polynomial_solution(eq, branch_from_pi(eq, pi), n))
     shared = _outcome(

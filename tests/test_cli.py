@@ -1,14 +1,18 @@
 """Command-line interface: formats, exit codes, backend selection."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import heunforge
 from heunforge import (
     CHE_CLASSES,
     EXACT,
@@ -38,6 +42,8 @@ from heunforge.cli import (
     main,
 )
 from heunforge.scalars import parse_scalar
+
+SRC = Path(heunforge.__file__).resolve().parents[1]
 
 CLASSIFY_ARGS = [
     "classify",
@@ -592,6 +598,39 @@ def test_class_relation_that_overflows_is_a_usage_error(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--backend", "float", "--format", fmt)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: class relation overflows the float range\n"
+
+
+ELECTRONS_OVERFLOWS = {
+    # -n(n + delta - 1) overflows: no verdict on the branch
+    "degree-condition": (
+        ["app", "electrons-sphere", "--n", "2", "--gamma", "1", "--delta", "1e308"],
+        "electrons degree condition overflows the float range"),
+    # 1/gamma = 1e308 makes the coefficient map non-finite
+    "coefficient-map": (
+        ["app", "electrons-sphere", "--n", "2", "--gamma", "1e-308", "--delta", "2"],
+        "coefficient map overflows the float range"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("case", sorted(ELECTRONS_OVERFLOWS))
+def test_electrons_value_that_overflows_is_a_usage_error(capsys, case, fmt):
+    argv, message = ELECTRONS_OVERFLOWS[case]
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("case", sorted(ELECTRONS_OVERFLOWS))
+def test_electrons_overflow_warns_nothing_under_w_error(case):
+    # a fresh interpreter that turns every warning into an exception: a
+    # numpy RuntimeWarning on the way would escape main as a traceback
+    argv, message = ELECTRONS_OVERFLOWS[case]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HEUNFORGE_BACKEND", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "heunforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_USAGE, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize("argv, option", [

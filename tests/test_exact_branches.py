@@ -10,7 +10,9 @@ with the pi ladder that the exact construction replaced, on a seeded
 grid of equations with a planted branch.
 A second seeded grid of family equations with degenerate exponents runs
 through the CLI: each class branch must come out once, exact and
-labelled.
+labelled. A third seeded grid of square-free sigma checks the exact roots
+_sigma_points takes, and the branches they give against a copy of the
+Poly.roots path they replaced.
 """
 
 import cmath
@@ -18,15 +20,15 @@ import json
 import random
 import sys
 from fractions import Fraction as F
-from itertools import product
+from itertools import product, zip_longest
 from math import comb
 
 import numpy as np
 import pytest
 
+from heunforge import engine
 from heunforge.che import CHE_CLASSES, CheParams, che_to_nu
 from heunforge.cli import main
-
 from heunforge.engine import (
     EXTENDED,
     NoBranchError,
@@ -34,6 +36,7 @@ from heunforge.engine import (
     PiBranch,
     _dedupe,
     _exact_branch,
+    _exact_roots,
     _is_negligible,
     _sigma_points,
     enumerate_branches,
@@ -144,10 +147,12 @@ def _ladder_branches(eq):
     return [_exact_branch(eq, b) for b in _dedupe(branches)]
 
 
+def _all_exact(points):
+    return all(c is None or isinstance(c, RationalComplex) for c, _ in points)
+
+
 def _exact_centres(eq):
-    budget = 3 if eq.mode == EXTENDED else 2
-    return all(c is None or isinstance(c, RationalComplex)
-               for c, _ in _sigma_points(eq.sigma, budget))
+    return _all_exact(_sigma_points(eq.sigma, 3 if eq.mode == EXTENDED else 2))
 
 
 def _check_against_ladder(eq, got, i):
@@ -438,14 +443,13 @@ def test_close_roots_keep_a_planted_branch(backend):
 
 
 def test_close_roots_of_an_exact_sigma_keep_distinct_centres():
-    # sigma = z (z - 1)(z - 1 - 1e-14): both float roots near 1 rationalize
-    # to 1, where sigma is exactly zero. Only the first may take it, as a
-    # repeated centre makes the Hermite interpolation singular.
+    # sigma = z (z - 1)(z - 1 - 1e-14): the centres must be distinct, as a
+    # repeated centre makes the Hermite interpolation singular; all three
+    # are exact
     e = F(1, 10**14)
     sigma = _poly([0, 1 + e, -2 - e, 1])
     centres = [c for c, _ in _sigma_points(sigma, 3)]
-    assert sum(c == RationalComplex(1) for c in centres) == 1
-    assert sum(c == RationalComplex(0) for c in centres) == 1
+    assert centres == [RationalComplex(1 + e), RationalComplex(1), RationalComplex(0)]
     eq = NuEquation(_poly([1, F(-35, 12), F(19, 12)]), sigma,
                     _poly([0, F(-2, 5), F(-1, 15), F(4, 5), F(-1, 3)]), EXTENDED)
     enumerate_branches(eq)
@@ -504,3 +508,129 @@ def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys, back
             assert backend == "float" or all(
                 isinstance(c, dict) and set(c["re"]) == {"num", "den"}
                 for c in b["pi"]["coeffs"]), i
+
+
+# -- exact roots of a square-free sigma ---------------------------------------------
+
+
+def _eigvals_sigma_points(sigma, budget):
+    """_sigma_points of a square-free exact sigma as it took the roots
+    before _exact_roots: Poly.roots, each root the first of its
+    rationalizations (engine._rationalizations) at which sigma is exactly
+    zero and that no earlier root took, else the float root."""
+    roots = []
+    for r in sigma.roots():
+        r = next((c for c in engine._rationalizations(r)
+                  if not sigma(c) and c not in roots), r)
+        roots.append(r)
+    infinity = [(None, budget - sigma.degree)] if sigma.degree < budget else []
+    return infinity + [(r, 1) for r in roots]
+
+
+def _gaussian(rng):
+    return RationalComplex(_frac(rng), _frac(rng))
+
+
+def _root_sigma(kind, rng):
+    """(sigma coefficients, its roots, or None when one is irrational)
+    of a square-free sigma of degree 1 to 3, times a random leading
+    coefficient, real or Gaussian."""
+    rc = RationalComplex
+    degree = rng.randint(1, 3)
+    if kind == "rational":
+        roots = [rc(_frac(rng)) for _ in range(degree)]
+    elif kind == "gaussian":
+        roots = [_gaussian(rng) for _ in range(degree)]
+    elif kind == "zero":
+        roots = [rc(0)] + [_gaussian(rng) for _ in range(max(degree, 2) - 1)]
+    elif kind == "close":  # z(z - r)(z - r - 1e-12) or (z - s)(z - r)(z - r - 1e-12)
+        r = _gaussian(rng)
+        first = rc(0) if rng.random() < 0.5 else r + rc(_frac(rng) or 1)
+        roots = [first, r, r + rc(F(1, 10**12))]
+    else:  # an irrational root: an irreducible quadratic, maybe times z - d, or z^3 - n
+        roots = None
+        if rng.random() < 0.25:
+            n = rng.choice([2, 3, 5, 7, F(1, 2), F(-4, 9)])
+            return [rc(-n), rc(0), rc(0), rc(1)], None
+        while True:
+            b, c = _frac(rng), _frac(rng)
+            if not _is_rational_square(b * b - 4 * c):
+                break
+        coeffs = [rc(c), rc(b), rc(1)]
+        if degree == 3:
+            coeffs = _times(coeffs, [rc(-_frac(rng)), rc(1)])
+    if roots is not None:
+        if len(set(roots)) < len(roots):
+            return _root_sigma(kind, rng)
+        coeffs = [rc(1)]
+        for r in roots:
+            coeffs = _times(coeffs, [-r, rc(1)])
+    lead = _gaussian(rng) if rng.random() < 0.3 else rc(_frac(rng))
+    return [c * (lead or rc(1)) for c in coeffs], roots
+
+
+ROOT_KINDS = ("rational", "gaussian", "zero", "close", "irrational")
+
+
+def _root_grid(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        coeffs, roots = _root_sigma(ROOT_KINDS[i % len(ROOT_KINDS)], rng)
+        yield Poly(coeffs, EXACT), roots
+
+
+def _re_im(c):
+    return (c.re, c.im)
+
+
+def test_exact_roots_of_a_square_free_sigma():
+    irrational = 0
+    for i, (sigma, roots) in enumerate(_root_grid(200, seed=1511)):
+        got = _exact_roots(sigma)
+        if roots is None:
+            assert got is None, i
+            irrational += 1
+            continue
+        assert got is not None, i
+        assert all(not sigma(c) for c in got), i
+        assert sorted(got, key=_re_im) == sorted(roots, key=_re_im), i
+        assert got == sorted(got, key=_re_im, reverse=True), i
+    assert irrational == 40
+
+
+def test_exact_roots_keep_the_branch_set(monkeypatch):
+    # a planted branch on each sigma of the grid, so that B's heads are
+    # Gaussian-rational squares and every branch is exact. Where every
+    # float root rationalized, the branches on sigma's exact roots are the
+    # ones on its rationalized float roots, in some order. A close root
+    # that did not rationalize is exact now, and so is every branch; the
+    # float path with the pi ladder takes up to half a minute there, so it
+    # is not run.
+    rng = random.Random(1512)
+    compared = close = 0
+    for i, (sigma, roots) in enumerate(_root_grid(100, seed=1512)):
+        tau = [RationalComplex(_frac(rng)) for _ in range(3)]
+        pi = [RationalComplex(_frac(rng)) for _ in range(3)]
+        g = [RationalComplex(_frac(rng)) for _ in range(2)]
+        zero = RationalComplex(0)
+        gap = [t - d for t, d in zip_longest(tau, sigma.derivative().coeffs,
+                                              fillvalue=zero)]
+        terms = (_times(g, sigma.coeffs), _times(pi, pi), _times(pi, gap))
+        sigma_tilde = [a - b - c for a, b, c in zip_longest(*terms, fillvalue=zero)]
+        eq = NuEquation(Poly(tau, EXACT), sigma, Poly(sigma_tilde, EXACT), EXTENDED)
+        got = enumerate_branches(eq)
+        assert any(b.pi == Poly(pi, EXACT) for b in got), i
+        if roots is not None and not _all_exact(_eigvals_sigma_points(sigma, 3)):
+            assert _exact_centres(eq), i
+            assert all(b.backend == EXACT for b in got), i
+            close += 1
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_sigma_points", _eigvals_sigma_points)
+            want = enumerate_branches(eq)
+        if roots is None:  # both take the float roots
+            assert got == want, i
+        else:
+            assert set(got) == set(want) and len(got) == len(want), i
+            compared += 1
+    assert compared >= 50 and close > 0

@@ -1,0 +1,79 @@
+"""Commands that compute nothing in float linear algebra run without numpy.
+
+Each run is cli.main in a fresh interpreter where sys.modules["numpy"]
+is None, so any import of numpy raises. The README's exact `classify`
+runs, both modes, and `app coulomb3s` must print what they print with
+numpy present, and so must `--help`. A float `solve` must fail there,
+which shows that the block holds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import heunforge
+from heunforge.cli import main
+
+SRC = Path(heunforge.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
+
+BLOCKED = ("import sys; sys.modules['numpy'] = None; "
+           "from heunforge.cli import main; raise SystemExit(main(sys.argv[1:]))")
+
+README_EXACT = [
+    "classify", "--sigma", "z^3 - 3*z^2 + 2*z",
+    "--tau", "1 - 35/12*z + 19/12*z^2",
+    "--sigma-tilde", "-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4",
+    "--backend", "exact",
+]
+README_CLASSIC = [
+    "classify", "--mode", "classic", "--sigma", "z^2 - 1/3*z",
+    "--tau", "-4/3 - 2/3*z", "--sigma-tilde", "1/4 - 1/3*z - 5/4*z^2",
+    "--backend", "exact",
+]
+COULOMB = ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"]
+FORMATS = ("json", "csv", "table")
+
+
+def _blocked(argv):
+    """(exit code, stdout, stderr) of main(argv) in an interpreter that
+    cannot import numpy."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    env.pop("HEUNFORGE_BACKEND", None)
+    proc = subprocess.run([sys.executable, "-c", BLOCKED, *argv],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _in_process(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name, argv", [("classify_exact", README_EXACT),
+                                        ("app_coulomb3s", COULOMB)])
+def test_golden_run_without_numpy(name, argv, fmt):
+    golden = (GOLDEN / ("%s.%s.txt" % (name, fmt))).read_bytes().decode()
+    assert _blocked(argv + ["--format", fmt]) == (0, golden, "")
+
+
+@pytest.mark.parametrize("argv", [
+    *(README_CLASSIC + ["--format", fmt] for fmt in FORMATS), ["--help"]],
+    ids=["classic-%s" % fmt for fmt in FORMATS] + ["help"])
+def test_run_without_numpy_prints_what_it_prints_with_numpy(capsys, monkeypatch, argv):
+    code, out = _in_process(capsys, monkeypatch, argv)
+    assert code == 0 and out
+    assert _blocked(argv) == (0, out, "")
+
+
+def test_float_solve_needs_numpy():
+    code, out, err = _blocked(["solve", "heun", "--class", "I", "-n", "2", "--a", "2",
+                               "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4"])
+    assert code == 1 and out == ""
+    assert "import of numpy halted" in err
