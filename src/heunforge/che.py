@@ -80,20 +80,21 @@ class CheClass:
     flags: tuple
     _shift: tuple  # (const, beta coeff, gamma coeff, n coeff) of (mu+nu)/alpha
 
-    def pi(self, p: CheParams) -> Poly:
+    @staticmethod
+    def parts(p) -> tuple:
+        """The pi part of each flag: -alpha z(z-1), -beta (z-1) and
+        -gamma z."""
         backend = p.backend
         z = Poly.x(backend)
         one = Poly.one(backend)
-        parts = (
+        return (
             z * (z - one) * (-p.alpha),
             (z - one) * (-p.beta),
             z * (-p.gamma),
         )
-        out = Poly.zero(backend)
-        for flag, part in zip(self.flags, parts):
-            if flag:
-                out = out + part
-        return out
+
+    def pi(self, p: CheParams) -> Poly:
+        return family.flagged_sum(self.flags, self.parts(p))
 
     def coupling_value(self, n: int, alpha, beta, gamma):
         """The value of mu + nu admitting degree-n solutions."""

@@ -34,6 +34,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
+from itertools import zip_longest
 from types import SimpleNamespace
 
 from .apps import (
@@ -50,14 +51,8 @@ from .che import (
     che_eigenstates,
     che_params_for_class,
 )
-from .engine import (
-    CLASSIC,
-    EXTENDED,
-    NoBranchError,
-    NuEquation,
-    enumerate_branches,
-    reduce_branch,
-)
+from .engine import CLASSIC, EXTENDED, NoBranchError, NuEquation, enumerate_branches
+from .family import flagged_sum
 from .heun import (
     HEUN_CLASSES,
     heun_accessory,
@@ -212,23 +207,29 @@ def _match_che(eq: NuEquation):
 
 
 def _class_catalog(heun_p, che_p):
-    """(label, float catalog pi) of every class of the matched family.
-
-    In float: an exact equation can keep a branch whose pi did not
-    rationalize, and its float pi meets the exact catalog pi here."""
-    if heun_p is not None:
-        return [(cls.label, cls.pi(heun_p).to_float()) for cls in HEUN_CLASSES]
-    if che_p is not None:
-        return [(cls.label, cls.pi(che_p).to_float()) for cls in CHE_CLASSES]
-    return []
+    """(label, float coefficients of the class pi) of every class of the
+    matched family, from one build of the family's pi parts. Float, as an
+    exact equation can keep a float branch whose pi did not rationalize."""
+    classes, p = (HEUN_CLASSES, heun_p) if heun_p is not None else (CHE_CLASSES, che_p)
+    if p is None:
+        return []
+    parts = classes[0].parts(p)
+    return [(cls.label, flagged_sum(cls.flags, parts).to_float().coeffs)
+            for cls in classes]
 
 
 def _branch_label(branch, catalog) -> str:
-    """Label of the first catalog class whose pi matches the branch, or ''."""
+    """Label of the first catalog class whose pi matches the branch, or ''.
+    The largest coefficient gap is max_abs of the difference Poly, whose
+    trimming spares the largest; an infinite one overflows as it would."""
     pi = branch.pi.to_float()
     scale = max(pi.max_abs(), 1.0)
-    for label, cls_pi in catalog:
-        if (pi - cls_pi).max_abs() <= 1e-8 * scale:
+    for label, cls_coeffs in catalog:
+        gap = max((abs(a - c) for a, c in zip_longest(pi.coeffs, cls_coeffs, fillvalue=0j)),
+                  default=0.0)
+        if gap == math.inf:
+            raise OverflowError("polynomial coefficient overflows the float range")
+        if gap <= 1e-8 * scale:
             return label
     return ""
 
@@ -250,19 +251,10 @@ def cmd_classify(args, config: RunConfig):
     family = "heun" if heun_p is not None else "che" if che_p is not None else ""
     catalog = _class_catalog(heun_p, che_p)
     entries = []
-    for branch in branches:
-        try:
-            reduced = reduce_branch(eq, branch)
-        except NoBranchError:  # it can reject a float branch; see enumerate_branches
-            continue
-        entries.append({
-            "sign": branch.sign,
-            "class": _branch_label(branch, catalog),
-            "g": branch.g,
-            "pi": branch.pi,
-            "tau": reduced.tau,
-            "h": reduced.h,
-        })
+    for b in branches:
+        rf = b.reduced(eq)
+        entries.append({"sign": b.sign, "class": _branch_label(b, catalog),
+                        "g": b.g, "pi": b.pi, "tau": rf.tau, "h": rf.h})
     return {"backend": backend, "mode": args.mode, "family": family}, entries, []
 
 

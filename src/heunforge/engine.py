@@ -7,7 +7,7 @@ pi = (sigma' - tau~)/2 +- sqrt(((sigma' - tau~)/2)^2 - sigma~ + g sigma)
 and the polynomial g (a constant k in classic mode, affine in extended
 mode) is chosen so the radicand is a perfect square. Each admissible g
 yields up to two branches; reduction gives sigma y'' + tau y' + h y = 0
-with h = sigma_bar / sigma dividing exactly. Degree bounds:
+with h = sigma_bar / sigma = g + pi'. Degree bounds:
 
     classic   deg tau~ <= 1, deg sigma <= 2, deg sigma~ <= 2, g scalar
     extended  deg tau~ <= 2, deg sigma <= 3, deg sigma~ <= 4, g affine
@@ -69,16 +69,8 @@ class NuEquation:
         if self.tau_tilde.degree > b1 or self.sigma.degree > b2 or self.sigma_tilde.degree > b3:
             raise ValueError(
                 "degree bounds for %s mode are (%d, %d, %d); got (%d, %d, %d)"
-                % (
-                    self.mode,
-                    b1,
-                    b2,
-                    b3,
-                    self.tau_tilde.degree,
-                    self.sigma.degree,
-                    self.sigma_tilde.degree,
-                )
-            )
+                % (self.mode, b1, b2, b3, self.tau_tilde.degree,
+                   self.sigma.degree, self.sigma_tilde.degree))
 
     @property
     def backend(self):
@@ -127,6 +119,13 @@ class PiBranch:
     @property
     def backend(self):
         return self.pi.backend
+
+    def reduced(self, eq: NuEquation) -> "ReducedForm":
+        """reduce_branch's form with no division: sigma_bar = s^2 - B +
+        pi' sigma = (g + pi') sigma, so tau = tau~ + 2 pi and h = g + pi',
+        in the degree bound as deg g <= budget - 2 and deg pi < budget."""
+        tau_tilde = _on_branch(eq, self).tau_tilde
+        return ReducedForm(tau_tilde + self.pi + self.pi, self.g + self.pi.derivative())
 
 
 @dataclass(frozen=True)
@@ -188,22 +187,13 @@ def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
 
 
 def _dedupe(branches):
-    seen = []
-    out = []
+    seen, out = [], []
     for b in branches:
         gf = b.g.to_float()
         key = (complex(gf.coeff(1)), complex(gf.coeff(0)), b.sign)
         norm = max(1.0, abs(key[0]), abs(key[1]))
-        dup = False
-        for k in seen:
-            if (
-                k[2] == key[2]
-                and abs(k[0] - key[0]) <= DEDUPE_TOL * norm
-                and abs(k[1] - key[1]) <= DEDUPE_TOL * norm
-            ):
-                dup = True
-                break
-        if not dup:
+        if not any(k[2] == key[2] and abs(k[0] - key[0]) <= DEDUPE_TOL * norm
+                   and abs(k[1] - key[1]) <= DEDUPE_TOL * norm for k in seen):
             seen.append(key)
             out.append(b)
     return out
@@ -427,9 +417,8 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
 
     For pi = (sigma' - tau~)/2 +- s, pi^2 + pi (tau~ - sigma') + sigma~
     is (pi - (sigma' - tau~)/2)^2 - B = s^2 - B, and sigma_bar adds only
-    pi' sigma to it. So the remainder of s^2 - B modulo sigma is the
-    remainder reduce_branch tests: the one certificate of a candidate's
-    branches.
+    pi' sigma to it. So the remainder of s^2 - B modulo sigma is
+    sigma_bar's: the one certificate of a candidate's branches.
 
     An exact equation whose centres are all exact gets exact candidates:
     the lift and the Hermite solve run in RationalComplex, the remainder
@@ -508,19 +497,15 @@ def enumerate_branches(eq: NuEquation):
     or the one collapse branch with sign 0 when its radicand vanishes.
     A float branch is certified once, where its candidate is made, by
     the remainder of s^2 - B modulo sigma, which is sigma_bar's (see
-    _sqrt_mod_sigma_candidates). reduce_branch tests that remainder at
-    DIVIDE_REL_TOL of sigma_bar, so it can still reject a float branch:
-    one of a sigma with close roots, or one whose pi is far smaller than
-    (sigma' - tau~)/2 and so keeps only the absolute accuracy of its two
-    parts. classify, which reduces each branch once, leaves such a
-    branch out. Branches are deduplicated at 1e-8. The centres of an
-    exact sigma are all exact when _exact_roots finds its roots Gaussian
-    rational, close ones included (_sigma_points). An exact equation
-    whose centres are all exact gets its branches made and certified
-    exactly, or its float branches when no exact branch exists. One with
-    an inexact centre (an irrational root of sigma) gets an exact branch
-    wherever a float branch's pi rationalizes to one that branch_from_pi
-    certifies. Exact branches are signed by _signed.
+    _sqrt_mod_sigma_candidates), and PiBranch.reduced gives its reduced
+    form with no second division. Branches are deduplicated at 1e-8. The
+    centres of an exact sigma are all exact when _exact_roots finds its
+    roots Gaussian rational, close ones included (_sigma_points). An
+    exact equation whose centres are all exact gets its branches made
+    and certified exactly, or its float branches when no exact branch
+    exists. One with an inexact centre (an irrational root of sigma) gets
+    an exact branch wherever a float branch's pi rationalizes to one that
+    branch_from_pi certifies. Exact branches are signed by _signed.
     """
     points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
     branches, half = [], None
@@ -604,7 +589,11 @@ def _on_branch(eq: NuEquation, b: PiBranch) -> NuEquation:
 def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     """tau = tau~ + 2 pi and h = sigma_bar / sigma, where
     sigma_bar = sigma~ + pi^2 + pi (tau~ - sigma') + pi' sigma.
-    A nonzero division remainder marks an inadmissible branch."""
+    A nonzero division remainder marks an inadmissible branch.
+
+    Only the solve path divides; classify takes the form from the branch
+    (PiBranch.reduced). In floats, h = g + pi' would move the last bits of
+    eigenstates whose residuals sit at the 1e-8 gate."""
     eq = _on_branch(eq, b)
     return _reduce(eq, eq.sigma_tilde, b.pi, _sigma_bar_terms(eq, b.pi))
 

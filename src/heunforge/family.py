@@ -5,7 +5,8 @@ sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
 kappa = mu + nu and t = mu in che.py. A params record supplies `backend`,
 `coupling`, `accessory`, `at(t)`, `to_nu()`, `relation_scale` (the float
 scale of the class relation) and `coupling_name`; a class supplies
-`label`, `pi(p)` and `coupling_at(p, n)`, the kappa of degree-n solutions.
+`label`, `flags`, `parts(p)`, `pi(p)` (flagged_sum of its flags over its
+parts) and `coupling_at(p, n)`, the kappa of degree-n solutions.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ def find_class(classes, label):
         "unknown class %r; expected one of %s"
         % (label, ", ".join(c.label for c in classes))
     )
+
+
+def flagged_sum(flags, parts) -> Poly:
+    """The sum, in order and from zero, of the parts whose flag is set:
+    a class pi from its family's pi parts."""
+    return sum((part for flag, part in zip(flags, parts) if flag), Poly.zero(parts[0].backend))
 
 
 def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:

@@ -94,22 +94,23 @@ class HeunClass:
     label: str
     flags: tuple
 
-    def pi(self, p: HeunParams) -> Poly:
+    @staticmethod
+    def parts(p) -> tuple:
+        """The pi part of each flag: (z-1)(z-a)(1-gamma), z(z-a)(1-delta)
+        and z(z-1)(1-epsilon)."""
         backend = p.backend
         z = Poly.x(backend)
         one = Poly.one(backend)
         ac = Poly.constant(p.a, backend)
         unit = as_scalar(1, backend)
-        parts = (
+        return (
             (z - one) * (z - ac) * (unit - p.gamma),
             z * (z - ac) * (unit - p.delta),
             z * (z - one) * (unit - p.epsilon),
         )
-        out = Poly.zero(backend)
-        for flag, part in zip(self.flags, parts):
-            if flag:
-                out = out + part
-        return out
+
+    def pi(self, p: HeunParams) -> Poly:
+        return family.flagged_sum(self.flags, self.parts(p))
 
     def product_value(self, n: int, gamma, delta, epsilon):
         """The value of alpha*beta admitting degree-n solutions."""

@@ -124,10 +124,11 @@ def test_classify_float_backend_env(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("backend", ["exact", "float"])
-def test_classify_reduces_each_printed_branch_once(capsys, monkeypatch, backend):
-    # a candidate's remainder test is its certificate, so the only
-    # reduction is the one that prints tau and h; sigma's roots 0, 1 and 2
-    # are exact, so no exact branch is recovered from a rationalized pi
+def test_classify_divides_no_branch(capsys, monkeypatch, backend):
+    # a candidate's remainder test is its certificate, and tau and h come
+    # from the branch (tau~ + 2 pi, g + pi'), so nothing is reduced by
+    # division; sigma's roots 0, 1 and 2 are exact, so no exact branch is
+    # recovered from a rationalized pi
     import sys
 
     from heunforge import engine
@@ -147,8 +148,8 @@ def test_classify_reduces_each_printed_branch_once(capsys, monkeypatch, backend)
     code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", backend,
                        "--format", "json")
     assert code == EXIT_OK
-    assert len(calls["reduce_branch"]) == len(json.loads(out)["branches"]) == 8
-    assert calls["branch_from_pi"] == []
+    assert len(json.loads(out)["branches"]) == 8
+    assert calls == {"reduce_branch": [], "branch_from_pi": []}
 
 
 def test_classify_keeps_a_near_collapse(capsys):
@@ -171,21 +172,30 @@ def test_classify_keeps_a_near_collapse(capsys):
 def test_classify_past_a_float_pi_lost_to_cancellation(capsys):
     # sigma~ = (3/10) sigma plants pi = 0 where (sigma' - tau~)/2 is 1e4 in
     # size. Its float pi, (sigma' - tau~)/2 + s, is accurate to about 1e-12
-    # only, which reduce_branch rejects: the float run prints the other
-    # branches, and the exact run certifies pi = 0 exactly.
+    # only, a remainder a second division of sigma_bar would reject; the
+    # certificate keeps it. So each of the four float branches matches its
+    # own exact branch in g, pi, tau and h within 1e-8 of max(1, the exact
+    # value's largest coefficient), and the exact run certifies pi = 0
+    # exactly. Signs may differ: an exact s leads with the principal root.
     argv = ["classify", "--mode", "classic", "--sigma", "z^2 - 1",
             "--tau", "10000 - 6000*z", "--sigma-tilde", "-3/10 + 3/10*z^2",
             "--format", "json"]
-    code, out, _ = run(capsys, *argv, "--backend", "exact")
-    assert code == EXIT_OK
-    exact = [_poly_from_json(b["pi"], EXACT)
-             for b in json.loads(out)["branches"]]
-    assert len(exact) == 4 and parse_poly("0", EXACT) in exact
-    code, out, _ = run(capsys, *argv, "--backend", "float")
-    assert code == EXIT_OK
-    for b in json.loads(out)["branches"]:
-        pi = _poly_from_json(b["pi"], FLOAT)
-        assert min((pi - e.to_float()).max_abs() for e in exact) <= 1e-8 * 1e4
+    branches = {}
+    for backend in (EXACT, FLOAT):
+        code, out, _ = run(capsys, *argv, "--backend", backend)
+        assert code == EXIT_OK
+        branches[backend] = [
+            [_poly_from_json(b[k], backend) for k in ("g", "pi", "tau", "h")]
+            for b in json.loads(out)["branches"]]
+    assert parse_poly("0", EXACT) in [pi for _, pi, _, _ in branches[EXACT]]
+    assert len(branches[EXACT]) == len(branches[FLOAT]) == 4
+    unmatched = list(branches[FLOAT])
+    for want in branches[EXACT]:
+        match = [got for got in unmatched if all(
+            (g - w.to_float()).max_abs() <= 1e-8 * max(w.max_abs(), 1.0)
+            for g, w in zip(got, want))]
+        assert len(match) == 1, want
+        unmatched.remove(match[0])
 
 
 def test_solve_heun_three_states(capsys):
