@@ -429,7 +429,9 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     reduce_branch's DIVIDE_REL_TOL because close roots of sigma make the
     Hermite solve ill-conditioned, and collapse marks B + g sigma within
     DIVIDE_REL_TOL of max(1, |B|), as reduce_branch tests the collapse
-    branch at that tolerance."""
+    branch at that tolerance. Both backends solve by one elimination,
+    _nullspace, and test through _is_negligible, whose exact test is a
+    zero test; neither loads numpy."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
     half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
@@ -459,24 +461,18 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     rows = [_hermite_row(c, k, budget, backend) for c, m in points for k in range(m)]
     rhs = [[e * v for e, root in zip((1,) + tail, roots) for v in root]
            for tail in product((1, -1), repeat=len(points) - 1)]
-    if backend == EXACT:
-        # one elimination of [M | -rhs_1 | -rhs_2 ...]: the kernel vector
-        # of the free column of rhs_t starts with the solution for rhs_t
-        aug = [row + [-r[i] for r in rhs] for i, row in enumerate(rows)]
-        for vec in _nullspace_exact(aug):
-            s = Poly(vec[:budget], EXACT)
-            g, rem = (s * s - bpoly).divrem(sigma)
-            if g.degree <= budget - 2 and rem.is_zero:
-                yield g, s, s.is_zero
-        return
-    from .floatkernel import solve_each
-
-    scale = bpoly.max_abs()
-    for coeffs in solve_each(rows, rhs):
-        s = Poly(coeffs, FLOAT)
+    # one elimination of [M | -rhs_1 | -rhs_2 ...]: the kernel vector of
+    # the free column of rhs_t starts with the solution for rhs_t
+    aug = [row + [-r[i] for r in rhs] for i, row in enumerate(rows)]
+    # an exact test is a zero test: the scales, which can overflow
+    # float range on exact values, serve floats only
+    scale = bpoly.max_abs() if backend == FLOAT else 0.0
+    for vec in _nullspace(aug, backend):
+        s = Poly(vec[:budget], backend)
         sq = s * s
         g, rem = (sq - bpoly).divrem(sigma)
-        if g.degree <= budget - 2 and _is_negligible(rem, max(scale, sq.max_abs()), 1e-7):
+        if g.degree <= budget - 2 and _is_negligible(
+                rem, max(scale, sq.max_abs()) if backend == FLOAT else 0.0, 1e-7):
             yield g, s, _is_negligible(bpoly + g * sigma, scale, DIVIDE_REL_TOL)
 
 
@@ -666,20 +662,25 @@ def _prefactor(sigma: Poly, pi: Poly) -> PhiFactor:
 # -- polynomial solutions -----------------------------------------------------
 
 
-def _nullspace_exact(rows):
-    """Kernel basis of a small exact matrix (list of RationalComplex
-    rows) by Gauss-Jordan elimination."""
+def _nullspace(rows, backend):
+    """Kernel basis of a small matrix (list of rows of `backend` scalars)
+    by Gauss-Jordan elimination. An exact pivot is the first nonzero entry
+    of its column, a float pivot the one of largest modulus."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     mat = [list(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if backend == EXACT:
+            pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
+        else:
+            pivot = max(range(r, nrows), key=lambda i: abs(mat[i][c]))
+            pivot = pivot if mat[pivot][c] else None
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = as_scalar(1, EXACT) / mat[r][c]
+        inv = as_scalar(1, backend) / mat[r][c]
         mat[r] = [v * inv for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c]:
@@ -692,8 +693,8 @@ def _nullspace_exact(rows):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [as_scalar(0, EXACT)] * ncols
-        vec[fc] = as_scalar(1, EXACT)
+        vec = [as_scalar(0, backend)] * ncols
+        vec[fc] = as_scalar(1, backend)
         for pr, pc in enumerate(pivots):
             vec[pc] = -mat[pr][fc]
         basis.append(vec)
@@ -727,7 +728,7 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
 
     mat = with_h(fixed, rf.h)
     if rf.h.backend == EXACT:
-        kernel = _nullspace_exact(mat)
+        kernel = _nullspace(mat, EXACT)
         if len(kernel) != 1:
             raise NoBranchError(
                 "null space dimension is %d, not 1 (wrong accessory value "

@@ -1,9 +1,10 @@
 """The float kernel: every numpy call of the package, and the one module
 that imports numpy. Its callers import it inside the functions that need
-it, so a run with no float linear algebra and no contour, such as an
-exact `classify` whose sigma has Gaussian-rational roots or `app
-coulomb3s`, never loads numpy. An exact solve's coefficient map is an
-object array made here too.
+it, so a run with no float roots of sigma, eigenvalues, null vectors or
+contour never loads numpy: an exact `classify` whose sigma has
+Gaussian-rational roots, whose branches, exact or float, come from the
+engine's own elimination, or `app coulomb3s`. An exact solve's
+coefficient map is an object array made here too.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ def companion_roots(body):
     comp[1:, :-1] = np.eye(n - 1)
     comp[:, -1] = [-v for v in body]
     return [complex(v) for v in np.linalg.eigvals(comp)]
-
-
-def solve_each(rows, rhss):
-    """The solution of rows x = rhs for each rhs in rhss."""
-    mat = np.array(rows)
-    return [[complex(v) for v in np.linalg.solve(mat, r)] for r in rhss]
 
 
 def full(shape, zero):

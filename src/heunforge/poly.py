@@ -8,12 +8,14 @@ in the float backend. The zero polynomial has degree -1.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
 from .scalars import (
     EXACT,
     FLOAT,
+    _UNIT,
     BackendMismatchError,
     RationalComplex,
     as_scalar,
@@ -346,56 +348,29 @@ def _trim(coeffs, backend):
 # syntax; complex coefficients with two parts are parenthesized, e.g.
 # "(1+2i)*z^2 - 1/3".
 
-def _split_top_level(text):
-    terms, start, depth = [], 0, 0
-    for k, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0 and k > start and text[k - 1] not in "eE(*^":
-            terms.append(text[start:k])
-            start = k
-    terms.append(text[start:])
-    return [t.strip() for t in terms if t.strip()]
+# one term: a sign, then a unit term or a parenthesized sum, any '*', and
+# z or z^k, either part alone
+_MONOMIAL_RE = re.compile(r"([+-]?)(%s|\([^()]*\))?(\**z(?:\^(\d+))?)?" % _UNIT)
 
 
 def parse_poly(text: str, backend: str) -> Poly:
     """Parse 'c0 + c1*z + c2*z^2' into a Poly for the given backend."""
-    text = text.strip()
+    text = "".join(text.split())
     if not text:
         raise ValueError("empty polynomial text")
-    if text == "0":
-        return Poly.zero(backend)
-    coeffs = {}
-    for term in _split_top_level(text.replace(" ", "")):
-        sign = 1
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:]
-        if not term:
-            raise ValueError("dangling sign in polynomial text")
-        if "z" in term:
-            head, _, tail = term.partition("z")
-            head = head.rstrip("*")
-            if tail.startswith("^"):
-                if not tail[1:].isdigit():
-                    raise ValueError("bad exponent in %r" % (term,))
-                power = int(tail[1:])
-            elif tail:
-                raise ValueError("unexpected text after z in %r" % (term,))
-            else:
-                power = 1
-            coeff = parse_scalar(head, backend) if head else as_scalar(1, backend)
-        else:
-            power = 0
-            coeff = parse_scalar(term, backend)
-        if sign < 0:
-            coeff = -coeff
-        coeffs[power] = coeffs.get(power, as_scalar(0, backend)) + coeff
-    top = max(coeffs)
-    return Poly([coeffs.get(k, 0) for k in range(top + 1)], backend)
+    coeffs, pos = {}, 0
+    while pos < len(text):
+        m = _MONOMIAL_RE.match(text, pos)
+        sign, coeff, z, power = m.groups()
+        if not (coeff or z) or (pos and not sign):
+            raise ValueError("bad polynomial text %r" % (text,))
+        value = parse_scalar(coeff, backend) if coeff else as_scalar(1, backend)
+        if sign == "-":
+            value = -value
+        power = int(power) if power else 1 if z else 0
+        coeffs[power] = coeffs.get(power, as_scalar(0, backend)) + value
+        pos = m.end()
+    return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)], backend)
 
 
 def _coeff_text(c) -> str:

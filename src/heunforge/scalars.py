@@ -299,54 +299,43 @@ def scalar_sqrt(value, backend):
 
 # -- text format ----------------------------------------------------------
 #
-# Numbers appear in CLI input/output as rationals p/q, decimals, or complex
-# a+bi combinations of those, e.g. "3", "-2/5", "1.5", "2+3i", "1/2-1/3i".
+# Numbers appear in CLI input/output as rationals p/q, decimals with an
+# optional exponent, or complex sums of those, e.g. "3", "-2/5", "1.5e-3",
+# "2+3i", "1/2-1/3i". Whitespace is ignored. The same pieces make a
+# polynomial term (poly.parse_poly).
 
-_FLOAT_RE = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUM_RE = r"(?:%s(?:/\d+)?)" % _FLOAT_RE
-_TERM_RE = _re.compile(
-    r"^(?P<sign>[+-]?)(?:(?P<num>%s)\s*(?P<imag>[ij]?)|(?P<lone>[ij]))$" % _NUM_RE
-)
-
-
-def _split_terms(text):
-    """Split 'a+bi' style sums at top-level +/- (not after e/E exponents)."""
-    terms, start = [], 0
-    for k, ch in enumerate(text):
-        if ch in "+-" and k > start and text[k - 1] not in "eE+-":
-            terms.append(text[start:k])
-            start = k
-    terms.append(text[start:])
-    return [t for t in terms if t.strip()]
+_NUMBER = r"\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# a unit term without its sign: a number with an optional i/j, or a lone i/j
+_UNIT = r"(?:%s)[ij]?|[ij]" % _NUMBER
+_SIGNED_UNIT_RE = _re.compile(r"([+-]?)(%s)" % _UNIT)
 
 
-def _parse_part(part: str):
-    """One additive term -> (real_str_or_None, is_imag). Returns the
-    numeric literal with sign attached."""
-    m = _TERM_RE.match(part.strip().replace(" ", ""))
-    if not m:
-        raise ValueError("bad numeric literal %r" % (part,))
-    sign = -1 if m.group("sign") == "-" else 1
-    if m.group("lone"):
-        return sign, "1", True
-    return sign, m.group("num"), bool(m.group("imag"))
-
-
-def parse_scalar(text: str, backend: str):
-    """Parse a scalar literal ('3', '-2/5', '1.5', '2+3i', '1/2-1/3i')."""
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        text = text[1:-1].strip()
-    if not text:
-        raise ValueError("empty numeric literal")
-    re_part, im_part = Fraction(0), Fraction(0)
-    for part in _split_terms(text):
-        sign, lit, is_imag = _parse_part(part)
-        value = sign * Fraction(lit)
-        if is_imag:
+def _read_sum(text):
+    """Exact (re, im) Fractions of a signed run of unit terms, such as
+    '1/2-3i+.5e1j', in text free of whitespace."""
+    re_part = im_part = Fraction(0)
+    pos = 0
+    while True:
+        m = _SIGNED_UNIT_RE.match(text, pos)
+        if m is None or (pos and not m[1]):
+            raise ValueError("bad numeric literal %r" % (text,))
+        sign, unit = m.groups()
+        value = Fraction(sign + (unit.rstrip("ij") or "1"))
+        if unit[-1] in "ij":
             im_part += value
         else:
             re_part += value
+        pos = m.end()
+        if pos == len(text):
+            return re_part, im_part
+
+
+def parse_scalar(text: str, backend: str):
+    """Parse a scalar literal ('3', '-2/5', '1.5e-3', '2+3i', '(1/2-1/3i)')."""
+    text = "".join(text.split())
+    if text[:1] == "(" and text[-1:] == ")":
+        text = text[1:-1]
+    re_part, im_part = _read_sum(text)
     if backend == EXACT:
         return RationalComplex(re_part, im_part)
     try:

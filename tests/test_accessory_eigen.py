@@ -41,7 +41,7 @@ from heunforge import (
     termination_polynomial,
     termination_solve,
 )
-from heunforge.engine import _nullspace_exact, eigenstates
+from heunforge.engine import _nullspace, eigenstates
 from heunforge.family import accessory_family
 from heunforge.floatkernel import with_h
 from heunforge.oracle import OdeForm
@@ -108,7 +108,7 @@ def _column_solve(images, rf, n):
     same gates and messages as the engine."""
     rows = _column_rows(images, rf.h, n)
     if rf.h.backend == EXACT:
-        kernel = _nullspace_exact(rows)
+        kernel = _nullspace(rows, EXACT)
         if len(kernel) != 1:
             raise NoBranchError(
                 "null space dimension is %d, not 1 (wrong accessory value "

@@ -689,8 +689,8 @@ def _readme_commands():
 README_COMMANDS = _readme_commands()
 
 
-def test_readme_lists_seven_commands():
-    assert len(README_COMMANDS) == 7
+def test_readme_lists_eight_commands():
+    assert len(README_COMMANDS) == 8
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])

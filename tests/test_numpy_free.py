@@ -2,9 +2,10 @@
 
 Each run is cli.main in a fresh interpreter where sys.modules["numpy"]
 is None, so any import of numpy raises. The README's exact `classify`
-runs, both modes, and `app coulomb3s` must print what they print with
-numpy present, and so must `--help`. A float `solve` must fail there,
-which shows that the block holds.
+runs, both modes and the one that prints float branches, and `app
+coulomb3s` must print what they print with numpy present, and so must
+`--help`. A float `solve` must fail there, which shows that the block
+holds.
 """
 
 import os
@@ -33,6 +34,12 @@ README_CLASSIC = [
     "classify", "--mode", "classic", "--sigma", "z^2 - 1/3*z",
     "--tau", "-4/3 - 2/3*z", "--sigma-tilde", "1/4 - 1/3*z - 5/4*z^2",
     "--backend", "exact",
+]
+# sigma has rational roots, but B has no Gaussian-rational square root at
+# them, so the branches are built in floats, by the Hermite solve
+README_FLOAT_BRANCHES = [
+    "classify", "--sigma", "z^3 - 3*z^2 + 2*z", "--tau", "1 + z",
+    "--sigma-tilde", "1 + z^2", "--backend", "exact",
 ]
 COULOMB = ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"]
 FORMATS = ("json", "csv", "table")
@@ -64,8 +71,10 @@ def test_golden_run_without_numpy(name, argv, fmt):
 
 
 @pytest.mark.parametrize("argv", [
-    *(README_CLASSIC + ["--format", fmt] for fmt in FORMATS), ["--help"]],
-    ids=["classic-%s" % fmt for fmt in FORMATS] + ["help"])
+    *(README_CLASSIC + ["--format", fmt] for fmt in FORMATS),
+    *(README_FLOAT_BRANCHES + ["--format", fmt] for fmt in FORMATS), ["--help"]],
+    ids=["classic-%s" % fmt for fmt in FORMATS]
+    + ["float-branches-%s" % fmt for fmt in FORMATS] + ["help"])
 def test_run_without_numpy_prints_what_it_prints_with_numpy(capsys, monkeypatch, argv):
     code, out = _in_process(capsys, monkeypatch, argv)
     assert code == 0 and out
