@@ -209,7 +209,7 @@ def _match_che(eq: NuEquation):
 def _class_catalog(heun_p, che_p):
     """(label, float coefficients of the class pi) of every class of the
     matched family, from one build of the family's pi parts. Float, as an
-    exact equation can keep a float branch whose pi did not rationalize."""
+    exact equation can keep a float branch where no exact one exists."""
     classes, p = (HEUN_CLASSES, heun_p) if heun_p is not None else (CHE_CLASSES, che_p)
     if p is None:
         return []

@@ -16,6 +16,11 @@ The two modes are one algebraic problem at two degree budgets, the bound
 on deg sigma: with budget d, s has degree below d and g degree at most
 d - 2. Branch enumeration runs one construction, square roots of B
 modulo sigma, at the mode's budget.
+
+A float value of an exact equation (a root of sigma, a branch at an
+irrational root) becomes exact by one rule: Newton refines it on the
+exact equation it must satisfy, the simplest Gaussian rational near the
+result is taken (_refine), and it stands if the equation holds exactly.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ DIVIDE_REL_TOL = 1e-10
 # float remainders and Taylor coefficients below this (relative) count
 # as zero when reading sigma's root multiplicities and B's vanishing order
 ZERO_TOL = 1e-9
+# the exactness rule's Newton iterates are Gaussian dyadics (a + b i)/2^GRID_BITS
+GRID_BITS = 128
 
 _DEGREE_BOUNDS = {CLASSIC: (1, 2, 2), EXTENDED: (2, 3, 4)}
 
@@ -199,29 +206,6 @@ def _dedupe(branches):
     return out
 
 
-def _rationalizations(value: complex):
-    """Gaussian rationals near value, small denominators first so that
-    float noise does not shadow an exact value like 5/7.
-
-    Each part gets every distinct fraction from the denominator ladder
-    that lands within 1e-9 (a small denominator can land within it of a
-    value it does not equal). A part that no rung fits gets none. A
-    larger rung would add fractions for irrational values too, and each
-    costs an exact check that fails."""
-    parts = []
-    for part in (value.real, value.imag):
-        exact = Fraction(part)
-        fracs = []
-        for den in (1, 6, 60, 2520, 10**4, 10**6):
-            cand = exact.limit_denominator(den)
-            if abs(cand - part) <= 1e-9 * max(1.0, abs(part)) and cand not in fracs:
-                fracs.append(cand)
-            if cand == exact:  # every larger rung gives it again
-                break
-        parts.append(fracs)
-    return [RationalComplex(re, im) for re, im in product(*parts)]
-
-
 def _signed(b: PiBranch) -> PiBranch:
     """An exact branch with its s leading with the principal square root
     of its square (real part positive, or zero and imaginary part
@@ -235,17 +219,69 @@ def _signed(b: PiBranch) -> PiBranch:
     return replace(b, s=-b.s, sign=-b.sign)
 
 
-def _exact_branch(eq: NuEquation, b: PiBranch) -> PiBranch:
-    """The exact branch of an exact equation whose pi rationalizes the
-    float branch b's pi, or b itself when none does: the first candidate
-    pi, in ladder order, that branch_from_pi certifies, signed by
-    _signed."""
-    for coeffs in product(*(_rationalizations(complex(c)) for c in b.pi.coeffs)):
-        try:
-            return _signed(branch_from_pi(eq, Poly(coeffs, EXACT)))
-        except NoBranchError:
-            continue
-    return b
+def _refine(values, step):
+    """The floats `values` refined by Newton, x -> x - step(x), each float
+    step rounded to the grid, until a step is at most one grid unit (at
+    most GRID_BITS steps, as in a cluster of roots Newton may wander before
+    it converges), then each part replaced by its closest fraction with
+    denominator at most 2^(GRID_BITS/2 - 8): two such lie 2^(16 - GRID_BITS)
+    apart or more, so a value within a few grid steps of one gives that one."""
+    one = 1 << GRID_BITS
+    x = [RationalComplex(v.real, v.imag) for v in values]
+    for _ in range(GRID_BITS):
+        d = step(x)
+        if not all(map(cmath.isfinite, d)):
+            break
+        d = [RationalComplex(round(Fraction(v.real) * one), round(Fraction(v.imag) * one))
+             for v in d]
+        x = [a - v / one for a, v in zip(x, d)]
+        if max(max(abs(v.re), abs(v.im)) for v in d) <= 1:
+            break
+    bound = 1 << (GRID_BITS // 2 - 8)
+    return [RationalComplex(v.re.limit_denominator(bound), v.im.limit_denominator(bound))
+            for v in x]
+
+
+def _root_near(poly: Poly, estimate: complex):
+    """The root of an exact poly that Newton reaches from a float estimate,
+    exact where _refine's value is a root, else as a float. poly' is taken
+    at each step, so that a root in a cluster converges too."""
+    dpoly = poly.derivative()
+
+    def step(x):
+        slope = complex(dpoly(x[0]))
+        return [complex(poly(x[0])) / slope if slope else 0j]
+
+    [c] = _refine([estimate], step)
+    return complex(c) if poly(c) else c
+
+
+def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
+    """The exact candidate (g, s, collapse) near a float one of an exact
+    equation, else the float one. _refine takes s and g on s^2 - g sigma
+    = B, a square system in their coefficients, with the exact residual
+    and the float candidate's Jacobian 2 s ds - sigma dg (singular at a
+    collapse, which keeps s = 0). The candidate is exact if sigma then
+    divides s^2 - B exactly, with a quotient g of degree <= budget - 2."""
+    g, s, collapse = candidate
+    exact_s = Poly.zero(EXACT)
+    if not collapse:
+        jac = [[2 * s.coeff(i - j) for j in range(budget)]
+               + [-complex(sigma.coeff(i - j)) for j in range(budget - 1)]
+               for i in range(2 * budget - 1)]
+
+        def step(x):
+            sx, gx = Poly(x[:budget], EXACT), Poly(x[budget:], EXACT)
+            res = sx * sx - gx * sigma - bpoly
+            aug = [row + [-complex(res.coeff(i))] for i, row in enumerate(jac)]
+            return _nullspace(aug, FLOAT)[-1][:-1]
+
+        start = [s.coeff(j) for j in range(budget)] + [g.coeff(j) for j in range(budget - 1)]
+        exact_s = Poly(_refine(start, step)[:budget], EXACT)
+    g, rem = (exact_s * exact_s - bpoly).divrem(sigma)
+    if rem.is_zero and g.degree <= budget - 2:
+        return g, exact_s, exact_s.is_zero
+    return candidate
 
 
 def _cubic_estimates(cubic: Poly):
@@ -266,14 +302,12 @@ def _cubic_estimates(cubic: Poly):
 
 def _exact_roots(sigma: Poly):
     """All roots of an exact sigma of degree at most 3, with
-    multiplicity, in descending order of (re, im), when every one is
-    Gaussian rational; else None.
-
-    The factor z^m gives m zero roots. Of a cubic rest, the first root
-    estimate (_cubic_estimates) with a rationalization at which the rest
-    is exactly zero gives one root, divided out exactly. A quadratic rest
-    is solved with sqrt_exact of its discriminant, which has no
-    Gaussian-rational root when its roots are irrational."""
+    multiplicity, in descending order of (re, im): exact where a root is
+    Gaussian rational, else a float. The factor z^m gives m zero roots.
+    Cardano's estimates of a cubic rest go through _root_near, and an
+    exact root is divided out; if none is exact, the cubic has none. A
+    quadratic rest is solved with sqrt_exact of its discriminant, or,
+    when that has no root, from float estimates through _root_near."""
     coeffs = list(sigma.coeffs)
     roots = []
     while not coeffs[0]:
@@ -281,25 +315,26 @@ def _exact_roots(sigma: Poly):
         coeffs.pop(0)
     rest = Poly(coeffs, EXACT)
     if rest.degree == 3:
-        try:
-            estimates = _cubic_estimates(rest)
-        except OverflowError:  # a coefficient ratio beyond float range
-            return None
-        root = next((c for z in estimates if cmath.isfinite(z)
-                     for c in _rationalizations(z) if not rest(c)), None)
-        if root is None:
-            return None
-        roots.append(root)
-        rest = rest.divrem(Poly([-root, 1], EXACT))[0]
+        found = []
+        for z in _cubic_estimates(rest):
+            found.append(_root_near(rest, z))
+            if isinstance(found[-1], RationalComplex):
+                found, rest = found[-1:], rest.divrem(Poly([-found[-1], 1], EXACT))[0]
+                break
+        roots += found
     if rest.degree == 2:
         c0, c1, c2 = rest.coeffs
         disc = sqrt_exact(c1 * c1 - 4 * c0 * c2)
         if disc is None:
-            return None
-        roots += [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
+            disc = cmath.sqrt(complex(c1 * c1 - 4 * c0 * c2))
+            roots += [_root_near(rest, (-complex(c1) + e * disc) / complex(2 * c2))
+                      for e in (1, -1)]
+        else:
+            roots += [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
     elif rest.degree == 1:
         roots.append(-rest.coeff(0) / rest.coeff(1))
-    return sorted(roots, key=lambda c: (c.re, c.im), reverse=True)
+    return sorted(roots, reverse=True, key=lambda c: (c.re, c.im) if isinstance(
+        c, RationalComplex) else (c.real, c.imag))
 
 
 def _sigma_points(sigma: Poly, budget: int):
@@ -310,11 +345,8 @@ def _sigma_points(sigma: Poly, budget: int):
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
     exact when sigma is. The roots of an exact square-free sigma come
-    from _exact_roots, exact and without floats, when all of them are
-    Gaussian rational. Otherwise they come from Poly.roots, and for an
-    exact sigma each becomes the first of its rationalizations at which
-    sigma is exactly zero and that no earlier root took, if one is (two
-    close roots can share a candidate)."""
+    from _exact_roots, exact where they are Gaussian rational, and those
+    of a float one from Poly.roots."""
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
@@ -326,14 +358,7 @@ def _sigma_points(sigma: Poly, budget: int):
             rem = Poly.zero(rem.backend)
     k = common.degree
     if k == 0:
-        roots = _exact_roots(sigma) if sigma.backend == EXACT else None
-        if roots is None:
-            roots = []
-            for r in sigma.roots():
-                if sigma.backend == EXACT:
-                    r = next((c for c in _rationalizations(r)
-                              if not sigma(c) and c not in roots), r)
-                roots.append(r)
+        roots = _exact_roots(sigma) if sigma.backend == EXACT else sigma.roots()
         return points + [(r, 1) for r in roots]
     # common is c' (z - c)^k: its next-to-top coefficient over its top is -k c
     centre = -common.coeff(k - 1) / (common.leading() * k)
@@ -431,7 +456,8 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     DIVIDE_REL_TOL of max(1, |B|), as reduce_branch tests the collapse
     branch at that tolerance. Both backends solve by one elimination,
     _nullspace, and test through _is_negligible, whose exact test is a
-    zero test; neither loads numpy."""
+    zero test; neither loads numpy. At an inexact centre of an exact
+    sigma, a float candidate is made exact where it can be (_exact_candidate)."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
     half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
@@ -439,6 +465,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     top = 2 * budget - 2
     exact = [c is None or isinstance(c, RationalComplex) for c, _ in points]
     backend = EXACT if eq.backend == EXACT and all(exact) else FLOAT
+    refine = eq.backend == EXACT and not all(exact)
     if backend == EXACT:
         roots = [_local_sqrt(_taylor(bpoly, c, top), m, 0.0, EXACT) for c, m in points]
         if None in roots:
@@ -457,7 +484,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
             roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
         if None in roots:
             return
-        bpoly = bpoly_f
+        bpoly, exact_b = bpoly_f, bpoly
     rows = [_hermite_row(c, k, budget, backend) for c, m in points for k in range(m)]
     rhs = [[e * v for e, root in zip((1,) + tail, roots) for v in root]
            for tail in product((1, -1), repeat=len(points) - 1)]
@@ -473,7 +500,8 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
         g, rem = (sq - bpoly).divrem(sigma)
         if g.degree <= budget - 2 and _is_negligible(
                 rem, max(scale, sq.max_abs()) if backend == FLOAT else 0.0, 1e-7):
-            yield g, s, _is_negligible(bpoly + g * sigma, scale, DIVIDE_REL_TOL)
+            candidate = g, s, _is_negligible(bpoly + g * sigma, scale, DIVIDE_REL_TOL)
+            yield _exact_candidate(exact_b, eq.sigma, candidate, budget) if refine else candidate
 
 
 def enumerate_branches(eq: NuEquation):
@@ -483,40 +511,28 @@ def enumerate_branches(eq: NuEquation):
     on deg sigma (3 extended, 2 classic): every branch square root s
     solves s^2 = B mod sigma with B = ((sigma' - tau~)/2)^2 - sigma~,
     deg s below the budget and g = (s^2 - B)/sigma of degree at most
-    budget - 2. The candidates are built by Hensel lifting sqrt(B) at
-    each root of sigma (and at infinity when deg sigma is below the
-    budget) and joining the pieces by Hermite interpolation; this also
-    finds the g that makes the radicand vanish identically. A repeated
-    root where B vanishes gives no branch (odd vanishing order below the
-    multiplicity) or raises NoBranchError (a continuum of branches).
-    Each candidate (g, s) gives the branches pi = (sigma' - tau~)/2 +- s,
-    or the one collapse branch with sign 0 when its radicand vanishes.
-    A float branch is certified once, where its candidate is made, by
-    the remainder of s^2 - B modulo sigma, which is sigma_bar's (see
-    _sqrt_mod_sigma_candidates), and PiBranch.reduced gives its reduced
-    form with no second division. Branches are deduplicated at 1e-8. The
-    centres of an exact sigma are all exact when _exact_roots finds its
-    roots Gaussian rational, close ones included (_sigma_points). An
-    exact equation whose centres are all exact gets its branches made
-    and certified exactly, or its float branches when no exact branch
-    exists. One with an inexact centre (an irrational root of sigma) gets
-    an exact branch wherever a float branch's pi rationalizes to one that
-    branch_from_pi certifies. Exact branches are signed by _signed.
+    budget - 2. _sqrt_mod_sigma_candidates builds and certifies each
+    candidate (g, s) from sigma's points (_sigma_points); a repeated root
+    where B vanishes gives none, or raises NoBranchError (a continuum of
+    branches). A candidate gives the branches pi = (sigma' - tau~)/2 +- s,
+    or the one collapse branch with sign 0 when its radicand vanishes,
+    and PiBranch.reduced gives a branch's reduced form with no second
+    division. Branches are deduplicated at 1e-8, and exact ones are
+    signed by _signed. An exact equation gets an exact branch wherever
+    one exists: built exactly where all centres are exact, else refined
+    from the float candidate by the exactness rule (_exact_candidate).
     """
     points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
-    branches, half = [], None
+    branches, halves = [], {}
     for g, s, collapse in _sqrt_mod_sigma_candidates(eq, points):
-        if half is None:
-            half = (eq if g.backend == eq.backend else eq.to_float()).half_gap()
+        if g.backend not in halves:
+            halves[g.backend] = (eq if g.backend == eq.backend else eq.to_float()).half_gap()
+        half = halves[g.backend]
         if collapse:
             branches.append(PiBranch(g, Poly.zero(g.backend), half, 0))
         else:
             branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
-    branches = _dedupe(branches)
-    if eq.backend == EXACT and any(
-            c is not None and not isinstance(c, RationalComplex) for c, _ in points):
-        return [_exact_branch(eq, b) for b in branches]
-    return [_signed(b) for b in branches]
+    return [_signed(b) for b in _dedupe(branches)]
 
 
 def _vanishes(p: Poly) -> bool:

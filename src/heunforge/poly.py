@@ -15,6 +15,7 @@ from itertools import zip_longest
 from .scalars import (
     EXACT,
     FLOAT,
+    _SMALL_INT,
     _UNIT,
     BackendMismatchError,
     RationalComplex,
@@ -349,8 +350,9 @@ def _trim(coeffs, backend):
 # "(1+2i)*z^2 - 1/3".
 
 # one term: a sign, then a unit term or a parenthesized sum, any '*', and
-# z or z^k, either part alone
-_MONOMIAL_RE = re.compile(r"([+-]?)(%s|\([^()]*\))?(\**z(?:\^(\d+))?)?" % _UNIT)
+# z or z^k, either part alone; the next term's sign or the end follows
+_MONOMIAL_RE = re.compile(
+    r"([+-]?)(%s|\([^()]*\))?(\**z(?:\^(%s))?)?(?=[+-]|$)" % (_UNIT, _SMALL_INT))
 
 
 def parse_poly(text: str, backend: str) -> Poly:
@@ -361,9 +363,9 @@ def parse_poly(text: str, backend: str) -> Poly:
     coeffs, pos = {}, 0
     while pos < len(text):
         m = _MONOMIAL_RE.match(text, pos)
-        sign, coeff, z, power = m.groups()
-        if not (coeff or z) or (pos and not sign):
+        if m is None or not (m[2] or m[3]):
             raise ValueError("bad polynomial text %r" % (text,))
+        sign, coeff, z, power = m.groups()
         value = parse_scalar(coeff, backend) if coeff else as_scalar(1, backend)
         if sign == "-":
             value = -value

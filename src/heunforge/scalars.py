@@ -303,8 +303,11 @@ def scalar_sqrt(value, backend):
 # optional exponent, or complex sums of those, e.g. "3", "-2/5", "1.5e-3",
 # "2+3i", "1/2-1/3i". Whitespace is ignored. The same pieces make a
 # polynomial term (poly.parse_poly).
-
-_NUMBER = r"\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# A decimal exponent or a power k of z has at most four digits (leading
+# zeros aside), so a larger k is refused before 10**k or k coefficients
+# are built; that covers float range (|k| <= 324 plus mantissa digits).
+_SMALL_INT = r"0*\d{1,4}"
+_NUMBER = r"\d+/\d+|(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?%s)?" % _SMALL_INT
 # a unit term without its sign: a number with an optional i/j, or a lone i/j
 _UNIT = r"(?:%s)[ij]?|[ij]" % _NUMBER
 _SIGNED_UNIT_RE = _re.compile(r"([+-]?)(%s)" % _UNIT)

@@ -2,23 +2,30 @@
 
 enumerate_branches runs the branch construction exactly when every
 centre of sigma is exact; otherwise it finds branches in floats and
-rationalizes each float branch's pi, certified by branch_from_pi. These
-tests hold that to a copy of the exactification the pi ladder replaced,
-which rationalized g on a longer denominator ladder and took the
-radicand's square root again, and to a copy of the float construction
-with the pi ladder that the exact construction replaced, on a seeded
-grid of equations with a planted branch.
+refines each float candidate by the exactness rule: Newton on
+s^2 - g sigma = B, the simplest Gaussian rational near the result, kept
+only if the equation then holds exactly. These tests hold that to
+test-local copies of what came before it: the exactification that
+rationalized g on a longer denominator ladder and took the radicand's
+square root again, and the pi ladder, which rationalized each float
+branch's pi on six denominators and certified it with branch_from_pi,
+on roots of sigma from Poly.roots rationalized on the same ladder. Every
+branch either made exact must still come out exact and equal, on a
+seeded grid of equations with a planted branch.
 A second seeded grid of family equations with degenerate exponents runs
 through the CLI: each class branch must come out once, exact and
-labelled. A third seeded grid of square-free sigma checks the exact roots
-_sigma_points takes, and the branches they give against a copy of the
-Poly.roots path they replaced.
+labelled. A third seeded grid of square-free sigma checks the roots
+_sigma_points takes, and the branches they give against the Poly.roots
+path they replaced. A fourth grid plants branches with denominators up
+to 10**12 on sigma with irrational roots, where the pi ladder found
+none.
 """
 
 import cmath
 import json
 import random
 import sys
+import time
 from fractions import Fraction as F
 from itertools import product, zip_longest
 from math import comb
@@ -35,10 +42,11 @@ from heunforge.engine import (
     NuEquation,
     PiBranch,
     _dedupe,
-    _exact_branch,
     _exact_roots,
     _is_negligible,
     _sigma_points,
+    _signed,
+    branch_from_pi,
     enumerate_branches,
     radicand,
     reduce_branch,
@@ -52,13 +60,13 @@ def _poly(coeffs):
     return Poly([RationalComplex(F(c)) for c in coeffs], EXACT)
 
 
-def _close(got, want):
-    """Whether float Polys agree within 1e-12 of want's largest
+def _close(got, want, tol=1e-12):
+    """Whether float Polys agree within tol of want's largest
     coefficient, pairwise: the engine's Hermite solve eliminates in
     Python and the references here call np.linalg.solve, so float
     branches agree to rounding, not bit for bit."""
     scale = max(p.max_abs() for p in want)
-    return all((p - q).max_abs() <= 1e-12 * scale for p, q in zip(got, want))
+    return all((p - q).max_abs() <= tol * scale for p, q in zip(got, want))
 
 
 def _same_branch(b, ref):
@@ -105,6 +113,59 @@ def _float_local_sqrt(taylor, mult, noise):
     return root
 
 
+# -- the pi ladder and the roots of sigma the exactness rule replaced ------------
+
+
+def _pi_ladder(value):
+    """Gaussian rationals near value, small denominators first: each part
+    gets every distinct fraction from the ladder 1, 6, 60, 2520, 10**4,
+    10**6 that lands within 1e-9, or none."""
+    parts = []
+    for part in (value.real, value.imag):
+        exact = F(part)
+        fracs = []
+        for den in (1, 6, 60, 2520, 10**4, 10**6):
+            cand = exact.limit_denominator(den)
+            if abs(cand - part) <= 1e-9 * max(1.0, abs(part)) and cand not in fracs:
+                fracs.append(cand)
+            if cand == exact:
+                break
+        parts.append(fracs)
+    return [RationalComplex(re, im) for re, im in product(*parts)]
+
+
+def _pi_ladder_branch(eq, b):
+    """The exact branch whose pi is the first candidate of the product of
+    b.pi's coefficients' ladders that branch_from_pi certifies, signed by
+    _signed; else b."""
+    for coeffs in product(*(_pi_ladder(complex(c)) for c in b.pi.coeffs)):
+        try:
+            return _signed(branch_from_pi(eq, Poly(coeffs, EXACT)))
+        except NoBranchError:
+            continue
+    return b
+
+
+def _eigvals_sigma_points(sigma, budget):
+    """_sigma_points of a square-free exact sigma as it took the roots
+    before _exact_roots: Poly.roots, each root the first of its ladder
+    fractions at which sigma is exactly zero and that no earlier root
+    took, else the float root."""
+    roots = []
+    for r in sigma.roots():
+        r = next((c for c in _pi_ladder(r) if not sigma(c) and c not in roots), r)
+        roots.append(r)
+    infinity = [(None, budget - sigma.degree)] if sigma.degree < budget else []
+    return infinity + [(r, 1) for r in roots]
+
+
+def _ladder_points(sigma, budget):
+    """sigma's points as the pi ladder path took them: _sigma_points where
+    all centres are exact, else _eigvals_sigma_points."""
+    points = _sigma_points(sigma, budget)
+    return points if _all_exact(points) else _eigvals_sigma_points(sigma, budget)
+
+
 def _float_candidates(eq):
     """Float (g, s, collapse) with s^2 = B + g sigma as enumerate_branches
     built them before an exact equation with exact centres ran the
@@ -116,7 +177,7 @@ def _float_candidates(eq):
     bpoly = half * half - eq.sigma_tilde
     bpoly_f = bpoly.to_float()
     scale = bpoly_f.max_abs()
-    points = _sigma_points(eq.sigma, budget)
+    points = _ladder_points(eq.sigma, budget)
     top = 2 * budget - 2
     roots = []
     for centre, mult in points:
@@ -154,7 +215,7 @@ def _float_candidates(eq):
 def _ladder_branches(eq):
     """The branches enumerate_branches gave an exact equation before it
     ran the construction exactly: the float candidates' branches,
-    deduplicated, each then rationalized on the pi ladder (_exact_branch)."""
+    deduplicated, each then rationalized on the pi ladder."""
     half = eq.to_float().half_gap()
     branches = []
     for g, s, collapse in _float_candidates(eq):
@@ -162,7 +223,7 @@ def _ladder_branches(eq):
             branches.append(PiBranch(g, Poly.zero(FLOAT), half, 0))
         else:
             branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
-    return [_exact_branch(eq, b) for b in _dedupe(branches)]
+    return [_pi_ladder_branch(eq, b) for b in _dedupe(branches)]
 
 
 def _all_exact(points):
@@ -173,23 +234,54 @@ def _exact_centres(eq):
     return _all_exact(_sigma_points(eq.sigma, 3 if eq.mode == EXTENDED else 2))
 
 
+def _paired(eq, got, want):
+    """got and want branches in pairs: by position where sigma's centres
+    are all exact, else, one to one, each want branch with the got branch
+    nearest it in pi among those that collapse as it does, as the roots
+    of sigma come in the descending (re, im) order of _exact_roots, not
+    in Poly.roots' order."""
+    assert len(got) == len(want)
+    if _exact_centres(eq):
+        return list(zip(got, want))
+    pairs, free = [], list(got)
+    for ref in want:
+        b = min(free, key=lambda b: (bool(b.sign) != bool(ref.sign),
+                                     (b.pi.to_float() - ref.pi.to_float()).max_abs()))
+        free.remove(b)
+        pairs.append((b, ref))
+    return pairs
+
+
+def _same_or_near(eq, b, ref):
+    """_same_branch, or for float branches where sigma has an irrational
+    root, g and pi within 1e-8: the reference's float centres from
+    Poly.roots carry its rounding, up to 1e-10 here, and their order can
+    flip which sign a pi has."""
+    if ref.backend == EXACT or _exact_centres(eq):
+        return _same_branch(b, ref)
+    return b.backend == FLOAT and _close((b.g, b.pi), (ref.g, ref.pi), 1e-8)
+
+
 def _check_against_ladder(eq, got, i):
     """Every branch the float construction with the pi ladder made exact
-    comes out with the same g, pi, s and sign in the same position; where
-    sigma's centres are all exact, no branch stays float (every equation
-    checked here has an exact branch, so B's heads are Gaussian-rational
-    squares). Returns the number of ladder float branches made exact."""
-    want = _ladder_branches(eq)
+    comes out with the same g, pi, s and sign, in the same position where
+    sigma's centres are all exact; there no branch stays float (every
+    equation checked here has an exact branch, so B's heads are
+    Gaussian-rational squares). A float branch of the ladder that stays
+    float is _same_or_near it. Returns the number of ladder float
+    branches made exact."""
     exact_centres = _exact_centres(eq)
-    assert len(got) == len(want), i
-    for b, ref in zip(got, want):
-        if ref.backend == EXACT or not exact_centres:
-            assert _same_branch(b, ref), i
+    made_exact = 0
+    for b, ref in _paired(eq, got, _ladder_branches(eq)):
+        if ref.backend == EXACT or b.backend == FLOAT:
+            assert _same_or_near(eq, b, ref), i
+            assert b.backend == EXACT or not exact_centres, i
         else:
-            assert b.backend == EXACT and bool(b.sign) == bool(ref.sign), i
+            made_exact += 1
+            assert bool(b.sign) == bool(ref.sign), i
             gap = (b.pi.to_float() - ref.pi).max_abs()
             assert gap <= 1e-9 * max(1.0, ref.pi.max_abs()), i
-    return sum(b.backend != ref.backend for b, ref in zip(got, want))
+    return made_exact
 
 
 def _try_branches(eq, g, scale, s_hint=None):
@@ -338,9 +430,7 @@ def test_exact_branches_match_the_g_ladder_and_add_more():
     for i, (eq, pi0) in enumerate(_grid(64, seed=2015)):
         got = enumerate_branches(eq)
         made_exact += _check_against_ladder(eq, got, i)
-        want = _reference_branches(eq)
-        assert len(got) == len(want), i
-        for b, ref in zip(got, want):
+        for b, ref in _paired(eq, got, _reference_branches(eq)):
             if ref.backend == EXACT:
                 assert b.backend == EXACT, i
                 assert (b.g, b.pi, b.sign) == (ref.g, ref.pi, ref.sign), i
@@ -348,7 +438,7 @@ def test_exact_branches_match_the_g_ladder_and_add_more():
                 gained += 1
                 reduce_branch(eq, b)
             else:
-                assert _same_branch(b, ref), i
+                assert _same_or_near(eq, b, ref), i
         assert any(b.backend == EXACT and b.pi == pi0 for b in got), i
     assert gained > 0
     assert made_exact > 0
@@ -421,8 +511,7 @@ def test_non_square_head_keeps_the_float_branches(capsys, monkeypatch):
     # sigma = z^2 (z - 1) has exact centres, but B(0) = 2 has no
     # Gaussian-rational root, so no exact branch exists: the float
     # branches come out as the float construction made them, to rounding,
-    # classify prints them, and no pi is rationalized
-    from heunforge import engine
+    # classify prints them, and no candidate is refined
 
     sigma, tau = _poly([0, 0, -1, 1]), _poly([F(1, 2), F(-1, 3), 2])
     half = (sigma.derivative() - tau) * RationalComplex(F(1, 2))
@@ -431,9 +520,9 @@ def test_non_square_head_keeps_the_float_branches(capsys, monkeypatch):
     want = _ladder_branches(eq)
     assert len(want) == 4 and all(b.backend == FLOAT for b in want)
     calls = []
-    original = engine._rationalizations
-    monkeypatch.setattr(engine, "_rationalizations",
-                        lambda value: calls.append(value) or original(value))
+    original = engine._exact_candidate
+    monkeypatch.setattr(engine, "_exact_candidate",
+                        lambda *args: calls.append(args) or original(*args))
     got = enumerate_branches(eq)
     assert len(got) == len(want)
     assert all(_same_branch(b, ref) for b, ref in zip(got, want))
@@ -546,20 +635,6 @@ def test_degenerate_exponents_give_one_exact_labelled_branch_per_pi(capsys, back
 # -- exact roots of a square-free sigma ---------------------------------------------
 
 
-def _eigvals_sigma_points(sigma, budget):
-    """_sigma_points of a square-free exact sigma as it took the roots
-    before _exact_roots: Poly.roots, each root the first of its
-    rationalizations (engine._rationalizations) at which sigma is exactly
-    zero and that no earlier root took, else the float root."""
-    roots = []
-    for r in sigma.roots():
-        r = next((c for c in engine._rationalizations(r)
-                  if not sigma(c) and c not in roots), r)
-        roots.append(r)
-    infinity = [(None, budget - sigma.degree)] if sigma.degree < budget else []
-    return infinity + [(r, 1) for r in roots]
-
-
 def _gaussian(rng):
     return RationalComplex(_frac(rng), _frac(rng))
 
@@ -613,21 +688,33 @@ def _root_grid(count, seed):
 
 
 def _re_im(c):
-    return (c.re, c.im)
+    return (c.re, c.im) if isinstance(c, RationalComplex) else (c.real, c.imag)
 
 
 def test_exact_roots_of_a_square_free_sigma():
+    # every root comes back, in descending (re, im) order: a Gaussian-
+    # rational one exact, an irrational one as a float within 1e-12 of the
+    # eigvals root (Poly.roots) it stands for
     irrational = 0
     for i, (sigma, roots) in enumerate(_root_grid(200, seed=1511)):
         got = _exact_roots(sigma)
-        if roots is None:
-            assert got is None, i
-            irrational += 1
-            continue
-        assert got is not None, i
-        assert all(not sigma(c) for c in got), i
-        assert sorted(got, key=_re_im) == sorted(roots, key=_re_im), i
+        assert len(got) == sigma.degree, i
         assert got == sorted(got, key=_re_im, reverse=True), i
+        exact = [c for c in got if isinstance(c, RationalComplex)]
+        assert all(not sigma(c) for c in exact), i
+        if roots is not None:
+            assert sorted(got, key=_re_im) == sorted(roots, key=_re_im), i
+            continue
+        irrational += 1
+        floats = [c for c in got if not isinstance(c, RationalComplex)]
+        assert floats, i
+        eig = sigma.roots()
+        for c in exact:
+            eig.remove(min(eig, key=lambda r: abs(r - complex(c))))
+        for c in floats:
+            r = min(eig, key=lambda r: abs(r - c))
+            assert abs(r - c) <= 1e-12 * max(1.0, abs(r)), i
+            eig.remove(r)
     assert irrational == 40
 
 
@@ -638,9 +725,10 @@ def test_exact_roots_keep_the_branch_set(monkeypatch):
     # ones on its rationalized float roots, in some order. A close root
     # that did not rationalize is exact now, and so is every branch; the
     # float path with the pi ladder takes up to half a minute there, so it
-    # is not run.
+    # is not run. With an irrational root, every branch the pi ladder made
+    # exact is exact and equal, and the refinement makes more exact.
     rng = random.Random(1512)
-    compared = close = 0
+    compared = close = made_exact = 0
     for i, (sigma, roots) in enumerate(_root_grid(100, seed=1512)):
         tau = [RationalComplex(_frac(rng)) for _ in range(3)]
         pi = [RationalComplex(_frac(rng)) for _ in range(3)]
@@ -658,12 +746,102 @@ def test_exact_roots_keep_the_branch_set(monkeypatch):
             assert all(b.backend == EXACT for b in got), i
             close += 1
             continue
+        if roots is None:
+            made_exact += _check_against_ladder(eq, got, i)
+            continue
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_sigma_points", _eigvals_sigma_points)
             want = enumerate_branches(eq)
-        if roots is None:  # both take the float roots
-            assert got == want, i
-        else:
-            assert set(got) == set(want) and len(got) == len(want), i
-            compared += 1
-    assert compared >= 50 and close > 0
+        assert set(got) == set(want) and len(got) == len(want), i
+        compared += 1
+    assert compared >= 50 and close > 0 and made_exact > 0
+
+
+# -- branches on irrational roots of sigma: the exactness rule -----------------------
+
+
+def _planted_eq(sigma, tau, pi, g):
+    """The exact extended equation on sigma and tau~ with the planted
+    branch pi and its g: sigma~ = g sigma - pi^2 - pi (tau~ - sigma')."""
+    zero = F(0)
+    dsigma = [c * j for j, c in enumerate(sigma)][1:]
+    gap = [t - d for t, d in zip_longest(tau, dsigma, fillvalue=zero)]
+    terms = (_times(g, sigma), _times(pi, pi), _times(pi, gap))
+    sigma_tilde = [a - b - c for a, b, c in zip_longest(*terms, fillvalue=zero)]
+    return NuEquation(_poly(tau), _poly(sigma), _poly(sigma_tilde), EXTENDED)
+
+
+def _irreducible_cubic(rng):
+    """A monic integer cubic with no rational root: by the rational root
+    theorem, no divisor of its constant term, of either sign, is a root."""
+    while True:
+        c = [rng.randint(-9, 9) for _ in range(3)] + [1]
+        divisors = [e * d for d in range(1, abs(c[0]) + 1) if c[0] % d == 0 for e in (1, -1)]
+        if c[0] and all(c[0] + c[1] * z + c[2] * z * z + z ** 3 for z in divisors):
+            return c
+
+
+IRRATIONAL_SIGMAS = ([-2, 0, 0, 1], [1, -3, 0, 1], None, [-2, 0, 1], [0, -3, 0, 1])
+
+
+def test_planted_branches_on_irrational_roots_come_out_exact():
+    # irreducible cubics (z^3 - 2, z^3 - 3z + 1 and random ones) and sigma
+    # with an irreducible quadratic factor (z^2 - 2, z (z^2 - 3)), with a
+    # planted pi whose denominators reach 10**12. The pi ladder (rungs up
+    # to 10**6) left the planted branch float from 1,000,003 on; the
+    # exactness rule gives it exact in every equation, with the same
+    # branch count and every branch the ladder made exact unchanged.
+    rng = random.Random(2416)
+    dens = (7, 1000003, 10**9 + 7, 10**12 + 39)
+    made_exact = 0
+    for i in range(40):
+        sigma = IRRATIONAL_SIGMAS[i % 5] or _irreducible_cubic(rng)
+        d = dens[i // 5 % 4]
+        pi = [F(rng.randint(-d, d), d) for _ in range(3)]
+        g = [F(rng.randint(-50, 50), 7), F(rng.randint(-50, 50), 11)]
+        tau = [F(rng.randint(-9, 9), 4) for _ in range(3)]
+        eq = _planted_eq([F(c) for c in sigma], tau, pi, g)
+        got = enumerate_branches(eq)
+        assert not _exact_centres(eq), i
+        assert any(b.backend == EXACT and b.pi == _poly(pi) for b in got), i
+        made_exact += _check_against_ladder(eq, got, i)
+        for b in got:
+            if b.backend == EXACT:
+                assert b.s * b.s == radicand(eq, b.g), i
+    assert made_exact >= 30
+
+
+def test_a_cluster_of_three_close_roots_is_exact_and_fast():
+    # sigma = (z - 1)(z - 1 - 1e-12)(z - 1 - 2e-12): Newton from Cardano's
+    # estimates, with sigma' at each step, reaches an exact root of the
+    # cluster, so all three centres are exact and so is every branch. The
+    # pi ladder found no root there and took 29 s for 6 float branches.
+    e = F(1, 10**12)
+    sigma = _times(_times([-1, 1], [-1 - e, 1]), [-1 - 2 * e, 1])
+    pi = [F(1, 3), F(-2, 5), F(1, 7)]
+    eq = _planted_eq(sigma, [1, F(-35, 12), F(19, 12)], pi, [F(1, 2), F(-1, 3)])
+    start = time.perf_counter()
+    centres = [c for c, _ in _sigma_points(eq.sigma, 3)]
+    branches = enumerate_branches(eq)
+    assert time.perf_counter() - start < 1.0
+    assert centres == [RationalComplex(1 + 2 * e), RationalComplex(1 + e), RationalComplex(1)]
+    assert any(b.backend == EXACT and b.pi == _poly(pi) for b in branches)
+    assert branches and all(b.backend == EXACT for b in branches)
+
+
+def test_three_close_gaussian_rational_roots_come_out_exact():
+    # clusters of three Gaussian-rational roots, on a line or a right
+    # triangle, with gaps from 1e-3 down to 1e-15: Newton may wander inside
+    # a cluster before it converges, and every root must come out exact
+    rng = random.Random(2417)
+    for i in range(60):
+        gap = RationalComplex(F(1, 10 ** rng.randint(3, 15)))
+        r = _gaussian(rng)
+        third = r + (gap + gap if i % 2 else gap * RationalComplex(0, 1))
+        roots = [r, r + gap, third]
+        coeffs = [RationalComplex(1)]
+        for c in roots:
+            coeffs = _times(coeffs, [-c, RationalComplex(1)])
+        lead = RationalComplex(_frac(rng) or 1)
+        got = _exact_roots(Poly([c * lead for c in coeffs], EXACT))
+        assert sorted(got, key=_re_im) == sorted(roots, key=_re_im), i

@@ -16,6 +16,7 @@ test_whitespace_widening.
 
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,9 +249,10 @@ def _corpus(count, seed):
             text = _mutate(rng, text)
         if rng.random() < 0.1:
             text = rng.choice(SPACE) + text + rng.choice(SPACE)
-        # both readers build 10**k exactly for an exponent k and a dense
-        # list for a power z^k, so glued atoms such as '1e5' '007' '12'
-        # would spend seconds and gigabytes on one text
+        # the reference readers build 10**k exactly for an exponent k and
+        # a dense list for a power z^k, so glued atoms such as '1e5' '007'
+        # '12' would spend seconds and gigabytes on one text; the readers
+        # refuse a k of five digits or more (test_huge_exponent_is_refused)
         if not HUGE.search(_no_space(text)):
             texts.append(text)
     return texts
@@ -361,3 +363,24 @@ def test_zero_denominator_is_a_usage_error(capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("text", ["1e999999999", "1e-999999999", "z^999999999"])
+def test_huge_exponent_is_refused(capsys, backend, text):
+    # an exponent or a power of z of five digits or more is refused before
+    # 10**k or a dense list of k coefficients is built: exit 2 at once,
+    # with the reader's own error, for a polynomial and for a scalar option
+    runs = [["classify", "--sigma", "%s*z" % text if "z" not in text else text,
+             "--tau", "1", "--sigma-tilde", "1"]]
+    if "z" not in text:
+        runs.append(["solve", "heun", "--class", "I", "-n", "1", "--a", "2",
+                     "--gamma", text, "--delta", "1/3", "--epsilon", "3/4"])
+    for argv in runs:
+        start = time.perf_counter()
+        code = main(argv + ["--backend", backend])
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad polynomial text" if argv[0] == "classify"
+                              else "error: bad numeric literal")

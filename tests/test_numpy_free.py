@@ -2,9 +2,9 @@
 
 Each run is cli.main in a fresh interpreter where sys.modules["numpy"]
 is None, so any import of numpy raises. The README's exact `classify`
-runs, both modes and the one that prints float branches, and `app
-coulomb3s` must print what they print with numpy present, and so must
-`--help`. A float `solve` must fail there, which shows that the block
+runs, both modes and the one that prints float branches, an exact
+`classify` whose sigma has irrational roots, and `app coulomb3s` must
+print what they print with numpy present, and so must `--help`. A float `solve` must fail there, which shows that the block
 holds.
 """
 
@@ -41,6 +41,14 @@ README_FLOAT_BRANCHES = [
     "classify", "--sigma", "z^3 - 3*z^2 + 2*z", "--tau", "1 + z",
     "--sigma-tilde", "1 + z^2", "--backend", "exact",
 ]
+# sigma = z^3 - 2 has irrational roots, which _exact_roots refines from
+# Cardano's estimates without eigvals; a planted branch (pi = 1/3 - 2/5 z
+# + 1/7 z^2) comes out exact and the others float
+IRRATIONAL_SIGMA = [
+    "classify", "--sigma", "z^3 - 2", "--tau", "1 - 35/12*z + 19/12*z^2",
+    "--sigma-tilde", "-13/9 + 83/36*z - 6883/6300*z^2 + 13/28*z^3 - 89/588*z^4",
+    "--backend", "exact",
+]
 COULOMB = ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"]
 FORMATS = ("json", "csv", "table")
 
@@ -72,9 +80,11 @@ def test_golden_run_without_numpy(name, argv, fmt):
 
 @pytest.mark.parametrize("argv", [
     *(README_CLASSIC + ["--format", fmt] for fmt in FORMATS),
-    *(README_FLOAT_BRANCHES + ["--format", fmt] for fmt in FORMATS), ["--help"]],
+    *(README_FLOAT_BRANCHES + ["--format", fmt] for fmt in FORMATS), ["--help"],
+    *(IRRATIONAL_SIGMA + ["--format", fmt] for fmt in FORMATS)],
     ids=["classic-%s" % fmt for fmt in FORMATS]
-    + ["float-branches-%s" % fmt for fmt in FORMATS] + ["help"])
+    + ["float-branches-%s" % fmt for fmt in FORMATS] + ["help"]
+    + ["irrational-sigma-%s" % fmt for fmt in FORMATS])
 def test_run_without_numpy_prints_what_it_prints_with_numpy(capsys, monkeypatch, argv):
     code, out = _in_process(capsys, monkeypatch, argv)
     assert code == 0 and out
