@@ -220,40 +220,32 @@ def _signed(b: PiBranch) -> PiBranch:
 
 
 def _refine(values, step):
-    """The floats `values` refined by Newton, x -> x - step(x), each float
-    step rounded to the grid, until a step is at most one grid unit (at
-    most GRID_BITS steps, as in a cluster of roots Newton may wander before
-    it converges), then each part replaced by its closest fraction with
-    denominator at most 2^(GRID_BITS/2 - 8): two such lie 2^(16 - GRID_BITS)
-    apart or more, so a value within a few grid steps of one gives that one."""
+    """Newton x -> x - step(x) from `values` (floats or Gaussian
+    rationals), each float step rounded to the grid, until a step is at
+    most one grid unit, for GRID_BITS steps, or until a step is not a
+    finite float: the Gaussian dyadics it reaches, within a few grid
+    units of a solution where it converges."""
     one = 1 << GRID_BITS
-    x = [RationalComplex(v.real, v.imag) for v in values]
+    x = [v if isinstance(v, RationalComplex) else RationalComplex(v.real, v.imag)
+         for v in values]
     for _ in range(GRID_BITS):
-        d = step(x)
-        if not all(map(cmath.isfinite, d)):
+        try:
+            d = [RationalComplex(round(Fraction(v.real) * one), round(Fraction(v.imag) * one))
+                 for v in step(x)]
+        except (OverflowError, ValueError):  # a step beyond float range, or NaN
             break
-        d = [RationalComplex(round(Fraction(v.real) * one), round(Fraction(v.imag) * one))
-             for v in d]
         x = [a - v / one for a, v in zip(x, d)]
         if max(max(abs(v.re), abs(v.im)) for v in d) <= 1:
             break
+    return x
+
+
+def _simplest(x: RationalComplex) -> RationalComplex:
+    """The Gaussian rational closest to x with denominators at most
+    2^(GRID_BITS/2 - 8): two such lie 2^(16 - GRID_BITS) apart or more,
+    so a value within a few grid units of one gives that one."""
     bound = 1 << (GRID_BITS // 2 - 8)
-    return [RationalComplex(v.re.limit_denominator(bound), v.im.limit_denominator(bound))
-            for v in x]
-
-
-def _root_near(poly: Poly, estimate: complex):
-    """The root of an exact poly that Newton reaches from a float estimate,
-    exact where _refine's value is a root, else as a float. poly' is taken
-    at each step, so that a root in a cluster converges too."""
-    dpoly = poly.derivative()
-
-    def step(x):
-        slope = complex(dpoly(x[0]))
-        return [complex(poly(x[0])) / slope if slope else 0j]
-
-    [c] = _refine([estimate], step)
-    return complex(c) if poly(c) else c
+    return RationalComplex(x.re.limit_denominator(bound), x.im.limit_denominator(bound))
 
 
 def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
@@ -277,62 +269,98 @@ def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
             return _nullspace(aug, FLOAT)[-1][:-1]
 
         start = [s.coeff(j) for j in range(budget)] + [g.coeff(j) for j in range(budget - 1)]
-        exact_s = Poly(_refine(start, step)[:budget], EXACT)
+        exact_s = Poly([_simplest(v) for v in _refine(start, step)[:budget]], EXACT)
     g, rem = (exact_s * exact_s - bpoly).divrem(sigma)
     if rem.is_zero and g.degree <= budget - 2:
         return g, exact_s, exact_s.is_zero
     return candidate
 
 
+def _scaled(poly: Poly):
+    """(t, coefficients of poly(t w) / (lead t^d)), d = deg poly, with t a
+    power of 2 at poly's root bound: each part of a coefficient is below 2
+    and the roots in w are at most 4 in modulus, one near that bound."""
+    d, lead = poly.degree, poly.leading()
+    ratios = [c / lead for c in poly.coeffs]
+    t = Fraction(2) ** max(((max(p.numerator.bit_length() - p.denominator.bit_length()
+                                 for p in (r.re, r.im) if p) + k - 1) // k
+                            for k, r in zip(range(d, 0, -1), ratios) if r), default=0)
+    return t, [r / t ** (d - i) for i, r in enumerate(ratios)]
+
+
 def _cubic_estimates(cubic: Poly):
-    """Float estimates of the three roots of an exact cubic, by Cardano's
-    formula."""
-    a0, a1, a2 = (complex(c / cubic.leading()) for c in cubic.coeffs[:3])
-    # z = t - a2/3 turns the monic cubic into t^3 + p t + q
-    p = a1 - a2 * a2 / 3
-    q = 2 * a2 ** 3 / 27 - a2 * a1 / 3 + a0
+    """Gaussian-rational estimates of the roots of an exact cubic, largest
+    modulus first: Cardano's formula in floats on its depressed form,
+    shifted and scaled exactly (_scaled), so that it cannot overflow and
+    the roots of a cluster come out apart."""
+    shift = -cubic.coeff(2) / (3 * cubic.leading())
+    t, (q, p, _, _) = _scaled(cubic.shift(shift))
+    p, q = complex(p), complex(q)
     disc = cmath.sqrt(q * q / 4 + p ** 3 / 27)
     # the larger of -q/2 +- disc, so that the sum does not cancel
     u3 = max(-q / 2 + disc, -q / 2 - disc, key=abs)
-    if not u3:  # p = q = 0: a triple root
-        return [-a2 / 3] * 3
     us = [u3 ** (1 / 3) * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
-    return [u - p / (3 * u) - a2 / 3 for u in us]
+    ws = [u - p / (3 * u) for u in us] if u3 else [0j] * 3  # else p = q = 0
+    return sorted((shift + t * RationalComplex(w.real, w.imag) for w in ws),
+                  key=abs, reverse=True)
+
+
+def _float_roots(quadratic: Poly):
+    """The roots of an exact quadratic as floats: on its scaled form w^2 +
+    b w + c (_scaled), q = -(b + sqrt(b^2 - 4c))/2 with the sign that does
+    not cancel, and the roots t q and t c/q, each rounded once."""
+    t, (c, b, _) = _scaled(quadratic)
+    disc, b = cmath.sqrt(complex(b * b - 4 * c)), complex(b)
+    q = -(b + disc if (b.conjugate() * disc).real >= 0 else b - disc) / 2
+    q = RationalComplex(q.real, q.imag)
+    return [complex(t * q), complex(t * c / q)]
 
 
 def _exact_roots(sigma: Poly):
-    """All roots of an exact sigma of degree at most 3, with
-    multiplicity, in descending order of (re, im): exact where a root is
-    Gaussian rational, else a float. The factor z^m gives m zero roots.
-    Cardano's estimates of a cubic rest go through _root_near, and an
-    exact root is divided out; if none is exact, the cubic has none. A
-    quadratic rest is solved with sqrt_exact of its discriminant, or,
-    when that has no root, from float estimates through _root_near."""
+    """All roots of an exact square-free sigma of degree at most 3, in
+    descending order of (re, im): exact where Gaussian rational, else
+    floats. z^m gives m zero roots. Newton on the cubic rest (_refine)
+    from Cardano's estimates, sigma' at each step, gives a root whose
+    _simplest is one to divide out, or else the refined root of largest
+    modulus to divide out. An exact quadratic rest has exact roots where
+    sqrt_exact of its discriminant has one, else float ones
+    (_float_roots). Roots within four units in the last place of each
+    other, not all exact, raise ValueError: as floats they would give
+    sigma one centre twice."""
     coeffs = list(sigma.coeffs)
     roots = []
     while not coeffs[0]:
         roots.append(RationalComplex(0))
         coeffs.pop(0)
-    rest = Poly(coeffs, EXACT)
+    rest, exact = Poly(coeffs, EXACT), True
     if rest.degree == 3:
-        found = []
-        for z in _cubic_estimates(rest):
-            found.append(_root_near(rest, z))
-            if isinstance(found[-1], RationalComplex):
-                found, rest = found[-1:], rest.divrem(Poly([-found[-1], 1], EXACT))[0]
-                break
-        roots += found
+        drest = rest.derivative()
+
+        def step(x):  # Newton's exact step rest/rest', rounded
+            slope = drest(x[0])
+            return [complex(rest(x[0]) / slope) if slope else 0j]
+
+        near = [_refine([z], step)[0] for z in _cubic_estimates(rest)]
+        root = next((c for c in map(_simplest, near) if not rest(c)), None)
+        exact, r = root is not None, near[0] if root is None else root
+        # rest = (z - r)(c3 z^2 + b1 z + b0), solved from the c0 end: the
+        # exact quotient for an exact root, and for the largest refined
+        # root one whose roots stay accurate however far apart they lie
+        c0, c1, _, c3 = rest.coeffs
+        roots.append(r if exact else complex(r))
+        rest = Poly([-c0 / r, (-c0 / r - c1) / r, c3], EXACT)
     if rest.degree == 2:
         c0, c1, c2 = rest.coeffs
-        disc = sqrt_exact(c1 * c1 - 4 * c0 * c2)
-        if disc is None:
-            disc = cmath.sqrt(complex(c1 * c1 - 4 * c0 * c2))
-            roots += [_root_near(rest, (-complex(c1) + e * disc) / complex(2 * c2))
-                      for e in (1, -1)]
-        else:
-            roots += [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
+        disc = sqrt_exact(c1 * c1 - 4 * c0 * c2) if exact else None
+        roots += _float_roots(rest) if disc is None else [
+            (-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
     elif rest.degree == 1:
         roots.append(-rest.coeff(0) / rest.coeff(1))
+    values = [complex(c) for c in roots]
+    if not all(isinstance(c, RationalComplex) for c in roots) and any(
+            abs(a - b) <= 4 * sys.float_info.epsilon * max(abs(a), abs(b))
+            for i, a in enumerate(values) for b in values[i + 1:]):
+        raise ValueError("sigma has distinct roots that agree to float precision")
     return sorted(roots, reverse=True, key=lambda c: (c.re, c.im) if isinstance(
         c, RationalComplex) else (c.real, c.imag))
 
@@ -344,9 +372,8 @@ def _sigma_points(sigma: Poly, budget: int):
     below the budget the point at infinity (centre None) comes first.
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
-    exact when sigma is. The roots of an exact square-free sigma come
-    from _exact_roots, exact where they are Gaussian rational, and those
-    of a float one from Poly.roots."""
+    exact when sigma is. The other roots come from _exact_roots for an
+    exact sigma and from Poly.roots for a float one."""
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
@@ -507,20 +534,14 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
 def enumerate_branches(eq: NuEquation):
     """All admissible (g, pi) branches of the equation.
 
-    Both modes solve one problem at the mode's degree budget, the bound
-    on deg sigma (3 extended, 2 classic): every branch square root s
-    solves s^2 = B mod sigma with B = ((sigma' - tau~)/2)^2 - sigma~,
-    deg s below the budget and g = (s^2 - B)/sigma of degree at most
-    budget - 2. _sqrt_mod_sigma_candidates builds and certifies each
-    candidate (g, s) from sigma's points (_sigma_points); a repeated root
-    where B vanishes gives none, or raises NoBranchError (a continuum of
-    branches). A candidate gives the branches pi = (sigma' - tau~)/2 +- s,
-    or the one collapse branch with sign 0 when its radicand vanishes,
-    and PiBranch.reduced gives a branch's reduced form with no second
-    division. Branches are deduplicated at 1e-8, and exact ones are
-    signed by _signed. An exact equation gets an exact branch wherever
-    one exists: built exactly where all centres are exact, else refined
-    from the float candidate by the exactness rule (_exact_candidate).
+    Each candidate (g, s) of _sqrt_mod_sigma_candidates, made and
+    certified at sigma's points (_sigma_points), gives the branches
+    pi = (sigma' - tau~)/2 +- s, or one collapse branch, sign 0, when its
+    radicand vanishes; a repeated root where B vanishes gives none or
+    raises NoBranchError (a continuum of branches). Branches are
+    deduplicated at 1e-8 and exact ones signed by _signed, and
+    PiBranch.reduced gives a branch's reduced form with no second
+    division. An exact equation gets an exact branch wherever one exists.
     """
     points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
     branches, halves = [], {}

@@ -18,7 +18,9 @@ labelled. A third seeded grid of square-free sigma checks the roots
 _sigma_points takes, and the branches they give against the Poly.roots
 path they replaced. A fourth grid plants branches with denominators up
 to 10**12 on sigma with irrational roots, where the pi ladder found
-none.
+none. Fixed sigma with tiny, huge, far-apart or clustered irrational
+roots check the accuracy of the float roots, and the refusal of two
+that agree to float precision.
 """
 
 import cmath
@@ -52,7 +54,7 @@ from heunforge.engine import (
     reduce_branch,
 )
 from heunforge.heun import HEUN_CLASSES, HeunParams, heun_to_nu
-from heunforge.poly import Poly, format_poly
+from heunforge.poly import Poly, format_poly, parse_poly
 from heunforge.scalars import EXACT, FLOAT, RationalComplex, negligible
 
 
@@ -254,12 +256,14 @@ def _paired(eq, got, want):
 
 def _same_or_near(eq, b, ref):
     """_same_branch, or for float branches where sigma has an irrational
-    root, g and pi within 1e-8: the reference's float centres from
-    Poly.roots carry its rounding, up to 1e-10 here, and their order can
+    root, g, pi and s up to its sign within 1e-10 of the largest of
+    them: the reference's float centres from Poly.roots carry its
+    rounding (its branches moved by 1.3e-11 at most), and their order can
     flip which sign a pi has."""
     if ref.backend == EXACT or _exact_centres(eq):
         return _same_branch(b, ref)
-    return b.backend == FLOAT and _close((b.g, b.pi), (ref.g, ref.pi), 1e-8)
+    return b.backend == FLOAT and any(
+        _close((b.g, b.pi, e * b.s), (ref.g, ref.pi, ref.s), 1e-10) for e in (1, -1))
 
 
 def _check_against_ladder(eq, got, i):
@@ -845,3 +849,62 @@ def test_three_close_gaussian_rational_roots_come_out_exact():
         lead = RationalComplex(_frac(rng) or 1)
         got = _exact_roots(Poly([c * lead for c in coeffs], EXACT))
         assert sorted(got, key=_re_im) == sorted(roots, key=_re_im), i
+
+
+def _newton_gap(sigma, r):
+    """|sigma(r) / sigma'(r)| / |r| at a float root r, exactly: the
+    relative distance to the root that Newton sees from r."""
+    x = RationalComplex(r.real, r.imag)
+    return abs(complex(sigma(x) / sigma.derivative()(x))) / abs(r)
+
+
+@pytest.mark.parametrize("text", [
+    "z^2 - 2e-40", "z^2 - 2e-34", "z^3 - 2e-150", "z^3 + 1e160",
+    "z^3 + 1e20*z^2 + 1", "z^3 + 1e110*z^2 + 1", "-1 + 2e-30 + 3*z - 3*z^2 + z^3",
+    "(1+2i)*z^3 - 3i*z + 7/3"])
+def test_irrational_roots_keep_float_accuracy_at_every_scale(text):
+    # Cardano runs on the depressed cubic scaled to roots near 1, the
+    # largest refined root is divided out from the constant term, and the
+    # quadratic formula runs on the scaled quadratic: each float root
+    # lies within a few units in the last place of a root of sigma,
+    # however small or large, spread apart or clustered the roots are
+    sigma = parse_poly(text, EXACT)
+    roots = _exact_roots(sigma)
+    assert len(roots) == sigma.degree
+    assert len(set(map(complex, roots))) == len(roots)
+    for r in roots:
+        assert isinstance(r, complex) and _newton_gap(sigma, r) <= 1e-15, r
+
+
+def test_a_cluster_with_irrational_roots_keeps_three_centres():
+    # (z - 1)^3 + 1e-30 = 0 at z = 1 - 1e-10 w, w^3 = 1: the real root is
+    # exact, the other two float and apart. The parent's centres came from
+    # eigvals, and the float cubic is (z - 1)^3, which has one root thrice.
+    sigma = parse_poly("-1 + 1e-30 + 3*z - 3*z^2 + z^3", EXACT)
+    roots = _exact_roots(sigma)
+    assert roots[2] == RationalComplex(1 - F(1, 10**10))
+    for r, w in zip(roots, (cmath.exp(-2j * cmath.pi / 3), cmath.exp(2j * cmath.pi / 3))):
+        assert abs(r - (1 - 1e-10 * w)) <= 1e-15
+    points = _sigma_points(sigma, 3)
+    assert len({complex(c) for c, _ in points}) == 3
+
+
+def test_float_roots_that_agree_are_refused(capsys):
+    # (z - 1)^2 = 2e-60 has the roots 1 +- 1.4e-30, which agree as floats:
+    # one centre twice would repeat a Hermite row, so classify refuses it
+    sigma = parse_poly("z^2 - 2*z + 1 - 2e-60", EXACT)
+    with pytest.raises(ValueError, match="agree to float precision"):
+        _exact_roots(sigma)
+    argv = ["classify", "--sigma", "z^2 - 2*z + 1 - 2e-60", "--tau", "1 + z",
+            "--sigma-tilde", "1 + z^2", "--backend", "exact"]
+    assert main(argv) == 2
+    assert "agree to float precision" in capsys.readouterr().err
+
+
+def test_cardano_beyond_float_range_of_its_coefficients(capsys):
+    # sigma = z^3 + 1e160: Cardano on the unscaled cubic overflowed
+    # (q^2 = 1e320), though the roots, 2.2e53 in modulus, are floats
+    argv = ["classify", "--sigma", "z^3 + 1e160", "--tau", "1 + z",
+            "--sigma-tilde", "1 + z^2", "--backend", "exact"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("8 branches")
