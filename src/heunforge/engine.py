@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, inf, isfinite
 
 from .oracle import OdeForm, ResidualContour, coefficient_map
 from .poly import Poly
@@ -504,8 +504,14 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
             noise = 0.0
             if mult == 1 and not at_exact:
                 # B(centre) within the shift's rounding bound gamma_2d |B|(|centre|),
-                # d = deg B (Higham, Accuracy and Stability, eq. 5.3), is zero
-                terms = sum(abs(c) * abs(centre) ** k for k, c in enumerate(bpoly_f.coeffs))
+                # d = deg B (Higham, Accuracy and Stability, eq. 5.3), is zero;
+                # a bound beyond float range, raised or summed to inf, is no bound
+                try:
+                    terms = sum(abs(c) * abs(centre) ** k for k, c in enumerate(bpoly_f.coeffs))
+                except OverflowError:
+                    terms = inf
+                if not isfinite(terms):
+                    raise OverflowError("noise bound at a root of sigma overflows the float range")
                 noise = sys.float_info.epsilon * bpoly_f.degree * terms
             taylor = _taylor(bpoly if at_exact else bpoly_f, centre, top)
             roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
@@ -831,13 +837,13 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     phi = _prefactor(eq.sigma, pi)
     psi = eq.psi_ode()
     contour = ResidualContour(psi.p2, psi.p1, phi, samples)
-    states, p0s = [], []
+    solved, polys, p0s = [], [], []
     for accessory, sigma_tilde in shifts:
         rf = _reduce(eq, sigma_tilde, pi, terms)
-        qr = _quantize(eq.sigma, eq.mode, rf, n)
-        poly = _null_polynomial(fixed, rf, n)
+        solved.append((accessory, _quantize(eq.sigma, eq.mode, rf, n)))
+        polys.append(_null_polynomial(fixed, rf, n))
         p0s.append(sigma_tilde)
-        states.append(Eigenstate(
-            n=n, accessory=accessory, quantization=qr, phi=phi, poly=poly))
-    residuals = contour.residuals([s.poly for s in states], p0s)
-    return [replace(s, residual=r) for s, r in zip(states, residuals)]
+    residuals = contour.residuals(polys, p0s)
+    return [Eigenstate(n=n, accessory=accessory, quantization=qr, phi=phi,
+                       poly=poly, residual=r)
+            for (accessory, qr), poly, r in zip(solved, polys, residuals)]

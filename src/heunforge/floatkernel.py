@@ -80,52 +80,66 @@ def null_vector(mat, n: int):
 def contour_residuals(z, p2, p1, logd, rows):
     """The array pass of oracle.ResidualContour.residuals, on its points
     z, values p2, p1 and logd there, and four coefficient rows per state.
-    Products are written out on split real and imaginary float64 arrays in
-    Python's complex order, and moduli come from hypot, since numpy's
-    complex multiply and abs may round the last bit otherwise."""
-    z, p2, p1 = _split(z), _split(p2), _split(p1)
+    Each complex value is a pair of float64 arrays, real and imaginary;
+    the Horner loop runs in place on preallocated ones. Products are
+    written out in Python's complex order, and moduli come from hypot,
+    since numpy's complex multiply and abs may round the last bit
+    otherwise."""
+    z, p2, p1 = _parts(z), _parts(p2), _parts(p1)
     width = max(map(len, rows), default=0)
     block = np.zeros((len(rows), width), dtype=complex)  # storage only
     for row, coeffs in zip(block, rows):
         row[width - len(coeffs):] = coeffs[::-1]
-    block = _split(block)[..., None]
-    acc = np.zeros((2, len(rows), z.shape[1]))
+    block = _parts(block.T[:, :, None])
+    shape = (len(rows), len(z[0]))
+    ar, ai, im, tmp = (np.zeros(shape) for _ in range(4))
     with np.errstate(all="ignore"):
-        for k in range(width):
-            acc = _mul(acc, z) + block[:, :, k]
-        pv, dv, ddv, p0v = (acc[:, k::4] for k in range(4))
+        for br, bi in zip(*block):
+            # (ar, ai) = (ar, ai) * z + b: re = ar zr - ai zi, im = ar zi + ai zr
+            np.multiply(ar, z[1], out=im)
+            np.multiply(ai, z[0], out=tmp)
+            np.add(im, tmp, out=im)
+            np.multiply(ar, z[0], out=ar)
+            np.multiply(ai, z[1], out=tmp)
+            np.subtract(ar, tmp, out=ar)
+            np.add(ar, br, out=ar)
+            np.add(im, bi, out=ai)
+        pv, dv, ddv, p0v = ((ar[k::4], ai[k::4]) for k in range(4))
         if logd is None:
             w1, w2, big1, big2 = dv, ddv, np.hypot(*dv), np.hypot(*ddv)
         else:
-            lval, twice, curv = (_split(column) for column in logd)
-            lp, tdv, cp = _mul(lval, pv), _mul(twice, dv), _mul(curv, pv)
-            w1, w2 = dv + lp, ddv + tdv + cp
+            lval, twice, curv = (_parts(column) for column in logd)
+            lp, tdv, cp = _times(lval, pv), _times(twice, dv), _times(curv, pv)
+            w1 = (dv[0] + lp[0], dv[1] + lp[1])
+            w2 = (ddv[0] + tdv[0] + cp[0], ddv[1] + tdv[1] + cp[1])
             big1 = np.hypot(*dv) + np.hypot(*lp)
             big2 = np.hypot(*ddv) + np.hypot(*tdv) + np.hypot(*cp)
-        t2, t1, t0 = _mul(p2, w2), _mul(p1, w1), _mul(p0v, pv)
-        a2, a1, a0 = _abs(t2), _abs(t1), _abs(t0)
+        t2, t1, t0 = _times(p2, w2), _times(p1, w1), _times(p0v, pv)
+        a2, a1, a0 = _modulus(t2), _modulus(t1), _modulus(t0)
         # max(a2, a1, a0) as Python's max takes it, NaN included
         scale = np.where(a1 > a2, a1, a2)
         scale = np.where(a0 > scale, a0, scale)
         big = np.maximum(np.hypot(*p2) * big2, np.hypot(*p1) * big1)
-        ratio = _abs(t2 + t1 + t0) / scale
+        total = (t2[0] + t1[0] + t0[0], t2[1] + t1[1] + t0[1])
+        ratio = _modulus(total) / scale
         ratio[scale <= 64 * np.finfo(float).eps * np.maximum(big, a0)] = np.nan
     return np.fmax.reduce(ratio, axis=1, initial=0.0).tolist()
 
 
-def _split(values):
-    arr = np.array(values, dtype=complex)  # storage only
-    return np.stack((arr.real, arr.imag))
+def _parts(values):
+    """(real, imaginary) float64 arrays of complex values."""
+    arr = np.asarray(values, dtype=complex)  # storage only
+    return arr.real.copy(), arr.imag.copy()
 
 
-def _mul(a, b):
-    """Product of (real, imaginary) stacks, as Python's complex multiply."""
-    return np.stack((a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]))
+def _times(a, b):
+    """Product of (real, imaginary) pairs, as Python's complex multiply."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _abs(a):
-    """Modulus of a (real, imaginary) stack, as Python's abs of a complex."""
+def _modulus(a):
+    """Modulus of a (real, imaginary) pair, as Python's abs of a complex."""
     out = np.hypot(*a)
-    if np.isinf(out[np.isfinite(a).all(axis=0)]).any():
+    if np.isinf(out[np.isfinite(a[0]) & np.isfinite(a[1])]).any():
         raise OverflowError("absolute value too large")
     return out

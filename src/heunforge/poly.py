@@ -4,6 +4,12 @@ Coefficients are stored low order first. A polynomial is canonical when
 its top coefficient is nonzero; trailing junk is trimmed exactly in the
 exact backend and below a relative threshold of TRIM_REL * max|coeff|
 in the float backend. The zero polynomial has degree -1.
+
+`Poly.__init__` is the one public constructor and the one place where
+outside values (int, Fraction, float, complex, RationalComplex) are
+coerced to the backend's scalar. The ring operations build their results
+with `Poly._make` from scalars of the backend they computed themselves,
+so those are trimmed but never copied or coerced again.
 """
 
 from __future__ import annotations
@@ -49,6 +55,15 @@ class Poly:
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "backend", backend)
 
+    @staticmethod
+    def _make(coeffs, backend):
+        """The Poly of `coeffs`, a fresh list of the backend's own scalars:
+        trimmed in place, neither copied nor coerced."""
+        p = object.__new__(Poly)
+        object.__setattr__(p, "coeffs", tuple(_trim(coeffs, backend)))
+        object.__setattr__(p, "backend", backend)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
@@ -90,7 +105,7 @@ class Poly:
         """Coefficient of z^k (zero scalar beyond the stored degree)."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return as_scalar(0, self.backend)
+        return _ZERO[self.backend]
 
     def leading(self):
         if self.is_zero:
@@ -116,33 +131,33 @@ class Poly:
 
     # -- ring operations ---------------------------------------------------
 
-    def __add__(self, other):
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __add__(self, other, negate=False):
+        if type(other) is not Poly:
+            other = self._as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
         self._check_backend(other)
-        # the shorter side is padded with the backend zero, which is
+        right = [-c for c in other.coeffs] if negate else other.coeffs
+        # the shorter side is padded with the backend's +0, which is
         # still added so that float signed zeros come out normalized
-        zero = _ZERO.get(self.backend)
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
-        return Poly([a + b for a, b in pairs], self.backend)
+        pairs = zip_longest(self.coeffs, right, fillvalue=_ZERO[self.backend])
+        return Poly._make([a + b for a, b in pairs], self.backend)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        # self + (-other) term by term: a - b, or a -0 pad, would keep
+        # the -0.0 parts that adding the +0 pad turns into +0.0
+        return self.__add__(other, True)
 
     def __rsub__(self, other):
         other = self._as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.backend)
+        return Poly._make([-c for c in self.coeffs], self.backend)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -150,15 +165,16 @@ class Poly:
                 scalar = as_scalar(other, self.backend)
             except (BackendMismatchError, TypeError):
                 return NotImplemented
-            return Poly([c * scalar for c in self.coeffs], self.backend)
+            return Poly._make([c * scalar for c in self.coeffs], self.backend)
         self._check_backend(other)
         if self.is_zero or other.is_zero:
-            return Poly.zero(self.backend)
-        out = [as_scalar(0, self.backend)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly._make([], self.backend)
+        out = [_ZERO[self.backend]] * (len(self.coeffs) + len(other.coeffs) - 1)
+        right = other.coeffs
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out, self.backend)
+            for k, b in enumerate(right, i):
+                out[k] = out[k] + a * b
+        return Poly._make(out, self.backend)
 
     __rmul__ = __mul__
 
@@ -166,7 +182,7 @@ class Poly:
         if isinstance(other, Poly):
             return other
         try:
-            return Poly.constant(as_scalar(other, self.backend), self.backend)
+            return Poly._make([as_scalar(other, self.backend)], self.backend)
         except (BackendMismatchError, TypeError):
             return NotImplemented
 
@@ -181,7 +197,7 @@ class Poly:
     # -- calculus and evaluation -------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(
+        return Poly._make(
             [k * c for k, c in enumerate(self.coeffs)][1:], self.backend
         )
 
@@ -215,25 +231,25 @@ class Poly:
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.degree < divisor.degree:
-            return Poly.zero(self.backend), self
+            return Poly._make([], self.backend), self
         rem = list(self.coeffs)
         lead = divisor.leading()
         dd = divisor.degree
         qlen = len(rem) - dd
-        quot = [as_scalar(0, self.backend)] * qlen
+        quot = [_ZERO[self.backend]] * qlen
         for k in range(qlen - 1, -1, -1):
             factor = rem[k + dd] / lead
             quot[k] = factor
             if factor:
                 for j, c in enumerate(divisor.coeffs):
                     rem[k + j] = rem[k + j] - factor * c
-        return Poly(quot, self.backend), Poly(rem[:dd], self.backend)
+        return Poly._make(quot, self.backend), Poly._make(rem[:dd], self.backend)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         lead = self.leading()
-        return Poly([c / lead for c in self.coeffs], self.backend)
+        return Poly._make([c / lead for c in self.coeffs], self.backend)
 
     # -- square-root head -----------------------------------------------------
 
@@ -298,7 +314,7 @@ class Poly:
     def to_float(self) -> "Poly":
         if self.backend == FLOAT:
             return self
-        return Poly([complex(c) for c in self.coeffs], FLOAT)
+        return Poly._make([complex(c) for c in self.coeffs], FLOAT)
 
     def shift(self, z0) -> "Poly":
         """Taylor shift: returns p(z + z0), by repeated synthetic division
@@ -315,7 +331,7 @@ class Poly:
             out.append(acc)
             quot.reverse()
             work = quot
-        return Poly(out, self.backend)
+        return Poly._make(out, self.backend)
 
     # -- text format ----------------------------------------------------------
 

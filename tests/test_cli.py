@@ -643,6 +643,21 @@ def test_electrons_overflow_warns_nothing_under_w_error(case):
         EXIT_USAGE, "", "error: %s\n" % message)
 
 
+def test_noise_bound_beyond_float_range_is_a_usage_error(capsys):
+    # sigma's irrational roots near +-1e150 i put |centre|^k of the bound on
+    # B's rounding noise past float range; the bare OverflowError of ** once
+    # printed "(34, 'Numerical result out of range')"
+    argv = ["classify", "--sigma", "1e-300*z^3 + z - 1", "--tau", "1 - 2*z + z^2",
+            "--sigma-tilde", "3 - z + 2*z^2", "--backend", "exact"]
+    expected = (EXIT_USAGE, "", "error: noise bound at a root of sigma overflows the float range\n")
+    assert run(capsys, *argv) == expected
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HEUNFORGE_BACKEND", None)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "heunforge.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
 @pytest.mark.parametrize("argv, option", [
     (["classify", "--sigma", "z^2", "--tau", "z", "--sigma-tilde", "1e400*z"],
      "--sigma-tilde"),

@@ -4,13 +4,15 @@ root extraction. The four randomized suites run 1000 seeded cases each."""
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
 from heunforge.poly import Poly, format_poly, parse_poly
-from heunforge.scalars import EXACT, FLOAT, BackendMismatchError, RationalComplex
+from heunforge.scalars import EXACT, FLOAT, BackendMismatchError, RationalComplex, as_scalar
 
 CASES = 1000
 
@@ -235,3 +237,179 @@ def test_copy_and_pickle_round_trip(poly):
         assert [type(c) for c in twin.coeffs] == [type(c) for c in poly.coeffs]
     with pytest.raises(AttributeError, match="Poly is immutable"):
         poly.backend = FLOAT
+
+
+# -- bit identity with the coercing ring ----------------------------------------
+#
+# Reference copies of the ring as it was when every result went back through
+# the coercing Poly(...) constructor; the ring's own results must match them
+# bit for bit (float.hex of both parts, -0.0 included), and exact ones must
+# be equal RationalComplex values.
+
+
+def _ref_as_poly(p, other):
+    if isinstance(other, Poly):
+        return other
+    return Poly.constant(as_scalar(other, p.backend), p.backend)
+
+
+def _ref_add(p, other):
+    q = _ref_as_poly(p, other)
+    pairs = zip_longest(p.coeffs, q.coeffs, fillvalue=as_scalar(0, p.backend))
+    return Poly([a + b for a, b in pairs], p.backend)
+
+
+def _ref_neg(p):
+    return Poly([-c for c in p.coeffs], p.backend)
+
+
+def _ref_sub(p, other):
+    return _ref_add(p, _ref_neg(_ref_as_poly(p, other)))
+
+
+def _ref_rsub(p, other):
+    return _ref_add(_ref_as_poly(p, other), _ref_neg(p))
+
+
+def _ref_mul(p, other):
+    if not isinstance(other, Poly):
+        scalar = as_scalar(other, p.backend)
+        return Poly([c * scalar for c in p.coeffs], p.backend)
+    if p.is_zero or other.is_zero:
+        return Poly.zero(p.backend)
+    out = [as_scalar(0, p.backend)] * (len(p.coeffs) + len(other.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(other.coeffs):
+            out[i + j] = out[i + j] + a * b
+    return Poly(out, p.backend)
+
+
+def _ref_derivative(p):
+    return Poly([k * c for k, c in enumerate(p.coeffs)][1:], p.backend)
+
+
+def _ref_divrem(p, divisor):
+    if p.degree < divisor.degree:
+        return Poly.zero(p.backend), p
+    rem = list(p.coeffs)
+    lead = divisor.leading()
+    dd = divisor.degree
+    qlen = len(rem) - dd
+    quot = [as_scalar(0, p.backend)] * qlen
+    for k in range(qlen - 1, -1, -1):
+        factor = rem[k + dd] / lead
+        quot[k] = factor
+        if factor:
+            for j, c in enumerate(divisor.coeffs):
+                rem[k + j] = rem[k + j] - factor * c
+    return Poly(quot, p.backend), Poly(rem[:dd], p.backend)
+
+
+def _ref_monic(p):
+    lead = p.leading()
+    return Poly([c / lead for c in p.coeffs], p.backend)
+
+
+def _ref_to_float(p):
+    if p.backend == FLOAT:
+        return p
+    return Poly([complex(c) for c in p.coeffs], FLOAT)
+
+
+def _ref_shift(p, z0):
+    z0 = as_scalar(z0, p.backend)
+    work = list(p.coeffs)
+    out = []
+    while work:
+        quot = []
+        acc = work[-1]
+        for k in range(len(work) - 2, -1, -1):
+            quot.append(acc)
+            acc = work[k] + z0 * acc
+        out.append(acc)
+        quot.reverse()
+        work = quot
+    return Poly(out, p.backend)
+
+
+def _bits(c):
+    if type(c) is complex:
+        return c.real.hex(), c.imag.hex()
+    assert type(c) is RationalComplex
+    return c.re, c.im
+
+
+def _assert_same(got, want):
+    assert type(got) is Poly and got.backend == want.backend
+    assert [_bits(c) for c in got.coeffs] == [_bits(c) for c in want.coeffs]
+
+
+def _float_part(rng):
+    return rng.choice([0.0, -0.0, rng.uniform(-2, 2), rng.uniform(-2, 2) * 1e-7])
+
+
+def _exact_part(rng):
+    return rng.choice([0, Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+
+
+def _corpus(backend, seed, size=150):
+    """Seeded polynomials of ragged lengths 0..6, with +-0.0 in either part
+    of a float coefficient."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(size):
+        if backend == FLOAT:
+            coeffs = [complex(_float_part(rng), _float_part(rng))
+                      for _ in range(rng.randint(0, 6))]
+        else:
+            coeffs = [RationalComplex(_exact_part(rng), _exact_part(rng))
+                      for _ in range(rng.randint(0, 6))]
+        polys.append(Poly(coeffs, backend))
+    return polys
+
+
+SCALARS = {
+    EXACT: [0, 3, -2, Fraction(-3, 7), RationalComplex(Fraction(1, 2), -1), RationalComplex(0)],
+    FLOAT: [0, 3, -2, Fraction(-3, 7), RationalComplex(Fraction(1, 2), -1),
+            complex(-0.0, -0.0), complex(0.0, -0.0), complex(-1.5, 0.25), 0.1],
+}
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_ring_results_are_bit_identical_to_the_coercing_ring(backend):
+    polys = _corpus(backend, "ring/%s" % backend)
+    pairs = list(zip(polys, polys[1:] + polys[:1])) + [(p, p) for p in polys[:20]]
+    for p, q in pairs:
+        _assert_same(p + q, _ref_add(p, q))
+        _assert_same(p - q, _ref_sub(p, q))
+        _assert_same(q - p, _ref_sub(q, p))
+        _assert_same(p * q, _ref_mul(p, q))
+        _assert_same(-p, _ref_neg(p))
+        _assert_same(p.derivative(), _ref_derivative(p))
+        _assert_same(p.to_float(), _ref_to_float(p))
+        assert _bits(p.coeff(p.degree + 3)) == _bits(as_scalar(0, backend))
+        if not q.is_zero:
+            for got, want in zip(p.divrem(q), _ref_divrem(p, q)):
+                _assert_same(got, want)
+        if not p.is_zero:
+            _assert_same(p.monic(), _ref_monic(p))
+        for scalar in SCALARS[backend]:
+            _assert_same(p + scalar, _ref_add(p, scalar))
+            _assert_same(scalar + p, _ref_add(p, scalar))
+            _assert_same(p - scalar, _ref_sub(p, scalar))
+            _assert_same(scalar - p, _ref_rsub(p, scalar))
+            _assert_same(p * scalar, _ref_mul(p, scalar))
+            _assert_same(scalar * p, _ref_mul(p, scalar))
+            _assert_same(p.shift(scalar), _ref_shift(p, scalar))
+        if backend == EXACT:
+            for op in (p.__add__, p.__sub__, p.__rsub__, p.__mul__):
+                assert op(1j) is NotImplemented
+
+
+def test_longer_operand_with_a_negative_zero_coefficient_minus_a_shorter_one():
+    # the shorter side's pad is +0, added: a - b, or a -0 pad, keeps -0.0
+    long = Poly([1.0, complex(-0.0, -0.0), complex(-0.0, 1.0), 1.0], FLOAT)
+    for short in (Poly([2.0], FLOAT), Poly([2.0, 0.5], FLOAT)):
+        got, want = long - short, _ref_sub(long, short)
+        _assert_same(got, want)
+        assert _bits(got.coeffs[2]) == ((0.0).hex(), (1.0).hex())
