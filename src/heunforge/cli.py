@@ -83,6 +83,10 @@ DEFAULT_TOLERANCES = {
 
 SCHEMA_VERSION = 2
 
+# the contour is built point by point in Python, and the residual pass
+# holds about a dozen float arrays of 4 (n + 1) x samples
+MAX_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,6 +104,8 @@ class RunConfig:
             raise ValueError("tolerances must be finite and positive")
         if self.samples < 8:
             raise ValueError("sample count must be at least 8")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError("sample count must be at most %d" % MAX_SAMPLES)
         object.__setattr__(self, "tolerances", tols)
 
 
@@ -110,15 +116,18 @@ def _json_form(value):
     """The JSON form json.dumps is given for a value it cannot write: a Poly
     as {"coeffs"}, a RationalComplex as {"im", "re"}, a Fraction as
     {"den", "num"}, and a complex as a real when its imaginary part is 0,
-    else as {"im", "re"}."""
+    else as {"im", "re"}. A float Poly's coefficients get their forms
+    here, so json.dumps calls back once for the whole Poly."""
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
     if isinstance(value, Poly):
+        if value.backend == FLOAT:
+            return {"coeffs": [_json_form(c) for c in value.coeffs]}
         return {"coeffs": value.coeffs}
     if isinstance(value, RationalComplex):
         return {"im": value.im, "re": value.re}
     if isinstance(value, Fraction):
         return {"den": value.denominator, "num": value.numerator}
-    if isinstance(value, complex):
-        return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(value).__name__)
 
@@ -486,8 +495,9 @@ def _render(command: str, fmt: str, record):
                items_key: items}
         if own_checks:
             doc["checks"] = checks
+        # each record is a tree built per call, so nothing can be circular
         print(json.dumps(doc, sort_keys=True, default=_json_form,
-                         allow_nan=False))
+                         allow_nan=False, check_circular=False))
     elif fmt == "csv":
         # no rows writes the header alone
         header, rows = csv_rows(*record)
@@ -547,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override a named tolerance (%s)" % ", ".join(DEFAULT_TOLERANCES),
     )
     common.add_argument(
-        "--samples", type=int, default=50, help="residual contour sample count"
+        "--samples", type=int, default=50,
+        help="residual contour sample count, 8 to %d" % MAX_SAMPLES,
     )
     parser = argparse.ArgumentParser(
         prog="heunforge",

@@ -603,8 +603,8 @@ def _sigma_bar_terms(eq: NuEquation, pi: Poly):
     )
 
 
-def _reduce(eq: NuEquation, sigma_tilde: Poly, pi: Poly, terms) -> ReducedForm:
-    """reduce_branch with this sigma~ in place of eq's."""
+def _reduce(eq: NuEquation, sigma_tilde: Poly, tau: Poly, terms) -> ReducedForm:
+    """reduce_branch with this sigma~ in place of eq's, and tau given."""
     pi_sq, pi_gap, dpi_sigma = terms
     sigma_bar = sigma_tilde + pi_sq + pi_gap + dpi_sigma
     h, rem = sigma_bar.divrem(eq.sigma)
@@ -612,7 +612,6 @@ def _reduce(eq: NuEquation, sigma_tilde: Poly, pi: Poly, terms) -> ReducedForm:
         raise NoBranchError(
             "sigma_bar is not divisible by sigma: inadmissible branch"
         )
-    tau = eq.tau_tilde + pi + pi
     max_h = 1 if eq.mode == EXTENDED else 0
     if h.degree > max_h:
         raise NoBranchError("reduced h exceeds the mode's degree bound")
@@ -634,7 +633,8 @@ def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     (PiBranch.reduced). In floats, h = g + pi' would move the last bits of
     eigenstates whose residuals sit at the 1e-8 gate."""
     eq = _on_branch(eq, b)
-    return _reduce(eq, eq.sigma_tilde, b.pi, _sigma_bar_terms(eq, b.pi))
+    return _reduce(eq, eq.sigma_tilde, eq.tau_tilde + b.pi + b.pi,
+                   _sigma_bar_terms(eq, b.pi))
 
 
 def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
@@ -805,7 +805,7 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
     # the monomial coefficients of a true eigenpolynomial can span many
     # orders of magnitude, so only a top coefficient that the monic
     # Poly trims away marks a lower degree
-    poly = Poly(vec, FLOAT)
+    poly = Poly._make(vec, FLOAT)
     if poly.degree != n:
         raise NoBranchError(
             "polynomial solution has degree below %d (its top coefficient "
@@ -833,13 +833,14 @@ def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     # a collapsed branch replaces pi by (sigma' - tau~)/2
     pi = branch_from_pi(eq, pi).pi
     terms = _sigma_bar_terms(eq, pi)
-    fixed = _fixed_map(eq.sigma, eq.tau_tilde + pi + pi, n)
+    tau = eq.tau_tilde + pi + pi
+    fixed = _fixed_map(eq.sigma, tau, n)
     phi = _prefactor(eq.sigma, pi)
     psi = eq.psi_ode()
     contour = ResidualContour(psi.p2, psi.p1, phi, samples)
     solved, polys, p0s = [], [], []
     for accessory, sigma_tilde in shifts:
-        rf = _reduce(eq, sigma_tilde, pi, terms)
+        rf = _reduce(eq, sigma_tilde, tau, terms)
         solved.append((accessory, _quantize(eq.sigma, eq.mode, rf, n)))
         polys.append(_null_polynomial(fixed, rf, n))
         p0s.append(sigma_tilde)

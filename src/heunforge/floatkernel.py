@@ -53,17 +53,17 @@ def accessory_values(mat, n: int, direction: complex, tol: float):
 
 def with_h(fixed, h):
     """The coefficient map of sigma y'' + tau y' + h y from `fixed`, the
-    map with h = 0: h adds h[0] on the diagonal and h[1] below it. In
-    floats, a column's top entry at or below TRIM_REL of the column's
-    largest counts as zero, as in the column's trimmed Poly."""
+    map with h = 0: h adds h[0] on the diagonal and h[1] below it, both
+    strided views of the flat copy. In floats, a column's top entry at or
+    below TRIM_REL of the column's largest counts as zero, as in the
+    column's trimmed Poly."""
     out = fixed.copy()
-    cols = np.arange(out.shape[1])
-    out[cols, cols] += h.coeff(0)
-    out[cols + 1, cols] += h.coeff(1)
+    flat, step = out.reshape(-1), out.shape[1] + 1
+    flat[::step] += h.coeff(0)
+    top = flat[step - 1::step]
+    top += h.coeff(1)
     if out.dtype == complex:
-        top = out[cols + 1, cols]
-        small = np.abs(top) <= TRIM_REL * np.abs(out).max(axis=0)
-        out[cols + 1, cols] = np.where(small, 0j, top)
+        top[np.abs(top) <= TRIM_REL * np.abs(out).max(axis=0)] = 0j
     return out
 
 

@@ -19,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .poly import Poly
+from .poly import Poly, _horner
 from .scalars import as_scalar, negligible
 
 TERMINATION_TOL = 1e-8
@@ -277,10 +277,10 @@ def residual_contour(p2: Poly, samples: int = 50):
     for k in range(samples):
         z = CONTOUR_CENTER + CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / samples)
         for _ in range(4):
-            offender = next(
-                (s for s in sing if abs(z - s) < CONTOUR_CLEARANCE), None
-            )
-            if offender is None:
+            for offender in sing:  # the first root within the clearance
+                if abs(z - offender) < CONTOUR_CLEARANCE:
+                    break
+            else:
                 break
             gap = z - offender
             if abs(gap) == 0.0:
@@ -299,24 +299,25 @@ class ResidualContour:
     phi (None for none), shared by the eigenstates of one equation since
     only p0 moves with the accessory. At each point it keeps z, p2(z),
     p1(z) and phi's log-derivative terms (L, 2L, L^2 + L'), computed in
-    Python complex numbers, for the array pass of `residuals`."""
+    Python complex numbers, for the array pass of `residuals`: Horner on
+    coefficient tuples, as a float Poly call evaluates."""
 
     def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
         p2f, p1f = p2.to_float(), p1.to_float()
         points = residual_contour(p2f, samples)
         self.z = points
-        self.p2 = [p2f(z) for z in points]
-        self.p1 = [p1f(z) for z in points]
+        self.p2 = [_horner(p2f.coeffs, z) for z in points]
+        self.p1 = [_horner(p1f.coeffs, z) for z in points]
         self.logd = None
         if phi is None:
             return
         # L = d/dz log(phi) = e' + sum expo / (z - root), e the exp part
         de = phi.exp_part.to_float().derivative()
-        dde = de.derivative()
+        de, dde = de.coeffs, de.derivative().coeffs
         powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
         logds = []
         for z in points:
-            lval, lder = de(z), dde(z)
+            lval, lder = _horner(de, z), _horner(dde, z)
             for root, expo in powers:
                 dz = z - root
                 lval += expo / dz

@@ -35,9 +35,10 @@ from .scalars import (
 
 TRIM_REL = 1e-13
 
-# the scalar type each backend stores, and its zero
+# the scalar type each backend stores, its zero and its one
 _SCALAR_TYPE = {EXACT: RationalComplex, FLOAT: complex}
 _ZERO = {EXACT: RationalComplex(0), FLOAT: 0j}
+_ONE = {EXACT: RationalComplex(1), FLOAT: 1 + 0j}
 
 
 class Poly:
@@ -77,13 +78,13 @@ class Poly:
     def zero(cls, backend):
         return cls([], backend)
 
-    @classmethod
-    def one(cls, backend):
-        return cls([1], backend)
+    @staticmethod
+    def one(backend):
+        return Poly._make([_ONE[backend]], backend)
 
-    @classmethod
-    def x(cls, backend):
-        return cls([0, 1], backend)
+    @staticmethod
+    def x(backend):
+        return Poly._make([_ZERO[backend], _ONE[backend]], backend)
 
     @classmethod
     def constant(cls, value, backend=None):
@@ -213,11 +214,7 @@ class Poly:
         coeffs = self.coeffs
         if self.backend != FLOAT:
             coeffs = [complex(c) for c in coeffs]
-        zz = complex(z)
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * zz + c
-        return acc
+        return _horner(coeffs, complex(z))
 
     # -- division -----------------------------------------------------------
 
@@ -340,6 +337,14 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+def _horner(coeffs, z: complex) -> complex:
+    """The complex value at z of complex coefficients, low order first."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 def _trim(coeffs, backend):

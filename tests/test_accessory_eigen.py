@@ -9,6 +9,8 @@ assembly to the column-by-column assembly it replaced, and the float
 backend to the degree range it must resolve.
 """
 
+import math
+import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -45,6 +47,7 @@ from heunforge.engine import _nullspace, eigenstates
 from heunforge.family import accessory_family
 from heunforge.floatkernel import with_h
 from heunforge.oracle import OdeForm
+from heunforge.poly import TRIM_REL
 
 HEUN_VALUES = (F(19, 10), F(3, 5), F(4, 5), F(7, 10))  # a, gamma, delta, epsilon
 CHE_VALUES = (F(3, 2), F(1, 3), F(2, 5))  # alpha, beta, gamma
@@ -335,3 +338,70 @@ def test_eigenvalues_certified_by_exact_newton_step(family, label):
             exact_t = RationalComplex(F(t.real), F(t.imag))
             step = abs(complex(cpoly(exact_t) / dpoly(exact_t)))
             assert step <= 1e-8 * max(1.0, abs(t)), (n, t, step)
+
+
+def _fancy_index_with_h(fixed, h):
+    """with_h as fancy indexing wrote it: the reference for the strided
+    views."""
+    out = fixed.copy()
+    cols = np.arange(out.shape[1])
+    out[cols, cols] += h.coeff(0)
+    out[cols + 1, cols] += h.coeff(1)
+    if out.dtype == complex:
+        top = out[cols + 1, cols]
+        small = np.abs(top) <= TRIM_REL * np.abs(out).max(axis=0)
+        out[cols + 1, cols] = np.where(small, 0j, top)
+    return out
+
+
+def _signed_zero(rng):
+    return complex(rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0)))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_with_h_is_the_fancy_index_version_to_the_bit(exact):
+    rng = random.Random(2606 + exact)
+    trimmed = kept = 0
+    for n in range(13):
+        for trial in range(8):
+            if exact:
+                def entry():
+                    return rc(F(rng.randint(-99, 99), rng.randint(1, 12)))
+                fixed = np.array([[entry() for _ in range(n + 1)]
+                                  for _ in range(n + 2)], dtype=object)
+                h = (entry(), entry())
+            else:
+                fixed = np.array([[complex(rng.uniform(-5, 5), rng.choice(
+                    (0.0, -0.0, rng.uniform(-5, 5)))) for _ in range(n + 1)]
+                    for _ in range(n + 2)])
+                h = [_signed_zero(rng) if rng.random() < 0.4
+                     else complex(rng.uniform(-5, 5), rng.choice((0.0, -0.0)))
+                     for _ in range(2)]
+                if trial >= 4:
+                    # each column's top entry at, or just above, TRIM_REL of
+                    # the column's largest, with h[1] a signed zero
+                    h[1] = _signed_zero(rng)
+                    for j in range(n + 1):
+                        fixed[j + 1, j] = 0j
+                        col = fixed[:, j].copy()
+                        col[j] += h[0]
+                        top = TRIM_REL * np.abs(col).max()
+                        if trial % 2:
+                            top = math.nextafter(top, math.inf)
+                        fixed[j + 1, j] = complex(top, rng.choice((0.0, -0.0)))
+            poly_h = SimpleNamespace(coeff=h.__getitem__)
+            got = with_h(fixed, poly_h)
+            want = _fancy_index_with_h(fixed, poly_h)
+            assert got.dtype == want.dtype == fixed.dtype
+            if exact:
+                assert got.tolist() == want.tolist()
+                assert all(type(v) is RationalComplex for v in got.flat)
+                continue
+            assert [(v.real.hex(), v.imag.hex()) for v in got.flat] == [
+                (v.real.hex(), v.imag.hex()) for v in want.flat]
+            if trial >= 4:
+                tops = [got[j + 1, j] for j in range(n + 1)]
+                assert all((t == 0) == (trial % 2 == 0) for t in tops)
+                trimmed += trial % 2 == 0
+                kept += trial % 2 == 1
+    assert exact or (trimmed and kept)

@@ -35,6 +35,7 @@ from heunforge.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    MAX_SAMPLES,
     _branch_label,
     _class_catalog,
     _match_heun,
@@ -246,6 +247,21 @@ def test_solve_samples_residual_matches_public_api(capsys):
         assert st["residual"] == ode_residual(
             state, heun_to_nu(pq).psi_ode(), 32)
         assert st["residual"] != state.residual  # 50 points give another
+
+
+def test_samples_above_the_cap_are_a_usage_error(capsys):
+    # the contour is built point by point: the cap runs, one more point
+    # exits 2 before any work (never try a huge count here)
+    assert MAX_SAMPLES == 10_000
+    argv = ["solve", "heun", "--class", "I", "-n", "1", "--a", "1.9",
+            "--gamma", "0.6", "--delta", "0.8", "--epsilon", "0.7",
+            "--format", "json"]
+    code, out, _ = run(capsys, *argv, "--samples", str(MAX_SAMPLES))
+    assert code == EXIT_OK
+    assert len(json.loads(out)["states"]) == 2
+    code, out, err = run(capsys, *argv, "--samples", str(MAX_SAMPLES + 1))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: sample count must be at most 10000\n"
 
 
 def test_solve_tight_tolerance_fails_verification(capsys):

@@ -13,13 +13,17 @@ import cmath
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from heunforge import EXACT, FLOAT, Poly, RationalComplex
+from heunforge import EXACT, FLOAT, Poly, RationalComplex, cli, heun_to_nu
 from heunforge.cli import _json_form
+from heunforge.engine import NoBranchError
+from heunforge.heun import heun_params_for_class
+from heunforge.poly import format_poly
 
 
 def _real_json(value):
@@ -168,3 +172,128 @@ def test_unknown_type_raises_type_error(value):
         reference({"k": [value]})
     with pytest.raises(TypeError, match="not JSON serializable"):
         written({"k": [value]})
+
+
+# -- cli._render, pinned to the encoder that called back per coefficient -------
+
+
+def _per_coefficient_form(value):
+    """_json_form as it was when json.dumps called back once for a float
+    Poly and once for each of its coefficients."""
+    if isinstance(value, Poly):
+        return {"coeffs": value.coeffs}
+    if isinstance(value, RationalComplex):
+        return {"im": value.im, "re": value.re}
+    if isinstance(value, Fraction):
+        return {"den": value.denominator, "num": value.numerator}
+    if isinstance(value, complex):
+        return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
+
+
+def _per_coefficient_render(command, record):
+    top, items, checks = record
+    items_key, own_checks = cli._RENDERERS[command][:2]
+    doc = {"schema": cli.SCHEMA_VERSION, "command": command, **top,
+           items_key: items}
+    if own_checks:
+        doc["checks"] = checks
+    return json.dumps(doc, sort_keys=True, default=_per_coefficient_form,
+                      allow_nan=False) + "\n"
+
+
+def _ratio(rng, low, high):
+    return "%d/%d" % (rng.randint(low, high), rng.randint(1, 9))
+
+
+def _seeded_argvs(rng):
+    """Seeded solve, classify and app command lines."""
+    for _ in range(10):
+        label = rng.choice(("I", "II", "III", "IV", "V", "VI", "VII", "VIII"))
+        a = rng.choice(("19/10", "3/2", "5/2", "-1/2"))
+        params = [_ratio(rng, -9, 15) for _ in range(3)]
+        n = rng.randint(0, 4)
+        # --name=value, since a value may start with a minus sign
+        yield ["solve", "heun", "--class", label, "-n", str(n), "--a=" + a,
+               "--gamma=" + params[0], "--delta=" + params[1],
+               "--epsilon=" + params[2]]
+        yield ["solve", "che", "--class", str(rng.randint(1, 8)), "-n", str(n),
+               "--alpha=" + params[0], "--beta=" + params[1],
+               "--gamma=" + _ratio(rng, 1, 15)]
+        # classify a four-point equation, exact text, on one class's
+        # coupling, or with sigma~ moved off it
+        eq = heun_to_nu(heun_params_for_class(
+            label, n, Fraction(a), *map(Fraction, params)))
+        sigma_tilde = eq.sigma_tilde
+        if rng.random() < 0.5:
+            sigma_tilde = sigma_tilde + eq.sigma * RationalComplex(Fraction(1, 7))
+        yield ["classify", "--sigma", format_poly(eq.sigma),
+               "--tau", format_poly(eq.tau_tilde),
+               "--sigma-tilde", format_poly(sigma_tilde)]
+        yield ["app", "coulomb3s", "--n", str(rng.randint(1, 3)),
+               "--m", str(rng.randint(0, 2)), "--gamma", str(rng.uniform(0.1, 2))]
+        yield ["app", "electrons-sphere", "--n", str(rng.randint(1, 4)),
+               "--gamma", str(rng.uniform(0.2, 3)), "--delta", "2"]
+        yield ["app", "double-well", "--n", str(rng.randint(1, 3)),
+               "--d", str(rng.uniform(0.5, 2)), "--u0", str(rng.uniform(10, 200)),
+               "--parity", rng.choice(("symmetric", "antisymmetric"))]
+
+
+def _signed_zero_record():
+    """A solve record holding +-0.0 parts, imaginary parts of exactly 0
+    and -0.0, Fractions and RationalComplex values."""
+    entry = {
+        "accessory": complex(2.5, -0.0),
+        "slope_residual": complex(-0.0, 0.0),
+        "constant_offset": RationalComplex(Fraction(1, 3), Fraction(-2, 7)),
+        "poly": Poly([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-1.5, -0.0),
+                      complex(-0.0, -2.0), complex(0.0, 0.0), 1 + 0j], FLOAT),
+        "phi_exp": Poly([RationalComplex(Fraction(-7, 3), Fraction(1, 9)),
+                         RationalComplex(0, 1)], EXACT),
+        "phi_powers": [{"root": Fraction(19, 10), "exponent": complex(0.0, -0.0)},
+                       {"root": -0.0, "exponent": RationalComplex(Fraction(2, 5))}],
+        "residual": -0.0,
+        "check": {"name": "residual", "value": -0.0, "tolerance": 1e-8,
+                  "passed": True},
+    }
+    top = {"backend": FLOAT, "family": "heun", "class": "I", "n": 5}
+    return top, [entry], [entry["check"]]
+
+
+def test_render_is_the_per_coefficient_encoder_byte_for_byte(capsys):
+    rng = random.Random(2606)
+    records = [("solve", _signed_zero_record())]
+    for argv in _seeded_argvs(rng):
+        for backend in (FLOAT, EXACT):
+            args = cli.build_parser().parse_args(argv)
+            config = cli.RunConfig(backend=backend, fmt="json")
+            try:
+                records.append((argv[0], args.func(args, config)))
+            except (NoBranchError, ValueError, OverflowError, ZeroDivisionError,
+                    cli.UsageError):
+                pass
+    made = [command for command, _ in records]
+    assert min(made.count(command) for command in ("solve", "classify", "app")) >= 10
+    for command, record in records:
+        cli._render(command, "json", record)
+        assert capsys.readouterr().out == _per_coefficient_render(command, record)
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.nan)])
+@pytest.mark.parametrize("field", ["poly", "accessory"])
+def test_json_with_a_nan_exits_2(capsys, monkeypatch, field, bad):
+    real = cli.heun_eigenstates
+
+    def with_nan(*args):
+        value = Poly([0.5, bad, 1.0], FLOAT) if field == "poly" else bad
+        return [replace(state, **{field: value}) for state in real(*args)]
+
+    monkeypatch.setattr(cli, "heun_eigenstates", with_nan)
+    code = cli.main(["solve", "heun", "--class", "I", "-n", "2", "--a", "19/10",
+                     "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
+                     "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err.count("\n") == 1

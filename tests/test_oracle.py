@@ -1,6 +1,8 @@
 """Frobenius-series oracle: recurrences, termination conditions, residuals."""
 
+import cmath
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -16,7 +18,7 @@ from heunforge.che import (
     che_params_for_class,
     che_to_nu,
 )
-from heunforge.engine import NoBranchError, PhiFactor
+from heunforge.engine import NoBranchError, PhiFactor, _prefactor
 from heunforge.family import accessory_family
 from heunforge.heun import (
     HEUN_CLASSES,
@@ -549,3 +551,130 @@ def test_residual_overflow_raises_as_python_abs_does():
         _plain_reference_residual(huge, ode)
     with pytest.raises(OverflowError):
         ode_residual(huge, ode)
+
+
+# -- the contour build, pinned to its Poly-call form ---------------------------
+
+
+def _poly_call_contour(p2, p1, phi, samples):
+    """(z, p2, p1, logd) of ResidualContour as residual_contour and
+    ResidualContour.__init__ built them with a generator scan for the
+    first root within the clearance and a Poly call per value: the
+    reference for the build from Horner over coefficient tuples."""
+    p2f, p1f = p2.to_float(), p1.to_float()
+    sing = p2f.roots() if p2f.degree >= 1 else []
+    points = []
+    for k in range(samples):
+        z = 0.5 + 0.45 * cmath.exp(2j * math.pi * k / samples)
+        for _ in range(4):
+            offender = next((s for s in sing if abs(z - s) < 0.1), None)
+            if offender is None:
+                break
+            gap = z - offender
+            if abs(gap) == 0.0:
+                gap = cmath.exp(2j * math.pi * k / samples)
+            z = offender + 0.1 * gap / abs(gap)
+        else:
+            continue
+        points.append(z)
+    logd = None
+    if phi is not None:
+        de = phi.exp_part.to_float().derivative()
+        dde = de.derivative()
+        powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
+        logds = []
+        for z in points:
+            lval, lder = de(z), dde(z)
+            for root, expo in powers:
+                dz = z - root
+                lval += expo / dz
+                lder -= expo / (dz * dz)
+            logds.append((lval, 2 * lval, lval * lval + lder))
+        logd = tuple(zip(*logds))
+    return points, [p2f(z) for z in points], [p1f(z) for z in points], logd
+
+
+def _complex_bits(values):
+    assert all(type(v) is complex for v in values)
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _random_poly(rng, degree, exact):
+    if exact:
+        return Poly([rc(F(rng.randint(-40, 40), rng.randint(1, 9)),
+                        F(rng.randint(-9, 9), rng.randint(1, 9)))
+                     for _ in range(degree + 1)], EXACT)
+    return Poly([complex(rng.uniform(-3, 3), rng.choice((0.0, -0.0, rng.uniform(-1, 1))))
+                 for _ in range(degree + 1)], FLOAT)
+
+
+def _contour_corpus():
+    """(p2, p1, phis) cases. The sigma^2 and sigma tau~ of seeded
+    four-point and confluent equations, whose roots 0 and 1 sit 0.05 off
+    the circle; roots on the circle at seeded angles; two close roots
+    that make a point drop; a root at a sample point itself."""
+    rng = random.Random(2606)
+    cases = []
+    for k in range(12):
+        exact = k % 2 == 0
+        wrap = (lambda v: rc(F(v).limit_denominator(100))) if exact else float
+        n = rng.randint(0, 4)
+        if k < 8:
+            label = rng.choice(HEUN_CLASSES).label
+            p = heun_params_for_class(
+                label, n, wrap(rng.uniform(1.3, 3.0)),
+                *(wrap(rng.uniform(-1.5, 1.5)) for _ in range(3)))
+            eq = heun_to_nu(p)
+        else:
+            label = rng.choice(CHE_CLASSES).label
+            p = che_params_for_class(
+                label, n, *(wrap(rng.uniform(-1.5, 1.5)) for _ in range(3)))
+            eq = che_to_nu(p)
+        psi = eq.psi_ode()
+        assert eq.backend == (EXACT if exact else FLOAT)
+        pi = _random_poly(rng, eq.sigma.degree, exact)
+        hand = PhiFactor(_random_poly(rng, 3, exact), tuple(
+            (root, complex(rng.uniform(-2, 2), rng.uniform(-1, 1)))
+            for root in eq.sigma.to_float().roots()))
+        cases.append((psi.p2, psi.p1, (None, _prefactor(eq.sigma, pi), hand)))
+    z = Poly.x(FLOAT)
+    for count in (1, 2, 3):
+        roots = [0.5 + 0.45 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                 for _ in range(count)]
+        p2 = Poly.one(FLOAT)
+        for root in roots:
+            p2 = p2 * (z - Poly.constant(root, FLOAT))
+        phi = PhiFactor(_random_poly(rng, 2, False), tuple(
+            (root, complex(rng.uniform(-1, 1))) for root in roots))
+        cases.append((p2, _random_poly(rng, 2, False), (None, phi)))
+    r1, r2 = 0.95 + 0.05j, 0.95 - 0.08j
+    p2 = (z - Poly.constant(r1, FLOAT)) * (z - Poly.constant(r2, FLOAT))
+    phi = PhiFactor(Poly([0.0, 0.3], FLOAT), ((r1, 0.25 + 0j), (r2, -0.5j)))
+    cases.append((p2, z * (0.7 + 0.2j) - 1.0, (None, phi)))
+    return cases
+
+
+@pytest.mark.parametrize("samples", [8, 17, 50])
+def test_contour_build_is_the_poly_call_build_to_the_bit(samples):
+    cases = _contour_corpus()
+    # a root exactly at sample point 3: a linear p2's root is -c0/c1 exactly
+    at_point = residual_contour(Poly.one(FLOAT), samples)[3]
+    p2 = Poly([-at_point, 1.0], FLOAT)
+    assert p2.roots() == [at_point]
+    cases.append((p2, Poly([0.2, -1.1j], FLOAT),
+                  (None, PhiFactor(Poly([0.0, 0.5j], FLOAT), ((at_point, 0.5),)))))
+    circle = set(residual_contour(Poly.one(FLOAT), samples))
+    pushed = dropped = 0
+    for p2, p1, phis in cases:
+        for phi in phis:
+            z, v2, v1, logd = _poly_call_contour(p2, p1, phi, samples)
+            got = ResidualContour(p2, p1, phi, samples)
+            assert _complex_bits(got.z) == _complex_bits(z)
+            assert _complex_bits(got.p2) == _complex_bits(v2)
+            assert _complex_bits(got.p1) == _complex_bits(v1)
+            assert (got.logd is None) == (logd is None)
+            for column, want in zip(got.logd or (), logd or (), strict=True):
+                assert _complex_bits(column) == _complex_bits(want)
+        pushed += not circle.issuperset(z)
+        dropped += len(z) < samples
+    assert pushed >= 3 and dropped >= 3
