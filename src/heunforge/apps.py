@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .che import CHE_CLASSES, CheParams, che_class_relation
 from .engine import NoBranchError, branch_from_pi, polynomial_solution
-from .family import accessory_family, class_family
+from .family import accessory_family, class_setup
 from .heun import heun_class, heun_nu_from_product
 from .oracle import frobenius_recurrence, series_coeffs, termination_solve
 from .poly import Poly
@@ -298,7 +298,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
             "residual %.3g)" % (parity, N, best[0], best[1])
         )
     label, gap = matched
-    family = class_family(CHE_CLASSES, p, label)
+    family = class_setup(CHE_CLASSES, p, label).family
     mu_values = termination_solve(family, N)
     if not mu_values:
         raise NoBranchError("no terminating accessory value at the level")

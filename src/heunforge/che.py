@@ -42,6 +42,7 @@ class CheParams:
         for name in ("alpha", "beta", "gamma", "mu", "nu"):
             object.__setattr__(self, name, as_scalar(getattr(self, name), backend))
         object.__setattr__(self, "_backend", backend)
+        object.__setattr__(self, "_setups", {})  # family.class_setup's, by label
 
     @property
     def backend(self):
@@ -170,14 +171,14 @@ def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
     ignored, and each value's nu is p's mu + nu minus that value), each
     with its residual on a `samples`-point contour.
 
-    Only sigma~ depends on mu, so the states share one setup (see
-    engine.eigenstates); each state equals che_eigenstate at its mu."""
-    params = [p.at(v) for v in values]
-    return family.states(CHE_CLASSES, p, label, n, params, samples)
+    Only sigma~ depends on mu, so the states share p's class setup with
+    che_accessory(p, ...); each state equals che_eigenstate at its mu."""
+    kappa = p.coupling
+    return family.states(CHE_CLASSES, p, label, n, values, lambda mu: mu + (kappa - mu), samples)
 
 
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.mu (and the nu stored in p), with its
     contour residual."""
-    return family.states(CHE_CLASSES, p, label, n, [p])[0]
+    return family.states(CHE_CLASSES, p, label, n, [p.mu], lambda mu: p.coupling)[0]

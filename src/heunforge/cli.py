@@ -337,7 +337,7 @@ def _solve_states(args, config: RunConfig):
         values = [_arg(args, "accessory", backend)]
     else:
         values = resolve(p, args.label, args.n)
-    if not all(isinstance(v, RationalComplex) for v in values):
+    if p.backend == EXACT and not all(isinstance(v, RationalComplex) for v in values):
         p = _float_params(p)
     return assemble(p, args.label, args.n, values, config.samples)
 
@@ -651,6 +651,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ZeroDivisionError as exc:
         print("error: division by zero (%s)" % exc, file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # an array refused for its size, as at -n 100000
+        print("error: out of memory (%s)" % (str(exc) or "allocation refused"), file=sys.stderr)
         return EXIT_USAGE
 
 

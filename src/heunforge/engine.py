@@ -28,11 +28,12 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite
 
-from .oracle import OdeForm, ResidualContour, coefficient_map
+from .oracle import OdeFamily, OdeForm, ResidualContour, coefficient_map
 from .poly import Poly
 from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, negligible, sqrt_exact
 
@@ -816,35 +817,47 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
 
 def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
     """Degree-n eigenstates on the branch with this pi, one for each
-    (accessory, sigma~) pair in `shifts`, on the sigma and tau~ of eq.
-
-    The accessory parameter enters only sigma~, as -accessory * sigma,
-    so it moves h and nothing else of the branch. So branch_from_pi(eq,
-    pi), the terms pi adds to sigma~, the coefficient map of
-    sigma y'' + tau y' (h = 0, tau = tau~ + 2 pi), the prefactor and the
-    residual contour (`samples` points) are built once. Each state then
-    reduces its own sigma~ to h as reduce_branch does, quantizes and
-    solves the map with its h for the polynomial, in that order. After
-    the last state, one array pass over the stacked polynomials and
-    sigma~ gives all residuals (ResidualContour.residuals).
-    """
+    (accessory, sigma~) pair in `shifts`: BranchSetup(eq, pi).states."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    # a collapsed branch replaces pi by (sigma' - tau~)/2
-    pi = branch_from_pi(eq, pi).pi
-    terms = _sigma_bar_terms(eq, pi)
-    tau = eq.tau_tilde + pi + pi
-    fixed = _fixed_map(eq.sigma, tau, n)
-    phi = _prefactor(eq.sigma, pi)
-    psi = eq.psi_ode()
-    contour = ResidualContour(psi.p2, psi.p1, phi, samples)
-    solved, polys, p0s = [], [], []
-    for accessory, sigma_tilde in shifts:
-        rf = _reduce(eq, sigma_tilde, tau, terms)
-        solved.append((accessory, _quantize(eq.sigma, eq.mode, rf, n)))
-        polys.append(_null_polynomial(fixed, rf, n))
-        p0s.append(sigma_tilde)
-    residuals = contour.residuals(polys, p0s)
-    return [Eigenstate(n=n, accessory=accessory, quantization=qr, phi=phi,
-                       poly=poly, residual=r)
-            for (accessory, qr), poly, r in zip(solved, polys, residuals)]
+    return BranchSetup(eq, pi).states(n, shifts, samples)
+
+
+class BranchSetup:
+    """What every accessory value shares on the branch with this pi: the
+    accessory enters only sigma~, as -accessory * sigma, and moves only h.
+    So branch_from_pi(eq, pi), the terms pi adds to sigma~ and tau = tau~
+    + 2 pi are built once, and the accessory `family` on first use."""
+
+    def __init__(self, eq: NuEquation, pi: Poly):
+        # a collapsed branch replaces pi by (sigma' - tau~)/2
+        self.eq, self.pi = eq, branch_from_pi(eq, pi).pi
+        self.terms, self.tau = _sigma_bar_terms(eq, self.pi), eq.tau_tilde + self.pi + self.pi
+
+    @cached_property
+    def family(self) -> OdeFamily:
+        """The reduced equation for y in t: eq at t = 0, sigma~ - t sigma."""
+        eq = self.eq
+        rf = _reduce(eq, eq.sigma_tilde, self.tau, self.terms)
+        return OdeFamily(rf.ode(eq), Poly.constant(as_scalar(-1, eq.backend), eq.backend))
+
+    def states(self, n: int, shifts, samples: int = 50):
+        """Degree-n eigenstates, one per (accessory, sigma~) pair in `shifts`,
+        on one map of sigma y'' + tau y' (h = 0), prefactor and contour: each
+        state reduces its sigma~ to h as reduce_branch does, quantizes and
+        solves the map with its h; one array pass gives all residuals."""
+        eq, pi, terms, tau = self.eq, self.pi, self.terms, self.tau
+        fixed = _fixed_map(eq.sigma, tau, n)
+        phi = _prefactor(eq.sigma, pi)
+        psi = eq.psi_ode()
+        contour = ResidualContour(psi.p2, psi.p1, phi, samples)
+        solved, polys, p0s = [], [], []
+        for accessory, sigma_tilde in shifts:
+            rf = _reduce(eq, sigma_tilde, tau, terms)
+            solved.append((accessory, _quantize(eq.sigma, eq.mode, rf, n)))
+            polys.append(_null_polynomial(fixed, rf, n))
+            p0s.append(sigma_tilde)
+        residuals = contour.residuals(polys, p0s)
+        return [Eigenstate(n=n, accessory=accessory, quantization=qr, phi=phi,
+                           poly=poly, residual=r)
+                for (accessory, qr), poly, r in zip(solved, polys, residuals)]

@@ -4,19 +4,20 @@ Both put a class-fixed coupling kappa and the accessory value t into
 sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
 kappa = mu + nu and t = mu in che.py. A params record supplies `backend`,
 `coupling`, `accessory`, `at(t)`, `to_nu()`, `relation_scale` (the float
-scale of the class relation) and `coupling_name`; a class supplies
-`label`, `flags`, `parts(p)`, `pi(p)` (flagged_sum of its flags over its
-parts) and `coupling_at(p, n)`, the kappa of degree-n solutions.
+scale of the class relation), `coupling_name` and `_setups` (a dict for
+class_setup); a class supplies `label`, `flags`, `parts(p)`, `pi(p)`
+(flagged_sum of its flags over its parts) and `coupling_at(p, n)`, the
+kappa of degree-n solutions. t moves no class branch (class_setup).
 """
 
 from __future__ import annotations
 
 import cmath
 
-from .engine import NoBranchError, branch_from_pi, eigenstates, reduce_branch
+from .engine import BranchSetup, NoBranchError
 from .oracle import OdeFamily, termination_solve
 from .poly import Poly
-from .scalars import as_scalar, negligible
+from .scalars import as_scalar, infer_backend, negligible
 
 RELATION_TOL = 1e-8
 
@@ -63,34 +64,36 @@ def check_relation(classes, p, label, n: int):
 def accessory_family(eq0, pi: Poly) -> OdeFamily:
     """The reduced equation for y on the branch with this pi, as a family
     in t: eq0 is the equation at t = 0, and t enters sigma~ as -t sigma."""
-    rf = reduce_branch(eq0, branch_from_pi(eq0, pi))
-    backend = eq0.backend
-    return OdeFamily(rf.ode(eq0), Poly.constant(as_scalar(-1, backend), backend))
+    return BranchSetup(eq0, pi).family
 
 
-def class_family(classes, p, label) -> OdeFamily:
-    """accessory_family of the class at p's coupling."""
-    p0 = p.at(as_scalar(0, p.backend))
-    return accessory_family(p0.to_nu(), find_class(classes, label).pi(p0))
+def class_setup(classes, p, label) -> BranchSetup:
+    """The BranchSetup of the class pi on the class equation at t = 0, built
+    once per record and class and kept on the record: found by identity,
+    since records that are == can differ in a signed zero."""
+    cls = find_class(classes, label)
+    setup = p._setups.get(cls.label)
+    if setup is None:
+        p0 = p.at(as_scalar(0, p.backend))
+        setup = p._setups[cls.label] = BranchSetup(p0.to_nu(), cls.pi(p0))
+    return setup
 
 
 def accessory(classes, p, label, n: int):
     """Accessory values of degree-n class solutions: the validated
     eigenvalues of the class equation's degree-n coefficient map."""
     check_relation(classes, p, label, n)
-    return termination_solve(class_family(classes, p, label), n)
+    return termination_solve(class_setup(classes, p, label).family, n)
 
 
-def states(classes, p, label, n: int, params, samples=50):
-    """Degree-n eigenstates of the class, one per record in `params` (p at
-    other accessory values), all from one engine.eigenstates setup."""
-    if not params:
+def states(classes, p, label, n: int, values, coupling, samples=50):
+    """Degree-n eigenstates of the class on p's class_setup, one per
+    accessory value t in `values` (refused where p.at(t) would refuse it),
+    each with coupling(t) as kappa."""
+    values = [as_scalar(t, infer_backend((p.accessory, t))) for t in values]
+    if not values:
         return []
     check_relation(classes, p, label, n)
-    eq = p.to_nu()
-    shifts = (
-        (pv.accessory,
-         sigma_tilde(eq.sigma, pv.coupling, pv.accessory, pv.backend))
-        for pv in params
-    )
-    return eigenstates(eq, find_class(classes, label).pi(p), n, shifts, samples)
+    setup = class_setup(classes, p, label)
+    shifts = ((t, sigma_tilde(setup.eq.sigma, coupling(t), t, p.backend)) for t in values)
+    return setup.states(n, shifts, samples)

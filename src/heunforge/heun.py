@@ -48,6 +48,7 @@ class HeunParams:
         for name in ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon"):
             object.__setattr__(self, name, as_scalar(getattr(self, name), backend))
         object.__setattr__(self, "_backend", backend)
+        object.__setattr__(self, "_setups", {})  # family.class_setup's, by label
         if negligible(self.a, 1e-12) or negligible(self.a - 1, 1e-12):
             raise ValueError("the third singular point a must differ from 0 and 1")
         gap = self.epsilon - (
@@ -213,13 +214,12 @@ def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
     accessory value q in `values` (a sequence; the q stored in p is
     ignored), each with its residual on a `samples`-point contour.
 
-    Only sigma~ depends on q, so the states share one setup (see
-    engine.eigenstates); each state equals heun_eigenstate at its q."""
-    params = [p.at(v) for v in values]
-    return family.states(HEUN_CLASSES, p, label, n, params, samples)
+    Only sigma~ depends on q, so the states share p's class setup with
+    heun_accessory(p, ...); each state equals heun_eigenstate at its q."""
+    return family.states(HEUN_CLASSES, p, label, n, values, lambda q: p.product, samples)
 
 
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.q, with its contour residual."""
-    return family.states(HEUN_CLASSES, p, label, n, [p])[0]
+    return family.states(HEUN_CLASSES, p, label, n, [p.q], lambda q: p.product)[0]

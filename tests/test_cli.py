@@ -737,3 +737,58 @@ def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
         # one line, as json.dumps(sort_keys=True) writes it, and strict
         doc = json.loads(out, parse_constant=_refuse_constant)
         assert json.dumps(doc, sort_keys=True) + "\n" == out
+
+
+SOLVE_CHE_ARGS = ["solve", "che", "--class", "1", "-n", "2", "--alpha", "3/2",
+                  "--beta", "1/3", "--gamma", "2/5"]
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (SOLVE_HEUN_ARGS, 1),
+    (SOLVE_CHE_ARGS, 1),
+    # an exact setup for the values, a float one for the states on the
+    # float copy of the parameters
+    (SOLVE_HEUN_ARGS + ["--backend", "exact"], 2),
+    (SOLVE_CHE_ARGS + ["--backend", "exact"], 2),
+], ids=["heun-float", "che-float", "heun-exact", "che-exact"])
+def test_one_class_build_per_solve(monkeypatch, capsys, argv, builds):
+    # the accessory call and the eigenstates of one record share its
+    # class setup, so the class branch is recovered from its pi once
+    from heunforge import engine
+
+    original = engine.branch_from_pi
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heunforge") and \
+                getattr(module, "branch_from_pi", None) is original:
+            monkeypatch.setattr(module, "branch_from_pi", counted)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["states"]
+    assert len(calls) == builds
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "heun", "--class", "I", "-n", "100000", "--a", "19/10",
+     "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4"],
+    ["app", "electrons-sphere", "--n", "100000", "--gamma", "1", "--delta", "1"],
+    ["app", "double-well", "--n", "100000", "--d", "1", "--u0", "25"],
+], ids=["solve", "electrons-sphere", "double-well"])
+def test_refused_allocation_is_a_usage_error(monkeypatch, capsys, argv):
+    # a degree-100000 coefficient map asks numpy for 149 GiB; where the
+    # allocation is refused, numpy raises MemoryError. It is simulated:
+    # a host that overcommits kills the process instead of refusing.
+    from heunforge import floatkernel
+
+    def refuse(shape, zero):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape %s" % (shape,))
+
+    monkeypatch.setattr(floatkernel, "full", refuse)
+    expected = "error: out of memory (Unable to allocate 149. GiB for an " \
+        "array with shape (100002, 100001))\n"
+    assert run(capsys, *argv) == (EXIT_USAGE, "", expected)

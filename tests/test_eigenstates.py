@@ -9,6 +9,7 @@ import pytest
 
 from heunforge import (
     CHE_CLASSES,
+    EXACT,
     FLOAT,
     HEUN_CLASSES,
     Eigenstate,
@@ -33,8 +34,9 @@ from heunforge import (
     polynomial_solution,
     quantization,
 )
+from heunforge import cli
 from heunforge.engine import eigenstates
-from heunforge.family import check_relation
+from heunforge.family import check_relation, class_setup
 
 DEGREES = range(1, 9)
 
@@ -256,3 +258,87 @@ def test_collapsed_branch_follows_branch_from_pi():
         ref = _reference_state(heun_to_nu(replace(p, q=q)), Poly.zero(FLOAT),
                                2, q)
         _assert_same_state(state, ref)
+
+
+def _bits(state):
+    """float.hex of both parts of the poly, residual, accessory,
+    constant_offset and phi of a state."""
+    def parts(c):
+        c = complex(c)
+        return c.real.hex(), c.imag.hex()
+
+    return (tuple(map(parts, state.poly.coeffs)), state.residual.hex(),
+            parts(state.accessory), parts(state.quantization.constant_offset),
+            tuple(map(parts, state.phi.exp_part.coeffs)),
+            tuple((parts(r), parts(e)) for r, e in state.phi.powers))
+
+
+
+def _heun_reference(p, label, n, v):
+    return _reference_heun(replace(p, q=v), label, n)
+
+
+def _che_reference(p, label, n, v):
+    return _reference_che(replace(p, mu=v, nu=p.coupling - v), label, n)
+
+
+_HEUN = (HEUN_CLASSES, heun_accessory, heun_eigenstates, _heun_reference)
+_CHE = (CHE_CLASSES, che_accessory, che_eigenstates, _che_reference)
+
+
+def _kept_setup_cases():
+    rc = RationalComplex
+    # (family, label, n, [make, ...]): each make() builds a new record, and
+    # the records are solved one after the other, as the CLI solves them
+    yield "heun-after-accessory", _HEUN, "II", 3, [
+        lambda: heun_params_for_class("II", 3, 1.9, 0.6, 0.8, 0.7)]
+    yield "che-after-accessory", _CHE, "5", 3, [
+        lambda: che_params_for_class("5", 3, 1.5, F(1, 3), 0.4)]
+    # == records that differ in a signed zero
+    yield "heun-signed-zero", _HEUN, "I", 2, [
+        lambda: heun_params_for_class("I", 2, 1.9, 0.5, -0.0, 0.75),
+        lambda: heun_params_for_class("I", 2, 1.9, 0.5, 0.0, 0.75)]
+    yield "che-signed-zero", _CHE, "3", 2, [
+        lambda: che_params_for_class("3", 2, 1.5, -0.0, 0.4),
+        lambda: che_params_for_class("3", 2, 1.5, 0.0, 0.4)]
+    # an exact record: its float values are assembled on its float copy
+    yield "heun-float-copy", _HEUN, "V", 1, [lambda: heun_params_for_class(
+        "V", 1, rc(3), rc(F(13, 2)), rc(F(-2, 3)), rc(F(-8, 3)))]
+    yield "che-float-copy", _CHE, "6", 1, [lambda: che_params_for_class(
+        "6", 1, rc(F(17, 6)), rc(F(17, 4)), rc(F(7, 3)))]
+    # a record whose stored accessory value is not 0
+    yield "heun-stored-q", _HEUN, "IV", 2, [
+        lambda: heun_params_for_class("IV", 2, 1.9, 0.6, 0.8, 0.7, q=0.37)]
+    yield "che-stored-mu", _CHE, "8", 2, [
+        lambda: che_params_for_class("8", 2, 1.5, F(1, 3), 0.4, mu=-0.25)]
+
+
+def _as_cli(p, values):
+    """The record the CLI assembles these values on (cli._solve_states)."""
+    if p.backend == FLOAT or all(isinstance(v, RationalComplex) for v in values):
+        return p
+    return cli._float_params(p)
+
+
+@pytest.mark.parametrize("case", list(_kept_setup_cases()), ids=lambda c: c[0])
+def test_kept_setup_belongs_to_one_record(case):
+    # a record keeps the class setup its accessory call builds, and its
+    # states are those of a fresh record with the same fields, and those
+    # assembled state by state from scratch
+    _, (classes, resolve, assemble, reference), label, n, makes = case
+    solved = []
+    for make in makes:
+        p = make()
+        values = resolve(p, label, n)
+        if p.backend == EXACT:
+            assert class_setup(classes, p, label).eq.backend == EXACT
+        p = _as_cli(p, values)
+        solved.append((p, values, assemble(p, label, n, values)))
+    for (p, values, states), make in zip(solved, makes):
+        fresh = _as_cli(make(), values)
+        assert fresh is not p and fresh == p
+        bits = [_bits(s) for s in states]
+        assert bits == [_bits(s) for s in assemble(fresh, label, n, values)]
+        assert bits == [_bits(reference(p, label, n, v)) for v in values]
+    setups = [class_setup(classes, p, label) for p, _, _ in solved]
+    assert len({id(s) for s in setups}) == len(setups)
