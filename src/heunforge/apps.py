@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .che import CHE_CLASSES, CheParams, che_class_relation
-from .engine import NoBranchError, branch_from_pi, polynomial_solution
-from .family import accessory_family, class_setup
+from .che import CheParams, che_class_relation
+from .engine import BranchSetup, NoBranchError, polynomial_solution
+from .family import class_setup
 from .heun import heun_class, heun_nu_from_product
 from .oracle import frobenius_recurrence, series_coeffs, termination_solve
 from .poly import Poly
@@ -149,9 +149,9 @@ def electrons_sphere_state(
     if gamma_param == 0.0:
         raise ValueError("gamma must be nonzero")
     eq0 = _electrons_equation(n, gamma_param, delta_param, 0.0)
-    family = accessory_family(eq0, Poly.zero(FLOAT))
+    setup = BranchSetup(eq0, Poly.zero(FLOAT))
     candidates = []
-    for root in termination_solve(family, n):
+    for root in termination_solve(setup.family, n):
         if abs(root.imag) > 1e-9 * (1.0 + abs(root)):
             continue
         radius = -root.real / 2.0
@@ -162,7 +162,7 @@ def electrons_sphere_state(
     radius, q = max(candidates)
     energy = n * (n + delta_param - 1) / (4 * radius * radius)
     eq = _electrons_equation(n, gamma_param, delta_param, q)
-    poly = polynomial_solution(eq, branch_from_pi(eq, Poly.zero(FLOAT)), n)
+    poly = polynomial_solution(eq, setup.branch, n)
     roots = tuple(poly.roots())
     return ElectronsSphereState(
         n=n,
@@ -298,7 +298,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
             "residual %.3g)" % (parity, N, best[0], best[1])
         )
     label, gap = matched
-    family = class_setup(CHE_CLASSES, p, label).family
+    family = class_setup(p, label).family
     mu_values = termination_solve(family, N)
     if not mu_values:
         raise NoBranchError("no terminating accessory value at the level")

@@ -27,58 +27,11 @@ from .scalars import as_scalar, infer_backend
 
 
 @dataclass(frozen=True)
-class CheParams:
-    """Parameters (alpha, beta, gamma; mu, nu)."""
-
-    alpha: object
-    beta: object
-    gamma: object
-    mu: object
-    nu: object
-
-    def __post_init__(self):
-        values = [self.alpha, self.beta, self.gamma, self.mu, self.nu]
-        backend = infer_backend(values)
-        for name in ("alpha", "beta", "gamma", "mu", "nu"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name), backend))
-        object.__setattr__(self, "_backend", backend)
-        object.__setattr__(self, "_setups", {})  # family.class_setup's, by label
-
-    @property
-    def backend(self):
-        return self._backend
-
-    # the family.py record interface: kappa = mu + nu, t = mu
-    coupling_name = "mu + nu"
-
-    @property
-    def coupling(self):
-        return self.mu + self.nu
-
-    @property
-    def accessory(self):
-        return self.mu
-
-    @property
-    def relation_scale(self):
-        return max(1.0, abs(self.coupling), abs(self.alpha))
-
-    def at(self, mu) -> "CheParams":
-        """The record at accessory value mu, mu + nu held fixed."""
-        return replace(self, mu=mu, nu=self.coupling - mu)
-
-    def to_nu(self) -> NuEquation:
-        return che_to_nu(self)
-
-
-@dataclass(frozen=True)
-class CheClass:
+class CheClass(family.FamilyClass):
     """One polynomial-solution class. flags mark which prefactor pieces
     (exp(-alpha z), z^(-beta), (z-1)^(-gamma)) the eigenfunction uses;
     coupling_value gives the class condition on mu + nu."""
 
-    label: str
-    flags: tuple
     _shift: tuple  # (const, beta coeff, gamma coeff, n coeff) of (mu+nu)/alpha
 
     @staticmethod
@@ -93,9 +46,6 @@ class CheClass:
             (z - one) * (-p.beta),
             z * (-p.gamma),
         )
-
-    def pi(self, p: CheParams) -> Poly:
-        return family.flagged_sum(self.flags, self.parts(p))
 
     def coupling_value(self, n: int, alpha, beta, gamma):
         """The value of mu + nu admitting degree-n solutions."""
@@ -120,10 +70,6 @@ CHE_CLASSES = (
 )
 
 
-def che_class(label) -> CheClass:
-    return family.find_class(CHE_CLASSES, label)
-
-
 def che_to_nu(p: CheParams) -> NuEquation:
     backend = p.backend
     z = Poly.x(backend)
@@ -136,6 +82,46 @@ def che_to_nu(p: CheParams) -> NuEquation:
     return NuEquation(
         tau_tilde, sigma, sigma_tilde(sigma, p.coupling, p.mu, backend), EXTENDED
     )
+
+
+@dataclass(frozen=True)
+class CheParams(family.FamilyParams):
+    """Parameters (alpha, beta, gamma; mu, nu)."""
+
+    alpha: object
+    beta: object
+    gamma: object
+    mu: object
+    nu: object
+
+    # the family.py record interface: kappa = mu + nu, t = mu
+    CLASSES = CHE_CLASSES
+    coupling_name = "mu + nu"
+    to_nu = che_to_nu
+
+    @property
+    def coupling(self):
+        return self.mu + self.nu
+
+    @property
+    def accessory(self):
+        return self.mu
+
+    @property
+    def relation_scale(self):
+        return max(1.0, abs(self.coupling), abs(self.alpha))
+
+    def at(self, mu) -> "CheParams":
+        """The record at accessory value mu, mu + nu held fixed."""
+        return replace(self, mu=mu, nu=self.coupling - mu)
+
+    def coupling_with(self, mu):
+        """mu + nu of the state at mu, as p.at(mu) holds it."""
+        return mu + (self.coupling - mu)
+
+
+def che_class(label) -> CheClass:
+    return family.find_class(CHE_CLASSES, label)
 
 
 def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
@@ -154,7 +140,7 @@ def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
 def che_class_relation(p: CheParams, label, n: int):
     """Residual of the class condition on mu + nu at degree n; zero
     exactly when degree-n polynomial solutions are admissible."""
-    return family.class_relation(CHE_CLASSES, p, label, n)
+    return family.class_relation(p, label, n)
 
 
 def che_accessory(p: CheParams, label, n: int):
@@ -162,7 +148,7 @@ def che_accessory(p: CheParams, label, n: int):
     stored in p is ignored; mu + nu is held at the class value): the
     n+1 eigenvalues of the degree-n coefficient map, each validated by
     its backward error."""
-    return family.accessory(CHE_CLASSES, p, label, n)
+    return family.accessory(p, label, n)
 
 
 def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
@@ -173,12 +159,11 @@ def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
 
     Only sigma~ depends on mu, so the states share p's class setup with
     che_accessory(p, ...); each state equals che_eigenstate at its mu."""
-    kappa = p.coupling
-    return family.states(CHE_CLASSES, p, label, n, values, lambda mu: mu + (kappa - mu), samples)
+    return family.states(p, label, n, values, samples)
 
 
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.mu (and the nu stored in p), with its
     contour residual."""
-    return family.states(CHE_CLASSES, p, label, n, [p.mu], lambda mu: p.coupling)[0]
+    return family._states(p, label, n, [(p.mu, p.coupling)])[0]

@@ -46,7 +46,6 @@ from .apps import (
 )
 from .che import (
     CHE_CLASSES,
-    CheParams,
     che_accessory,
     che_eigenstates,
     che_params_for_class,
@@ -161,13 +160,11 @@ def _cell(value) -> str:
 # -- family detection ---------------------------------------------------------
 
 
-def _accessory_quotient(eq: NuEquation):
-    """sigma~ / sigma when the division is exact and affine, else None."""
+def _accessory_factors(eq: NuEquation) -> bool:
+    """Whether sigma~ / sigma is exact and affine."""
     quot, rem = eq.sigma_tilde.divrem(eq.sigma)
     bound = 1e-10 * max(eq.sigma_tilde.max_abs(), 1.0)
-    if not rem.negligible(bound) or quot.degree > 1:
-        return None
-    return quot
+    return rem.negligible(bound) and quot.degree <= 1
 
 
 def _match_heun(eq: NuEquation):
@@ -183,7 +180,7 @@ def _match_heun(eq: NuEquation):
         return None
     if negligible(a, 1e-12) or negligible(a - 1, 1e-12):
         return None
-    if _accessory_quotient(eq) is None:
+    if not _accessory_factors(eq):
         return None
     tt = eq.tau_tilde
     return SimpleNamespace(
@@ -196,23 +193,22 @@ def _match_heun(eq: NuEquation):
 
 
 def _match_che(eq: NuEquation):
-    """CheParams when sigma = z(z-1) and sigma~ factors through sigma,
-    else None."""
+    """Exponent parameters when sigma = z(z-1) and sigma~ factors through
+    sigma, else None."""
     sig = eq.sigma
     if eq.mode != EXTENDED or sig.degree != 2:
         return None
     if not (Poly([0, -1, 1], eq.backend) - sig).negligible(1e-12):
         return None
-    quot = _accessory_quotient(eq)
-    if quot is None:
+    if not _accessory_factors(eq):
         return None
     tt = eq.tau_tilde
-    alpha = tt.coeff(2)
-    beta = -1 - tt(0)
-    gamma = tt(1) - 1
-    mu = -quot.coeff(0)
-    nu = quot.coeff(1) - mu
-    return CheParams(alpha, beta, gamma, mu, nu)
+    return SimpleNamespace(
+        alpha=tt.coeff(2),
+        beta=-1 - tt(0),
+        gamma=tt(1) - 1,
+        backend=eq.backend,
+    )
 
 
 def _class_catalog(heun_p, che_p):

@@ -815,24 +815,18 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
     return poly
 
 
-def eigenstates(eq: NuEquation, pi: Poly, n: int, shifts, samples: int = 50):
-    """Degree-n eigenstates on the branch with this pi, one for each
-    (accessory, sigma~) pair in `shifts`: BranchSetup(eq, pi).states."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return BranchSetup(eq, pi).states(n, shifts, samples)
-
-
 class BranchSetup:
     """What every accessory value shares on the branch with this pi: the
     accessory enters only sigma~, as -accessory * sigma, and moves only h.
-    So branch_from_pi(eq, pi), the terms pi adds to sigma~ and tau = tau~
-    + 2 pi are built once, and the accessory `family` on first use."""
+    So branch_from_pi(eq, pi), kept as `branch`, the terms pi adds to
+    sigma~ and tau = tau~ + 2 pi are built once, and the accessory
+    `family` on first use."""
 
     def __init__(self, eq: NuEquation, pi: Poly):
         # a collapsed branch replaces pi by (sigma' - tau~)/2
-        self.eq, self.pi = eq, branch_from_pi(eq, pi).pi
-        self.terms, self.tau = _sigma_bar_terms(eq, self.pi), eq.tau_tilde + self.pi + self.pi
+        self.eq, self.branch = eq, branch_from_pi(eq, pi)
+        pi = self.branch.pi
+        self.terms, self.tau = _sigma_bar_terms(eq, pi), eq.tau_tilde + pi + pi
 
     @cached_property
     def family(self) -> OdeFamily:
@@ -846,7 +840,7 @@ class BranchSetup:
         on one map of sigma y'' + tau y' (h = 0), prefactor and contour: each
         state reduces its sigma~ to h as reduce_branch does, quantizes and
         solves the map with its h; one array pass gives all residuals."""
-        eq, pi, terms, tau = self.eq, self.pi, self.terms, self.tau
+        eq, pi, terms, tau = self.eq, self.branch.pi, self.terms, self.tau
         fixed = _fixed_map(eq.sigma, tau, n)
         phi = _prefactor(eq.sigma, pi)
         psi = eq.psi_ode()

@@ -2,24 +2,54 @@
 
 Both put a class-fixed coupling kappa and the accessory value t into
 sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
-kappa = mu + nu and t = mu in che.py. A params record supplies `backend`,
-`coupling`, `accessory`, `at(t)`, `to_nu()`, `relation_scale` (the float
-scale of the class relation), `coupling_name` and `_setups` (a dict for
-class_setup); a class supplies `label`, `flags`, `parts(p)`, `pi(p)`
-(flagged_sum of its flags over its parts) and `coupling_at(p, n)`, the
-kappa of degree-n solutions. t moves no class branch (class_setup).
+kappa = mu + nu and t = mu in che.py. A family's params record, a frozen
+dataclass on FamilyParams, supplies `CLASSES` (its class table),
+`coupling`, `coupling_name`, `accessory`, `relation_scale` (the float
+scale of the class relation), `at(t)`, `to_nu()` and, where the state at
+t has a kappa of its own, `coupling_with(t)`. Its classes, frozen
+dataclasses on FamilyClass, supply `parts(p)` (the family's pi parts)
+and `coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
+takes (p, label, ...). t moves no class branch (class_setup).
 """
 
 from __future__ import annotations
 
 import cmath
+from dataclasses import dataclass
 
 from .engine import BranchSetup, NoBranchError
-from .oracle import OdeFamily, termination_solve
+from .oracle import termination_solve
 from .poly import Poly
 from .scalars import as_scalar, infer_backend, negligible
 
 RELATION_TOL = 1e-8
+
+
+class FamilyParams:
+    """A params record: its fields in the one backend they infer, which is
+    `backend`, and class_setup's by label in `_setups`."""
+
+    def __post_init__(self):
+        fields = self.__dict__  # the dataclass fields alone, in order, so far
+        backend = infer_backend(fields.values())
+        for name, value in fields.items():
+            fields[name] = as_scalar(value, backend)
+        fields["backend"], fields["_setups"] = backend, {}
+
+    def coupling_with(self, t):
+        """kappa of the state at accessory value t: the record's own."""
+        return self.coupling
+
+
+@dataclass(frozen=True)
+class FamilyClass:
+    """flags mark which of its family's pi parts the class pi sums."""
+
+    label: str
+    flags: tuple
+
+    def pi(self, p) -> Poly:
+        return flagged_sum(self.flags, self.parts(p))
 
 
 def find_class(classes, label):
@@ -44,14 +74,14 @@ def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
     return (Poly.x(backend) * coupling - Poly.constant(accessory, backend)) * sigma
 
 
-def class_relation(classes, p, label, n: int):
+def class_relation(p, label, n: int):
     """Residual of the class condition on the coupling at degree n; zero
     exactly when degree-n polynomial solutions are admissible."""
-    return p.coupling - find_class(classes, label).coupling_at(p, n)
+    return p.coupling - find_class(p.CLASSES, label).coupling_at(p, n)
 
 
-def check_relation(classes, p, label, n: int):
-    gap = class_relation(classes, p, label, n)
+def check_relation(p, label, n: int):
+    gap = class_relation(p, label, n)
     if isinstance(gap, complex) and not cmath.isfinite(gap):
         raise OverflowError("class relation overflows the float range")
     if not negligible(gap, RELATION_TOL * p.relation_scale):
@@ -61,17 +91,11 @@ def check_relation(classes, p, label, n: int):
         )
 
 
-def accessory_family(eq0, pi: Poly) -> OdeFamily:
-    """The reduced equation for y on the branch with this pi, as a family
-    in t: eq0 is the equation at t = 0, and t enters sigma~ as -t sigma."""
-    return BranchSetup(eq0, pi).family
-
-
-def class_setup(classes, p, label) -> BranchSetup:
+def class_setup(p, label) -> BranchSetup:
     """The BranchSetup of the class pi on the class equation at t = 0, built
     once per record and class and kept on the record: found by identity,
     since records that are == can differ in a signed zero."""
-    cls = find_class(classes, label)
+    cls = find_class(p.CLASSES, label)
     setup = p._setups.get(cls.label)
     if setup is None:
         p0 = p.at(as_scalar(0, p.backend))
@@ -79,21 +103,26 @@ def class_setup(classes, p, label) -> BranchSetup:
     return setup
 
 
-def accessory(classes, p, label, n: int):
+def accessory(p, label, n: int):
     """Accessory values of degree-n class solutions: the validated
     eigenvalues of the class equation's degree-n coefficient map."""
-    check_relation(classes, p, label, n)
-    return termination_solve(class_setup(classes, p, label).family, n)
+    check_relation(p, label, n)
+    return termination_solve(class_setup(p, label).family, n)
 
 
-def states(classes, p, label, n: int, values, coupling, samples=50):
+def states(p, label, n: int, values, samples=50):
     """Degree-n eigenstates of the class on p's class_setup, one per
     accessory value t in `values` (refused where p.at(t) would refuse it),
-    each with coupling(t) as kappa."""
+    each with p.coupling_with(t) as kappa."""
     values = [as_scalar(t, infer_backend((p.accessory, t))) for t in values]
-    if not values:
+    return _states(p, label, n, [(t, p.coupling_with(t)) for t in values], samples)
+
+
+def _states(p, label, n: int, pairs, samples=50):
+    """states, one per (t, kappa) pair in `pairs`."""
+    if not pairs:
         return []
-    check_relation(classes, p, label, n)
-    setup = class_setup(classes, p, label)
-    shifts = ((t, sigma_tilde(setup.eq.sigma, coupling(t), t, p.backend)) for t in values)
+    check_relation(p, label, n)
+    setup = class_setup(p, label)
+    shifts = ((t, sigma_tilde(setup.eq.sigma, kappa, t, p.backend)) for t, kappa in pairs)
     return setup.states(n, shifts, samples)

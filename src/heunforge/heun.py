@@ -30,70 +30,9 @@ from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
 
 
 @dataclass(frozen=True)
-class HeunParams:
-    """Parameters (a; q; alpha, beta, gamma, delta, epsilon)."""
-
-    a: object
-    q: object
-    alpha: object
-    beta: object
-    gamma: object
-    delta: object
-    epsilon: object
-
-    def __post_init__(self):
-        values = [self.a, self.q, self.alpha, self.beta, self.gamma,
-                  self.delta, self.epsilon]
-        backend = infer_backend(values)
-        for name in ("a", "q", "alpha", "beta", "gamma", "delta", "epsilon"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name), backend))
-        object.__setattr__(self, "_backend", backend)
-        object.__setattr__(self, "_setups", {})  # family.class_setup's, by label
-        if negligible(self.a, 1e-12) or negligible(self.a - 1, 1e-12):
-            raise ValueError("the third singular point a must differ from 0 and 1")
-        gap = self.epsilon - (
-            self.alpha + self.beta - self.gamma - self.delta + as_scalar(1, backend)
-        )
-        if not negligible(gap, 1e-10 * max(1.0, abs(self.epsilon))):
-            raise ValueError(
-                "exponent-sum constraint violated: epsilon must equal "
-                "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)
-            )
-
-    @property
-    def backend(self):
-        return self._backend
-
-    @property
-    def product(self):
-        return self.alpha * self.beta
-
-    # the family.py record interface: kappa = alpha*beta, t = q
-    coupling = product
-    coupling_name = "alpha*beta"
-
-    @property
-    def accessory(self):
-        return self.q
-
-    @property
-    def relation_scale(self):
-        return max(1.0, abs(self.product))
-
-    def at(self, q) -> "HeunParams":
-        return replace(self, q=q)
-
-    def to_nu(self) -> NuEquation:
-        return heun_to_nu(self)
-
-
-@dataclass(frozen=True)
-class HeunClass:
+class HeunClass(family.FamilyClass):
     """One polynomial-solution class. flags mark which finite singular
     points (0, 1, a) use their shifted exponent in the prefactor."""
-
-    label: str
-    flags: tuple
 
     @staticmethod
     def parts(p) -> tuple:
@@ -109,9 +48,6 @@ class HeunClass:
             z * (z - ac) * (unit - p.delta),
             z * (z - one) * (unit - p.epsilon),
         )
-
-    def pi(self, p: HeunParams) -> Poly:
-        return family.flagged_sum(self.flags, self.parts(p))
 
     def product_value(self, n: int, gamma, delta, epsilon):
         """The value of alpha*beta admitting degree-n solutions."""
@@ -144,10 +80,6 @@ HEUN_CLASSES = (
 )
 
 
-def heun_class(label) -> HeunClass:
-    return family.find_class(HEUN_CLASSES, label)
-
-
 def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
     """Equation built from alpha*beta directly (the split into alpha and
     beta never enters the polynomial form)."""
@@ -175,6 +107,57 @@ def heun_to_nu(p: HeunParams) -> NuEquation:
     )
 
 
+@dataclass(frozen=True)
+class HeunParams(family.FamilyParams):
+    """Parameters (a; q; alpha, beta, gamma, delta, epsilon)."""
+
+    a: object
+    q: object
+    alpha: object
+    beta: object
+    gamma: object
+    delta: object
+    epsilon: object
+
+    def __post_init__(self):
+        super().__post_init__()
+        if negligible(self.a, 1e-12) or negligible(self.a - 1, 1e-12):
+            raise ValueError("the third singular point a must differ from 0 and 1")
+        gap = self.epsilon - (
+            self.alpha + self.beta - self.gamma - self.delta + as_scalar(1, self.backend)
+        )
+        if not negligible(gap, 1e-10 * max(1.0, abs(self.epsilon))):
+            raise ValueError(
+                "exponent-sum constraint violated: epsilon must equal "
+                "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)
+            )
+
+    @property
+    def product(self):
+        return self.alpha * self.beta
+
+    # the family.py record interface: kappa = alpha*beta, t = q
+    CLASSES = HEUN_CLASSES
+    coupling = product
+    coupling_name = "alpha*beta"
+    to_nu = heun_to_nu
+
+    @property
+    def accessory(self):
+        return self.q
+
+    @property
+    def relation_scale(self):
+        return max(1.0, abs(self.product))
+
+    def at(self, q) -> "HeunParams":
+        return replace(self, q=q)
+
+
+def heun_class(label) -> HeunClass:
+    return family.find_class(HEUN_CLASSES, label)
+
+
 def heun_params_for_class(
     label: str, n: int, a, gamma, delta, epsilon, q=0
 ) -> HeunParams:
@@ -199,14 +182,14 @@ def heun_params_for_class(
 def heun_class_relation(p: HeunParams, label: str, n: int):
     """Residual of the class condition on alpha*beta at degree n; zero
     exactly when degree-n polynomial solutions are admissible."""
-    return family.class_relation(HEUN_CLASSES, p, label, n)
+    return family.class_relation(p, label, n)
 
 
 def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
     stored in p is ignored): the n+1 eigenvalues of the degree-n
     coefficient map, each validated by its backward error."""
-    return family.accessory(HEUN_CLASSES, p, label, n)
+    return family.accessory(p, label, n)
 
 
 def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
@@ -216,10 +199,10 @@ def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
 
     Only sigma~ depends on q, so the states share p's class setup with
     heun_accessory(p, ...); each state equals heun_eigenstate at its q."""
-    return family.states(HEUN_CLASSES, p, label, n, values, lambda q: p.product, samples)
+    return family.states(p, label, n, values, samples)
 
 
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:
     """Assembled degree-n eigenfunction of the given class at the
     accessory value carried by p.q, with its contour residual."""
-    return family.states(HEUN_CLASSES, p, label, n, [p.q], lambda q: p.product)[0]
+    return family.states(p, label, n, [p.q])[0]

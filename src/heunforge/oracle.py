@@ -105,9 +105,7 @@ def _recurrence(bands, point, exponent, backend) -> Recurrence:
     """Recurrence from the full band list: the leading band must be
     quadratic in the index (an irregular singular point makes it degree
     <= 1, which is rejected), and the exponent must be a root of it."""
-    r_star = next((r for r, b in enumerate(bands) if not b.is_zero), None)
-    if r_star is None:  # pragma: no cover - p2 nonzero forbids this
-        raise ValueError("all recurrence bands vanish")
+    r_star = next(r for r, b in enumerate(bands) if not b.is_zero)
     lead = bands[r_star]
     if lead.degree != 2:
         raise ValueError(

@@ -228,8 +228,6 @@ def sqrt_exact(value: RationalComplex):
     if x is None or x == 0:
         return None
     y = b / (2 * x)
-    if x < 0 or (x == 0 and y < 0):  # pragma: no cover - x>0 by construction
-        x, y = -x, -y
     return RationalComplex(x, y)
 
 

@@ -43,8 +43,7 @@ from heunforge import (
     termination_polynomial,
     termination_solve,
 )
-from heunforge.engine import _nullspace, eigenstates
-from heunforge.family import accessory_family
+from heunforge.engine import BranchSetup, _nullspace
 from heunforge.floatkernel import with_h
 from heunforge.oracle import OdeForm
 from heunforge.poly import TRIM_REL
@@ -165,7 +164,7 @@ def _check_same_assembly(eq, pi, n, value):
     want = _outcome(lambda: _column_solve(images, rf, n))
     got = _outcome(lambda: polynomial_solution(eq, branch_from_pi(eq, pi), n))
     shared = _outcome(
-        lambda: eigenstates(eq, pi, n, [(value, eq.sigma_tilde)])[0].poly)
+        lambda: BranchSetup(eq, pi).states(n, [(value, eq.sigma_tilde)])[0].poly)
     assert got == want and shared == want, (n, value)
     return want[0] == "ok"
 
@@ -181,7 +180,7 @@ def test_assembly_equals_column_assembly(family, label, exact):
     for n in range(10):
         eq_at, pi = _class_setup(family, label, n, exact)
         zero = rc(0) if exact else 0.0
-        cpoly = termination_polynomial(accessory_family(eq_at(zero), pi), n)
+        cpoly = termination_polynomial(BranchSetup(eq_at(zero), pi).family, n)
         if not exact:
             values = cpoly.roots()
         elif n == 0:
@@ -308,7 +307,7 @@ def test_eigen_determinant_is_truncation_condition(family, label):
     # polynomial down
     for n in range(1, 7):
         eq_at, pi = _class_setup(family, label, n, exact=True)
-        fam = accessory_family(eq_at(rc(0)), pi)
+        fam = BranchSetup(eq_at(rc(0)), pi).family
         square = coefficient_map(fam.base, n)[: n + 1]
         cpoly = termination_polynomial(fam, n)
         ratios = []
@@ -328,7 +327,7 @@ def test_eigenvalues_certified_by_exact_newton_step(family, label):
     # step |c/c'| of a root of the exact truncation condition
     for n in (10, 11, 12):
         eq_at, pi = _class_setup(family, label, n, exact=True)
-        fam = accessory_family(eq_at(rc(0)), pi)
+        fam = BranchSetup(eq_at(rc(0)), pi).family
         values = termination_solve(fam, n)
         assert len(values) == n + 1
         assert _distinct(values)

@@ -142,9 +142,9 @@ def test_doublewell_verify_grid():
                     assert rep.matched_class in ("2", "7", "3", "5")
 
 
-def test_doublewell_verify_builds_the_class_family_once(monkeypatch):
-    # mu and the termination residual come from one accessory family, so
-    # the class branch is recovered from its pi once per call
+def _branch_from_pi_calls(monkeypatch, app, *args):
+    """How many times app(*args) recovers a branch from its pi, counted in
+    every heunforge module that binds branch_from_pi."""
     import sys
 
     from heunforge import engine
@@ -160,8 +160,20 @@ def test_doublewell_verify_builds_the_class_family_once(monkeypatch):
         if name.startswith("heunforge") and \
                 getattr(module, "branch_from_pi", None) is original:
             monkeypatch.setattr(module, "branch_from_pi", counted)
-    doublewell_verify(3, 1.0, 9.0, SYMMETRIC)
-    assert len(calls) == 1
+    app(*args)
+    return len(calls)
+
+
+def test_doublewell_verify_builds_the_class_family_once(monkeypatch):
+    # mu and the termination residual come from one accessory family, so
+    # the class branch is recovered from its pi once per call
+    assert _branch_from_pi_calls(monkeypatch, doublewell_verify, 3, 1.0, 9.0, SYMMETRIC) == 1
+
+
+def test_electrons_sphere_state_builds_its_branch_once(monkeypatch):
+    # the accessory roots and the polynomial at the chosen root come from
+    # one setup on the equation at q = 0: q moves only h, not the branch
+    assert _branch_from_pi_calls(monkeypatch, electrons_sphere_state, 3, 1.0, 1.0) == 1
 
 
 def test_doublewell_parity_class_pairs():

@@ -35,7 +35,7 @@ from heunforge import (
     quantization,
 )
 from heunforge import cli
-from heunforge.engine import eigenstates
+from heunforge.engine import BranchSetup
 from heunforge.family import check_relation, class_setup
 
 DEGREES = range(1, 9)
@@ -55,13 +55,13 @@ def _reference_state(eq, pi, n, accessory, samples=50):
 
 
 def _reference_heun(p, label, n, samples=50):
-    check_relation(HEUN_CLASSES, p, label, n)
+    check_relation(p, label, n)
     return _reference_state(heun_to_nu(p), heun_class(label).pi(p), n, p.q,
                             samples)
 
 
 def _reference_che(p, label, n, samples=50):
-    check_relation(CHE_CLASSES, p, label, n)
+    check_relation(p, label, n)
     return _reference_state(che_to_nu(p), che_class(label).pi(p), n, p.mu,
                             samples)
 
@@ -226,7 +226,7 @@ def test_wrong_accessory_raises_at_its_own_state():
             yield q, heun_to_nu(replace(p, q=q)).sigma_tilde
 
     with pytest.raises(NoBranchError) as err:
-        eigenstates(eq, heun_class("I").pi(p), 2, shifts())
+        BranchSetup(eq, heun_class("I").pi(p)).states(2, shifts())
     assert str(err.value) == str(ref_err.value)
     assert asked == [q0, bad]
 
@@ -252,7 +252,7 @@ def test_collapsed_branch_follows_branch_from_pi():
              complex(-7.999999999999996, 5.915834907436654e-15)]
     pi = Poly([1e-15], FLOAT)
     shifts = [(q, heun_to_nu(replace(p, q=q)).sigma_tilde) for q in roots]
-    got = eigenstates(heun_to_nu(p), pi, 2, shifts)
+    got = BranchSetup(heun_to_nu(p), pi).states(2, shifts)
     assert got[0].phi == got[1].phi == got[2].phi
     for state, q in zip(got, roots):
         ref = _reference_state(heun_to_nu(replace(p, q=q)), Poly.zero(FLOAT),
@@ -282,8 +282,8 @@ def _che_reference(p, label, n, v):
     return _reference_che(replace(p, mu=v, nu=p.coupling - v), label, n)
 
 
-_HEUN = (HEUN_CLASSES, heun_accessory, heun_eigenstates, _heun_reference)
-_CHE = (CHE_CLASSES, che_accessory, che_eigenstates, _che_reference)
+_HEUN = (heun_accessory, heun_eigenstates, _heun_reference)
+_CHE = (che_accessory, che_eigenstates, _che_reference)
 
 
 def _kept_setup_cases():
@@ -325,13 +325,13 @@ def test_kept_setup_belongs_to_one_record(case):
     # a record keeps the class setup its accessory call builds, and its
     # states are those of a fresh record with the same fields, and those
     # assembled state by state from scratch
-    _, (classes, resolve, assemble, reference), label, n, makes = case
+    _, (resolve, assemble, reference), label, n, makes = case
     solved = []
     for make in makes:
         p = make()
         values = resolve(p, label, n)
         if p.backend == EXACT:
-            assert class_setup(classes, p, label).eq.backend == EXACT
+            assert class_setup(p, label).eq.backend == EXACT
         p = _as_cli(p, values)
         solved.append((p, values, assemble(p, label, n, values)))
     for (p, values, states), make in zip(solved, makes):
@@ -340,5 +340,5 @@ def test_kept_setup_belongs_to_one_record(case):
         bits = [_bits(s) for s in states]
         assert bits == [_bits(s) for s in assemble(fresh, label, n, values)]
         assert bits == [_bits(reference(p, label, n, v)) for v in values]
-    setups = [class_setup(classes, p, label) for p, _, _ in solved]
+    setups = [class_setup(p, label) for p, _, _ in solved]
     assert len({id(s) for s in setups}) == len(setups)

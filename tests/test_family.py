@@ -1,7 +1,7 @@
 """The shared class-solve pipeline against per-family reference copies."""
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +9,9 @@ import pytest
 from heunforge import (
     CHE_CLASSES,
     HEUN_CLASSES,
+    BackendMismatchError,
+    CheParams,
+    HeunParams,
     OdeFamily,
     Poly,
     RationalComplex,
@@ -25,7 +28,7 @@ from heunforge import (
     termination_solve,
 )
 from heunforge.family import check_relation
-from heunforge.scalars import as_scalar
+from heunforge.scalars import as_scalar, infer_backend
 
 DEGREES = range(0, 9)
 
@@ -33,7 +36,7 @@ DEGREES = range(0, 9)
 def _reference_heun_accessory(p, label, n):
     """heun_accessory as each family module wrote it out before the
     shared pipeline."""
-    check_relation(HEUN_CLASSES, p, label, n)
+    check_relation(p, label, n)
     cls = heun_class(label)
     p0 = replace(p, q=as_scalar(0, p.backend))
     eq0 = heun_to_nu(p0)
@@ -47,7 +50,7 @@ def _reference_heun_accessory(p, label, n):
 def _reference_che_accessory(p, label, n):
     """che_accessory as each family module wrote it out before the
     shared pipeline."""
-    check_relation(CHE_CLASSES, p, label, n)
+    check_relation(p, label, n)
     cls = che_class(label)
     zero = as_scalar(0, p.backend)
     p0 = replace(p, mu=zero, nu=p.coupling)
@@ -119,3 +122,71 @@ def test_che_accessory_equals_reference(label, exact):
         p = _che_params(rng, label, n, exact)
         _assert_same(_outcome(che_accessory, p, label, n),
                      _outcome(_reference_che_accessory, p, label, n))
+
+
+def test_record_fields_are_the_parameters():
+    # cli._float_params rebuilds a record from its fields, and callers
+    # replace() them; the backend is derived, not a field
+    assert [f.name for f in fields(HeunParams)] == [
+        "a", "q", "alpha", "beta", "gamma", "delta", "epsilon"]
+    assert [f.name for f in fields(CheParams)] == ["alpha", "beta", "gamma", "mu", "nu"]
+
+
+def _reference_fields(names, values):
+    """(backend, fields) as HeunParams and CheParams each coerced their
+    own fields: one backend inferred from all of them."""
+    backend = infer_backend(values)
+    return backend, {name: as_scalar(v, backend) for name, v in zip(names, values)}
+
+
+def _reference_che_params_for_class(label, n, alpha, beta, gamma, mu=0):
+    """che_params_for_class as it coerced its arguments by hand."""
+    cls = che_class(label)
+    backend = infer_backend([alpha, beta, gamma, mu])
+    alpha, beta, gamma, mu = (as_scalar(v, backend) for v in (alpha, beta, gamma, mu))
+    return CheParams(alpha, beta, gamma, mu, cls.coupling_value(n, alpha, beta, gamma) - mu)
+
+
+# each turns an integer into one scalar type a record accepts
+_KINDS = (int, F, RationalComplex, float, complex)
+
+
+def _mixes(rng, count):
+    for kind in _KINDS:
+        yield [kind] * count
+    for _ in range(300):
+        yield [rng.choice(_KINDS) for _ in range(count)]
+
+
+@pytest.mark.parametrize("record,values", [
+    (HeunParams, (2, -3, 2, -1, 3, 1, -2)),  # epsilon = alpha + beta - gamma - delta + 1
+    (CheParams, (3, -1, 2, -2, 5)),
+], ids=["heun", "che"])
+def test_record_coercion_is_the_per_family_one(record, values):
+    names = [f.name for f in fields(record)]
+    for kinds in _mixes(random.Random(record.__name__), len(values)):
+        args = [kind(v) for kind, v in zip(kinds, values)]
+        if RationalComplex in kinds and {float, complex} & set(kinds):
+            with pytest.raises(BackendMismatchError):
+                _reference_fields(names, args)
+            with pytest.raises(BackendMismatchError):
+                record(*args)
+            continue
+        backend, want = _reference_fields(names, args)
+        p = record(*args)
+        assert p.backend == backend
+        assert [getattr(p, name) for name in names] == list(want.values())
+        assert repr(p) == "%s(%s)" % (record.__name__, ", ".join(
+            "%s=%r" % item for item in want.items()))
+
+
+def test_che_params_for_class_coerces_as_before():
+    for kinds in _mixes(random.Random("che_params_for_class"), 4):
+        args = [kind(v) for kind, v in zip(kinds, (3, -1, 2, -2))]
+        try:
+            want = repr(_reference_che_params_for_class("4", 2, *args))
+        except BackendMismatchError:
+            with pytest.raises(BackendMismatchError):
+                che_params_for_class("4", 2, *args)
+            continue
+        assert repr(che_params_for_class("4", 2, *args)) == want

@@ -18,8 +18,7 @@ from heunforge.che import (
     che_params_for_class,
     che_to_nu,
 )
-from heunforge.engine import NoBranchError, PhiFactor, _prefactor
-from heunforge.family import accessory_family
+from heunforge.engine import BranchSetup, NoBranchError, PhiFactor, _prefactor
 from heunforge.heun import (
     HEUN_CLASSES,
     heun_accessory,
@@ -250,7 +249,7 @@ def test_termination_solve_orders_values():
     # ascending real part, then imaginary part, and each value is within
     # a Newton step of a root of c_{n+1}
     p = heun_params_for_class("I", 5, 1.9, 0.6, 0.8, 0.7)
-    fam = accessory_family(heun_to_nu(replace(p, q=0.0)), Poly.zero(FLOAT))
+    fam = BranchSetup(heun_to_nu(replace(p, q=0.0)), Poly.zero(FLOAT)).family
     values = termination_solve(fam, 5)
     assert len(values) == 6
     assert values == sorted(values, key=lambda t: (t.real, t.imag))
