@@ -115,16 +115,16 @@ def _json_form(value):
     """The JSON form json.dumps is given for a value it cannot write: a Poly
     as {"coeffs"}, a RationalComplex as {"im", "re"}, a Fraction as
     {"den", "num"}, and a complex as a real when its imaginary part is 0,
-    else as {"im", "re"}. A float Poly's coefficients get their forms
-    here, so json.dumps calls back once for the whole Poly."""
+    else as {"im", "re"}. A Poly's coefficients, and a RationalComplex's
+    parts from its stored ints, get their forms here in the same call."""
     if isinstance(value, complex):
         return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
     if isinstance(value, Poly):
-        if value.backend == FLOAT:
-            return {"coeffs": [_json_form(c) for c in value.coeffs]}
-        return {"coeffs": value.coeffs}
+        return {"coeffs": [_json_form(c) for c in value.coeffs]}
     if isinstance(value, RationalComplex):
-        return {"im": value.im, "re": value.re}
+        a, b, d = value._abd
+        g, h = math.gcd(a, d), math.gcd(b, d)
+        return {"im": {"den": d // h, "num": b // h}, "re": {"den": d // g, "num": a // g}}
     if isinstance(value, Fraction):
         return {"den": value.denominator, "num": value.numerator}
     raise TypeError("Object of type %s is not JSON serializable"

@@ -214,8 +214,8 @@ def _signed(b: PiBranch) -> PiBranch:
     collapse (sign 0) or a float branch as it is."""
     if b.backend != EXACT or not b.sign:
         return b
-    lead = b.s.leading()
-    if lead.re > 0 or lead.re == 0 and lead.im > 0:
+    re, im, _ = b.s.leading()._abd
+    if re > 0 or re == 0 and im > 0:
         return b
     return replace(b, s=-b.s, sign=-b.sign)
 

@@ -381,6 +381,7 @@ def parse_poly(text: str, backend: str) -> Poly:
     text = "".join(text.split())
     if not text:
         raise ValueError("empty polynomial text")
+    zero = as_scalar(0, backend)
     coeffs, pos = {}, 0
     while pos < len(text):
         m = _MONOMIAL_RE.match(text, pos)
@@ -391,9 +392,9 @@ def parse_poly(text: str, backend: str) -> Poly:
         if sign == "-":
             value = -value
         power = int(power) if power else 1 if z else 0
-        coeffs[power] = coeffs.get(power, as_scalar(0, backend)) + value
+        coeffs[power] = coeffs.get(power, zero) + value
         pos = m.end()
-    return Poly([coeffs.get(k, 0) for k in range(max(coeffs) + 1)], backend)
+    return Poly._make([coeffs.get(k, zero) for k in range(max(coeffs) + 1)], backend)
 
 
 def _coeff_text(c) -> str:

@@ -150,13 +150,16 @@ class RationalComplex:
         return a != 0 or b != 0
 
     def __abs__(self):
-        a, b, d = self._abd
-        return math.hypot(a / d, b / d)
+        z = complex(self)
+        return math.hypot(z.real, z.imag)
 
     def __complex__(self):
         # int true division is correctly rounded, as float(Fraction) is
         a, b, d = self._abd
-        return complex(a / d, b / d)
+        try:
+            return complex(a / d, b / d)
+        except OverflowError:
+            raise OverflowError("exact value overflows the float range") from None
 
     def conjugate(self):
         a, b, d = self._abd
@@ -196,39 +199,32 @@ def _coerce(other):
     return None
 
 
-def _fraction_sqrt(value: Fraction):
-    """Exact square root of a nonnegative Fraction, or None."""
-    if value < 0:
-        raise ValueError("negative fraction")
-    num, den = value.numerator, value.denominator
-    sn, sd = math.isqrt(num), math.isqrt(den)
-    if sn * sn == num and sd * sd == den:
-        return Fraction(sn, sd)
-    return None
+def _square_root(n: int, d: int):
+    """(p, q) with p/q = √(n/d) in lowest terms, for ints n >= 0 and d > 0,
+    or None when n/d is not a rational square."""
+    g = gcd(n, d)
+    p, q = math.isqrt(n // g), math.isqrt(d // g)
+    return (p, q) if p * p * g == n and q * q * g == d else None
 
 
 def sqrt_exact(value: RationalComplex):
-    """Principal square root of a RationalComplex, or None if it leaves
-    the Gaussian-rational field.
-
-    Solves (x+iy)^2 = a+ib: needs |a+ib| rational and (a+|a+ib|)/2 a
-    rational square. Principal branch: x > 0, or x == 0 and y >= 0.
-    """
-    a, b = value.re, value.im
-    if b == 0:
-        if a >= 0:
-            x = _fraction_sqrt(a)
-            return None if x is None else RationalComplex(x, 0)
-        y = _fraction_sqrt(-a)
-        return None if y is None else RationalComplex(0, y)
-    r = _fraction_sqrt(a * a + b * b)
-    if r is None:
+    """Principal square root of a RationalComplex (a+ib)/d, or None if it
+    leaves the Gaussian-rational field: with b = 0, √|a|/√d; else x + iy
+    with x = √((a+R)/(2d)), y = b/(2dx), which needs a² + b² = R² (so
+    a + R > 0) and x rational. Principal branch: x > 0, or x == 0 and
+    y >= 0."""
+    a, b, d = value._abd
+    if not b:
+        root = _square_root(abs(a), d)
+        if root is None:
+            return None
+        return _reduced(root[0], 0, root[1]) if a >= 0 else _reduced(0, *root)
+    r = math.isqrt(a * a + b * b)
+    root = _square_root(a + r, 2 * d) if r * r == a * a + b * b else None
+    if root is None:
         return None
-    x = _fraction_sqrt((a + r) / 2)
-    if x is None or x == 0:
-        return None
-    y = b / (2 * x)
-    return RationalComplex(x, y)
+    p, q = root
+    return _reduced(2 * d * p * p, b * q * q, 2 * d * p * q)
 
 
 # -- backend helpers -----------------------------------------------------
@@ -312,9 +308,9 @@ _SIGNED_UNIT_RE = _re.compile(r"([+-]?)(%s)" % _UNIT)
 
 
 def _read_sum(text):
-    """Exact (re, im) Fractions of a signed run of unit terms, such as
-    '1/2-3i+.5e1j', in text free of whitespace."""
-    re_part = im_part = Fraction(0)
+    """Exact (re, im) parts, Fractions or int 0, of a signed run of unit
+    terms, such as '1/2-3i+.5e1j', in text free of whitespace."""
+    re_part = im_part = None
     pos = 0
     while True:
         m = _SIGNED_UNIT_RE.match(text, pos)
@@ -323,12 +319,13 @@ def _read_sum(text):
         sign, unit = m.groups()
         value = Fraction(sign + (unit.rstrip("ij") or "1"))
         if unit[-1] in "ij":
-            im_part += value
+            im_part = value if im_part is None else im_part + value
         else:
-            re_part += value
+            re_part = value if re_part is None else re_part + value
         pos = m.end()
         if pos == len(text):
-            return re_part, im_part
+            return (0 if re_part is None else re_part,
+                    0 if im_part is None else im_part)
 
 
 def parse_scalar(text: str, backend: str):

@@ -674,6 +674,16 @@ def test_noise_bound_beyond_float_range_is_a_usage_error(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
+def test_exact_value_beyond_float_range_is_a_usage_error(capsys):
+    # each coefficient of sigma fits a float, but the bound on its roots
+    # takes abs() of an exact value whose float is out of range; int true
+    # division once printed "integer division result too large for a float"
+    argv = ["classify", "--sigma", "1e308*z^3 - 1e308*z", "--tau", "1 + z",
+            "--sigma-tilde", "1 + z^2", "--backend", "exact"]
+    assert run(capsys, *argv) == (
+        EXIT_USAGE, "", "error: exact value overflows the float range\n")
+
+
 @pytest.mark.parametrize("argv, option", [
     (["classify", "--sigma", "z^2", "--tau", "z", "--sigma-tilde", "1e400*z"],
      "--sigma-tilde"),

@@ -156,6 +156,12 @@ def test_emitter_matches_json_dumps_on_random_documents(seed):
     {"é\x00\"": " \U0001d4b5\\", "b": [1, "x"], "a": 0.5},
     np.complex128(complex(1.5, -2.0)), np.complex128(complex(math.nan, 0.0)),
     np.complex128(complex(0.0, math.inf)),
+    # exact Polys with 30-digit, zero and negative parts, alone and nested
+    Poly([RationalComplex(Fraction(-(10**29) - 7, 3 * 10**29 + 1)), 0,
+          RationalComplex(0, Fraction(-123456789012345678901234567890, 7)),
+          RationalComplex(Fraction(10**30 - 1, 10**30), Fraction(-1, 10**30 + 3))], EXACT),
+    [Poly([RationalComplex(-(10**30), Fraction(2, 10**30))], EXACT),
+     [Poly([0, RationalComplex(Fraction(-5, 6), -(10**29))], EXACT), ()]],
 ])
 def test_emitter_matches_json_dumps_on_edge_values(value):
     got = outcome(written, value)
@@ -163,6 +169,29 @@ def test_emitter_matches_json_dumps_on_edge_values(value):
     # strict JSON has no token for NaN or an infinity
     non_finite = isinstance(value, (float, complex)) and not cmath.isfinite(value)
     assert (got is ValueError) == non_finite
+
+
+def _exact_part(rng):
+    """0, or a signed rational with a 1- or 30-digit numerator."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Fraction(0)
+    num = rng.randint(10**29, 10**30 - 1) if kind == 1 else rng.randint(1, 9)
+    den = rng.choice((1, 2, 3, 10**25, rng.randint(10**29, 10**30 - 1)))
+    return Fraction(rng.choice((-1, 1)) * num, den)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_polys_match_the_fraction_forms(seed):
+    # each part of an exact coefficient is written as its Fraction, at the
+    # top level and nested in lists and objects
+    rng = random.Random(2900 + seed)
+    for _ in range(40):
+        polys = [Poly([RationalComplex(_exact_part(rng), _exact_part(rng))
+                       for _ in range(rng.randint(0, 5))], EXACT) for _ in range(3)]
+        for doc in (polys[0], polys, [polys[0], [polys[1], {"pi": polys[2]}]],
+                    {"g": polys[1], "s": [[polys[2]]]}):
+            assert written(doc) == reference(doc)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3),

@@ -350,6 +350,12 @@ def test_polynomial_texts_refused(text):
         parse_poly(text, EXACT)
 
 
+@pytest.mark.parametrize("text", ["z", "1 + 2*z", "-1/2", "(1-i)*z^2"])
+def test_unknown_backend_is_a_value_error(text):
+    with pytest.raises(ValueError, match="unknown backend"):
+        parse_poly(text, "bogus")
+
+
 def test_huge_literal_is_exact_but_beyond_float_range():
     assert parse_scalar("1e400", EXACT) == RationalComplex(10**400)
     assert parse_poly("1e400*z", EXACT).coeffs[1] == RationalComplex(10**400)

@@ -255,3 +255,108 @@ def test_foreign_operands_match_the_reference():
 ])
 def test_constructor_accepts_what_the_reference_accepts(args):
     _same(RationalComplex(*args), FractionPair(*args))
+
+
+# -- sqrt_exact against the Fraction version it replaced -----------------------
+
+
+def _fraction_sqrt(value: Fraction):
+    """Exact square root of a nonnegative Fraction, or None."""
+    if value < 0:
+        raise ValueError("negative fraction")
+    num, den = value.numerator, value.denominator
+    sn, sd = math.isqrt(num), math.isqrt(den)
+    if sn * sn == num and sd * sd == den:
+        return Fraction(sn, sd)
+    return None
+
+
+def _reference_sqrt(value: RationalComplex):
+    a, b = value.re, value.im
+    if b == 0:
+        if a >= 0:
+            x = _fraction_sqrt(a)
+            return None if x is None else RationalComplex(x, 0)
+        y = _fraction_sqrt(-a)
+        return None if y is None else RationalComplex(0, y)
+    r = _fraction_sqrt(a * a + b * b)
+    if r is None:
+        return None
+    x = _fraction_sqrt((a + r) / 2)
+    if x is None or x == 0:
+        return None
+    y = b / (2 * x)
+    return RationalComplex(x, y)
+
+
+def _digits(rng, low=1, high=40):
+    k = rng.randint(low, high)
+    return rng.randint(10 ** (k - 1), 10**k - 1)
+
+
+def _rational(rng):
+    """A signed rational with 1- to 40-digit numerator and denominator."""
+    return Fraction(rng.choice((-1, 1)) * _digits(rng), _digits(rng))
+
+
+def _sqrt_corpus(rng):
+    """(kind, value) pairs over the cases sqrt_exact tells apart."""
+    # a small grid: every (a + b i)/d with |a|, |b| <= 6 and d <= 6, 0 included
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            for d in range(1, 7):
+                yield "grid", RationalComplex(Fraction(a, d), Fraction(b, d))
+    for _ in range(2000):
+        # squares of Gaussian rationals, their negatives and conjugates
+        z = RationalComplex(_rational(rng), _rational(rng) if rng.random() < 0.9 else 0)
+        square = z * z
+        for value in (square, -square, square.conjugate(), -square.conjugate()):
+            yield "square", value
+    for _ in range(1500):
+        # positive and negative reals, square or not
+        x = _rational(rng)
+        yield "real", RationalComplex(x * x if rng.random() < 0.5 else x)
+        yield "real", RationalComplex(-x * x if rng.random() < 0.5 else -x)
+    for _ in range(1000):
+        # pure imaginaries: 2i = (1 + i)², so ±2i·x² is a square, and y i
+        # mostly is not
+        x = _rational(rng)
+        yield "imaginary", RationalComplex(0, rng.choice((-2, 2)) * x * x)
+        yield "imaginary", RationalComplex(0, x)
+    for _ in range(4000):
+        yield "other", RationalComplex(_rational(rng), _rational(rng))
+    for _ in range(3000):
+        # a² + b² a square, (a + R)/(2d) mostly not: a Pythagorean pair
+        # scaled by k, in either order, over d
+        m, n = _digits(rng, 1, 20), _digits(rng, 1, 20)
+        a, b = m * m - n * n, 2 * m * n
+        if rng.random() < 0.5:
+            a, b = b, a
+        k = Fraction(rng.choice((-1, 1)) * _digits(rng, 1, 10), _digits(rng, 1, 10))
+        yield "pythagorean", RationalComplex(k * a, k * b * rng.choice((-1, 1)))
+    yield "zero", RationalComplex(0)
+
+
+def test_sqrt_exact_matches_the_fraction_reference():
+    from heunforge.scalars import sqrt_exact
+
+    rng = random.Random(290)
+    seen, roots = {}, {}
+    for kind, value in _sqrt_corpus(rng):
+        got, want = sqrt_exact(value), _reference_sqrt(value)
+        assert (got is None) == (want is None), value
+        if got is not None:
+            assert got == want and got._abd == want._abd, value
+            assert got * got == value
+            roots[kind] = roots.get(kind, 0) + 1
+        seen[kind] = seen.get(kind, 0) + 1
+        if kind == "pythagorean":
+            a, b, d = value._abd
+            r = math.isqrt(a * a + b * b)
+            assert r * r == a * a + b * b
+    assert sum(seen.values()) >= 20000
+    # squares have roots, random values none, and the other kinds both
+    assert roots["square"] == seen["square"] and roots["zero"] == 1
+    assert "other" not in roots
+    for kind in ("grid", "real", "imaginary", "pythagorean"):
+        assert 0 < roots[kind] < seen[kind], kind

@@ -67,6 +67,14 @@ def test_float_operands_rejected():
         rc(1) + 0.5
 
 
+@pytest.mark.parametrize("value", [rc(10**400), rc(1, -(10**400)),
+                                   rc(Fraction(1, 3) * 10**309, 1)])
+def test_float_of_a_huge_exact_value_overflows_with_one_message(value):
+    for convert in (abs, complex):
+        with pytest.raises(OverflowError, match="^exact value overflows the float range$"):
+            convert(value)
+
+
 def test_sqrt_exact_known_values():
     assert sqrt_exact(rc(Fraction(9, 4))) == rc(Fraction(3, 2))
     assert sqrt_exact(rc(-4)) == rc(0, 2)
