@@ -38,13 +38,11 @@ class CheClass(family.FamilyClass):
     def parts(p) -> tuple:
         """The pi part of each flag: -alpha z(z-1), -beta (z-1) and
         -gamma z."""
-        backend = p.backend
-        z = Poly.x(backend)
-        one = Poly.one(backend)
+        z1, zz1 = family.kept_factors(p, _factors)
         return (
-            z * (z - one) * (-p.alpha),
-            (z - one) * (-p.beta),
-            z * (-p.gamma),
+            zz1 * (-p.alpha),
+            z1 * (-p.beta),
+            Poly.x(p.backend) * (-p.gamma),
         )
 
     def coupling_value(self, n: int, alpha, beta, gamma):
@@ -70,14 +68,18 @@ CHE_CLASSES = (
 )
 
 
+def _factors(p) -> tuple:
+    """z - 1 and sigma = z(z-1), which the class pi parts share."""
+    z1 = Poly.x(p.backend) - Poly.one(p.backend)
+    return z1, Poly.x(p.backend) * z1
+
+
 def che_to_nu(p: CheParams) -> NuEquation:
     backend = p.backend
-    z = Poly.x(backend)
-    one = Poly.one(backend)
+    z1, sigma = family.kept_factors(p, _factors)
     unit = as_scalar(1, backend)
-    sigma = z * (z - one)
     tau_tilde = (
-        sigma * p.alpha + (z - one) * (p.beta + unit) + z * (p.gamma + unit)
+        sigma * p.alpha + z1 * (p.beta + unit) + Poly.x(backend) * (p.gamma + unit)
     )
     return NuEquation(
         tau_tilde, sigma, sigma_tilde(sigma, p.coupling, p.mu, backend), EXTENDED

@@ -34,7 +34,7 @@ from itertools import product
 from math import comb, inf, isfinite
 
 from .oracle import OdeFamily, OdeForm, ResidualContour, coefficient_map
-from .poly import Poly
+from .poly import Poly, _sum, _trim
 from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, negligible, sqrt_exact
 
 CLASSIC = "classic"
@@ -192,6 +192,10 @@ class Eigenstate:
 
 def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
     return p.negligible(tol * max(scale, 1.0))
+
+
+def _negligible_in(p: Poly, ref: Poly, tol: float) -> bool:
+    return p.is_zero if p.backend == EXACT else _is_negligible(p, ref.max_abs(), tol)
 
 
 def _dedupe(branches):
@@ -382,7 +386,7 @@ def _sigma_points(sigma: Poly, budget: int):
     common, rem = sigma, sigma.derivative()
     while not rem.is_zero:
         common, rem = rem, common.divrem(rem)[1]
-        if _is_negligible(rem, common.max_abs(), ZERO_TOL):
+        if _negligible_in(rem, common, ZERO_TOL):
             rem = Poly.zero(rem.backend)
     k = common.degree
     if k == 0:
@@ -564,7 +568,7 @@ def enumerate_branches(eq: NuEquation):
 
 
 def _vanishes(p: Poly) -> bool:
-    return _is_negligible(p, p.max_abs(), 1e-14)
+    return _negligible_in(p, p, 1e-14)
 
 
 def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
@@ -580,7 +584,7 @@ def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
         raise ValueError("pi must have degree <= 2")
     num = pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()) + eq.sigma_tilde
     g, rem = num.divrem(eq.sigma)
-    if not _is_negligible(rem, num.max_abs(), DIVIDE_REL_TOL):
+    if not _negligible_in(rem, num, DIVIDE_REL_TOL):
         raise NoBranchError("prescribed pi does not divide: not a branch")
     if g.degree > (1 if eq.mode == EXTENDED else 0):
         raise NoBranchError("recovered g exceeds the mode's degree bound")
@@ -605,18 +609,26 @@ def _sigma_bar_terms(eq: NuEquation, pi: Poly):
 
 
 def _reduce(eq: NuEquation, sigma_tilde: Poly, tau: Poly, terms) -> ReducedForm:
-    """reduce_branch with this sigma~ in place of eq's, and tau given."""
+    """reduce_branch with this sigma~ in place of eq's, and tau given;
+    sigma_bar is summed on coefficient lists, trimmed as the Poly sum is."""
     pi_sq, pi_gap, dpi_sigma = terms
-    sigma_bar = sigma_tilde + pi_sq + pi_gap + dpi_sigma
+    backend = eq.backend
+    partial = _trim(_sum(sigma_tilde.coeffs, pi_sq.coeffs, backend), backend)
+    partial = _trim(_sum(partial, pi_gap.coeffs, backend), backend)
+    sigma_bar = Poly._make(_sum(partial, dpi_sigma.coeffs, backend), backend)
     h, rem = sigma_bar.divrem(eq.sigma)
-    if not _is_negligible(rem, max(sigma_bar.max_abs(), 1.0), DIVIDE_REL_TOL):
+    if not _negligible_in(rem, sigma_bar, DIVIDE_REL_TOL):
         raise NoBranchError(
             "sigma_bar is not divisible by sigma: inadmissible branch"
         )
-    max_h = 1 if eq.mode == EXTENDED else 0
-    if h.degree > max_h:
+    return _bounded(eq, ReducedForm(tau, h))
+
+
+def _bounded(eq: NuEquation, rf: ReducedForm) -> ReducedForm:
+    """rf, refused when its h exceeds the mode's degree bound."""
+    if rf.h.degree > (1 if eq.mode == EXTENDED else 0):
         raise NoBranchError("reduced h exceeds the mode's degree bound")
-    return ReducedForm(tau, h)
+    return rf
 
 
 def _on_branch(eq: NuEquation, b: PiBranch) -> NuEquation:
@@ -630,9 +642,9 @@ def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:
     sigma_bar = sigma~ + pi^2 + pi (tau~ - sigma') + pi' sigma.
     A nonzero division remainder marks an inadmissible branch.
 
-    Only the solve path divides; classify takes the form from the branch
-    (PiBranch.reduced). In floats, h = g + pi' would move the last bits of
-    eigenstates whose residuals sit at the 1e-8 gate."""
+    Only float solves divide; classify and exact solve setups take the
+    form from the branch (PiBranch.reduced). In floats, h = g + pi' would
+    move the last bits of eigenstates whose residuals sit at the 1e-8 gate."""
     eq = _on_branch(eq, b)
     return _reduce(eq, eq.sigma_tilde, eq.tau_tilde + b.pi + b.pi,
                    _sigma_bar_terms(eq, b.pi))
@@ -651,31 +663,29 @@ def quantization(eq: NuEquation, b: PiBranch, n: int) -> QuantizationRelation:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     eq = _on_branch(eq, b)
-    return _quantize(eq.sigma, eq.mode, reduce_branch(eq, b), n)
+    rf = reduce_branch(eq, b)
+    return _quantizer(eq.sigma, eq.mode, rf.tau, n)(rf.h)
 
 
-def _quantize(sigma: Poly, mode, rf: ReducedForm, n: int) -> QuantizationRelation:
-    backend = rf.h.backend
+def _quantizer(sigma: Poly, mode, tau: Poly, n: int):
+    """quantization's relation as a function of h: the products without h
+    are taken once per sigma, tau and n."""
+    backend = tau.backend
     if mode == CLASSIC:
-        lam_n = (
-            -n * rf.tau.coeff(1)
-            - as_scalar(n * (n - 1), backend) * sigma.coeff(2)
-        )
-        resid = rf.h.coeff(0) - lam_n
-        return QuantizationRelation(
-            n, CLASSIC, slope_residual=resid, lambda_n=lam_n
-        )
-    slope = (
-        rf.h.coeff(1)
-        + as_scalar(n, backend) * rf.tau.coeff(2)
-        + as_scalar(n * (n - 1), backend) * sigma.coeff(3)
-    )
-    c_n = rf.h.coeff(0) + as_scalar(Fraction(n, 2), backend) * rf.tau.coeff(1)
+        lam_n = -n * tau.coeff(1) - as_scalar(n * (n - 1), backend) * sigma.coeff(2)
+        return lambda h: QuantizationRelation(n, CLASSIC, h.coeff(0) - lam_n, lambda_n=lam_n)
+    slope = as_scalar(n, backend) * tau.coeff(2), as_scalar(n * (n - 1), backend) * sigma.coeff(3)
+    offset = [as_scalar(Fraction(n, 2), backend) * tau.coeff(1)]
     if sigma.degree == 3:
-        c_n = c_n + as_scalar(Fraction(n * (n - 1), 3), backend) * sigma.coeff(2)
-    return QuantizationRelation(
-        n, EXTENDED, slope_residual=slope, constant_offset=c_n
-    )
+        offset.append(as_scalar(Fraction(n * (n - 1), 3), backend) * sigma.coeff(2))
+
+    def relation(h):
+        c_n = h.coeff(0)
+        for term in offset:
+            c_n = c_n + term
+        return QuantizationRelation(n, EXTENDED, h.coeff(1) + slope[0] + slope[1], c_n)
+
+    return relation
 
 
 def phi_factor(eq: NuEquation, b: PiBranch) -> PhiFactor:
@@ -818,21 +828,30 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
 class BranchSetup:
     """What every accessory value shares on the branch with this pi: the
     accessory enters only sigma~, as -accessory * sigma, and moves only h.
-    So branch_from_pi(eq, pi), kept as `branch`, the terms pi adds to
-    sigma~ and tau = tau~ + 2 pi are built once, and the accessory
-    `family` on first use."""
+    So branch_from_pi(eq, pi) is kept as `branch`, and tau = tau~ + 2 pi,
+    the terms pi adds to sigma~ and the accessory `family` are built once,
+    on first use."""
 
     def __init__(self, eq: NuEquation, pi: Poly):
         # a collapsed branch replaces pi by (sigma' - tau~)/2
         self.eq, self.branch = eq, branch_from_pi(eq, pi)
-        pi = self.branch.pi
-        self.terms, self.tau = _sigma_bar_terms(eq, pi), eq.tau_tilde + pi + pi
+
+    @cached_property
+    def tau(self) -> Poly:
+        return self.eq.tau_tilde + self.branch.pi + self.branch.pi
+
+    @cached_property
+    def terms(self):
+        return _sigma_bar_terms(self.eq, self.branch.pi)
 
     @cached_property
     def family(self) -> OdeFamily:
-        """The reduced equation for y in t: eq at t = 0, sigma~ - t sigma."""
+        """The reduced equation for y in t: eq at t = 0, sigma~ - t sigma.
+        Exact, it is PiBranch.reduced, since branch_from_pi found sigma_bar
+        = (g + pi') sigma with no remainder; float, it divides."""
         eq = self.eq
-        rf = _reduce(eq, eq.sigma_tilde, self.tau, self.terms)
+        rf = (_bounded(eq, self.branch.reduced(eq)) if eq.backend == EXACT
+              else _reduce(eq, eq.sigma_tilde, self.tau, self.terms))
         return OdeFamily(rf.ode(eq), Poly.constant(as_scalar(-1, eq.backend), eq.backend))
 
     def states(self, n: int, shifts, samples: int = 50):
@@ -842,13 +861,14 @@ class BranchSetup:
         solves the map with its h; one array pass gives all residuals."""
         eq, pi, terms, tau = self.eq, self.branch.pi, self.terms, self.tau
         fixed = _fixed_map(eq.sigma, tau, n)
+        quantize = _quantizer(eq.sigma, eq.mode, tau, n)
         phi = _prefactor(eq.sigma, pi)
         psi = eq.psi_ode()
         contour = ResidualContour(psi.p2, psi.p1, phi, samples)
         solved, polys, p0s = [], [], []
         for accessory, sigma_tilde in shifts:
             rf = _reduce(eq, sigma_tilde, tau, terms)
-            solved.append((accessory, _quantize(eq.sigma, eq.mode, rf, n)))
+            solved.append((accessory, quantize(rf.h)))
             polys.append(_null_polynomial(fixed, rf, n))
             p0s.append(sigma_tilde)
         residuals = contour.residuals(polys, p0s)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .engine import BranchSetup, NoBranchError
 from .oracle import termination_solve
-from .poly import Poly
+from .poly import _ONE, _ZERO, Poly, _sum
 from .scalars import as_scalar, infer_backend, negligible
 
 RELATION_TOL = 1e-8
@@ -52,6 +52,14 @@ class FamilyClass:
         return flagged_sum(self.flags, self.parts(p))
 
 
+def kept_factors(p, build):
+    """build(p), the Polys p's NU map and class pi parts share, kept in p's
+    __dict__ on first use: once per record, or per cli namespace."""
+    if "_factors" not in vars(p):
+        vars(p)["_factors"] = build(p)
+    return p._factors
+
+
 def find_class(classes, label):
     """The class with this label, matched as upper-case text."""
     key = str(label).upper()
@@ -71,7 +79,13 @@ def flagged_sum(flags, parts) -> Poly:
 
 
 def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
-    return (Poly.x(backend) * coupling - Poly.constant(accessory, backend)) * sigma
+    """(kappa z - t) sigma, kappa z - t summed on coefficient lists as the
+    Poly form sums it but untrimmed first: that moves only the sign of a
+    zero part, which the product with sigma, summed from +0, clears."""
+    coupling = as_scalar(coupling, backend)
+    line = _sum([_ZERO[backend] * coupling, _ONE[backend] * coupling],
+                [-as_scalar(accessory, backend)], backend)
+    return Poly._make(line, backend) * sigma
 
 
 def class_relation(p, label, n: int):

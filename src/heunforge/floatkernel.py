@@ -74,7 +74,7 @@ def null_vector(mat, n: int):
     vec = np.conj(vh[-1])
     if vec[n] == 0:
         return svals.tolist(), None
-    return svals.tolist(), [complex(v) for v in vec / vec[n]]
+    return svals.tolist(), (vec / vec[n]).tolist()
 
 
 def contour_residuals(z, p2, p1, logd, rows):
@@ -138,8 +138,10 @@ def _times(a, b):
 
 
 def _modulus(a):
-    """Modulus of a (real, imaginary) pair, as Python's abs of a complex."""
+    """Modulus of a (real, imaginary) pair, as Python's abs of a complex:
+    infinite from finite parts overflows (scanned past a non-finite one)."""
     out = np.hypot(*a)
-    if np.isinf(out[np.isfinite(a[0]) & np.isfinite(a[1])]).any():
+    if not np.isfinite(out).all() and np.isinf(
+            out[np.isfinite(a[0]) & np.isfinite(a[1])]).any():
         raise OverflowError("absolute value too large")
     return out

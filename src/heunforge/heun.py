@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
@@ -38,15 +39,12 @@ class HeunClass(family.FamilyClass):
     def parts(p) -> tuple:
         """The pi part of each flag: (z-1)(z-a)(1-gamma), z(z-a)(1-delta)
         and z(z-1)(1-epsilon)."""
-        backend = p.backend
-        z = Poly.x(backend)
-        one = Poly.one(backend)
-        ac = Poly.constant(p.a, backend)
-        unit = as_scalar(1, backend)
+        _, zz1, zza, z1za = family.kept_factors(p, _factors)
+        unit = as_scalar(1, p.backend)
         return (
-            (z - one) * (z - ac) * (unit - p.gamma),
-            z * (z - ac) * (unit - p.delta),
-            z * (z - one) * (unit - p.epsilon),
+            z1za * (unit - p.gamma),
+            zza * (unit - p.delta),
+            zz1 * (unit - p.epsilon),
         )
 
     def product_value(self, n: int, gamma, delta, epsilon):
@@ -80,30 +78,28 @@ HEUN_CLASSES = (
 )
 
 
+def _factors(p) -> tuple:
+    """z - a, z(z-1), z(z-a) and (z-1)(z-a): sigma's factors and tau~'s."""
+    z = Poly.x(p.backend)
+    z1, za = z - Poly.one(p.backend), z - Poly.constant(p.a, p.backend)
+    return za, z * z1, z * za, z1 * za
+
+
 def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
     """Equation built from alpha*beta directly (the split into alpha and
     beta never enters the polynomial form)."""
     backend = infer_backend([a, q, product, gamma, delta, epsilon])
-    a = as_scalar(a, backend)
-    q = as_scalar(q, backend)
-    product = as_scalar(product, backend)
-    z = Poly.x(backend)
-    one = Poly.one(backend)
-    ac = Poly.constant(a, backend)
-    sigma = z * (z - one) * (z - ac)
-    tau_tilde = (
-        (z - one) * (z - ac) * as_scalar(gamma, backend)
-        + z * (z - ac) * as_scalar(delta, backend)
-        + z * (z - one) * as_scalar(epsilon, backend)
-    )
-    return NuEquation(
-        tau_tilde, sigma, sigma_tilde(sigma, product, q, backend), EXTENDED
-    )
+    return heun_to_nu(SimpleNamespace(a=a, q=q, product=product, gamma=gamma,
+                                      delta=delta, epsilon=epsilon, backend=backend))
 
 
 def heun_to_nu(p: HeunParams) -> NuEquation:
-    return heun_nu_from_product(
-        p.a, p.q, p.product, p.gamma, p.delta, p.epsilon
+    """The equation of p, or of a namespace with p's attributes."""
+    za, zz1, zza, z1za = family.kept_factors(p, _factors)
+    sigma = zz1 * za
+    tau_tilde = z1za * p.gamma + zza * p.delta + zz1 * p.epsilon
+    return NuEquation(
+        tau_tilde, sigma, sigma_tilde(sigma, p.product, p.q, p.backend), EXTENDED
     )
 
 

@@ -139,10 +139,7 @@ class Poly:
                 return NotImplemented
         self._check_backend(other)
         right = [-c for c in other.coeffs] if negate else other.coeffs
-        # the shorter side is padded with the backend's +0, which is
-        # still added so that float signed zeros come out normalized
-        pairs = zip_longest(self.coeffs, right, fillvalue=_ZERO[self.backend])
-        return Poly._make([a + b for a, b in pairs], self.backend)
+        return Poly._make(_sum(self.coeffs, right, self.backend), self.backend)
 
     __radd__ = __add__
 
@@ -345,6 +342,13 @@ def _horner(coeffs, z: complex) -> complex:
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
+
+
+def _sum(left, right, backend):
+    """Untrimmed coefficients of left + right, sequences of the backend's
+    scalars: the shorter side is padded with the backend's +0, which is
+    still added so that float signed zeros come out normalized."""
+    return [a + b for a, b in zip_longest(left, right, fillvalue=_ZERO[backend])]
 
 
 def _trim(coeffs, backend):

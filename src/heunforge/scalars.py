@@ -336,6 +336,8 @@ def parse_scalar(text: str, backend: str):
     re_part, im_part = _read_sum(text)
     if backend == EXACT:
         return RationalComplex(re_part, im_part)
+    if backend != FLOAT:
+        raise ValueError("unknown backend %r" % (backend,))
     try:
         return complex(float(re_part), float(im_part))
     except OverflowError:

@@ -356,6 +356,14 @@ def test_unknown_backend_is_a_value_error(text):
         parse_poly(text, "bogus")
 
 
+@pytest.mark.parametrize("text", ["1/2", "3", "-2/5", "(1+2i)", "1.5e-3", "1e400"])
+def test_unknown_backend_is_a_value_error_for_scalars(text):
+    # as parse_poly and as_scalar refuse it, not read as float
+    for backend in ("bogus", "Float", ""):
+        with pytest.raises(ValueError, match="^unknown backend %r$" % backend):
+            parse_scalar(text, backend)
+
+
 def test_huge_literal_is_exact_but_beyond_float_range():
     assert parse_scalar("1e400", EXACT) == RationalComplex(10**400)
     assert parse_poly("1e400*z", EXACT).coeffs[1] == RationalComplex(10**400)

@@ -19,6 +19,7 @@ from heunforge.che import (
     che_to_nu,
 )
 from heunforge.engine import BranchSetup, NoBranchError, PhiFactor, _prefactor
+from heunforge.floatkernel import _modulus
 from heunforge.heun import (
     HEUN_CLASSES,
     heun_accessory,
@@ -550,6 +551,28 @@ def test_residual_overflow_raises_as_python_abs_does():
         _plain_reference_residual(huge, ode)
     with pytest.raises(OverflowError):
         ode_residual(huge, ode)
+    # a term with an infinite or NaN part is skipped, as abs() of such a
+    # Python complex gives inf or nan without raising: here t0 = 3e308
+    # overflows to an infinite real part, or p0 carries a NaN part
+    for p0 in (Poly.constant(2, FLOAT), Poly.constant(complex(math.nan, 1), FLOAT),
+               Poly.constant(complex(1, math.nan), FLOAT)):
+        ode = OdeForm(Poly.one(FLOAT), Poly.zero(FLOAT), p0)
+        want = _plain_reference_residual(huge, ode)
+        _assert_bits(ode_residual(huge, ode), want)
+    # the modulus pass itself, under the residual pass's errstate: parts
+    # are scanned only past a modulus that is not finite, and an overflow
+    # of finite parts raises
+    inf, nan = math.inf, math.nan
+    with np.errstate(all="ignore"):
+        ok = (np.array([[3.0, inf, nan, -inf, 1e308]]), np.array([[4.0, 1.0, 2.0, nan, 0.0]]))
+        assert [str(v) for v in _modulus(ok).ravel()] == ["5.0", "inf", "nan", "inf", "1e+308"]
+        for re, im in ((1.5e308, 1.5e308), (-1.3e308, 1.3e308), (1e308, -1.7e308)):
+            with pytest.raises(OverflowError):
+                abs(complex(re, im))
+            with pytest.raises(OverflowError):
+                _modulus((np.array([[1.0, inf, re]]), np.array([[0.0, 1.0, im]])))
+            with pytest.raises(OverflowError):
+                _modulus((np.array([[re]]), np.array([[im]])))
 
 
 # -- the contour build, pinned to its Poly-call form ---------------------------
