@@ -50,7 +50,14 @@ from .che import (
     che_eigenstates,
     che_params_for_class,
 )
-from .engine import CLASSIC, EXTENDED, NoBranchError, NuEquation, enumerate_branches
+from .engine import (
+    CLASSIC,
+    EXTENDED,
+    NoBranchError,
+    NuEquation,
+    _negligible_in,
+    enumerate_branches,
+)
 from .family import flagged_sum
 from .heun import (
     HEUN_CLASSES,
@@ -163,8 +170,7 @@ def _cell(value) -> str:
 def _accessory_factors(eq: NuEquation) -> bool:
     """Whether sigma~ / sigma is exact and affine."""
     quot, rem = eq.sigma_tilde.divrem(eq.sigma)
-    bound = 1e-10 * max(eq.sigma_tilde.max_abs(), 1.0)
-    return rem.negligible(bound) and quot.degree <= 1
+    return _negligible_in(rem, eq.sigma_tilde, 1e-10) and quot.degree <= 1
 
 
 def _match_heun(eq: NuEquation):

@@ -21,6 +21,8 @@ A float value of an exact equation (a root of sigma, a branch at an
 irrational root) becomes exact by one rule: Newton refines it on the
 exact equation it must satisfy, the simplest Gaussian rational near the
 result is taken (_refine), and it stands if the equation holds exactly.
+Roots of an exact sigma with no closed form are refined all together,
+by Aberth's simultaneous Newton step (_aberth).
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ DIVIDE_REL_TOL = 1e-10
 # float remainders and Taylor coefficients below this (relative) count
 # as zero when reading sigma's root multiplicities and B's vanishing order
 ZERO_TOL = 1e-9
-# the exactness rule's Newton iterates are Gaussian dyadics (a + b i)/2^GRID_BITS
+# the exactness rule's Newton iterates are Gaussian dyadics on a grid of
+# 2^-GRID_BITS, finer for a value that starts below 1 in size (_refine)
 GRID_BITS = 128
 
 _DEGREE_BOUNDS = {CLASSIC: (1, 2, 2), EXTENDED: (2, 3, 4)}
@@ -226,20 +229,24 @@ def _signed(b: PiBranch) -> PiBranch:
 
 def _refine(values, step):
     """Newton x -> x - step(x) from `values` (floats or Gaussian
-    rationals), each float step rounded to the grid, until a step is at
-    most one grid unit, for GRID_BITS steps, or until a step is not a
-    finite float: the Gaussian dyadics it reaches, within a few grid
-    units of a solution where it converges."""
-    one = 1 << GRID_BITS
+    rationals), each float step rounded to its value's grid, until every
+    step is at most one grid unit, for GRID_BITS steps, or until a step
+    is not a finite float: the Gaussian dyadics it reaches, within a few
+    grid units of a solution where it converges. A value that starts at
+    size 2^e has the grid 2^-GRID_BITS min(1, 2^e), fixed: a small root
+    keeps as many bits as a large one, and a value driven to 0 stops at
+    the noise the other values' grids leave in its step."""
     x = [v if isinstance(v, RationalComplex) else RationalComplex(v.real, v.imag)
          for v in values]
+    units = [1 << (GRID_BITS - min(0, max(a.bit_length(), b.bit_length()) - d.bit_length()))
+             for a, b, d in (v._abd for v in x)]
     for _ in range(GRID_BITS):
         try:
             d = [RationalComplex(round(Fraction(v.real) * one), round(Fraction(v.imag) * one))
-                 for v in step(x)]
-        except (OverflowError, ValueError):  # a step beyond float range, or NaN
+                 for v, one in zip(step(x), units)]
+        except (OverflowError, ZeroDivisionError, ValueError):  # beyond float range, 1/0, NaN
             break
-        x = [a - v / one for a, v in zip(x, d)]
+        x = [a - v / one for a, v, one in zip(x, d, units)]
         if max(max(abs(v.re), abs(v.im)) for v in d) <= 1:
             break
     return x
@@ -281,86 +288,72 @@ def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
     return candidate
 
 
-def _scaled(poly: Poly):
-    """(t, coefficients of poly(t w) / (lead t^d)), d = deg poly, with t a
-    power of 2 at poly's root bound: each part of a coefficient is below 2
-    and the roots in w are at most 4 in modulus, one near that bound."""
-    d, lead = poly.degree, poly.leading()
-    ratios = [c / lead for c in poly.coeffs]
-    t = Fraction(2) ** max(((max(p.numerator.bit_length() - p.denominator.bit_length()
-                                 for p in (r.re, r.im) if p) + k - 1) // k
-                            for k, r in zip(range(d, 0, -1), ratios) if r), default=0)
-    return t, [r / t ** (d - i) for i, r in enumerate(ratios)]
+def _starts(poly: Poly):
+    """Aberth's starting points for the roots of an exact poly with a
+    nonzero constant term, from its Newton polygon (Bini, Numer.
+    Algorithms 13, 1996): each edge (k, j) of the upper convex hull of
+    the points (k, log2 |c_k|) puts j - k points on the circle of radius
+    2^r, r its slope rounded, at angles 2 pi (i/(j - k) + k/deg) + 0.7.
+    log2 |c_k| is read off the bit lengths of c_k's ints."""
+    size = {k: max(a.bit_length(), b.bit_length()) - d.bit_length()
+            for k, (a, b, d) in enumerate(c._abd for c in poly.coeffs) if a or b}
+    starts, k = [], 0
+    while k < poly.degree:
+        # the hull's next vertex: the steepest rise from k, the farthest on a tie
+        j = max((j for j in size if j > k), key=lambda j: ((size[j] - size[k]) / (j - k), j))
+        radius = Fraction(2) ** round((size[k] - size[j]) / (j - k))
+        for i in range(j - k):
+            w = cmath.exp(1j * (2 * cmath.pi * (i / (j - k) + k / poly.degree) + 0.7))
+            starts.append(RationalComplex(w.real, w.imag) * radius)
+        k = j
+    return starts
 
 
-def _cubic_estimates(cubic: Poly):
-    """Gaussian-rational estimates of the roots of an exact cubic, largest
-    modulus first: Cardano's formula in floats on its depressed form,
-    shifted and scaled exactly (_scaled), so that it cannot overflow and
-    the roots of a cluster come out apart."""
-    shift = -cubic.coeff(2) / (3 * cubic.leading())
-    t, (q, p, _, _) = _scaled(cubic.shift(shift))
-    p, q = complex(p), complex(q)
-    disc = cmath.sqrt(q * q / 4 + p ** 3 / 27)
-    # the larger of -q/2 +- disc, so that the sum does not cancel
-    u3 = max(-q / 2 + disc, -q / 2 - disc, key=abs)
-    us = [u3 ** (1 / 3) * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
-    ws = [u - p / (3 * u) for u in us] if u3 else [0j] * 3  # else p = q = 0
-    return sorted((shift + t * RationalComplex(w.real, w.imag) for w in ws),
-                  key=abs, reverse=True)
+def _aberth(poly: Poly):
+    """The roots of an exact square-free poly, refined together by
+    Aberth's step N / (1 - N sum_j 1/(x - x_j)), N = poly/poly' taken
+    exactly (Aberth, Math. Comp. 27, 1973), from _starts: the Gaussian
+    dyadics _refine reaches. The differences x - x_j are exact before
+    they become floats; where poly' vanishes the step is its limit."""
+    slope = poly.derivative()
 
+    def step(x):
+        out = []
+        for k, v in enumerate(x):
+            repel = sum(1 / complex(v - w) for w in x[:k] + x[k + 1:])
+            d = slope(v)
+            n = complex(poly(v) / d) if d else None
+            out.append(-1 / repel if n is None else n / (1 - n * repel))
+        return out
 
-def _float_roots(quadratic: Poly):
-    """The roots of an exact quadratic as floats: on its scaled form w^2 +
-    b w + c (_scaled), q = -(b + sqrt(b^2 - 4c))/2 with the sign that does
-    not cancel, and the roots t q and t c/q, each rounded once."""
-    t, (c, b, _) = _scaled(quadratic)
-    disc, b = cmath.sqrt(complex(b * b - 4 * c)), complex(b)
-    q = -(b + disc if (b.conjugate() * disc).real >= 0 else b - disc) / 2
-    q = RationalComplex(q.real, q.imag)
-    return [complex(t * q), complex(t * c / q)]
+    return _refine(_starts(poly), step)
 
 
 def _exact_roots(sigma: Poly):
     """All roots of an exact square-free sigma of degree at most 3, in
     descending order of (re, im): exact where Gaussian rational, else
-    floats. z^m gives m zero roots. Newton on the cubic rest (_refine)
-    from Cardano's estimates, sigma' at each step, gives a root whose
-    _simplest is one to divide out, or else the refined root of largest
-    modulus to divide out. An exact quadratic rest has exact roots where
-    sqrt_exact of its discriminant has one, else float ones
-    (_float_roots). Roots within four units in the last place of each
-    other, not all exact, raise ValueError: as floats they would give
-    sigma one centre twice."""
-    coeffs = list(sigma.coeffs)
-    roots = []
-    while not coeffs[0]:
-        roots.append(RationalComplex(0))
-        coeffs.pop(0)
-    rest, exact = Poly(coeffs, EXACT), True
-    if rest.degree == 3:
-        drest = rest.derivative()
-
-        def step(x):  # Newton's exact step rest/rest', rounded
-            slope = drest(x[0])
-            return [complex(rest(x[0]) / slope) if slope else 0j]
-
-        near = [_refine([z], step)[0] for z in _cubic_estimates(rest)]
+    floats. z^m gives m zero roots. A linear rest, and a quadratic one
+    whose discriminant has a sqrt_exact root, give theirs in closed form.
+    Any other rest is refined by _aberth: the first iterate whose
+    _simplest is a root gives that root, which is divided out exactly,
+    and the quotient starts over; with none, each root is its iterate as
+    a float. Roots within four units in the last place of each other,
+    not all exact, raise ValueError: as floats they would give sigma one
+    centre twice."""
+    zeros = next(k for k, c in enumerate(sigma.coeffs) if c)
+    roots = [RationalComplex(0)] * zeros
+    rest = Poly(sigma.coeffs[zeros:], EXACT)
+    c0, c1, c2 = rest.coeff(0), rest.coeff(1), rest.coeff(2)
+    disc = sqrt_exact(c1 * c1 - 4 * c0 * c2) if rest.degree == 2 else None
+    if rest.degree == 1:
+        roots.append(-c0 / c1)
+    elif disc is not None:
+        roots += [(-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
+    elif rest.degree:
+        near = _aberth(rest)
         root = next((c for c in map(_simplest, near) if not rest(c)), None)
-        exact, r = root is not None, near[0] if root is None else root
-        # rest = (z - r)(c3 z^2 + b1 z + b0), solved from the c0 end: the
-        # exact quotient for an exact root, and for the largest refined
-        # root one whose roots stay accurate however far apart they lie
-        c0, c1, _, c3 = rest.coeffs
-        roots.append(r if exact else complex(r))
-        rest = Poly([-c0 / r, (-c0 / r - c1) / r, c3], EXACT)
-    if rest.degree == 2:
-        c0, c1, c2 = rest.coeffs
-        disc = sqrt_exact(c1 * c1 - 4 * c0 * c2) if exact else None
-        roots += _float_roots(rest) if disc is None else [
-            (-c1 + disc) / (2 * c2), (-c1 - disc) / (2 * c2)]
-    elif rest.degree == 1:
-        roots.append(-rest.coeff(0) / rest.coeff(1))
+        roots += [complex(x) for x in near] if root is None else [
+            root, *_exact_roots(rest.divrem(Poly([-root, 1], EXACT))[0])]
     values = [complex(c) for c in roots]
     if not all(isinstance(c, RationalComplex) for c in roots) and any(
             abs(a - b) <= 4 * sys.float_info.epsilon * max(abs(a), abs(b))
@@ -378,7 +371,7 @@ def _sigma_points(sigma: Poly, budget: int):
 
     A repeated root is read off gcd(sigma, sigma'), so its centre is
     exact when sigma is. The other roots come from _exact_roots for an
-    exact sigma and from Poly.roots for a float one."""
+    exact sigma (closed forms or _aberth), from Poly.roots for a float one."""
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points

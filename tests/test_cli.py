@@ -38,6 +38,7 @@ from heunforge.cli import (
     MAX_SAMPLES,
     _branch_label,
     _class_catalog,
+    _match_che,
     _match_heun,
     build_parser,
     main,
@@ -426,6 +427,25 @@ def test_float_branch_label_against_exact_catalog():
         assert _branch_label(float_b, catalog) == label
         labels.append(label)
     assert sorted(labels) == sorted(c.label for c in HEUN_CLASSES)
+
+
+def test_exact_family_match_takes_no_float_bound(monkeypatch):
+    # sigma~ factors through sigma when the remainder is zero, for an
+    # exact equation, so the match reads no float size of an exact Poly
+    real = Poly.max_abs
+
+    def float_only(self):
+        assert self.backend != EXACT, "max_abs of an exact Poly"
+        return real(self)
+
+    monkeypatch.setattr(Poly, "max_abs", float_only)
+    heun = NuEquation(parse_poly("1 - 35/12*z + 19/12*z^2", EXACT),
+                      parse_poly("z^3 - 3*z^2 + 2*z", EXACT),
+                      parse_poly("-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4", EXACT))
+    che = NuEquation(parse_poly("1/2 - 3/2*z + 2*z^2", EXACT), parse_poly("z^2 - z", EXACT),
+                     parse_poly("-1/3*z + 2/15*z^2 + 1/5*z^3", EXACT))
+    assert _match_heun(heun).a == 2
+    assert _match_che(che).alpha == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])

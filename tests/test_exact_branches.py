@@ -25,6 +25,7 @@ that agree to float precision.
 
 import cmath
 import json
+import math
 import random
 import sys
 import time
@@ -816,10 +817,11 @@ def test_planted_branches_on_irrational_roots_come_out_exact():
 
 
 def test_a_cluster_of_three_close_roots_is_exact_and_fast():
-    # sigma = (z - 1)(z - 1 - 1e-12)(z - 1 - 2e-12): Newton from Cardano's
-    # estimates, with sigma' at each step, reaches an exact root of the
-    # cluster, so all three centres are exact and so is every branch. The
-    # pi ladder found no root there and took 29 s for 6 float branches.
+    # sigma = (z - 1)(z - 1 - 1e-12)(z - 1 - 2e-12): Aberth's step, from
+    # the Newton polygon's circle, reaches an exact root of the cluster,
+    # which is divided out exactly, so all three centres are exact and
+    # so is every branch. The pi ladder found no root there and took 29 s
+    # for 6 float branches.
     e = F(1, 10**12)
     sigma = _times(_times([-1, 1], [-1 - e, 1]), [-1 - 2 * e, 1])
     pi = [F(1, 3), F(-2, 5), F(1, 7)]
@@ -858,22 +860,52 @@ def _newton_gap(sigma, r):
     return abs(complex(sigma(x) / sigma.derivative()(x))) / abs(r)
 
 
-@pytest.mark.parametrize("text", [
+SCALE_CASES = [
     "z^2 - 2e-40", "z^2 - 2e-34", "z^3 - 2e-150", "z^3 + 1e160",
     "z^3 + 1e20*z^2 + 1", "z^3 + 1e110*z^2 + 1", "-1 + 2e-30 + 3*z - 3*z^2 + z^3",
-    "(1+2i)*z^3 - 3i*z + 7/3"])
+    "(1+2i)*z^3 - 3i*z + 7/3"]
+
+
+@pytest.mark.parametrize("text", SCALE_CASES)
 def test_irrational_roots_keep_float_accuracy_at_every_scale(text):
-    # Cardano runs on the depressed cubic scaled to roots near 1, the
-    # largest refined root is divided out from the constant term, and the
-    # quadratic formula runs on the scaled quadratic: each float root
-    # lies within a few units in the last place of a root of sigma,
-    # however small or large, spread apart or clustered the roots are
+    # Aberth's step refines all roots together from the Newton polygon's
+    # circles, each iterate on a grid relative to its own size below 1:
+    # each float root lies within a few units in the last place of a root
+    # of sigma, however small or large, spread apart or clustered the
+    # roots are
     sigma = parse_poly(text, EXACT)
     roots = _exact_roots(sigma)
     assert len(roots) == sigma.degree
     assert len(set(map(complex, roots))) == len(roots)
     for r in roots:
         assert isinstance(r, complex) and _newton_gap(sigma, r) <= 1e-15, r
+
+
+def test_float_roots_are_certified_to_half_an_ulp():
+    # at every float root r, the exact Newton correction delta =
+    # sigma(r)/sigma'(r) is at most 2^-53 |r|, so r is the root rounded,
+    # and the Newton disks of radius deg |delta| about the roots, each of
+    # which holds a root of sigma, are pairwise disjoint: the roots are
+    # distinct and complete. sqrt(2) comes out as math.sqrt(2)
+    sigmas = [sigma for sigma, roots in _root_grid(200, seed=1511) if roots is None]
+    sigmas += [parse_poly(text, EXACT) for text in SCALE_CASES]
+    floats = 0
+    for sigma in sigmas:
+        slope, disks = sigma.derivative(), []
+        for r in _exact_roots(sigma):
+            if isinstance(r, RationalComplex):
+                disks.append((complex(r), 0.0))
+                continue
+            x = RationalComplex(r.real, r.imag)
+            delta = sigma(x) / slope(x)
+            assert (delta.re ** 2 + delta.im ** 2) * 2 ** 106 <= x.re ** 2 + x.im ** 2, (sigma, r)
+            disks.append((r, sigma.degree * abs(delta)))
+            floats += 1
+        for i, (a, ra) in enumerate(disks):
+            assert all(abs(a - b) > ra + rb for b, rb in disks[i + 1:]), sigma
+    assert floats >= 100
+    root2 = math.sqrt(2)
+    assert _exact_roots(parse_poly("z^3 - 2*z", EXACT)) == [root2, RationalComplex(0), -root2]
 
 
 def test_a_cluster_with_irrational_roots_keeps_three_centres():
@@ -902,9 +934,29 @@ def test_float_roots_that_agree_are_refused(capsys):
 
 
 def test_cardano_beyond_float_range_of_its_coefficients(capsys):
-    # sigma = z^3 + 1e160: Cardano on the unscaled cubic overflowed
-    # (q^2 = 1e320), though the roots, 2.2e53 in modulus, are floats
+    # sigma = z^3 + 1e160: the square of its constant term, 1e320, is
+    # beyond float range, though the roots, 2.2e53 in modulus, are floats;
+    # the root kernel evaluates sigma exactly and keeps them
     argv = ["classify", "--sigma", "z^3 + 1e160", "--tau", "1 + z",
             "--sigma-tilde", "1 + z^2", "--backend", "exact"]
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith("8 branches")
+
+
+@pytest.mark.parametrize("sigma, code, err", [
+    ("z^3 - 1e-300", 2, "error: polynomial coefficient overflows the float range\n"),
+    ("z^3 + (1e-200)*z^2 + 1e-300*z + 1e-308", 2,
+     "error: polynomial coefficient overflows the float range\n"),
+    ("1e300*z^3 - 1", 2, "error: exact value overflows the float range\n"),
+    ("z^3 + 1e300*z + 1", 2, "error: exact value overflows the float range\n"),
+    ("z^3 - 1e308", 2, "error: noise bound at a root of sigma overflows the float range\n"),
+    ("z^2 - 1e300", 0, "")])
+def test_sigma_at_the_ends_of_float_range_keeps_its_exit(capsys, sigma, code, err):
+    # roots or values of B beyond float range at either end give the error
+    # of the step they first reach, and z^2 - 1e300 its branches
+    argv = ["classify", "--sigma", sigma, "--tau", "1 + z", "--sigma-tilde", "1 + z^2",
+            "--backend", "exact"]
+    assert main(argv) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    assert out.startswith("4 branches") if code == 0 else out == ""

@@ -2,8 +2,8 @@
 
 Each run is cli.main in a fresh interpreter where sys.modules["numpy"]
 is None, so any import of numpy raises. The README's exact `classify`
-runs, both modes and the one that prints float branches, an exact
-`classify` whose sigma has irrational roots, and `app coulomb3s` must
+runs, both modes and the one that prints float branches, exact
+`classify` runs whose sigma has irrational roots, and `app coulomb3s` must
 print what they print with numpy present, and so must `--help`. A float `solve` must fail there, which shows that the block
 holds.
 """
@@ -41,14 +41,21 @@ README_FLOAT_BRANCHES = [
     "classify", "--sigma", "z^3 - 3*z^2 + 2*z", "--tau", "1 + z",
     "--sigma-tilde", "1 + z^2", "--backend", "exact",
 ]
-# sigma = z^3 - 2 has irrational roots, which _exact_roots refines from
-# Cardano's estimates without eigvals; a planted branch (pi = 1/3 - 2/5 z
-# + 1/7 z^2) comes out exact and the others float
+# sigma = z^3 - 2 has irrational roots, which _exact_roots refines by
+# Aberth's step from Newton-polygon starts without eigvals; a planted
+# branch (pi = 1/3 - 2/5 z + 1/7 z^2) comes out exact and the others float
 IRRATIONAL_SIGMA = [
     "classify", "--sigma", "z^3 - 2", "--tau", "1 - 35/12*z + 19/12*z^2",
     "--sigma-tilde", "-13/9 + 83/36*z - 6883/6300*z^2 + 13/28*z^3 - 89/588*z^4",
     "--backend", "exact",
 ]
+# the root kernel on three real irrational roots, on roots 165 orders of
+# magnitude apart, and on Gaussian coefficients; the second has tau~ =
+# sigma', so that B = -sigma~ stays in float range at its roots
+KERNEL_SIGMAS = [
+    ["classify", "--sigma", sigma, "--tau", tau, "--sigma-tilde", "1 + z^2", "--backend", "exact"]
+    for sigma, tau in (("z^3 - 3*z + 1", "1 + z"), ("z^3 + 1e110*z^2 + 1", "3*z^2 + 2e110*z"),
+                       ("(1+2i)*z^3 - 3i*z + 7/3", "1 + z"))]
 COULOMB = ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"]
 FORMATS = ("json", "csv", "table")
 
@@ -81,10 +88,11 @@ def test_golden_run_without_numpy(name, argv, fmt):
 @pytest.mark.parametrize("argv", [
     *(README_CLASSIC + ["--format", fmt] for fmt in FORMATS),
     *(README_FLOAT_BRANCHES + ["--format", fmt] for fmt in FORMATS), ["--help"],
-    *(IRRATIONAL_SIGMA + ["--format", fmt] for fmt in FORMATS)],
+    *(IRRATIONAL_SIGMA + ["--format", fmt] for fmt in FORMATS), *KERNEL_SIGMAS],
     ids=["classic-%s" % fmt for fmt in FORMATS]
     + ["float-branches-%s" % fmt for fmt in FORMATS] + ["help"]
-    + ["irrational-sigma-%s" % fmt for fmt in FORMATS])
+    + ["irrational-sigma-%s" % fmt for fmt in FORMATS]
+    + ["kernel-%d" % i for i in range(len(KERNEL_SIGMAS))])
 def test_run_without_numpy_prints_what_it_prints_with_numpy(capsys, monkeypatch, argv):
     code, out = _in_process(capsys, monkeypatch, argv)
     assert code == 0 and out
