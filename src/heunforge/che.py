@@ -18,6 +18,7 @@ degree <= n (a root of the degree n+1 truncation condition).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
@@ -83,6 +84,26 @@ def che_to_nu(p: CheParams) -> NuEquation:
     )
     return NuEquation(
         tau_tilde, sigma, sigma_tilde(sigma, p.coupling, p.mu, backend), EXTENDED
+    )
+
+
+def che_match(eq: NuEquation):
+    """alpha, beta, gamma, backend and CLASSES, what class_catalog reads,
+    when sigma = z(z-1) and sigma~ factors through it, else None."""
+    sig = eq.sigma
+    if eq.mode != EXTENDED or sig.degree != 2:
+        return None
+    if not (Poly([0, -1, 1], eq.backend) - sig).negligible(1e-12):
+        return None
+    if not family.factors_through_sigma(eq):
+        return None
+    tt = eq.tau_tilde
+    return SimpleNamespace(
+        alpha=tt.coeff(2),
+        beta=-1 - tt(0),
+        gamma=tt(1) - 1,
+        backend=eq.backend,
+        CLASSES=CHE_CLASSES,
     )
 
 

@@ -1,12 +1,12 @@
-"""Command-line front end.
+"""Command-line front end: it parses, calls the library and renders.
 
 Three subcommands: `classify` enumerates the polynomial-reduction
 branches of an equation given by its three coefficient polynomials and
-labels the ones matching a known family class; `solve` resolves the
-accessory parameter for a (family, class, degree) request and assembles
-the eigenfunctions with their contour residuals; `app` runs one of the
-bundled model problems and reports closed-form values next to their
-verification residuals.
+labels the ones matching a class of the family that heun_match or
+che_match recognises; `solve` resolves the accessory parameter for a
+(family, class, degree) request and assembles the eigenfunctions with
+their contour residuals; `app` runs one of the bundled model problems
+and reports closed-form values next to their verification residuals.
 
 Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
@@ -32,10 +32,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from types import SimpleNamespace
 
 from .apps import (
     ANTISYMMETRIC,
@@ -45,9 +44,9 @@ from .apps import (
     electrons_sphere_state,
 )
 from .che import (
-    CHE_CLASSES,
     che_accessory,
     che_eigenstates,
+    che_match,
     che_params_for_class,
 )
 from .engine import (
@@ -55,14 +54,13 @@ from .engine import (
     EXTENDED,
     NoBranchError,
     NuEquation,
-    _negligible_in,
     enumerate_branches,
 )
-from .family import flagged_sum
+from .family import class_catalog
 from .heun import (
-    HEUN_CLASSES,
     heun_accessory,
     heun_eigenstates,
+    heun_match,
     heun_params_for_class,
 )
 from .poly import Poly, format_poly, parse_poly
@@ -71,7 +69,6 @@ from .scalars import (
     FLOAT,
     RationalComplex,
     format_scalar,
-    negligible,
     parse_scalar,
 )
 
@@ -167,66 +164,8 @@ def _cell(value) -> str:
 # -- family detection ---------------------------------------------------------
 
 
-def _accessory_factors(eq: NuEquation) -> bool:
-    """Whether sigma~ / sigma is exact and affine."""
-    quot, rem = eq.sigma_tilde.divrem(eq.sigma)
-    return _negligible_in(rem, eq.sigma_tilde, 1e-10) and quot.degree <= 1
-
-
-def _match_heun(eq: NuEquation):
-    """Exponent parameters when sigma = z(z-1)(z-a) and sigma~ factors
-    through sigma, else None."""
-    sig = eq.sigma
-    if eq.mode != EXTENDED or sig.degree != 3:
-        return None
-    if not negligible(sig.coeff(3) - 1, 1e-12) or not negligible(sig.coeff(0), 1e-12):
-        return None
-    a = sig.coeff(1)
-    if not negligible(sig.coeff(2) + a + 1, 1e-10 * max(1.0, abs(a))):
-        return None
-    if negligible(a, 1e-12) or negligible(a - 1, 1e-12):
-        return None
-    if not _accessory_factors(eq):
-        return None
-    tt = eq.tau_tilde
-    return SimpleNamespace(
-        a=a,
-        gamma=tt(0) / a,
-        delta=tt(1) / (1 - a),
-        epsilon=tt(a) / (a * (a - 1)),
-        backend=eq.backend,
-    )
-
-
-def _match_che(eq: NuEquation):
-    """Exponent parameters when sigma = z(z-1) and sigma~ factors through
-    sigma, else None."""
-    sig = eq.sigma
-    if eq.mode != EXTENDED or sig.degree != 2:
-        return None
-    if not (Poly([0, -1, 1], eq.backend) - sig).negligible(1e-12):
-        return None
-    if not _accessory_factors(eq):
-        return None
-    tt = eq.tau_tilde
-    return SimpleNamespace(
-        alpha=tt.coeff(2),
-        beta=-1 - tt(0),
-        gamma=tt(1) - 1,
-        backend=eq.backend,
-    )
-
-
-def _class_catalog(heun_p, che_p):
-    """(label, float coefficients of the class pi) of every class of the
-    matched family, from one build of the family's pi parts. Float, as an
-    exact equation can keep a float branch where no exact one exists."""
-    classes, p = (HEUN_CLASSES, heun_p) if heun_p is not None else (CHE_CLASSES, che_p)
-    if p is None:
-        return []
-    parts = classes[0].parts(p)
-    return [(cls.label, flagged_sum(cls.flags, parts).to_float().coeffs)
-            for cls in classes]
+# classify's families, each with its recogniser: parameters or None
+_FAMILIES = (("heun", heun_match), ("che", che_match))
 
 
 def _branch_label(branch, catalog) -> str:
@@ -257,10 +196,12 @@ def cmd_classify(args, config: RunConfig):
         mode=args.mode,
     )
     branches = enumerate_branches(eq)
-    heun_p = _match_heun(eq)
-    che_p = _match_che(eq)
-    family = "heun" if heun_p is not None else "che" if che_p is not None else ""
-    catalog = _class_catalog(heun_p, che_p)
+    family, catalog = "", []
+    for name, match in _FAMILIES:
+        p = match(eq)
+        if p is not None:
+            family, catalog = name, class_catalog(p)
+            break
     entries = []
     for b in branches:
         rf = b.reduced(eq)
@@ -304,13 +245,8 @@ def _arg(args, name: str, backend: str, parse=parse_scalar):
     return value
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
-
-
-def _float_params(p):
-    """The same family parameters as complex floats."""
-    return type(p)(*(complex(getattr(p, f.name)) for f in fields(p)))
 
 
 # per family: the options its *_params_for_class takes after class and degree
@@ -321,10 +257,7 @@ _SOLVE_PARAMS = {
 
 
 def _solve_states(args, config: RunConfig):
-    """One assembled eigenstate per accessory value, all from one setup.
-
-    Resolved accessory roots are always floats, so exact-backend runs
-    assemble the eigenstates on the float copy of the parameters."""
+    """One assembled eigenstate per accessory value, all from one setup."""
     backend = config.backend
     # entry points are looked up per call, so a wrapper installed on the
     # module attribute (bench/tracing.py) is the one that runs
@@ -339,8 +272,6 @@ def _solve_states(args, config: RunConfig):
         values = [_arg(args, "accessory", backend)]
     else:
         values = resolve(p, args.label, args.n)
-    if p.backend == EXACT and not all(isinstance(v, RationalComplex) for v in values):
-        p = _float_params(p)
     return assemble(p, args.label, args.n, values, config.samples)
 
 
@@ -642,9 +573,6 @@ def main(argv=None) -> int:
         _render(args.command, config.fmt, record)
         failed = any(not check["passed"] for check in record[2])
         return EXIT_VERIFICATION if failed else EXIT_OK
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
     except NoBranchError as exc:
         print("no solution: %s" % exc, file=sys.stderr)
         return EXIT_NO_SOLUTION

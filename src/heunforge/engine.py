@@ -265,8 +265,10 @@ def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
     equation, else the float one. _refine takes s and g on s^2 - g sigma
     = B, a square system in their coefficients, with the exact residual
     and the float candidate's Jacobian 2 s ds - sigma dg (singular at a
-    collapse, which keeps s = 0). The candidate is exact if sigma then
-    divides s^2 - B exactly, with a quotient g of degree <= budget - 2."""
+    collapse, which keeps s = 0). A singular Jacobian, whose kernel is not
+    the residual column's alone, gives no step and ends the refinement.
+    The candidate is exact if sigma then divides s^2 - B exactly, with a
+    quotient g of degree <= budget - 2."""
     g, s, collapse = candidate
     exact_s = Poly.zero(EXACT)
     if not collapse:
@@ -278,7 +280,10 @@ def _exact_candidate(bpoly: Poly, sigma: Poly, candidate, budget: int):
             sx, gx = Poly(x[:budget], EXACT), Poly(x[budget:], EXACT)
             res = sx * sx - gx * sigma - bpoly
             aug = [row + [-complex(res.coeff(i))] for i, row in enumerate(jac)]
-            return _nullspace(aug, FLOAT)[-1][:-1]
+            kernel = _nullspace(aug, FLOAT)
+            if len(kernel) != 1 or kernel[0][-1] != 1:
+                raise ValueError("singular Jacobian")
+            return kernel[0][:-1]
 
         start = [s.coeff(j) for j in range(budget)] + [g.coeff(j) for j in range(budget - 1)]
         exact_s = Poly([_simplest(v) for v in _refine(start, step)[:budget]], EXACT)
@@ -776,31 +781,21 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
     mat = with_h(fixed, rf.h)
     if rf.h.backend == EXACT:
         kernel = _nullspace(mat, EXACT)
-        if len(kernel) != 1:
-            raise NoBranchError(
-                "null space dimension is %d, not 1 (wrong accessory value "
-                "or degenerate parameters)" % len(kernel)
-            )
-        vec = kernel[0]
-        if not vec[n]:
-            raise NoBranchError(
-                "polynomial solution has degree below %d (wrong accessory "
-                "value)" % n
-            )
-        lead = vec[n]
-        return Poly([v / lead for v in vec], EXACT)
-    svals, vec = null_vector(mat, n)
-    # for n = 0 the map is the column h alone, whose one singular value
-    # cannot be judged against itself: judge it against the column
-    # tau + h z that a degree-1 map would add
-    scale = svals[0] if n else max(1.0, rf.tau.max_abs())
-    if scale == 0.0:
-        raise NoBranchError("coefficient map vanishes; parameters degenerate")
-    small = [s for s in svals if s <= 1e-7 * scale]
-    if len(small) != 1:
+        dim, top = len(kernel), kernel[0][n] if kernel else 0
+        vec = [v / top for v in kernel[0]] if top else None
+    else:
+        svals, vec = null_vector(mat, n)
+        # for n = 0 the map is the column h alone, whose one singular value
+        # cannot be judged against itself: judge it against the column
+        # tau + h z that a degree-1 map would add
+        scale = svals[0] if n else max(1.0, rf.tau.max_abs())
+        if scale == 0.0:
+            raise NoBranchError("coefficient map vanishes; parameters degenerate")
+        dim = sum(s <= 1e-7 * scale for s in svals)
+    if dim != 1:
         raise NoBranchError(
             "null space dimension is %d, not 1 (wrong accessory value or "
-            "degenerate parameters)" % len(small)
+            "degenerate parameters)" % dim
         )
     if vec is None:
         raise NoBranchError(
@@ -809,7 +804,7 @@ def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
     # the monomial coefficients of a true eigenpolynomial can span many
     # orders of magnitude, so only a top coefficient that the monic
     # Poly trims away marks a lower degree
-    poly = Poly._make(vec, FLOAT)
+    poly = Poly._make(vec, rf.h.backend)
     if poly.degree != n:
         raise NoBranchError(
             "polynomial solution has degree below %d (its top coefficient "

@@ -6,7 +6,8 @@ kappa = mu + nu and t = mu in che.py. A family's params record, a frozen
 dataclass on FamilyParams, supplies `CLASSES` (its class table),
 `coupling`, `coupling_name`, `accessory`, `relation_scale` (the float
 scale of the class relation), `at(t)`, `to_nu()` and, where the state at
-t has a kappa of its own, `coupling_with(t)`. Its classes, frozen
+t has a kappa of its own, `coupling_with(t)`; the base gives it
+`to_float()`, the record in complex floats. Its classes, frozen
 dataclasses on FamilyClass, supply `parts(p)` (the family's pi parts)
 and `coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
 takes (p, label, ...). t moves no class branch (class_setup).
@@ -15,12 +16,12 @@ takes (p, label, ...). t moves no class branch (class_setup).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .engine import BranchSetup, NoBranchError
+from .engine import BranchSetup, NoBranchError, NuEquation, _negligible_in
 from .oracle import termination_solve
 from .poly import _ONE, _ZERO, Poly, _sum
-from .scalars import as_scalar, infer_backend, negligible
+from .scalars import EXACT, as_scalar, infer_backend, negligible
 
 RELATION_TOL = 1e-8
 
@@ -40,6 +41,10 @@ class FamilyParams:
         """kappa of the state at accessory value t: the record's own."""
         return self.coupling
 
+    def to_float(self):
+        """The record in complex floats, validated by its own constructor."""
+        return type(self)(*(complex(getattr(self, f.name)) for f in fields(self)))
+
 
 @dataclass(frozen=True)
 class FamilyClass:
@@ -54,7 +59,7 @@ class FamilyClass:
 
 def kept_factors(p, build):
     """build(p), the Polys p's NU map and class pi parts share, kept in p's
-    __dict__ on first use: once per record, or per cli namespace."""
+    __dict__ on first use: once per record, or per family match."""
     if "_factors" not in vars(p):
         vars(p)["_factors"] = build(p)
     return p._factors
@@ -76,6 +81,21 @@ def flagged_sum(flags, parts) -> Poly:
     """The sum, in order and from zero, of the parts whose flag is set:
     a class pi from its family's pi parts."""
     return sum((part for flag, part in zip(flags, parts) if flag), Poly.zero(parts[0].backend))
+
+
+def class_catalog(p):
+    """(label, float coefficients of the class pi) of every class in
+    p.CLASSES, from one build of the family's pi parts. Float, as an
+    exact equation can keep a float branch where no exact one exists."""
+    parts = p.CLASSES[0].parts(p)
+    return [(cls.label, flagged_sum(cls.flags, parts).to_float().coeffs)
+            for cls in p.CLASSES]
+
+
+def factors_through_sigma(eq: NuEquation) -> bool:
+    """Whether sigma~ / sigma is exact and affine: sigma~ = (kappa z - t) sigma."""
+    quot, rem = eq.sigma_tilde.divrem(eq.sigma)
+    return _negligible_in(rem, eq.sigma_tilde, 1e-10) and quot.degree <= 1
 
 
 def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
@@ -127,7 +147,10 @@ def accessory(p, label, n: int):
 def states(p, label, n: int, values, samples=50):
     """Degree-n eigenstates of the class on p's class_setup, one per
     accessory value t in `values` (refused where p.at(t) would refuse it),
-    each with p.coupling_with(t) as kappa."""
+    each with p.coupling_with(t) as kappa. An exact p given a float value
+    runs all values on p.to_float()."""
+    if p.backend == EXACT and any(isinstance(t, (float, complex)) for t in values):
+        p = p.to_float()
     values = [as_scalar(t, infer_backend((p.accessory, t))) for t in values]
     return _states(p, label, n, [(t, p.coupling_with(t)) for t in values], samples)
 

@@ -27,7 +27,7 @@ from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
 from .poly import Poly
-from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
+from .scalars import EXACT, as_scalar, infer_backend, negligible, scalar_sqrt
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,35 @@ def _factors(p) -> tuple:
     return za, z * z1, z * za, z1 * za
 
 
+def _at_zero_or_one(a) -> bool:
+    """Whether a is 0 or 1: exactly if a is exact, within 1e-12 if float."""
+    return negligible(a, 1e-12) or negligible(a - 1, 1e-12)
+
+
+def heun_match(eq: NuEquation):
+    """a, gamma, delta, epsilon, backend and CLASSES, what class_catalog
+    reads, when sigma = z(z-1)(z-a) and sigma~ factors through it, else None."""
+    sig = eq.sigma
+    if eq.mode != EXTENDED or sig.degree != 3:
+        return None
+    if not negligible(sig.coeff(3) - 1, 1e-12) or not negligible(sig.coeff(0), 1e-12):
+        return None
+    a = sig.coeff(1)
+    if not negligible(sig.coeff(2) + a + 1, 1e-10 * max(1.0, abs(a))):
+        return None
+    if _at_zero_or_one(a) or not family.factors_through_sigma(eq):
+        return None
+    tt = eq.tau_tilde
+    return SimpleNamespace(
+        a=a,
+        gamma=tt(0) / a,
+        delta=tt(1) / (1 - a),
+        epsilon=tt(a) / (a * (a - 1)),
+        backend=eq.backend,
+        CLASSES=HEUN_CLASSES,
+    )
+
+
 def heun_nu_from_product(a, q, product, gamma, delta, epsilon) -> NuEquation:
     """Equation built from alpha*beta directly (the split into alpha and
     beta never enters the polynomial form)."""
@@ -117,12 +146,15 @@ class HeunParams(family.FamilyParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if negligible(self.a, 1e-12) or negligible(self.a - 1, 1e-12):
+        if _at_zero_or_one(self.a):
             raise ValueError("the third singular point a must differ from 0 and 1")
         gap = self.epsilon - (
             self.alpha + self.beta - self.gamma - self.delta + as_scalar(1, self.backend)
         )
-        if not negligible(gap, 1e-10 * max(1.0, abs(self.epsilon))):
+        # a float sum rounds on its largest term; an exact gap must vanish
+        exps = (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
+        scale = 1.0 if self.backend == EXACT else max(1.0, *map(abs, exps))
+        if not negligible(gap, 1e-10 * scale):
             raise ValueError(
                 "exponent-sum constraint violated: epsilon must equal "
                 "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)

@@ -37,12 +37,12 @@ from heunforge.cli import (
     EXIT_VERIFICATION,
     MAX_SAMPLES,
     _branch_label,
-    _class_catalog,
-    _match_che,
-    _match_heun,
     build_parser,
     main,
 )
+from heunforge.che import che_match
+from heunforge.family import class_catalog
+from heunforge.heun import heun_match
 from heunforge.scalars import parse_scalar
 
 SRC = Path(heunforge.__file__).resolve().parents[1]
@@ -417,7 +417,7 @@ def test_float_branch_label_against_exact_catalog():
                                for arg in RECORDED_CRASH_EQUATION)
     eq = NuEquation(parse_poly(tau, EXACT), parse_poly(sigma, EXACT),
                     parse_poly(sigma_tilde, EXACT))
-    catalog = _class_catalog(_match_heun(eq), None)
+    catalog = class_catalog(heun_match(eq))
     labels = []
     for b in enumerate_branches(eq):
         assert b.backend == EXACT
@@ -444,8 +444,8 @@ def test_exact_family_match_takes_no_float_bound(monkeypatch):
                       parse_poly("-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4", EXACT))
     che = NuEquation(parse_poly("1/2 - 3/2*z + 2*z^2", EXACT), parse_poly("z^2 - z", EXACT),
                      parse_poly("-1/3*z + 2/15*z^2 + 1/5*z^3", EXACT))
-    assert _match_heun(heun).a == 2
-    assert _match_che(che).alpha == 2
+    assert heun_match(heun).a == 2
+    assert che_match(che).alpha == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8"])

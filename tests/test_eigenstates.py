@@ -1,5 +1,6 @@
 """Shared eigenstate assembly against the per-state reference loop."""
 
+import json
 import random
 from dataclasses import fields, replace
 from fractions import Fraction as F
@@ -37,6 +38,7 @@ from heunforge import (
 from heunforge import cli
 from heunforge.engine import BranchSetup
 from heunforge.family import check_relation, class_setup
+from heunforge.scalars import parse_scalar
 
 DEGREES = range(1, 9)
 
@@ -314,10 +316,10 @@ def _kept_setup_cases():
 
 
 def _as_cli(p, values):
-    """The record the CLI assembles these values on (cli._solve_states)."""
+    """The record the states of these values run on (family.states)."""
     if p.backend == FLOAT or all(isinstance(v, RationalComplex) for v in values):
         return p
-    return cli._float_params(p)
+    return p.to_float()
 
 
 @pytest.mark.parametrize("case", list(_kept_setup_cases()), ids=lambda c: c[0])
@@ -342,3 +344,36 @@ def test_kept_setup_belongs_to_one_record(case):
         assert bits == [_bits(reference(p, label, n, v)) for v in values]
     setups = [class_setup(p, label) for p, _, _ in solved]
     assert len({id(s) for s in setups}) == len(setups)
+
+
+# (family, its solve functions, two classes, the options of a CLI request)
+_README_IDIOM = (
+    ("heun", heun_params_for_class, heun_accessory, heun_eigenstates, ("I", "VI"),
+     {"a": "19/10", "gamma": "3/5", "delta": "4/5", "epsilon": "7/10"}),
+    ("che", che_params_for_class, che_accessory, che_eigenstates, ("2", "8"),
+     {"alpha": "3/2", "beta": "1/3", "gamma": "2/5"}),
+)
+
+
+@pytest.mark.parametrize("case", _README_IDIOM, ids=lambda c: c[0])
+def test_readme_idiom_runs_an_exact_record_on_its_float_copy(capsys, case):
+    # the resolved accessory values are floats: the states of an exact
+    # record at them are those of its float copy, and the CLI prints them
+    family, make, resolve, assemble, labels, options = case
+    for label in labels:
+        p = make(label, 2, *(parse_scalar(v, EXACT) for v in options.values()))
+        values = resolve(p, label, 2)
+        states = assemble(p, label, 2, values)
+        assert p.backend == EXACT and len(states) == 3
+        assert [_bits(s) for s in states] == \
+            [_bits(s) for s in assemble(p.to_float(), label, 2, values)]
+        argv = ["solve", family, "--class", label, "-n", "2", "--backend", "exact",
+                "--format", "json"]
+        for name, text in options.items():
+            argv += ["--" + name, text]
+        assert cli.main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)["states"]
+        keys = ("accessory", "poly", "residual")
+        want = [{key: getattr(s, key) for key in keys} for s in states]
+        assert [{key: e[key] for key in keys} for e in printed] == \
+            json.loads(json.dumps(want, default=cli._json_form))

@@ -24,6 +24,7 @@ that agree to float precision.
 """
 
 import cmath
+import hashlib
 import json
 import math
 import random
@@ -960,3 +961,34 @@ def test_sigma_at_the_ends_of_float_range_keeps_its_exit(capsys, sigma, code, er
     out, got = capsys.readouterr()
     assert got == err
     assert out.startswith("4 branches") if code == 0 else out == ""
+
+
+def test_singular_jacobian_ends_the_refinement(capsys, monkeypatch):
+    # sigma = z^2 - 2 in extended mode: a candidate whose s has a zero top
+    # coefficient makes the Jacobian of s^2 - g sigma = B singular, and a
+    # Newton step there took all GRID_BITS steps; it now stops at once,
+    # and the branches are the ones printed before
+    steps = []
+    real = engine._refine
+
+    def counted(values, step):
+        count = [0]
+
+        def counting(x):
+            count[0] += 1
+            return step(x)
+
+        try:
+            return real(values, counting)
+        finally:
+            steps.append(count[0])
+
+    monkeypatch.setattr(engine, "_refine", counted)
+    argv = ["classify", "--sigma", "z^2 - 2", "--tau", "2 + 5/4*z + 2*z^2",
+            "--sigma-tilde", "-10/7 - 6/11*z + 19/7*z^2 - 21/44*z^3 + z^4",
+            "--backend", "exact"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert steps and max(steps) <= 6
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "64a7ad4c701886e73a251a281203cd03b55e5542474a34f64c9cfeb20ba0f79c"

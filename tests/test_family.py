@@ -27,7 +27,10 @@ from heunforge import (
     reduce_branch,
     termination_solve,
 )
+from heunforge.che import che_match
+from heunforge.engine import CLASSIC, EXTENDED, NuEquation
 from heunforge.family import check_relation
+from heunforge.heun import heun_match
 from heunforge.scalars import as_scalar, infer_backend
 
 DEGREES = range(0, 9)
@@ -125,7 +128,7 @@ def test_che_accessory_equals_reference(label, exact):
 
 
 def test_record_fields_are_the_parameters():
-    # cli._float_params rebuilds a record from its fields, and callers
+    # FamilyParams.to_float rebuilds a record from its fields, and callers
     # replace() them; the backend is derived, not a field
     assert [f.name for f in fields(HeunParams)] == [
         "a", "q", "alpha", "beta", "gamma", "delta", "epsilon"]
@@ -190,3 +193,45 @@ def test_che_params_for_class_coerces_as_before():
                 che_params_for_class("4", 2, *args)
             continue
         assert repr(che_params_for_class("4", 2, *args)) == want
+
+
+def _nonzero(rng):
+    return F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 9))
+
+
+def _matched(got, want, exact):
+    if exact:
+        return got == want
+    return abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_family_match_returns_the_parameters_of_the_equation(exact):
+    # heun_match and che_match read back what built the equation, with the
+    # class table, and refuse classic mode and the other family's sigma
+    rng = random.Random("family match/%s" % exact)
+    wrap = RationalComplex if exact else float
+    for _ in range(40):
+        a = _nonzero(rng)
+        if a == 1:
+            continue
+        q, alpha, beta, gamma, delta = (_nonzero(rng) for _ in range(5))
+        epsilon = alpha + beta - gamma - delta + 1
+        heun = heun_to_nu(HeunParams(*map(wrap, (a, q, alpha, beta, gamma, delta, epsilon))))
+        got = heun_match(heun)
+        assert got.CLASSES is HEUN_CLASSES and got.backend == heun.backend
+        for name, want in zip(("a", "gamma", "delta", "epsilon"), (a, gamma, delta, epsilon)):
+            assert _matched(getattr(got, name), wrap(want), exact), name
+        mu, nu = _nonzero(rng), _nonzero(rng)
+        che = che_to_nu(CheParams(*map(wrap, (alpha, beta, gamma, mu, nu))))
+        got = che_match(che)
+        assert got.CLASSES is CHE_CLASSES and got.backend == che.backend
+        for name, want in zip(("alpha", "beta", "gamma"), (alpha, beta, gamma)):
+            assert _matched(getattr(got, name), wrap(want), exact), name
+        assert heun_match(che) is None and che_match(heun) is None
+        # a confluent shape without alpha and kappa fits classic mode
+        classic = NuEquation(che.tau_tilde - che.sigma * wrap(alpha), che.sigma,
+                             che.sigma * wrap(-mu), CLASSIC)
+        extended = replace(classic, mode=EXTENDED)
+        assert che_match(extended).alpha == 0
+        assert heun_match(classic) is None and che_match(classic) is None

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from heunforge.cli import main
 from heunforge.engine import (
     NoBranchError,
     branch_from_pi,
@@ -61,6 +62,30 @@ def test_params_zero_tests_follow_the_backend():
         HeunParams(rc(2), rc(0), rc(1), rc(1), rc(F(1, 2)), rc(F(1, 2)),
                    rc(2) + tiny)
     HeunParams(2.0, 0.1, 1.0, 1.0, 0.5, 0.5, 2.0 + 1e-13)
+
+
+def test_exponent_sum_gap_is_judged_on_the_exponents_scale():
+    # alpha = gamma = 1e150 lose beta and delta in a float sum, by far
+    # more than 1e-10: a float gap is judged on the largest exponent, and
+    # an exact one must still vanish
+    p = HeunParams(2.0, 0.1, 1e150, 1 / 3, 1e150, 0.2, 1 / 3 - 0.2 + 1)
+    assert abs(p.epsilon - (p.alpha + p.beta - p.gamma - p.delta + 1)) > 0.3
+    big = rc(10**150)
+    exact = (rc(2), rc(0), big, rc(F(1, 3)), big, rc(F(1, 5)))
+    HeunParams(*exact, rc(F(17, 15)))
+    with pytest.raises(ValueError, match="exponent-sum"):
+        HeunParams(*exact, rc(F(17, 15) + F(1, 10**60)))
+
+
+def test_float_copy_of_a_huge_exact_record_fails_where_floats_do(capsys):
+    # the exact record resolves its accessory values; its float copy now
+    # passes the exponent-sum check, and the states stop at float range
+    argv = ["solve", "heun", "--class", "II", "-n", "2", "--a", "1e150",
+            "--gamma", "1e150", "--delta", "1/3", "--epsilon", "1/5",
+            "--backend", "exact"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: polynomial coefficient overflows the float range\n"
 
 
 def test_unknown_label_rejected():
