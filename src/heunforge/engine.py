@@ -36,8 +36,8 @@ from itertools import product
 from math import comb, inf, isfinite
 
 from .oracle import OdeFamily, OdeForm, ResidualContour, coefficient_map
-from .poly import Poly, _sum, _trim
-from .scalars import EXACT, FLOAT, RationalComplex, as_scalar, negligible, sqrt_exact
+from .poly import Poly, _deflate, _sum, _trim
+from .scalars import EXACT, FLOAT, RationalComplex, _mul_add, as_scalar, negligible, sqrt_exact
 
 CLASSIC = "classic"
 EXTENDED = "extended"
@@ -202,14 +202,15 @@ def _negligible_in(p: Poly, ref: Poly, tol: float) -> bool:
 
 
 def _dedupe(branches):
-    seen, out = [], []
+    seen, out, g = [], [], None
     for b in branches:
-        gf = b.g.to_float()
-        key = (complex(gf.coeff(1)), complex(gf.coeff(0)), b.sign)
-        norm = max(1.0, abs(key[0]), abs(key[1]))
-        if not any(k[2] == key[2] and abs(k[0] - key[0]) <= DEDUPE_TOL * norm
+        if b.g is not g:  # the two branches of one candidate share its g and key
+            g, gf = b.g, b.g.to_float()
+            key = (complex(gf.coeff(1)), complex(gf.coeff(0)))
+            norm = max(1.0, abs(key[0]), abs(key[1]))
+        if not any(k[2] == b.sign and abs(k[0] - key[0]) <= DEDUPE_TOL * norm
                    and abs(k[1] - key[1]) <= DEDUPE_TOL * norm for k in seen):
-            seen.append(key)
+            seen.append(key + (b.sign,))
             out.append(b)
     return out
 
@@ -235,11 +236,14 @@ def _refine(values, step):
     grid units of a solution where it converges. A value that starts at
     size 2^e has the grid 2^-GRID_BITS min(1, 2^e), fixed: a small root
     keeps as many bits as a large one, and a value driven to 0 stops at
-    the noise the other values' grids leave in its step."""
+    the noise the other values' grids leave in its step. Float starts,
+    entries of one float solve, share the grid of the largest."""
     x = [v if isinstance(v, RationalComplex) else RationalComplex(v.real, v.imag)
          for v in values]
-    units = [1 << (GRID_BITS - min(0, max(a.bit_length(), b.bit_length()) - d.bit_length()))
+    sizes = [max(a.bit_length(), b.bit_length()) - d.bit_length()
              for a, b, d in (v._abd for v in x)]
+    shared = not isinstance(values[0], RationalComplex)
+    units = [1 << (GRID_BITS - min(0, max(sizes) if shared else e)) for e in sizes]
     for _ in range(GRID_BITS):
         try:
             d = [RationalComplex(round(Fraction(v.real) * one), round(Fraction(v.imag) * one))
@@ -446,19 +450,22 @@ def _hermite_row(centre, k, budget, backend):
     return row
 
 
-def _taylor(poly: Poly, centre, top):
+def _taylor(poly: Poly, centre, top, mult):
     """Taylor coefficients 0..top of poly at centre (of w^top poly(1/w)
-    at w = 0 for infinity, centre None)."""
+    at w = 0 for infinity, centre None); at a simple centre (mult 1),
+    where _local_sqrt reads only B(c), just that value."""
     if centre is None:
         return [poly.coeff(top - k) for k in range(top + 1)]
+    if mult == 1:
+        return [_deflate(poly.coeffs, as_scalar(centre, poly.backend), poly.backend)[1]]
     local = poly.shift(centre)
     return [local.coeff(k) for k in range(top + 1)]
 
 
-def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
+def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
     """(g, s, collapse) with s^2 = B + g sigma, where
-    B = ((sigma' - tau~)/2)^2 - sigma~ and `points` are sigma's
-    (_sigma_points).
+    B = half^2 - sigma~, half = (sigma' - tau~)/2 (eq.half_gap(), which
+    the caller builds once) and `points` are sigma's (_sigma_points).
 
     With the mode's degree budget (the bound on deg sigma), such an s
     (deg s < budget) solves s^2 = B mod sigma with
@@ -477,9 +484,9 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
 
     An exact equation whose centres are all exact gets exact candidates:
     the lift and the Hermite solve run in RationalComplex, the remainder
-    must be zero, and collapse marks B + g sigma = 0. If a head of B has
-    no Gaussian-rational root, no exact branch exists (s(c)^2 = B(c) at
-    each centre c) and the construction runs in floats. There the
+    must be zero, so B + g sigma = s^2 and collapse marks s = 0. If a head
+    of B has no Gaussian-rational root, no exact branch exists (s(c)^2 =
+    B(c) at each centre c) and the construction runs in floats. There the
     remainder must be within 1e-7 of max(1, |B|, |s^2|), looser than
     reduce_branch's DIVIDE_REL_TOL because close roots of sigma make the
     Hermite solve ill-conditioned, and collapse marks B + g sigma within
@@ -489,7 +496,6 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     zero test; neither loads numpy. At an inexact centre of an exact
     sigma, a float candidate is made exact where it can be (_exact_candidate)."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
-    half = eq.half_gap()
     bpoly = half * half - eq.sigma_tilde
     sigma = eq.sigma
     top = 2 * budget - 2
@@ -497,7 +503,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
     backend = EXACT if eq.backend == EXACT and all(exact) else FLOAT
     refine = eq.backend == EXACT and not all(exact)
     if backend == EXACT:
-        roots = [_local_sqrt(_taylor(bpoly, c, top), m, 0.0, EXACT) for c, m in points]
+        roots = [_local_sqrt(_taylor(bpoly, c, top, m), m, 0.0, EXACT) for c, m in points]
         if None in roots:
             backend = FLOAT
     if backend == FLOAT:
@@ -516,7 +522,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
                 if not isfinite(terms):
                     raise OverflowError("noise bound at a root of sigma overflows the float range")
                 noise = sys.float_info.epsilon * bpoly_f.degree * terms
-            taylor = _taylor(bpoly if at_exact else bpoly_f, centre, top)
+            taylor = _taylor(bpoly if at_exact else bpoly_f, centre, top, mult)
             roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
         if None in roots:
             return
@@ -536,7 +542,8 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points):
         g, rem = (sq - bpoly).divrem(sigma)
         if g.degree <= budget - 2 and _is_negligible(
                 rem, max(scale, sq.max_abs()) if backend == FLOAT else 0.0, 1e-7):
-            candidate = g, s, _is_negligible(bpoly + g * sigma, scale, DIVIDE_REL_TOL)
+            candidate = g, s, s.is_zero if backend == EXACT else _is_negligible(
+                bpoly + g * sigma, scale, DIVIDE_REL_TOL)
             yield _exact_candidate(exact_b, eq.sigma, candidate, budget) if refine else candidate
 
 
@@ -553,10 +560,10 @@ def enumerate_branches(eq: NuEquation):
     division. An exact equation gets an exact branch wherever one exists.
     """
     points = _sigma_points(eq.sigma, _DEGREE_BOUNDS[eq.mode][1])
-    branches, halves = [], {}
-    for g, s, collapse in _sqrt_mod_sigma_candidates(eq, points):
+    branches, halves = [], {eq.backend: eq.half_gap()}
+    for g, s, collapse in _sqrt_mod_sigma_candidates(eq, points, halves[eq.backend]):
         if g.backend not in halves:
-            halves[g.backend] = (eq if g.backend == eq.backend else eq.to_float()).half_gap()
+            halves[g.backend] = eq.to_float().half_gap()
         half = halves[g.backend]
         if collapse:
             branches.append(PiBranch(g, Poly.zero(g.backend), half, 0))
@@ -736,15 +743,15 @@ def _nullspace(rows, backend):
         mat[r] = [v * inv for v in mat[r]]
         for i in range(nrows):
             if i != r and mat[i][c]:
-                factor = mat[i][c]
-                mat[i] = [a - factor * bv for a, bv in zip(mat[i], mat[r])]
+                factor, neg, pairs = mat[i][c], -mat[i][c], zip(mat[i], mat[r])
+                mat[i] = ([_mul_add(neg, bv, a) if bv else a for a, bv in pairs]
+                          if backend == EXACT else [a - factor * bv for a, bv in pairs])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [as_scalar(0, backend)] * ncols
         vec[fc] = as_scalar(1, backend)
         for pr, pc in enumerate(pivots):

@@ -9,7 +9,9 @@ in the float backend. The zero polynomial has degree -1.
 outside values (int, Fraction, float, complex, RationalComplex) are
 coerced to the backend's scalar. The ring operations build their results
 with `Poly._make` from scalars of the backend they computed themselves,
-so those are trimmed but never copied or coerced again.
+so those are trimmed but never copied or coerced again. Exact ring
+operations reduce once per result coefficient: products, long division,
+Horner and the Taylor shift (scalars._convolve, scalars._mul_add).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import zip_longest
+from operator import add, sub
 
 from .scalars import (
     EXACT,
@@ -25,6 +28,8 @@ from .scalars import (
     _UNIT,
     BackendMismatchError,
     RationalComplex,
+    _convolve,
+    _mul_add,
     as_scalar,
     backend_of,
     format_scalar,
@@ -138,14 +143,13 @@ class Poly:
             if other is NotImplemented:
                 return NotImplemented
         self._check_backend(other)
-        right = [-c for c in other.coeffs] if negate else other.coeffs
-        return Poly._make(_sum(self.coeffs, right, self.backend), self.backend)
+        return Poly._make(_sum(self.coeffs, other.coeffs, self.backend, negate), self.backend)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        # self + (-other) term by term: a - b, or a -0 pad, would keep
-        # the -0.0 parts that adding the +0 pad turns into +0.0
+        # floats: self + (-other) term by term: a - b, or a -0 pad, would
+        # keep the -0.0 parts that adding the +0 pad turns into +0.0
         return self.__add__(other, True)
 
     def __rsub__(self, other):
@@ -167,10 +171,11 @@ class Poly:
         self._check_backend(other)
         if self.is_zero or other.is_zero:
             return Poly._make([], self.backend)
+        if self.backend == EXACT:
+            return Poly._make(_convolve(self.coeffs, other.coeffs), EXACT)
         out = [_ZERO[self.backend]] * (len(self.coeffs) + len(other.coeffs) - 1)
-        right = other.coeffs
         for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(right, i):
+            for k, b in enumerate(other.coeffs, i):
                 out[k] = out[k] + a * b
         return Poly._make(out, self.backend)
 
@@ -203,14 +208,8 @@ class Poly:
         """Horner evaluation. Exact polynomials evaluated at exact points
         stay exact; any other point is evaluated in complex floats."""
         if self.backend == EXACT and isinstance(z, (int, Fraction, RationalComplex)):
-            acc = as_scalar(0, EXACT)
-            zz = as_scalar(z, EXACT)
-            for c in reversed(self.coeffs):
-                acc = acc * zz + c
-            return acc
-        coeffs = self.coeffs
-        if self.backend != FLOAT:
-            coeffs = [complex(c) for c in coeffs]
+            return _deflate(self.coeffs, as_scalar(z, EXACT), EXACT)[1]
+        coeffs = self.coeffs if self.backend == FLOAT else [complex(c) for c in self.coeffs]
         return _horner(coeffs, complex(z))
 
     # -- division -----------------------------------------------------------
@@ -226,15 +225,16 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.degree < divisor.degree:
             return Poly._make([], self.backend), self
-        rem = list(self.coeffs)
-        lead = divisor.leading()
-        dd = divisor.degree
-        qlen = len(rem) - dd
-        quot = [_ZERO[self.backend]] * qlen
-        for k in range(qlen - 1, -1, -1):
-            factor = rem[k + dd] / lead
-            quot[k] = factor
-            if factor:
+        rem, lead, dd = list(self.coeffs), divisor.leading(), divisor.degree
+        quot = [_ZERO[self.backend]] * (len(rem) - dd)
+        for k in range(len(quot) - 1, -1, -1):
+            factor = quot[k] = rem[k + dd] / lead
+            if factor and self.backend == EXACT:
+                # rem[k + dd] cancels and is never read again: it is left as it is
+                neg = -factor
+                rem[k:k + dd] = [_mul_add(neg, c, r)
+                                 for c, r in zip(divisor.coeffs, rem[k:k + dd])]
+            elif factor:
                 for j, c in enumerate(divisor.coeffs):
                     rem[k + j] = rem[k + j] - factor * c
         return Poly._make(quot, self.backend), Poly._make(rem[:dd], self.backend)
@@ -265,21 +265,17 @@ class Poly:
             raise ValueError("sqrt_head needs even degree, got %d" % self.degree)
         m = self.degree // 2
         lead_root = scalar_sqrt(self.leading(), self.backend)
-        s = [as_scalar(0, self.backend)] * (m + 1)
-        s[m] = lead_root
+        s = [_ZERO[self.backend]] * m + [lead_root]
         two_lead = lead_root + lead_root
         # residual r = d - s^2, updated as coefficients of s fill in
         for k in range(m - 1, -1, -1):
             # coefficient of z^(m+k) in d - s^2 so far
             acc = self.coeff(m + k)
             for i in range(k + 1, m + 1):
-                j = m + k - i
-                if 0 <= j <= m:
-                    acc = acc - s[i] * s[j]
+                acc = acc - s[i] * s[m + k - i]
             s[k] = acc / two_lead
         s_poly = Poly(s, self.backend)
-        r_poly = self - s_poly * s_poly
-        return s_poly, r_poly
+        return s_poly, self - s_poly * s_poly
 
     # -- roots ------------------------------------------------------------------
 
@@ -314,17 +310,10 @@ class Poly:
         """Taylor shift: returns p(z + z0), by repeated synthetic division
         by (z - z0). The k-th remainder is the k-th Taylor coefficient."""
         z0 = as_scalar(z0, self.backend)
-        work = list(self.coeffs)
-        out = []
+        work, out = self.coeffs, []
         while work:
-            quot = []
-            acc = work[-1]
-            for k in range(len(work) - 2, -1, -1):
-                quot.append(acc)
-                acc = work[k] + z0 * acc
-            out.append(acc)
-            quot.reverse()
-            work = quot
+            work, value = _deflate(work, z0, self.backend)
+            out.append(value)
         return Poly._make(out, self.backend)
 
     # -- text format ----------------------------------------------------------
@@ -344,11 +333,25 @@ def _horner(coeffs, z: complex) -> complex:
     return acc
 
 
-def _sum(left, right, backend):
-    """Untrimmed coefficients of left + right, sequences of the backend's
-    scalars: the shorter side is padded with the backend's +0, which is
-    still added so that float signed zeros come out normalized."""
-    return [a + b for a, b in zip_longest(left, right, fillvalue=_ZERO[backend])]
+def _deflate(coeffs, z0, backend):
+    """Synthetic division of coefficients by z - z0: (quotient, remainder),
+    its running values top down, the last of which is the value at z0."""
+    acc = [coeffs[-1] if coeffs else _ZERO[backend]]
+    for c in coeffs[-2::-1]:
+        acc.append(_mul_add(z0, acc[-1], c) if backend == EXACT else c + z0 * acc[-1])
+    return acc[-2::-1], acc[-1]
+
+
+def _sum(left, right, backend, negate=False):
+    """Untrimmed coefficients of left + right, or left - right if negate,
+    sequences of the backend's scalars. Floats add -right and a +0 pad,
+    so that signed zeros come out normalized; exact sums pad nothing."""
+    if backend != EXACT:
+        right = [-c for c in right] if negate else right
+        return [a + b for a, b in zip_longest(left, right, fillvalue=_ZERO[backend])]
+    n = min(len(left), len(right))
+    tail = [-b for b in right[n:]] if negate else list(right[n:])
+    return list(map(sub if negate else add, left, right)) + list(left[n:]) + tail
 
 
 def _trim(coeffs, backend):

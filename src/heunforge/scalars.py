@@ -96,6 +96,9 @@ class RationalComplex:
         return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
+        if type(other) is int:
+            a, b, d = self._abd
+            return _reduced(a * other, b * other, d)
         if type(other) is not RationalComplex:
             other = _coerce(other)
             if other is None:
@@ -129,7 +132,9 @@ class RationalComplex:
 
     def __neg__(self):
         a, b, d = self._abd
-        return _reduced(-a, -b, d)
+        z = _new(RationalComplex)  # gcd(-a, -b, d) = gcd(a, b, d) = 1 already
+        _store(z, (-a, -b, d))
+        return z
 
     def __pos__(self):
         return self
@@ -184,6 +189,30 @@ def _reduced(a, b, d):
     g = gcd(a, b, d)
     _store(z, (a, b, d) if g == 1 else (a // g, b // g, d // g))
     return z
+
+
+def _mul_add(p, q, c):
+    """p·q + c for RationalComplex p, q and c, with one gcd."""
+    (a, b, d), (e, f, g), (h, i, j) = p._abd, q._abd, c._abd
+    re, im, den = a * e - b * f, a * f + b * e, d * g
+    if den == j:
+        return _reduced(re + h, im + i, den)
+    return _reduced(re * j + h * den, im * j + i * den, den * j)
+
+
+def _convolve(left, right):
+    """The product of two nonempty RationalComplex coefficient sequences:
+    each coefficient sums its terms in Gaussian integers, reduced once."""
+    acc = [(0, 0, 1)] * (len(left) + len(right) - 1)
+    ys = [(j, c._abd) for j, c in enumerate(right) if c]
+    for i, (a, b, d) in enumerate(c._abd for c in left):
+        for j, (e, f, g) in ys:
+            (re, im, u), t = acc[i + j], d * g
+            if t == u:
+                acc[i + j] = re + a * e - b * f, im + a * f + b * e, u
+            else:
+                acc[i + j] = re * t + (a * e - b * f) * u, im * t + (a * f + b * e) * u, u * t
+    return [_reduced(*z) for z in acc]
 
 
 def _coerce(other):

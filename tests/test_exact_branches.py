@@ -992,3 +992,62 @@ def test_singular_jacobian_ends_the_refinement(capsys, monkeypatch):
     assert steps and max(steps) <= 6
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "64a7ad4c701886e73a251a281203cd03b55e5542474a34f64c9cfeb20ba0f79c"
+
+
+def _counted_refinements(monkeypatch):
+    """The step count of each engine._refine call from now on, appended
+    as each call ends."""
+    steps, real = [], engine._refine
+
+    def counted(values, step):
+        count = [0]
+
+        def counting(x):
+            count[0] += 1
+            return step(x)
+
+        try:
+            return real(values, counting)
+        finally:
+            steps.append(count[0])
+
+    monkeypatch.setattr(engine, "_refine", counted)
+    return steps
+
+
+def test_candidate_entry_at_float_noise_shares_the_grid(capsys, monkeypatch):
+    # one float candidate of this equation has g1 = 5.1e-17i, float noise
+    # of a zero coefficient: on a grid of its own, 2^-128 of its start, its
+    # step stayed above one unit for all GRID_BITS steps. The entries of a
+    # float candidate share the grid of the largest, so every refinement
+    # ends within a few steps, with the branches printed before
+    steps = _counted_refinements(monkeypatch)
+    argv = ["classify", "--sigma", "119/6 + 323/27*z + 17/3*z^2",
+            "--tau", "-1/5 + 15/2*z - 13/10*z^2",
+            "--sigma-tilde", "-21776/135 - 14467/2970*z + 695713/49005*z^2 + 6077/495*z^3",
+            "--backend", "exact"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert len(steps) == 5 and max(steps) <= 8
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "74a567adab9effa0cce913ec4ed5def4f48728cd7dbbd07e8bd708a9c1a94671"
+
+
+def test_aberth_keeps_a_grid_per_root(monkeypatch):
+    # Aberth's starts are exact points, so each root keeps its own grid:
+    # the roots of (z - 10^-30)(z^2 - 2) come out to 2^-128 of their size
+    seen = []
+    real = engine._refine
+
+    def spy(values, step):
+        out = real(values, step)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(engine, "_refine", spy)
+    tiny = RationalComplex(F(1, 10**30) + F(1, 10**45))
+    poly = Poly([-tiny, 1], EXACT) * Poly([-2, 0, 1], EXACT)
+    roots = engine._exact_roots(poly)
+    assert len(seen) == 1 and len(roots) == 3
+    small = min(seen[0], key=abs)
+    assert abs(complex(small) - complex(tiny)) <= 2.0 ** -120 * abs(complex(tiny))

@@ -88,3 +88,37 @@ def test_overflowing_app_value_is_a_usage_error(fmt, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert "overflows the float range" in out.err
+
+
+# Exact classify paths no benchmark pool reaches: sigma with irrational
+# roots (Aberth's roots, then branches refined by Newton from float
+# candidates), a singular Newton Jacobian, a candidate entry that starts
+# at float noise, and a cube whose roots lie near 10**53. Frozen in JSON,
+# in tests/golden/exact_classify/<name>.json.txt.
+EXACT_CLASSIFY_CASES = {
+    "cubic_two_irrational_roots": ("z^3 - 2*z", "1 + z", "1 + z^2"),
+    "cubic_three_irrational_roots": ("z^3 - 2*z + 1/3", "1 + z", "1 + z^2"),
+    "square_root_of_two_singular_jacobian": (
+        "z^2 - 2", "2 + 5/4*z + 2*z^2",
+        "-10/7 - 6/11*z + 19/7*z^2 - 21/44*z^3 + z^4"),
+    "float_noise_start": (
+        "119/6 + 323/27*z + 17/3*z^2", "-1/5 + 15/2*z - 13/10*z^2",
+        "-21776/135 - 14467/2970*z + 695713/49005*z^2 + 6077/495*z^3"),
+    "huge_constant_cube": ("z^3 + 1" + "0" * 160, "1 + z", "1 + z^2"),
+}
+
+
+def test_every_exact_classify_golden_is_a_case():
+    assert sorted(p.name for p in (GOLDEN / "exact_classify").glob("*")) == sorted(
+        "%s.json.txt" % name for name in EXACT_CLASSIFY_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CLASSIFY_CASES))
+def test_exact_classify_golden(name, capsys, monkeypatch):
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    sigma, tau, sigma_tilde = EXACT_CLASSIFY_CASES[name]
+    argv = ["classify", "--sigma", sigma, "--tau", tau, "--sigma-tilde", sigma_tilde,
+            "--backend", "exact", "--format", "json"]
+    assert main(argv) == 0
+    golden = (GOLDEN / "exact_classify" / ("%s.json.txt" % name)).read_text()
+    assert capsys.readouterr().out == golden
