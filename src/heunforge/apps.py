@@ -22,7 +22,7 @@ from .family import class_setup
 from .heun import heun_class, heun_nu_from_product
 from .oracle import frobenius_recurrence, series_coeffs, termination_solve
 from .poly import Poly
-from .scalars import FLOAT, as_scalar, infer_backend
+from .scalars import FLOAT, as_scalar, infer_backend, negligible
 
 SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
@@ -281,7 +281,6 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     """
     eps = doublewell_spectrum(N, d, u0, parity)
     p = _doublewell_params(N, d, u0, parity, eps)
-    scale = p.relation_scale
     matched = None
     best = None
     for label in _PARITY_PAIRS[parity]:
@@ -290,7 +289,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
             raise OverflowError("class relation overflows the float range")
         if best is None or gap < best[1]:
             best = (label, gap)
-        if gap <= 1e-9 * scale and matched is None:
+        if negligible(gap, 1e-9, *p.relation_refs) and matched is None:
             matched = (label, gap)
     if matched is None:
         raise NoBranchError(

@@ -131,8 +131,8 @@ class CheParams(family.FamilyParams):
         return self.mu
 
     @property
-    def relation_scale(self):
-        return max(1.0, abs(self.coupling), abs(self.alpha))
+    def relation_refs(self):
+        return self.coupling, self.alpha
 
     def at(self, mu) -> "CheParams":
         """The record at accessory value mu, mu + nu held fixed."""

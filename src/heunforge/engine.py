@@ -95,6 +95,12 @@ class NuEquation:
             self.mode,
         )
 
+    @cached_property
+    def _float_copy(self) -> "NuEquation":
+        """to_float(), built once: every float branch of an exact equation
+        runs on it (_on_branch), and so does its float half gap."""
+        return self.to_float()
+
     def half_gap(self) -> Poly:
         """(sigma' - tau~)/2, the fixed part of every pi branch."""
         diff = self.sigma.derivative() - self.tau_tilde
@@ -191,14 +197,6 @@ class Eigenstate:
 
 
 # -- branch enumeration -------------------------------------------------------
-
-
-def _is_negligible(p: Poly, scale: float, tol: float) -> bool:
-    return p.negligible(tol * max(scale, 1.0))
-
-
-def _negligible_in(p: Poly, ref: Poly, tol: float) -> bool:
-    return p.is_zero if p.backend == EXACT else _is_negligible(p, ref.max_abs(), tol)
 
 
 def _dedupe(branches):
@@ -388,7 +386,7 @@ def _sigma_points(sigma: Poly, budget: int):
     common, rem = sigma, sigma.derivative()
     while not rem.is_zero:
         common, rem = rem, common.divrem(rem)[1]
-        if _negligible_in(rem, common, ZERO_TOL):
+        if rem.negligible(ZERO_TOL, common):
             rem = Poly.zero(rem.backend)
     k = common.degree
     if k == 0:
@@ -414,9 +412,8 @@ def _local_sqrt(taylor, mult, noise, backend):
     has no square root; one vanishing to any other positive order
     leaves s underdetermined, a continuum, and raises NoBranchError."""
     if mult > 1:
-        bound = ZERO_TOL * max([1.0] + [abs(c) for c in taylor])
-        zero = [negligible(c, bound) for c in taylor[:mult]]
-        order = zero.index(False) if False in zero else mult
+        order = next((k for k, c in enumerate(taylor[:mult])
+                      if not negligible(c, ZERO_TOL, *taylor)), mult)
         if order % 2 and order < mult:
             return None
         if order:
@@ -492,7 +489,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
     Hermite solve ill-conditioned, and collapse marks B + g sigma within
     DIVIDE_REL_TOL of max(1, |B|), as reduce_branch tests the collapse
     branch at that tolerance. Both backends solve by one elimination,
-    _nullspace, and test through _is_negligible, whose exact test is a
+    _nullspace, and test through Poly.negligible, whose exact test is a
     zero test; neither loads numpy. At an inexact centre of an exact
     sigma, a float candidate is made exact where it can be (_exact_candidate)."""
     budget = _DEGREE_BOUNDS[eq.mode][1]
@@ -502,6 +499,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
     exact = [c is None or isinstance(c, RationalComplex) for c, _ in points]
     backend = EXACT if eq.backend == EXACT and all(exact) else FLOAT
     refine = eq.backend == EXACT and not all(exact)
+    size = bpoly  # scales the float tests below; an exact test reads no ref
     if backend == EXACT:
         roots = [_local_sqrt(_taylor(bpoly, c, top, m), m, 0.0, EXACT) for c, m in points]
         if None in roots:
@@ -526,24 +524,20 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
             roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
         if None in roots:
             return
-        bpoly, exact_b = bpoly_f, bpoly
+        bpoly, exact_b, size = bpoly_f, bpoly, bpoly_f.max_abs()  # read once
     rows = [_hermite_row(c, k, budget, backend) for c, m in points for k in range(m)]
     rhs = [[e * v for e, root in zip((1,) + tail, roots) for v in root]
            for tail in product((1, -1), repeat=len(points) - 1)]
     # one elimination of [M | -rhs_1 | -rhs_2 ...]: the kernel vector of
     # the free column of rhs_t starts with the solution for rhs_t
     aug = [row + [-r[i] for r in rhs] for i, row in enumerate(rows)]
-    # an exact test is a zero test: the scales, which can overflow
-    # float range on exact values, serve floats only
-    scale = bpoly.max_abs() if backend == FLOAT else 0.0
     for vec in _nullspace(aug, backend):
         s = Poly(vec[:budget], backend)
         sq = s * s
         g, rem = (sq - bpoly).divrem(sigma)
-        if g.degree <= budget - 2 and _is_negligible(
-                rem, max(scale, sq.max_abs()) if backend == FLOAT else 0.0, 1e-7):
-            candidate = g, s, s.is_zero if backend == EXACT else _is_negligible(
-                bpoly + g * sigma, scale, DIVIDE_REL_TOL)
+        if g.degree <= budget - 2 and rem.negligible(1e-7, size, sq):
+            candidate = g, s, s.is_zero if backend == EXACT else (
+                bpoly + g * sigma).negligible(DIVIDE_REL_TOL, size)
             yield _exact_candidate(exact_b, eq.sigma, candidate, budget) if refine else candidate
 
 
@@ -563,17 +557,13 @@ def enumerate_branches(eq: NuEquation):
     branches, halves = [], {eq.backend: eq.half_gap()}
     for g, s, collapse in _sqrt_mod_sigma_candidates(eq, points, halves[eq.backend]):
         if g.backend not in halves:
-            halves[g.backend] = eq.to_float().half_gap()
+            halves[g.backend] = eq._float_copy.half_gap()
         half = halves[g.backend]
         if collapse:
             branches.append(PiBranch(g, Poly.zero(g.backend), half, 0))
         else:
             branches += [PiBranch(g, s, half + s, 1), PiBranch(g, s, half - s, -1)]
     return [_signed(b) for b in _dedupe(branches)]
-
-
-def _vanishes(p: Poly) -> bool:
-    return _negligible_in(p, p, 1e-14)
 
 
 def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
@@ -589,13 +579,13 @@ def branch_from_pi(eq: NuEquation, pi: Poly) -> PiBranch:
         raise ValueError("pi must have degree <= 2")
     num = pi * pi + pi * (eq.tau_tilde - eq.sigma.derivative()) + eq.sigma_tilde
     g, rem = num.divrem(eq.sigma)
-    if not _negligible_in(rem, num, DIVIDE_REL_TOL):
+    if not rem.negligible(DIVIDE_REL_TOL, num):
         raise NoBranchError("prescribed pi does not divide: not a branch")
     if g.degree > (1 if eq.mode == EXTENDED else 0):
         raise NoBranchError("recovered g exceeds the mode's degree bound")
     half = eq.half_gap()
     s = pi - half
-    if _vanishes(s) and _vanishes(radicand(eq, g)):
+    if s.negligible(1e-14) and radicand(eq, g).negligible(1e-14):
         return PiBranch(g, Poly.zero(eq.backend), half, 0)
     return PiBranch(g, s, pi, 1)
 
@@ -622,7 +612,7 @@ def _reduce(eq: NuEquation, sigma_tilde: Poly, tau: Poly, terms) -> ReducedForm:
     partial = _trim(_sum(partial, pi_gap.coeffs, backend), backend)
     sigma_bar = Poly._make(_sum(partial, dpi_sigma.coeffs, backend), backend)
     h, rem = sigma_bar.divrem(eq.sigma)
-    if not _negligible_in(rem, sigma_bar, DIVIDE_REL_TOL):
+    if not rem.negligible(DIVIDE_REL_TOL, sigma_bar):
         raise NoBranchError(
             "sigma_bar is not divisible by sigma: inadmissible branch"
         )
@@ -638,8 +628,8 @@ def _bounded(eq: NuEquation, rf: ReducedForm) -> ReducedForm:
 
 def _on_branch(eq: NuEquation, b: PiBranch) -> NuEquation:
     """The equation in the branch's backend: a float branch of an exact
-    equation runs on the equation's float copy."""
-    return eq if eq.backend == b.backend else eq.to_float()
+    equation runs on the equation's one float copy."""
+    return eq if eq.backend == b.backend else eq._float_copy
 
 
 def reduce_branch(eq: NuEquation, b: PiBranch) -> ReducedForm:

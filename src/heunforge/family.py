@@ -4,9 +4,9 @@ Both put a class-fixed coupling kappa and the accessory value t into
 sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
 kappa = mu + nu and t = mu in che.py. A family's params record, a frozen
 dataclass on FamilyParams, supplies `CLASSES` (its class table),
-`coupling`, `coupling_name`, `accessory`, `relation_scale` (the float
-scale of the class relation), `at(t)`, `to_nu()` and, where the state at
-t has a kappa of its own, `coupling_with(t)`; the base gives it
+`coupling`, `coupling_name`, `accessory`, `relation_refs` (the values
+that scale the class relation in floats), `at(t)`, `to_nu()` and, where
+the state at t has a kappa of its own, `coupling_with(t)`; the base gives it
 `to_float()`, the record in complex floats. Its classes, frozen
 dataclasses on FamilyClass, supply `parts(p)` (the family's pi parts)
 and `coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, fields
 
-from .engine import BranchSetup, NoBranchError, NuEquation, _negligible_in
+from .engine import BranchSetup, NoBranchError, NuEquation
 from .oracle import termination_solve
 from .poly import _ONE, _ZERO, Poly, _sum
 from .scalars import EXACT, as_scalar, infer_backend, negligible
@@ -95,7 +95,7 @@ def class_catalog(p):
 def factors_through_sigma(eq: NuEquation) -> bool:
     """Whether sigma~ / sigma is exact and affine: sigma~ = (kappa z - t) sigma."""
     quot, rem = eq.sigma_tilde.divrem(eq.sigma)
-    return _negligible_in(rem, eq.sigma_tilde, 1e-10) and quot.degree <= 1
+    return rem.negligible(1e-10, eq.sigma_tilde) and quot.degree <= 1
 
 
 def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
@@ -118,7 +118,7 @@ def check_relation(p, label, n: int):
     gap = class_relation(p, label, n)
     if isinstance(gap, complex) and not cmath.isfinite(gap):
         raise OverflowError("class relation overflows the float range")
-    if not negligible(gap, RELATION_TOL * p.relation_scale):
+    if not negligible(gap, RELATION_TOL, *p.relation_refs):
         raise NoBranchError(
             "class %s does not admit degree-%d solutions at these "
             "parameters (%s off by %s)" % (label, n, p.coupling_name, gap)

@@ -19,6 +19,7 @@ operator on polynomials of degree <= n.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -27,7 +28,7 @@ from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
 from .poly import Poly
-from .scalars import EXACT, as_scalar, infer_backend, negligible, scalar_sqrt
+from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ def heun_match(eq: NuEquation):
     if not negligible(sig.coeff(3) - 1, 1e-12) or not negligible(sig.coeff(0), 1e-12):
         return None
     a = sig.coeff(1)
-    if not negligible(sig.coeff(2) + a + 1, 1e-10 * max(1.0, abs(a))):
+    if not negligible(sig.coeff(2) + a + 1, 1e-10, a):
         return None
     if _at_zero_or_one(a) or not family.factors_through_sigma(eq):
         return None
@@ -151,10 +152,9 @@ class HeunParams(family.FamilyParams):
         gap = self.epsilon - (
             self.alpha + self.beta - self.gamma - self.delta + as_scalar(1, self.backend)
         )
-        # a float sum rounds on its largest term; an exact gap must vanish
-        exps = (self.alpha, self.beta, self.gamma, self.delta, self.epsilon)
-        scale = 1.0 if self.backend == EXACT else max(1.0, *map(abs, exps))
-        if not negligible(gap, 1e-10 * scale):
+        # a float sum rounds on its largest term
+        if not negligible(gap, 1e-10, self.alpha, self.beta, self.gamma,
+                          self.delta, self.epsilon):
             raise ValueError(
                 "exponent-sum constraint violated: epsilon must equal "
                 "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)
@@ -175,8 +175,8 @@ class HeunParams(family.FamilyParams):
         return self.q
 
     @property
-    def relation_scale(self):
-        return max(1.0, abs(self.product))
+    def relation_refs(self):
+        return (self.product,)
 
     def at(self, q) -> "HeunParams":
         return replace(self, q=q)
@@ -191,7 +191,8 @@ def heun_params_for_class(
 ) -> HeunParams:
     """Parameters of the given class at degree n: alpha*beta is set from
     the class closed form and split using the exponent-sum constraint
-    alpha + beta = gamma + delta + epsilon - 1."""
+    alpha + beta = gamma + delta + epsilon - 1. A float product or split
+    beyond float range raises OverflowError."""
     cls = heun_class(label)
     backend = infer_backend([a, gamma, delta, epsilon, q])
     gamma = as_scalar(gamma, backend)
@@ -204,6 +205,8 @@ def heun_params_for_class(
     half = as_scalar(Fraction(1, 2), backend)
     alpha = (total + root) * half
     beta = (total - root) * half
+    if isinstance(alpha, complex) and not all(map(cmath.isfinite, (product, alpha, beta))):
+        raise OverflowError("class product alpha*beta or its split overflows the float range")
     return HeunParams(a, q, alpha, beta, gamma, delta, epsilon)
 
 

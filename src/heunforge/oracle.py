@@ -112,7 +112,7 @@ def _recurrence(bands, point, exponent, backend) -> Recurrence:
             "expansion point is an irregular singular point "
             "(leading band has degree %d in the index)" % lead.degree
         )
-    if not negligible(lead(exponent), INDICIAL_TOL * max(lead.max_abs(), 1.0)):
+    if not negligible(lead(exponent), INDICIAL_TOL, lead):
         raise ValueError("exponent %s is not an indicial root" % (exponent,))
     return Recurrence(point, exponent, tuple(bands[r_star:]), backend)
 
@@ -136,10 +136,9 @@ def _leading_factors(rec: Recurrence, count: int):
     the factor vanishes (indicial roots separated by an integer, the
     logarithmic case)."""
     lead = rec.bands[0]
-    bound = 1e-14 * max(lead.max_abs(), 1.0)
     for m in range(1, count):
         den = lead(rec.exponent + m)
-        if negligible(den, bound):
+        if negligible(den, 1e-14, lead):
             raise ValueError(
                 "indicial collision: leading recurrence factor vanishes at "
                 "index %d" % m

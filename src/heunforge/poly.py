@@ -34,6 +34,7 @@ from .scalars import (
     backend_of,
     format_scalar,
     infer_backend,
+    negligible,
     parse_scalar,
     scalar_sqrt,
 )
@@ -121,13 +122,12 @@ class Poly:
     def max_abs(self) -> float:
         return max(map(abs, self.coeffs), default=0.0)
 
-    def negligible(self, bound) -> bool:
-        """Whether the polynomial counts as zero (scalars.negligible):
-        an exact one only when it is zero, a float one when no
-        coefficient exceeds bound in modulus."""
+    def negligible(self, tol, *refs) -> bool:
+        """scalars.negligible of the polynomial: an exact one is zero only
+        when it is, a float one when its max_abs() is negligible."""
         if self.backend == EXACT:
             return self.is_zero
-        return self.max_abs() <= bound
+        return negligible(self.max_abs(), tol, *refs)
 
     def _check_backend(self, other):
         if self.backend != other.backend:

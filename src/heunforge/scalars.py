@@ -8,7 +8,7 @@ on them carry a backend tag and refuse to mix the two.
 
 The backends differ in one rule, when a value counts as zero
 (`negligible`): an exact value only when it is exactly zero, a float
-when its modulus is at most the caller's bound.
+when its modulus is at most tol * max(1, |ref|, ...) for the given refs.
 """
 
 from __future__ import annotations
@@ -298,12 +298,15 @@ def infer_backend(values):
     return FLOAT
 
 
-def negligible(value, bound) -> bool:
+def negligible(value, tol, *refs) -> bool:
     """Whether a scalar counts as zero: a RationalComplex only when it is
-    exactly zero, a float when abs(value) <= bound."""
+    exactly zero, its refs unread; a float when abs(value) <= tol * max(|ref|,
+    ..., 1), a Poly ref counting as its max_abs(), or tol alone with no refs."""
     if isinstance(value, RationalComplex):
         return not value
-    return abs(value) <= bound
+    if refs:
+        tol = tol * max(*[r.max_abs() if hasattr(r, "max_abs") else abs(r) for r in refs], 1.0)
+    return abs(value) <= tol
 
 
 def scalar_sqrt(value, backend):

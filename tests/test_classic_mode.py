@@ -20,13 +20,16 @@ from heunforge.engine import (
     NuEquation,
     PiBranch,
     _dedupe,
-    _is_negligible,
     enumerate_branches,
     radicand,
     reduce_branch,
 )
 from heunforge.poly import Poly
 from heunforge.scalars import EXACT, FLOAT, RationalComplex
+
+
+def _is_negligible(p, scale, tol):
+    return p.negligible(tol * max(scale, 1.0))
 
 
 def rc(value):

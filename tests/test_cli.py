@@ -646,6 +646,22 @@ def test_class_relation_that_overflows_is_a_usage_error(capsys, argv, fmt):
     assert err == "error: class relation overflows the float range\n"
 
 
+# a float alpha*beta, or its split into alpha and beta, beyond float range
+# once reached the exponent-sum check as NaN, "gap (nan+nanj)"
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize("label, gamma, delta, epsilon", [
+    ("II", "1e200", "1e200", "1/5"),
+    ("I", "1e300", "1e300", "1e300"),
+    ("VIII", "1e308", "1e308", "1e308"),
+])
+def test_heun_split_that_overflows_is_a_usage_error(capsys, label, gamma, delta,
+                                                    epsilon, fmt):
+    argv = ["solve", "heun", "--class", label, "-n", "1", "--a", "19/10", "--gamma", gamma,
+            "--delta", delta, "--epsilon", epsilon, "--backend", "float", "--format", fmt]
+    assert run(capsys, *argv) == (
+        EXIT_USAGE, "", "error: class product alpha*beta or its split overflows the float range\n")
+
+
 ELECTRONS_OVERFLOWS = {
     # -n(n + delta - 1) overflows: no verdict on the branch
     "degree-condition": (

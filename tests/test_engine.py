@@ -22,6 +22,7 @@ from heunforge.engine import (
     EXTENDED,
     NoBranchError,
     NuEquation,
+    _local_sqrt,
     branch_from_pi,
     enumerate_branches,
     phi_factor,
@@ -446,3 +447,11 @@ def test_class_solves_take_no_square_root(monkeypatch):
     for p, eq, cls, eigenstates, values in solves:
         branch_from_pi(eq, cls.pi(p))
         assert len(eigenstates(p, cls.label, 2, values)) == 3
+
+
+def test_exact_local_sqrt_reads_no_float():
+    # an exact Taylor coefficient is zero only when it is, so the float
+    # size of 10**400, which overflows, is never read
+    taylor = [RationalComplex(4), RationalComplex(10**400), RationalComplex(1)]
+    assert _local_sqrt(taylor, 2, 0.0, EXACT) == [RationalComplex(2),
+                                                  RationalComplex(10**400 // 4)]

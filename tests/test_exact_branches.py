@@ -47,7 +47,6 @@ from heunforge.engine import (
     PiBranch,
     _dedupe,
     _exact_roots,
-    _is_negligible,
     _sigma_points,
     _signed,
     branch_from_pi,
@@ -58,6 +57,10 @@ from heunforge.engine import (
 from heunforge.heun import HEUN_CLASSES, HeunParams, heun_to_nu
 from heunforge.poly import Poly, format_poly, parse_poly
 from heunforge.scalars import EXACT, FLOAT, RationalComplex, negligible
+
+
+def _is_negligible(p, scale, tol):
+    return p.negligible(tol * max(scale, 1.0))
 
 
 def _poly(coeffs):

@@ -31,7 +31,7 @@ from heunforge.che import che_match
 from heunforge.engine import CLASSIC, EXTENDED, NuEquation
 from heunforge.family import check_relation
 from heunforge.heun import heun_match
-from heunforge.scalars import as_scalar, infer_backend
+from heunforge.scalars import EXACT, as_scalar, infer_backend
 
 DEGREES = range(0, 9)
 
@@ -235,3 +235,23 @@ def test_family_match_returns_the_parameters_of_the_equation(exact):
         extended = replace(classic, mode=EXTENDED)
         assert che_match(extended).alpha == 0
         assert heun_match(classic) is None and che_match(classic) is None
+
+
+# an exact zero test reads no float off its refs: these once took abs() of
+# an exact value beyond float range, for a bound an exact test never reads
+
+
+def test_exact_class_relation_reads_no_float():
+    big = RationalComplex(10**200)
+    p = heun_params_for_class("II", 1, RationalComplex(F(19, 10)), big, big,
+                              RationalComplex(F(1, 5)))
+    assert p.backend == EXACT
+    check_relation(p, "II", 1)
+
+
+def test_exact_heun_match_reads_no_float():
+    a = RationalComplex(10**400)
+    z = Poly.x(EXACT)
+    sigma = z * (z - Poly.one(EXACT)) * (z - Poly.constant(a, EXACT))
+    eq = NuEquation(Poly([1, 1], EXACT), sigma, sigma * Poly([-3, 2], EXACT))
+    assert heun_match(eq).a == a

@@ -1,8 +1,8 @@
 """Golden CLI outputs: the README commands, run through cli.main, must
 print exactly what tests/golden/<name>.<format>.txt records.
 
-The JSON, table and CSV outputs of five README commands are frozen byte
-for byte, and so is the JSON of two exact solves. The comparison is of
+The JSON, table and CSV outputs of the eight README commands are frozen
+byte for byte, and so is the JSON of two exact solves. The comparison is of
 bytes, so every value counts, floats included (a change that moves a
 float in its last bit shows here), and so do the text formats' own
 number forms, the JSON separators, key order and escaping. JSON is
@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from heunforge.cli import main
+from heunforge.engine import NuEquation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -35,9 +36,25 @@ TEXT_CASES = {
         "--sigma-tilde", "-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4",
         "--backend", "exact",
     ],
+    # classic mode's zero tests, which an exact equation passes exactly
+    "classify_classic": [
+        "classify", "--mode", "classic",
+        "--sigma", "z^2 - 1/3*z", "--tau", "-4/3 - 2/3*z",
+        "--sigma-tilde", "1/4 - 1/3*z - 5/4*z^2", "--backend", "exact",
+    ],
+    # the Start-up command: eight float branches of an exact equation,
+    # certified by float zero tests on its float copy
+    "classify_startup": [
+        "classify", "--sigma", "z^3 - 3*z^2 + 2*z", "--tau", "1 + z",
+        "--sigma-tilde", "1 + z^2", "--backend", "exact",
+    ],
     "solve_heun_float": [
         "solve", "heun", "--class", "I", "-n", "2",
         "--a", "2", "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
+    ],
+    "solve_che_float": [
+        "solve", "che", "--class", "1", "-n", "1", "--alpha", "3/2",
+        "--beta", "1/3", "--gamma", "2/5",
     ],
     "app_coulomb3s": ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5"],
     "app_electrons_sphere": [
@@ -105,6 +122,7 @@ EXACT_CLASSIFY_CASES = {
         "119/6 + 323/27*z + 17/3*z^2", "-1/5 + 15/2*z - 13/10*z^2",
         "-21776/135 - 14467/2970*z + 695713/49005*z^2 + 6077/495*z^3"),
     "huge_constant_cube": ("z^3 + 1" + "0" * 160, "1 + z", "1 + z^2"),
+    "square_root_of_two": ("z^2 - 2", "1 + z", "1 + z^2"),
 }
 
 
@@ -122,3 +140,23 @@ def test_exact_classify_golden(name, capsys, monkeypatch):
     assert main(argv) == 0
     golden = (GOLDEN / "exact_classify" / ("%s.json.txt" % name)).read_text()
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", ["cubic_two_irrational_roots", "square_root_of_two",
+                                  "classify_startup"])
+def test_exact_classify_builds_one_float_copy(name, capsys, monkeypatch):
+    # every float branch of an exact equation, and its float half gap, run
+    # on one float copy of the equation; one per branch made 9, 5 and 9
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    copies, build = [], NuEquation.to_float
+    monkeypatch.setattr(NuEquation, "to_float", lambda eq: copies.append(eq) or build(eq))
+    if name in EXACT_CLASSIFY_CASES:
+        sigma, tau, sigma_tilde = EXACT_CLASSIFY_CASES[name]
+        argv = ["classify", "--sigma", sigma, "--tau", tau, "--sigma-tilde", sigma_tilde,
+                "--backend", "exact"]
+        golden = GOLDEN / "exact_classify" / ("%s.json.txt" % name)
+    else:
+        argv, golden = TEXT_CASES[name], GOLDEN / ("%s.json.txt" % name)
+    assert main(argv + ["--format", "json"]) == 0
+    assert len(copies) == 1
+    assert capsys.readouterr().out == golden.read_text()

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from heunforge.poly import Poly
 from heunforge.scalars import (
     EXACT,
     FLOAT,
@@ -16,6 +17,7 @@ from heunforge.scalars import (
     backend_of,
     format_scalar,
     infer_backend,
+    negligible,
     parse_scalar,
     scalar_sqrt,
     sqrt_exact,
@@ -202,3 +204,22 @@ def test_copy_and_pickle_round_trip(value):
         assert twin == value and twin._abd == value._abd
     with pytest.raises(AttributeError, match="RationalComplex is immutable"):
         value.re = 1
+
+
+def test_negligible_scales_a_float_by_its_refs_and_reads_no_exact_ref():
+    # a float is zero within tol * max(|ref|, ..., 1), a Poly ref counting
+    # as its largest coefficient modulus; with no refs tol is the bound
+    assert negligible(1e-9, 1e-10, 20.0, 3j)
+    assert not negligible(1e-9, 1e-10, 5.0)
+    assert negligible(1e-9, 1e-10, Poly([1, 30j], FLOAT))
+    assert not negligible(2e-10, 1e-10, 0.5)
+    assert not negligible(2e-10, 1e-10)
+    assert Poly([1e-9, 2e-9j], FLOAT).negligible(1e-10, Poly([25], FLOAT))
+    assert not Poly([1e-9, 2e-9j], FLOAT).negligible(1e-10, 15.0)
+    # an exact value is zero only when it is, whatever its refs: a ref
+    # beyond float range, whose abs() overflows, is never read
+    huge = rc(10**400)
+    assert negligible(rc(0), 1e-10, huge)
+    assert not negligible(rc(Fraction(1, 10**400)), 1e-10, huge, Poly([huge], EXACT))
+    assert Poly.zero(EXACT).negligible(1e-10, huge)
+    assert not Poly([rc(Fraction(1, 10**400))], EXACT).negligible(1e-10, huge)
