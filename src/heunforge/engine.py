@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite
 
-from .oracle import OdeFamily, OdeForm, ResidualContour, coefficient_map
+from .oracle import OdeFamily, OdeForm, ResidualContour, cached_by_bits, coefficient_map
 from .poly import Poly, _deflate, _sum, _trim
 from .scalars import EXACT, FLOAT, RationalComplex, _mul_add, as_scalar, negligible, sqrt_exact
 
@@ -693,19 +693,20 @@ def _prefactor(sigma: Poly, pi: Poly) -> PhiFactor:
     quot, _ = pi.divrem(sigma)
     exp_part = Poly(
         [0] + [c / (k + 1) for k, c in enumerate(quot.coeffs)], quot.backend)
-    roots = sigma.to_float().roots()
-    for i, r1 in enumerate(roots):
-        for r2 in roots[i + 1 :]:
-            if abs(r1 - r2) < 1e-8 * max(1.0, abs(r1), abs(r2)):
-                raise ValueError(
-                    "sigma has a repeated root; prefactor shape out of scope"
-                )
-    sig_der = sigma.to_float().derivative()
     pi_f = pi.to_float()
-    powers = tuple(
-        (r, pi_f(r) / sig_der(r)) for r in roots
-    )
+    powers = tuple((r, pi_f(r) / der) for r, der in _simple_roots(sigma.to_float()))
     return PhiFactor(exp_part, powers)
+
+
+@cached_by_bits
+def _simple_roots(sigma: Poly):
+    """(root, sigma'(root)) over the roots of a float sigma, all simple."""
+    roots = sigma.roots()
+    if any(abs(r1 - r2) < 1e-8 * max(1.0, abs(r1), abs(r2))
+           for i, r1 in enumerate(roots) for r2 in roots[i + 1:]):
+        raise ValueError("sigma has a repeated root; prefactor shape out of scope")
+    sig_der = sigma.derivative()
+    return tuple((r, sig_der(r)) for r in roots)
 
 
 # -- polynomial solutions -----------------------------------------------------

@@ -17,13 +17,35 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .poly import Poly, _horner
-from .scalars import as_scalar, negligible
+from .scalars import FLOAT, as_scalar, negligible
 
 TERMINATION_TOL = 1e-8
 INDICIAL_TOL = 1e-9
+CACHE_SIZE = 16  # entries of each per-process cache of sigma-only float work
+
+
+def cached_by_bits(func):
+    """func(p, *args) of a float Poly p, kept for the CACHE_SIZE latest keys:
+    the bits of p's coefficients, never their values (0.0 == -0.0), and
+    args. A hit returns the object func returned, which must be immutable;
+    an exception is not kept."""
+
+    @lru_cache(maxsize=CACHE_SIZE)
+    def from_bits(bits, *args):
+        parts = struct.unpack("%dd" % (len(bits) // 8), bits)
+        return func(Poly._make(list(map(complex, parts[::2], parts[1::2])), FLOAT), *args)
+
+    def cached(p, *args):
+        parts = [part for c in p.coeffs for part in (c.real, c.imag)]
+        return from_bits(struct.pack("%dd" % len(parts), *parts), *args)
+
+    cached.cache_info, cached.cache_clear = from_bits.cache_info, from_bits.cache_clear
+    return cached
 
 
 @dataclass(frozen=True)
@@ -268,11 +290,29 @@ CONTOUR_CLEARANCE = 0.1
 def residual_contour(p2: Poly, samples: int = 50):
     """Deterministic sample points: a circle of radius 0.45 about 0.5,
     with any point closer than 0.1 to a root of p2 pushed radially away
-    from that root out to the clearance distance."""
-    sing = p2.to_float().roots() if p2.degree >= 1 else []
+    from that root out to the clearance distance; a fresh list each call."""
+    return list(_contour(p2, samples)[0])
+
+
+def _contour(p2: Poly, samples: int):
+    """(points, p2 at the points) of residual_contour, as kept tuples."""
+    if samples < 1:
+        raise ValueError("the residual contour needs at least 1 sample point, not %r" % samples)
+    return _pushed_contour(p2.to_float(), samples)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _circle(samples: int):
+    """(point, unit direction) of each sample on the unpushed circle."""
+    units = [cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
+    return tuple((CONTOUR_CENTER + CONTOUR_RADIUS * unit, unit) for unit in units)
+
+
+@cached_by_bits
+def _pushed_contour(p2: Poly, samples: int):
+    sing = p2.roots() if p2.degree >= 1 else []
     points = []
-    for k in range(samples):
-        z = CONTOUR_CENTER + CONTOUR_RADIUS * cmath.exp(2j * math.pi * k / samples)
+    for z, unit in _circle(samples):
         for _ in range(4):
             for offender in sing:  # the first root within the clearance
                 if abs(z - offender) < CONTOUR_CLEARANCE:
@@ -281,14 +321,14 @@ def residual_contour(p2: Poly, samples: int = 50):
                 break
             gap = z - offender
             if abs(gap) == 0.0:
-                gap = cmath.exp(2j * math.pi * k / samples)
+                gap = unit
             z = offender + CONTOUR_CLEARANCE * gap / abs(gap)
         else:
             continue
         points.append(z)
     if not points:
         raise ValueError("every sample point sits too close to a singularity")
-    return points
+    return tuple(points), tuple(_horner(p2.coeffs, z) for z in points)
 
 
 class ResidualContour:
@@ -297,14 +337,12 @@ class ResidualContour:
     only p0 moves with the accessory. At each point it keeps z, p2(z),
     p1(z) and phi's log-derivative terms (L, 2L, L^2 + L'), computed in
     Python complex numbers, for the array pass of `residuals`: Horner on
-    coefficient tuples, as a float Poly call evaluates."""
+    coefficient tuples, as a float Poly call evaluates; z and p2(z) from _contour's cache."""
 
     def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
-        p2f, p1f = p2.to_float(), p1.to_float()
-        points = residual_contour(p2f, samples)
-        self.z = points
-        self.p2 = [_horner(p2f.coeffs, z) for z in points]
-        self.p1 = [_horner(p1f.coeffs, z) for z in points]
+        self.z, self.p2 = _contour(p2, samples)
+        p1f = p1.to_float()
+        self.p1 = [_horner(p1f.coeffs, z) for z in self.z]
         self.logd = None
         if phi is None:
             return
@@ -313,7 +351,7 @@ class ResidualContour:
         de, dde = de.coeffs, de.derivative().coeffs
         powers = [(complex(root), complex(expo)) for root, expo in phi.powers]
         logds = []
-        for z in points:
+        for z in self.z:
             lval, lder = _horner(de, z), _horner(dde, z)
             for root, expo in powers:
                 dz = z - root
