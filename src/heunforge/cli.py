@@ -470,7 +470,8 @@ def finite(text: str) -> float:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: every default in it is
-    constant, and main reads the environment on each call."""
+    constant, and main reads the environment on each call. Its
+    `command_parsers` maps each command name to that command's parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--backend",
@@ -546,13 +547,28 @@ def build_parser() -> argparse.ArgumentParser:
         default="symmetric",
     )
     app.set_defaults(func=cmd_app)
+    parser.command_parsers = sub.choices
     return parser
 
 
+def _parse(parser, argv):
+    """The namespace parser.parse_args(argv) gives, or its SystemExit. An
+    argv led by a command goes to that command's parser alone, as the
+    subparsers action hands it over: the top-level pass would only match
+    each word against -h and pass them all on."""
+    sub = parser.command_parsers.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], None)
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(build_parser(), sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:

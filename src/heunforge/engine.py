@@ -382,12 +382,7 @@ def _sigma_points(sigma: Poly, budget: int):
     points = [(None, budget - sigma.degree)] if sigma.degree < budget else []
     if sigma.degree < 1:
         return points
-    # Euclid; a float remainder below ZERO_TOL of its divisor is zero
-    common, rem = sigma, sigma.derivative()
-    while not rem.is_zero:
-        common, rem = rem, common.divrem(rem)[1]
-        if rem.negligible(ZERO_TOL, common):
-            rem = Poly.zero(rem.backend)
+    common = _repeated_part(sigma)
     k = common.degree
     if k == 0:
         roots = _exact_roots(sigma) if sigma.backend == EXACT else sigma.roots()
@@ -399,6 +394,17 @@ def _sigma_points(sigma: Poly, budget: int):
     if rest.degree == 1:
         points.append((-rest.coeff(0) / rest.coeff(1), 1))
     return points
+
+
+def _repeated_part(sigma: Poly) -> Poly:
+    """gcd(sigma, sigma') by Euclid, of degree 0 when every root of sigma
+    is simple; a float remainder below ZERO_TOL of its divisor is zero."""
+    common, rem = sigma, sigma.derivative()
+    while not rem.is_zero:
+        common, rem = rem, common.divrem(rem)[1]
+        if rem.negligible(ZERO_TOL, common):
+            rem = Poly.zero(rem.backend)
+    return common
 
 
 def _local_sqrt(taylor, mult, noise, backend):
@@ -689,7 +695,14 @@ def phi_factor(eq: NuEquation, b: PiBranch) -> PhiFactor:
     return _prefactor(_on_branch(eq, b).sigma, b.pi)
 
 
+_REPEATED_ROOT = "sigma has a repeated root; prefactor shape out of scope"
+
+
 def _prefactor(sigma: Poly, pi: Poly) -> PhiFactor:
+    # an exact sigma's repeated root is exact, where its float copy's
+    # companion roots may split it past _simple_roots' gap
+    if sigma.backend == EXACT and _repeated_part(sigma).degree:
+        raise ValueError(_REPEATED_ROOT)
     quot, _ = pi.divrem(sigma)
     exp_part = Poly(
         [0] + [c / (k + 1) for k, c in enumerate(quot.coeffs)], quot.backend)
@@ -704,7 +717,7 @@ def _simple_roots(sigma: Poly):
     roots = sigma.roots()
     if any(abs(r1 - r2) < 1e-8 * max(1.0, abs(r1), abs(r2))
            for i, r1 in enumerate(roots) for r2 in roots[i + 1:]):
-        raise ValueError("sigma has a repeated root; prefactor shape out of scope")
+        raise ValueError(_REPEATED_ROOT)
     sig_der = sigma.derivative()
     return tuple((r, sig_der(r)) for r in roots)
 

@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, backend selection."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import heunforge
+from heunforge import cli
 from heunforge import (
     CHE_CLASSES,
     EXACT,
@@ -838,3 +841,78 @@ def test_refused_allocation_is_a_usage_error(monkeypatch, capsys, argv):
     expected = "error: out of memory (Unable to allocate 149. GiB for an " \
         "array with shape (100002, 100001))\n"
     assert run(capsys, *argv) == (EXIT_USAGE, "", expected)
+
+
+def _top_level_parse(parser, argv):
+    """The reference parse: the top-level parser's own pass, which hands
+    a command's words to that command's parser."""
+    return parser.parse_args(argv)
+
+
+def _outcome(parse, argv):
+    """vars of the namespace parse gives for argv, or the (exit code,
+    stdout, stderr) it exits with."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parse(build_parser(), argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+APP_ARGS = ["app", "coulomb3s", "--n", "1", "--m", "0", "--gamma", "1"]
+
+PARSE_CORPUS = README_COMMANDS + [
+    ["-h"], ["--help"], ["classify", "-h"], ["solve", "-h"], ["app", "-h"],
+    [],
+    ["frobnicate", "--n", "1"],
+    CLASSIFY_ARGS + ["--bogus", "1"],
+    APP_ARGS + ["junk"],
+    APP_ARGS + ["junk", "--more", "words"],
+    ["classify", "--sig", "z^2 - z", "--tau", "1", "--sigma-tilde", "z"],
+    ["solve", "heun", "--cla", "I", "-n", "1", "--a", "2", "--gamma", "1/2",
+     "--delta", "1/3", "--epsilon", "3/4"],
+    ["--", *APP_ARGS],
+    ["app", "--", "coulomb3s", "--n", "1"],
+    ["solve", "che", "--class", "1", "-n", "two", "--gamma", "1"],
+    ["solve", "che", "-n", "1", "--gamma", "1"],
+    ["--backend", "exact", *CLASSIFY_ARGS],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS,
+                         ids=["%d" % k for k in range(len(PARSE_CORPUS))])
+def test_one_pass_parse_is_the_top_level_parse(capsys, monkeypatch, argv):
+    # parsed: the same namespace; refused or helped: the same exit
+    assert _outcome(cli._parse, argv) == _outcome(_top_level_parse, argv)
+    # and main prints and returns the same, byte for byte
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", _top_level_parse)
+    assert got == run(capsys, *argv)
+
+
+def test_command_argv_skips_the_top_level_pass(capsys, monkeypatch):
+    parser = build_parser()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return type(parser).parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    for argv in (CLASSIFY_ARGS, SOLVE_ARGS, APP_ARGS):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert calls == []
+    # an argv no command leads still takes it
+    assert run(capsys, "-h")[0] == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [APP_ARGS, ["-h"]], ids=["app", "help"])
+def test_main_reads_sys_argv(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["heunforge", *argv])
+    code = main()
+    out = capsys.readouterr()
+    assert (code, out.out, out.err) == expected

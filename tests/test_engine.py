@@ -217,6 +217,19 @@ def test_phi_factor_rejects_repeated_sigma_root():
         phi_factor(eq, b)
 
 
+@pytest.mark.parametrize("c", [F(1), F(1, 2), F(2)])
+def test_phi_factor_rejects_exact_repeated_sigma_root(c):
+    # sigma = (z - c)^2 with pi = z - c: the float copy's companion roots
+    # split c into two 3e-8 to 1.2e-7 apart, wider than the float gap, so
+    # the exact sigma's gcd with sigma' must refuse it
+    z = Poly.x(EXACT)
+    zc = z - Poly.constant(rc(c), EXACT)
+    eq = NuEquation(Poly.zero(EXACT), zc * zc, Poly.zero(EXACT), EXTENDED)
+    b = branch_from_pi(eq, zc)
+    with pytest.raises(ValueError, match="repeated root"):
+        phi_factor(eq, b)
+
+
 def test_degenerate_radicand_collapses():
     # sigma~ chosen so the radicand vanishes identically at g = 0: the
     # enumeration must report the sign-0 degenerate branch
