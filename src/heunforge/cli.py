@@ -18,9 +18,9 @@ form. CSV and table output come from the command's own row and line
 functions, with `_cell` giving each value its text. The exit code
 follows from the checks alone: 4 if any failed, else 0.
 
-Exit codes: 0 all checks passed, 2 usage error, parse error or a value
-beyond float range, 3 no solution exists (no branch / no accessory
-root / class relation violated), 4 a verification check failed.
+Exit codes: 0 all checks passed, 1 stdout closed early (broken pipe), 2
+usage error, parse error or a value beyond float range, 3 no solution
+(no branch / no accessory root / class relation violated), 4 a failed check.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ from .scalars import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_NO_SOLUTION = 3
 EXIT_VERIFICATION = 4
@@ -115,20 +116,34 @@ class RunConfig:
 # -- serialization ------------------------------------------------------------
 
 
+def _complex_forms(values):
+    """JSON forms of complex values: a real when the imaginary part is 0, else {"im", "re"}."""
+    return [c.real if c.imag == 0 else {"im": c.imag, "re": c.real} for c in values]
+
+
+def _exact_forms(values):
+    """JSON forms of RationalComplex values, {"im", "re"} of {"den", "num"} from their ints."""
+    forms = []
+    for value in values:
+        a, b, d = value._abd
+        g, h = math.gcd(a, d), math.gcd(b, d)
+        forms.append({"im": {"den": d // h, "num": b // h}, "re": {"den": d // g, "num": a // g}})
+    return forms
+
+
 def _json_form(value):
     """The JSON form json.dumps is given for a value it cannot write: a Poly
     as {"coeffs"}, a RationalComplex as {"im", "re"}, a Fraction as
     {"den", "num"}, and a complex as a real when its imaginary part is 0,
-    else as {"im", "re"}. A Poly's coefficients, and a RationalComplex's
-    parts from its stored ints, get their forms here in the same call."""
+    else as {"im", "re"}. A Poly's coefficients get their forms in the
+    same call, all at once by its backend's forms."""
     if isinstance(value, complex):
-        return value.real if value.imag == 0 else {"im": value.imag, "re": value.real}
+        return _complex_forms((value,))[0]
     if isinstance(value, Poly):
-        return {"coeffs": [_json_form(c) for c in value.coeffs]}
+        forms = _exact_forms if value.backend == EXACT else _complex_forms
+        return {"coeffs": forms(value.coeffs)}
     if isinstance(value, RationalComplex):
-        a, b, d = value._abd
-        g, h = math.gcd(a, d), math.gcd(b, d)
-        return {"im": {"den": d // h, "num": b // h}, "re": {"den": d // g, "num": a // g}}
+        return _exact_forms((value,))[0]
     if isinstance(value, Fraction):
         return {"den": value.denominator, "num": value.numerator}
     raise TypeError("Object of type %s is not JSON serializable"
@@ -587,8 +602,16 @@ def main(argv=None) -> int:
         )
         record = args.func(args, config)
         _render(args.command, config.fmt, record)
+        # a closed stdout raises here, not in the interpreter's last flush
+        sys.stdout.flush()
         failed = any(not check["passed"] for check in record[2])
         return EXIT_VERIFICATION if failed else EXIT_OK
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so that the output still
+        # buffered is dropped quietly at exit (SIGPIPE in Python's signal docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except NoBranchError as exc:
         print("no solution: %s" % exc, file=sys.stderr)
         return EXIT_NO_SOLUTION

@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite
 
 from .oracle import OdeFamily, OdeForm, ResidualContour, cached_by_bits, coefficient_map
-from .poly import Poly, _deflate, _sum, _trim
+from .poly import Poly, _deflate, _sum, _trim, float_kernel
 from .scalars import EXACT, FLOAT, RationalComplex, _mul_add, as_scalar, negligible, sqrt_exact
 
 CLASSIC = "classic"
@@ -223,7 +223,7 @@ def _signed(b: PiBranch) -> PiBranch:
     re, im, _ = b.s.leading()._abd
     if re > 0 or re == 0 and im > 0:
         return b
-    return replace(b, s=-b.s, sign=-b.sign)
+    return PiBranch(b.g, -b.s, b.pi, -b.sign)
 
 
 def _refine(values, step):
@@ -787,15 +787,13 @@ def _fixed_map(sigma: Poly, tau: Poly, n: int):
 def _null_polynomial(fixed, rf: ReducedForm, n: int) -> Poly:
     """Monic degree-n null vector of the coefficient map of the reduced
     equation rf, built from `fixed`, its map with h = 0."""
-    from .floatkernel import null_vector, with_h
-
-    mat = with_h(fixed, rf.h)
+    mat = float_kernel().with_h(fixed, rf.h)
     if rf.h.backend == EXACT:
         kernel = _nullspace(mat, EXACT)
         dim, top = len(kernel), kernel[0][n] if kernel else 0
         vec = [v / top for v in kernel[0]] if top else None
     else:
-        svals, vec = null_vector(mat, n)
+        svals, vec = float_kernel().null_vector(mat, n)
         # for n = 0 the map is the column h alone, whose one singular value
         # cannot be judged against itself: judge it against the column
         # tau + h z that a degree-1 map would add

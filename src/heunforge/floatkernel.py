@@ -1,10 +1,10 @@
 """The float kernel: every numpy call of the package, and the one module
-that imports numpy. Its callers import it inside the functions that need
-it, so a run with no float roots of sigma, eigenvalues, null vectors or
-contour never loads numpy: an exact `classify` whose sigma has
-Gaussian-rational roots, whose branches, exact or float, come from the
-engine's own elimination, or `app coulomb3s`. An exact solve's
-coefficient map is an object array made here too.
+that imports numpy. Its callers reach it through `poly.float_kernel()`,
+which imports it on its first call, so a run with no float roots of
+sigma, eigenvalues, null vectors or contour never loads numpy: an exact
+`classify` whose sigma has Gaussian-rational roots, whose branches, exact
+or float, come from the engine's own elimination, or `app coulomb3s`. An
+exact solve's coefficient map is an object array made here too.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .poly import Poly, _horner
+from .poly import Poly, _horner, float_kernel
 from .scalars import FLOAT, as_scalar, negligible
 
 TERMINATION_TOL = 1e-8
@@ -244,10 +244,8 @@ def coefficient_map(ode: OdeForm, n: int):
         raise ValueError("degree must be nonnegative")
     if ode.p2.degree > 3 or ode.p1.degree > 2 or ode.p0.degree > 1:
         raise ValueError("the operator raises degrees by more than one")
-    from .floatkernel import full
-
     backend = ode.backend
-    out = full((n + 2, n + 1), as_scalar(0, backend))
+    out = float_kernel().full((n + 2, n + 1), as_scalar(0, backend))
     p2, p1, p0 = ode.p2.coeff, ode.p1.coeff, ode.p0.coeff
     for j in range(n + 1):
         d2 = as_scalar(j * (j - 1), backend)
@@ -270,13 +268,11 @@ def termination_solve(family: OdeFamily, n: int):
     is kept when its backward error on all n+2 rows is at most
     TERMINATION_TOL. A map with a non-finite entry raises OverflowError.
     """
-    from .floatkernel import accessory_values
-
     if family.p0_dir.degree != 0:
         raise ValueError("the accessory direction must be a nonzero constant")
     mat = coefficient_map(family.base.to_float(), n)
     d = complex(family.p0_dir.coeff(0))
-    values = accessory_values(mat, n, d, TERMINATION_TOL)
+    values = float_kernel().accessory_values(mat, n, d, TERMINATION_TOL)
     return sorted(values, key=lambda t: (t.real, t.imag))
 
 
@@ -371,8 +367,6 @@ class ResidualContour:
         first and zero-padded in front, into one block for one Horner loop
         at all points (floatkernel.contour_residuals), and each residual
         is bit-identical to Python complex math."""
-        from .floatkernel import contour_residuals
-
         rows = []
         for poly, p0 in zip(polys, p0s, strict=True):
             if poly.is_zero:
@@ -380,7 +374,7 @@ class ResidualContour:
             p = poly.to_float()
             dp = p.derivative()
             rows += [p.coeffs, dp.coeffs, dp.derivative().coeffs, p0.to_float().coeffs]
-        return contour_residuals(self.z, self.p2, self.p1, self.logd, rows)
+        return float_kernel().contour_residuals(self.z, self.p2, self.p1, self.logd, rows)
 
 
 def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:

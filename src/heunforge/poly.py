@@ -16,6 +16,7 @@ Horner and the Taylor shift (scalars._convolve, scalars._mul_add).
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from itertools import zip_longest
@@ -58,17 +59,16 @@ class Poly:
             backend = infer_backend(coeffs)
         kind = _SCALAR_TYPE.get(backend)
         coeffs = [c if type(c) is kind else as_scalar(c, backend) for c in coeffs]
-        coeffs = _trim(coeffs, backend)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "backend", backend)
+        _set_coeffs(self, tuple(_trim(coeffs, backend)))
+        _set_backend(self, backend)
 
     @staticmethod
     def _make(coeffs, backend):
         """The Poly of `coeffs`, a fresh list of the backend's own scalars:
         trimmed in place, neither copied nor coerced."""
         p = object.__new__(Poly)
-        object.__setattr__(p, "coeffs", tuple(_trim(coeffs, backend)))
-        object.__setattr__(p, "backend", backend)
+        _set_coeffs(p, tuple(_trim(coeffs, backend)))
+        _set_backend(p, backend)
         return p
 
     def __setattr__(self, name, value):
@@ -142,8 +142,10 @@ class Poly:
             other = self._as_poly(other)
             if other is NotImplemented:
                 return NotImplemented
-        self._check_backend(other)
-        return Poly._make(_sum(self.coeffs, other.coeffs, self.backend, negate), self.backend)
+        backend = self.backend
+        if other.backend != backend:
+            self._check_backend(other)
+        return Poly._make(_sum(self.coeffs, other.coeffs, backend, negate), backend)
 
     __radd__ = __add__
 
@@ -162,22 +164,25 @@ class Poly:
         return Poly._make([-c for c in self.coeffs], self.backend)
 
     def __mul__(self, other):
+        coeffs, backend = self.coeffs, self.backend
         if not isinstance(other, Poly):
             try:
-                scalar = as_scalar(other, self.backend)
+                scalar = as_scalar(other, backend)
             except (BackendMismatchError, TypeError):
                 return NotImplemented
-            return Poly._make([c * scalar for c in self.coeffs], self.backend)
-        self._check_backend(other)
-        if self.is_zero or other.is_zero:
-            return Poly._make([], self.backend)
-        if self.backend == EXACT:
-            return Poly._make(_convolve(self.coeffs, other.coeffs), EXACT)
-        out = [_ZERO[self.backend]] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs, i):
+            return Poly._make([c * scalar for c in coeffs], backend)
+        right = other.coeffs
+        if other.backend != backend:
+            self._check_backend(other)
+        if not coeffs or not right:
+            return Poly._make([], backend)
+        if backend == EXACT:
+            return Poly._make(_convolve(coeffs, right), EXACT)
+        out = [_ZERO[backend]] * (len(coeffs) + len(right) - 1)
+        for i, a in enumerate(coeffs):
+            for k, b in enumerate(right, i):
                 out[k] = out[k] + a * b
-        return Poly._make(out, self.backend)
+        return Poly._make(out, backend)
 
     __rmul__ = __mul__
 
@@ -295,9 +300,7 @@ class Poly:
         body = [v / lead for v in c[:-1]]
         if len(body) == 1:
             return [-body[0]]
-        from .floatkernel import companion_roots
-
-        return companion_roots(body)
+        return float_kernel().companion_roots(body)
 
     # -- conversions and composition ------------------------------------------
 
@@ -323,6 +326,19 @@ class Poly:
 
     def __str__(self):
         return format_poly(self)
+
+
+# the slots' own setters, which the immutability guard above does not see
+_set_coeffs = Poly.coeffs.__set__
+_set_backend = Poly.backend.__set__
+
+
+@functools.cache
+def float_kernel():
+    """The floatkernel module, imported on the first call, so numpy loads with
+    a process's first float linear algebra. Callers read its functions per call."""
+    from . import floatkernel
+    return floatkernel
 
 
 def _horner(coeffs, z: complex) -> complex:

@@ -339,8 +339,17 @@ _UNIT = r"(?:%s)[ij]?|[ij]" % _NUMBER
 _SIGNED_UNIT_RE = _re.compile(r"([+-]?)(%s)" % _UNIT)
 
 
+def _read_unit(sign, unit):
+    """Fraction(sign + unit) of a unit term without its i/j, errors included: an
+    integer (isdecimal(), the regex's digits) by int(), p/q by Fraction(int(p), int(q))."""
+    num, slash, den = unit.partition("/")
+    if slash:
+        return Fraction(int(sign + num), int(den))
+    return int(sign + unit) if unit.isdecimal() else Fraction(sign + unit)
+
+
 def _read_sum(text):
-    """Exact (re, im) parts, Fractions or int 0, of a signed run of unit
+    """Exact (re, im) parts, ints or Fractions, of a signed run of unit
     terms, such as '1/2-3i+.5e1j', in text free of whitespace."""
     re_part = im_part = None
     pos = 0
@@ -349,7 +358,7 @@ def _read_sum(text):
         if m is None or (pos and not m[1]):
             raise ValueError("bad numeric literal %r" % (text,))
         sign, unit = m.groups()
-        value = Fraction(sign + (unit.rstrip("ij") or "1"))
+        value = _read_unit(sign, unit.rstrip("ij") or "1")
         if unit[-1] in "ij":
             im_part = value if im_part is None else im_part + value
         else:

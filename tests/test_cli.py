@@ -916,3 +916,25 @@ def test_main_reads_sys_argv(capsys, monkeypatch, argv):
     code = main()
     out = capsys.readouterr()
     assert (code, out.out, out.err) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "heun", "--class", "I", "-n", "3", "--a", "19/10", "--gamma", "1/2",
+     "--delta", "1/3", "--epsilon", "3/4", "--format", "json"],
+    ["classify", "--sigma", "z^3 - 3*z^2 + 2*z", "--tau", "1 - 35/12*z + 19/12*z^2",
+     "--sigma-tilde", "-2/5*z - 1/15*z^2 + 4/5*z^3 - 1/3*z^4"],
+], ids=["solve", "classify"])
+def test_closed_stdout_exits_1_quietly(argv):
+    # stdout is a pipe whose reader is gone before the first byte: the
+    # write fails with EPIPE every time, where `| head` races the writer
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("HEUNFORGE_BACKEND", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "heunforge.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE == 1

@@ -16,12 +16,14 @@ test_whitespace_widening.
 
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from heunforge import scalars
 from heunforge.cli import main
 from heunforge.poly import Poly, parse_poly
 from heunforge.scalars import EXACT, FLOAT, RationalComplex, as_scalar, parse_scalar
@@ -398,3 +400,62 @@ def test_huge_exponent_is_refused(capsys, backend, text):
         assert (code, out) == (2, "")
         assert err.startswith("error: bad polynomial text" if argv[0] == "classify"
                               else "error: bad numeric literal")
+
+
+# -- unit terms read as Fraction reads them -------------------------------------------
+#
+# An integer unit is read with int() and a p/q unit as Fraction(int(p), int(q)),
+# skipping Fraction's string parser. The reference reads every unit with
+# Fraction(sign + unit): values, float bits and error texts must all agree.
+
+
+def _unit_corpus(seed=37):
+    rng = random.Random(seed)
+    units = ["0", "-0", "+0", "007", "-007/010", "007/010", "0/5", "-0/5", "٣/٤", "-٣",
+             "1/0", "-7/0", "0/0", "1" * 5000, "-" + "1" * 5000, "2/" + "3" * 5000,
+             "1" + "0" * 400, "-1" + "0" * 400, "1" + "0" * 400 + "/3", "1/1" + "0" * 400,
+             "i", "-j", "3i", "-2/7j", "1.5", "-.5e-3", "2.e2i", "1e400"]
+    for _ in range(300):
+        sign = rng.choice(("", "-", "+"))
+        num = str(rng.randint(0, 10**rng.randint(1, 30))).zfill(rng.randint(1, 4))
+        if rng.random() < 0.5:
+            num += "/" + str(rng.randint(0, 10**rng.randint(1, 20))).zfill(rng.randint(1, 3))
+        units.append(sign + num + rng.choice(("", "", "i", "j")))
+    # two-unit sums of the short units: ints, ratios, i/j and decimals
+    short = units[20:]
+    sums = [rng.choice(short) + rng.choice("+-") + rng.choice(short).lstrip("+-")
+            for _ in range(100)]
+    return units + sums
+
+
+def _fraction_unit(sign, unit):
+    return Fraction(sign + unit)
+
+
+def _unit_outcome(read, text, backend):
+    """Exact values by their stored ints, floats by the bits of both parts,
+    a refusal by its type and text."""
+    try:
+        value = read(text, backend)
+    except REFUSED as exc:
+        return type(exc), str(exc)
+    coeffs = value.coeffs if isinstance(value, Poly) else (value,)
+    return tuple(c._abd if backend == EXACT else (c.real.hex(), c.imag.hex())
+                 for c in coeffs)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_unit_terms_read_as_fraction_reads_them(monkeypatch, backend):
+    corpus = _unit_corpus()
+    texts = [(parse_scalar, text) for text in corpus]
+    texts += [(parse_poly, "%s*z^2 - (%s)*z + 1" % (text, text)) for text in corpus]
+    got = [_unit_outcome(read, text, backend) for read, text in texts]
+    monkeypatch.setattr(scalars, "_read_unit", _fraction_unit)
+    want = [_unit_outcome(read, text, backend) for read, text in texts]
+    assert [(text[:40], g, w) for (_, text), g, w in zip(texts, got, want) if g != w] == []
+    # every refusal the corpus was built to reach
+    refusals = [w[1] for w in want if isinstance(w[0], type)]
+    assert "Fraction(1, 0)" in refusals and "Fraction(-7, 0)" in refusals
+    if hasattr(sys, "get_int_max_str_digits"):  # Python's int-string limit
+        assert any(r.startswith("Exceeds the limit") for r in refusals)
+    assert any("beyond float range" in r for r in refusals) == (backend == FLOAT)

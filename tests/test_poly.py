@@ -413,3 +413,30 @@ def test_longer_operand_with_a_negative_zero_coefficient_minus_a_shorter_one():
         got, want = long - short, _ref_sub(long, short)
         _assert_same(got, want)
         assert _bits(got.coeffs[2]) == ((0.0).hex(), (1.0).hex())
+
+
+def _ring_results(backend):
+    """(name, result) of every ring operation that builds its Poly with
+    Poly._make, on seeded operands of the backend."""
+    polys = [c for c in _corpus(backend, "frozen/%s" % backend, 40) if c.degree >= 2]
+    p = max(polys, key=lambda c: c.degree)
+    q = min(polys, key=lambda c: c.degree)
+    scalar = SCALARS[backend][3]
+    quot, rem = p.divrem(q)
+    return [("+", p + q), ("-", p - q), ("*poly", p * q), ("*scalar", p * scalar),
+            ("derivative", p.derivative()), ("divrem quotient", quot),
+            ("divrem remainder", rem), ("shift", p.shift(scalar)), ("monic", p.monic()),
+            ("to_float", p.to_float())]
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_ring_results_stay_immutable(backend):
+    kinds = {EXACT: RationalComplex, FLOAT: complex}
+    for name, result in _ring_results(backend):
+        for attr, value in (("coeffs", ()), ("backend", EXACT if backend == FLOAT else FLOAT)):
+            with pytest.raises(AttributeError, match="^Poly is immutable$"):
+                setattr(result, attr, value)
+        assert type(result.coeffs) is tuple and result.coeffs, name
+        assert all(type(c) is kinds[result.backend] for c in result.coeffs), name
+        for twin in (copy.copy(result), pickle.loads(pickle.dumps(result))):
+            assert type(twin) is Poly and twin == result, name
