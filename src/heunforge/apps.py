@@ -28,6 +28,14 @@ SYMMETRIC = "symmetric"
 ANTISYMMETRIC = "antisymmetric"
 
 
+def _finite(name: str, value):
+    """value, or a ValueError naming the parameter when it is a float or
+    complex that is NaN or infinite, as the CLI refuses at parse time."""
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ValueError("%s must be finite, not %r" % (name, value))
+    return value
+
+
 # -- Coulomb problem on the 3-sphere ------------------------------------------
 
 
@@ -39,7 +47,7 @@ def coulomb3s_energy(n: int, m: int, gamma):
         raise ValueError("n must be nonnegative")
     k = n + abs(m)
     backend = infer_backend([gamma])
-    gamma = as_scalar(gamma, backend)
+    gamma = as_scalar(_finite("gamma", gamma), backend)
     lead = as_scalar(k * (k + 2), backend)
     return lead - gamma * gamma * as_scalar(Fraction(1, 4 * (k + 1) ** 2), backend)
 
@@ -144,8 +152,8 @@ def electrons_sphere_state(
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
-    gamma_param = float(gamma_param)
-    delta_param = float(delta_param)
+    gamma_param = _finite("gamma", float(gamma_param))
+    delta_param = _finite("delta", float(delta_param))
     if gamma_param == 0.0:
         raise ValueError("gamma must be nonzero")
     eq0 = _electrons_equation(n, gamma_param, delta_param, 0.0)
@@ -189,6 +197,8 @@ def bethe_residual(roots, gamma_param, delta_param) -> float:
     form above divides by zero in that case, so such roots are checked
     in the equivalent polynomial form sigma(z_i) sum + tau~(z_i) = 0.
     """
+    _finite("gamma", gamma_param)
+    _finite("delta", delta_param)
     roots = [complex(r) for r in roots]
     scale = max([1.0] + [abs(r) for r in roots])
     for i, zi in enumerate(roots):
@@ -222,8 +232,8 @@ def doublewell_spectrum(N: int, d, u0, parity: str) -> float:
     symmetric states, with 5 + 4N for antisymmetric ones."""
     if N < 0:
         raise ValueError("N must be nonnegative")
-    d = float(d)
-    u0 = float(u0)
+    d = _finite("d", float(d))
+    u0 = _finite("u0", float(u0))
     if d <= 0 or u0 <= 0:
         raise ValueError("d and U0 must be positive")
     if parity == SYMMETRIC:

@@ -174,15 +174,15 @@ def che_accessory(p: CheParams, label, n: int):
     return family.accessory(p, label, n)
 
 
-def che_eigenstates(p: CheParams, label, n: int, values, samples=50):
+def che_eigenstates(p: CheParams, label, n: int, values):
     """Assembled degree-n eigenfunctions of the given class, one per
     accessory value mu in `values` (a sequence; the mu stored in p is
     ignored, and each value's nu is p's mu + nu minus that value), each
-    with its residual on a `samples`-point contour.
+    with its contour residual.
 
     Only sigma~ depends on mu, so the states share p's class setup with
     che_accessory(p, ...); each state equals che_eigenstate at its mu."""
-    return family.states(p, label, n, values, samples)
+    return family.states(p, label, n, values)
 
 
 def che_eigenstate(p: CheParams, label, n: int) -> Eigenstate:

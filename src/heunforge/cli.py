@@ -15,8 +15,9 @@ fields, `items` the branches, the states or the app report, and
 the record. JSON is one line, json.dumps(sort_keys=True, allow_nan=False)
 of the record, with `_json_form` giving each Poly and scalar its JSON
 form. CSV and table output come from the command's own row and line
-functions, with `_cell` giving each value its text. The exit code
-follows from the checks alone: 4 if any failed, else 0.
+functions, with `_cell` giving each value its text. Each check holds
+its value against the fixed tolerance TOLERANCES gives its kind, and
+the exit code follows from the checks alone: 4 if any failed, else 0.
 
 Exit codes: 0 all checks passed, 1 stdout closed early (broken pipe), 2
 usage error, parse error or a value beyond float range, 3 no solution
@@ -32,7 +33,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -78,7 +79,9 @@ EXIT_USAGE = 2
 EXIT_NO_SOLUTION = 3
 EXIT_VERIFICATION = 4
 
-DEFAULT_TOLERANCES = {
+# each named check passes when its value is at most this; solve's
+# residual is on oracle's fixed contour
+TOLERANCES = {
     "residual": 1e-8,
     "relation": 1e-9,
     "termination": 1e-8,
@@ -86,31 +89,6 @@ DEFAULT_TOLERANCES = {
 }
 
 SCHEMA_VERSION = 2
-
-# the contour is built point by point in Python, and the residual pass
-# holds about a dozen float arrays of 4 (n + 1) x samples
-MAX_SAMPLES = 10_000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Run-wide settings shared by all subcommands."""
-
-    backend: str = FLOAT
-    tolerances: dict = None
-    fmt: str = "table"
-    samples: int = 50
-
-    def __post_init__(self):
-        tols = dict(DEFAULT_TOLERANCES)
-        tols.update(self.tolerances or {})
-        if not all(math.isfinite(v) and v > 0 for v in tols.values()):
-            raise ValueError("tolerances must be finite and positive")
-        if self.samples < 8:
-            raise ValueError("sample count must be at least 8")
-        if self.samples > MAX_SAMPLES:
-            raise ValueError("sample count must be at most %d" % MAX_SAMPLES)
-        object.__setattr__(self, "tolerances", tols)
 
 
 # -- serialization ------------------------------------------------------------
@@ -202,8 +180,7 @@ def _branch_label(branch, catalog) -> str:
 # -- classify -----------------------------------------------------------------
 
 
-def cmd_classify(args, config: RunConfig):
-    backend = config.backend
+def cmd_classify(args, backend: str):
     eq = NuEquation(
         _arg(args, "tau", backend, parse_poly),
         _arg(args, "sigma", backend, parse_poly),
@@ -271,9 +248,8 @@ _SOLVE_PARAMS = {
 }
 
 
-def _solve_states(args, config: RunConfig):
+def _solve_states(args, backend: str):
     """One assembled eigenstate per accessory value, all from one setup."""
-    backend = config.backend
     # entry points are looked up per call, so a wrapper installed on the
     # module attribute (bench/tracing.py) is the one that runs
     make, resolve, assemble = (
@@ -287,20 +263,19 @@ def _solve_states(args, config: RunConfig):
         values = [_arg(args, "accessory", backend)]
     else:
         values = resolve(p, args.label, args.n)
-    return assemble(p, args.label, args.n, values, config.samples)
+    return assemble(p, args.label, args.n, values)
 
 
-def cmd_solve(args, config: RunConfig):
+def cmd_solve(args, backend: str):
     missing = [f for f in _SOLVE_PARAMS[args.family] if getattr(args, f) is None]
     if missing:
         raise UsageError(
             "%s solve requires %s"
             % (args.family, ", ".join("--" + f for f in missing))
         )
-    states = _solve_states(args, config)
+    states = _solve_states(args, backend)
     if not states:
         raise NoBranchError("no accessory value admits a terminating solution")
-    tol = config.tolerances["residual"]
     entries = [
         {
             "accessory": s.accessory,
@@ -310,11 +285,11 @@ def cmd_solve(args, config: RunConfig):
             "phi_exp": s.phi.exp_part,
             "phi_powers": [{"root": r, "exponent": e} for r, e in s.phi.powers],
             "residual": s.residual,
-            "check": _check("residual", s.residual, tol),
+            "check": _check("residual", s.residual, TOLERANCES["residual"]),
         }
         for s in states
     ]
-    top = {"backend": config.backend, "family": args.family,
+    top = {"backend": backend, "family": args.family,
            "class": args.label, "n": args.n}
     return top, entries, [e["check"] for e in entries]
 
@@ -343,16 +318,16 @@ def _solve_table(top, states, checks):
 # -- app ----------------------------------------------------------------------
 
 
-def _app_coulomb(args, tols):
+def _app_coulomb(args):
     report = coulomb3s_verify(args.n, args.m, float(args.gamma))
     checks = [
-        _check("relation_direct", report.residual_direct, tols["relation"]),
-        _check("relation_flipped", report.residual_flipped, tols["relation"]),
+        _check("relation_direct", report.residual_direct, TOLERANCES["relation"]),
+        _check("relation_flipped", report.residual_flipped, TOLERANCES["relation"]),
     ]
     return asdict(report), checks
 
 
-def _app_electrons(args, tols):
+def _app_electrons(args):
     state = electrons_sphere_state(args.n, float(args.gamma), float(args.delta))
     payload = {
         "n": state.n,
@@ -364,17 +339,17 @@ def _app_electrons(args, tols):
         "roots": state.roots,
         "bethe": state.bethe,
     }
-    return payload, [_check("bethe", state.bethe, tols["bethe"])]
+    return payload, [_check("bethe", state.bethe, TOLERANCES["bethe"])]
 
 
-def _app_doublewell(args, tols):
+def _app_doublewell(args):
     parity = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}[
         args.parity
     ]
     report = doublewell_verify(args.n, float(args.d), float(args.u0), parity)
     checks = [
-        _check("relation", report.relation_residual, tols["relation"]),
-        _check("termination", report.termination_residual, tols["termination"]),
+        _check("relation", report.relation_residual, TOLERANCES["relation"]),
+        _check("termination", report.termination_residual, TOLERANCES["termination"]),
     ]
     payload = {
         "N": report.N,
@@ -398,13 +373,13 @@ _APPS = {
 }
 
 
-def cmd_app(args, config: RunConfig):
+def cmd_app(args, backend: str):
     run, required = _APPS[args.name]
     if any(getattr(args, name) is None for name in required):
         raise UsageError("%s requires %s" % (
             args.name, ", ".join("--" + name for name in required)))
-    report, checks = run(args, config.tolerances)
-    return {"app": args.name, "backend": config.backend}, report, checks
+    report, checks = run(args)
+    return {"app": args.name, "backend": backend}, report, checks
 
 
 def _app_csv(top, report, checks):
@@ -460,19 +435,6 @@ def _render(command: str, fmt: str, record):
 # -- parser -------------------------------------------------------------------
 
 
-def _parse_tolerances(pairs):
-    out = {}
-    for pair in pairs or []:
-        name, sep, value = pair.partition("=")
-        if not sep or name not in DEFAULT_TOLERANCES:
-            raise UsageError(
-                "tolerance must be name=value with name in %s"
-                % sorted(DEFAULT_TOLERANCES)
-            )
-        out[name] = float(value)
-    return out
-
-
 def finite(text: str) -> float:
     """An app option's float. argparse exits 2 on any other text, NaN and
     the infinities included, with "invalid finite value"."""
@@ -498,16 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         choices=("json", "csv", "table"),
         default="table",
-    )
-    common.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a named tolerance (%s)" % ", ".join(DEFAULT_TOLERANCES),
-    )
-    common.add_argument(
-        "--samples", type=int, default=50,
-        help="residual contour sample count, 8 to %d" % MAX_SAMPLES,
     )
     parser = argparse.ArgumentParser(
         prog="heunforge",
@@ -594,14 +546,8 @@ def main(argv=None) -> int:
                 "HEUNFORGE_BACKEND must be %r or %r, not %r"
                 % (EXACT, FLOAT, backend)
             )
-        config = RunConfig(
-            backend=backend,
-            tolerances=_parse_tolerances(args.tol),
-            fmt=args.fmt,
-            samples=args.samples,
-        )
-        record = args.func(args, config)
-        _render(args.command, config.fmt, record)
+        record = args.func(args, backend)
+        _render(args.command, args.fmt, record)
         # a closed stdout raises here, not in the interpreter's last flush
         sys.stdout.flush()
         failed = any(not check["passed"] for check in record[2])

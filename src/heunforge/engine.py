@@ -851,7 +851,7 @@ class BranchSetup:
               else _reduce(eq, eq.sigma_tilde, self.tau, self.terms))
         return OdeFamily(rf.ode(eq), Poly.constant(as_scalar(-1, eq.backend), eq.backend))
 
-    def states(self, n: int, shifts, samples: int = 50):
+    def states(self, n: int, shifts):
         """Degree-n eigenstates, one per (accessory, sigma~) pair in `shifts`,
         on one map of sigma y'' + tau y' (h = 0), prefactor and contour: each
         state reduces its sigma~ to h as reduce_branch does, quantizes and
@@ -861,7 +861,7 @@ class BranchSetup:
         quantize = _quantizer(eq.sigma, eq.mode, tau, n)
         phi = _prefactor(eq.sigma, pi)
         psi = eq.psi_ode()
-        contour = ResidualContour(psi.p2, psi.p1, phi, samples)
+        contour = ResidualContour(psi.p2, psi.p1, phi)
         solved, polys, p0s = [], [], []
         for accessory, sigma_tilde in shifts:
             rf = _reduce(eq, sigma_tilde, tau, terms)

@@ -10,7 +10,8 @@ the state at t has a kappa of its own, `coupling_with(t)`; the base gives it
 `to_float()`, the record in complex floats. Its classes, frozen
 dataclasses on FamilyClass, supply `parts(p)` (the family's pi parts)
 and `coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
-takes (p, label, ...). t moves no class branch (class_setup).
+takes (p, label, ...) and no verification setting: every state's
+residual is on oracle's one contour. t moves no class branch (class_setup).
 """
 
 from __future__ import annotations
@@ -144,22 +145,22 @@ def accessory(p, label, n: int):
     return termination_solve(class_setup(p, label).family, n)
 
 
-def states(p, label, n: int, values, samples=50):
+def states(p, label, n: int, values):
     """Degree-n eigenstates of the class on p's class_setup, one per
     accessory value t in `values` (refused where p.at(t) would refuse it),
-    each with p.coupling_with(t) as kappa. An exact p given a float value
-    runs all values on p.to_float()."""
+    each with p.coupling_with(t) as kappa and its residual on oracle's one
+    contour. An exact p given a float value runs all values on p.to_float()."""
     if p.backend == EXACT and any(isinstance(t, (float, complex)) for t in values):
         p = p.to_float()
     values = [as_scalar(t, infer_backend((p.accessory, t))) for t in values]
-    return _states(p, label, n, [(t, p.coupling_with(t)) for t in values], samples)
+    return _states(p, label, n, [(t, p.coupling_with(t)) for t in values])
 
 
-def _states(p, label, n: int, pairs, samples=50):
+def _states(p, label, n: int, pairs):
     """states, one per (t, kappa) pair in `pairs`."""
     if not pairs:
         return []
     check_relation(p, label, n)
     setup = class_setup(p, label)
     shifts = ((t, sigma_tilde(setup.eq.sigma, kappa, t, p.backend)) for t, kappa in pairs)
-    return setup.states(n, shifts, samples)
+    return setup.states(n, shifts)

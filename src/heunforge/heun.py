@@ -22,6 +22,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from types import SimpleNamespace
 
 from . import family
@@ -49,19 +51,20 @@ class HeunClass(family.FamilyClass):
         )
 
     def product_value(self, n: int, gamma, delta, epsilon):
-        """The value of alpha*beta admitting degree-n solutions."""
+        """The value of alpha*beta admitting degree-n solutions with k
+        flagged points: (S_in - (n + k)) (S_out + (n + k - 1)), S_in the
+        sum of the flagged exponent parameters among (gamma, delta,
+        epsilon) and S_out of the others, each summed in that order; a
+        factor with no parameter to sum is its integer alone."""
         if n < 0:
             raise ValueError("degree must be nonnegative")
         trio = (gamma, delta, epsilon)
         inside = [v for f, v in zip(self.flags, trio) if f]
         outside = [v for f, v in zip(self.flags, trio) if not f]
-        if len(inside) == 0:
-            return -n * (gamma + delta + epsilon + (n - 1))
-        if len(inside) == 1:
-            return (inside[0] - (n + 1)) * (outside[0] + outside[1] + n)
-        if len(inside) == 2:
-            return (inside[0] + inside[1] - (n + 2)) * (outside[0] + (n + 1))
-        return (n + 2) * (gamma + delta + epsilon - (n + 3))
+        k = len(inside)
+        low = reduce(add, inside) - (n + k) if inside else -(n + k)
+        high = reduce(add, outside) + (n + k - 1) if outside else n + k - 1
+        return low * high
 
     def coupling_at(self, p: HeunParams, n: int):
         return self.product_value(n, p.gamma, p.delta, p.epsilon)
@@ -223,14 +226,14 @@ def heun_accessory(p: HeunParams, label: str, n: int):
     return family.accessory(p, label, n)
 
 
-def heun_eigenstates(p: HeunParams, label: str, n: int, values, samples=50):
+def heun_eigenstates(p: HeunParams, label: str, n: int, values):
     """Assembled degree-n eigenfunctions of the given class, one per
     accessory value q in `values` (a sequence; the q stored in p is
-    ignored), each with its residual on a `samples`-point contour.
+    ignored), each with its contour residual.
 
     Only sigma~ depends on q, so the states share p's class setup with
     heun_accessory(p, ...); each state equals heun_eigenstate at its q."""
-    return family.states(p, label, n, values, samples)
+    return family.states(p, label, n, values)
 
 
 def heun_eigenstate(p: HeunParams, label: str, n: int) -> Eigenstate:

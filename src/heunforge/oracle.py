@@ -9,8 +9,8 @@ forms elsewhere in the package were produced. It powers four jobs:
   eigenvalues are the accessory values admitting a degree-n solution,
 * the exact truncation condition c_{n+1}(t) of the series, a polynomial
   in the unknown accessory value, kept as a reference for those values,
-* residual checks of assembled eigenfunctions on a deterministic
-  contour.
+* residual checks of assembled eigenfunctions on one deterministic
+  contour of CONTOUR_SAMPLES points, the same for every check.
 """
 
 from __future__ import annotations
@@ -172,8 +172,13 @@ def series_coeffs(rec: Recurrence, seed, count: int):
     """First `count` series coefficients c_0..c_{count-1} from the
     recurrence, c_0 = seed.
 
-    Raises if the leading factor G_0(m+rho) vanishes at some m >= 1
-    (indicial roots separated by an integer, the logarithmic case)."""
+    Raises if count is negative, or if the leading factor G_0(m+rho)
+    vanishes at some m >= 1 (indicial roots separated by an integer, the
+    logarithmic case)."""
+    if count < 0:
+        raise ValueError("series coefficient count must be nonnegative, not %d" % count)
+    if count == 0:
+        return []
     backend = rec.backend
     coeffs = [as_scalar(seed, backend)]
     for m, den in _leading_factors(rec, count):
@@ -281,34 +286,33 @@ def termination_solve(family: OdeFamily, n: int):
 CONTOUR_CENTER = 0.5
 CONTOUR_RADIUS = 0.45
 CONTOUR_CLEARANCE = 0.1
+CONTOUR_SAMPLES = 50
+
+# (point, unit direction) of each sample on the unpushed circle
+_CIRCLE = tuple(
+    (CONTOUR_CENTER + CONTOUR_RADIUS * unit, unit)
+    for unit in [cmath.exp(2j * math.pi * k / CONTOUR_SAMPLES) for k in range(CONTOUR_SAMPLES)]
+)
 
 
-def residual_contour(p2: Poly, samples: int = 50):
-    """Deterministic sample points: a circle of radius 0.45 about 0.5,
-    with any point closer than 0.1 to a root of p2 pushed radially away
-    from that root out to the clearance distance; a fresh list each call."""
-    return list(_contour(p2, samples)[0])
+def residual_contour(p2: Poly):
+    """Deterministic sample points: CONTOUR_SAMPLES points on a circle of
+    radius 0.45 about 0.5, with any point closer than 0.1 to a root of p2
+    pushed radially away from that root out to the clearance distance; a
+    fresh list each call."""
+    return list(_contour(p2)[0])
 
 
-def _contour(p2: Poly, samples: int):
+def _contour(p2: Poly):
     """(points, p2 at the points) of residual_contour, as kept tuples."""
-    if samples < 1:
-        raise ValueError("the residual contour needs at least 1 sample point, not %r" % samples)
-    return _pushed_contour(p2.to_float(), samples)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _circle(samples: int):
-    """(point, unit direction) of each sample on the unpushed circle."""
-    units = [cmath.exp(2j * math.pi * k / samples) for k in range(samples)]
-    return tuple((CONTOUR_CENTER + CONTOUR_RADIUS * unit, unit) for unit in units)
+    return _pushed_contour(p2.to_float())
 
 
 @cached_by_bits
-def _pushed_contour(p2: Poly, samples: int):
+def _pushed_contour(p2: Poly):
     sing = p2.roots() if p2.degree >= 1 else []
     points = []
-    for z, unit in _circle(samples):
+    for z, unit in _CIRCLE:
         for _ in range(4):
             for offender in sing:  # the first root within the clearance
                 if abs(z - offender) < CONTOUR_CLEARANCE:
@@ -335,8 +339,8 @@ class ResidualContour:
     Python complex numbers, for the array pass of `residuals`: Horner on
     coefficient tuples, as a float Poly call evaluates; z and p2(z) from _contour's cache."""
 
-    def __init__(self, p2: Poly, p1: Poly, phi=None, samples: int = 50):
-        self.z, self.p2 = _contour(p2, samples)
+    def __init__(self, p2: Poly, p1: Poly, phi=None):
+        self.z, self.p2 = _contour(p2)
         p1f = p1.to_float()
         self.p1 = [_horner(p1f.coeffs, z) for z in self.z]
         self.logd = None
@@ -377,7 +381,7 @@ class ResidualContour:
         return float_kernel().contour_residuals(self.z, self.p2, self.p1, self.logd, rows)
 
 
-def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
+def ode_residual(state, ode: OdeForm) -> float:
     """Largest relative residual of the assembled eigenfunction over the
     sample contour: the one-state case of ResidualContour.residuals.
     `state` provides the factorized eigenfunction via attributes `phi`
@@ -387,5 +391,5 @@ def ode_residual(state, ode: OdeForm, samples: int = 50) -> float:
         poly, phi = state, None
     else:
         poly, phi = state.poly, state.phi
-    contour = ResidualContour(ode.p2, ode.p1, phi, samples)
+    contour = ResidualContour(ode.p2, ode.p1, phi)
     return contour.residuals([poly], [ode.p0])[0]

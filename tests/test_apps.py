@@ -33,6 +33,32 @@ def test_coulomb_energy_closed_form():
         coulomb3s_energy(-1, 0, 0.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+NON_FINITE_CALLS = [
+    (doublewell_spectrum, (0, NAN, 1.0, SYMMETRIC), "d"),
+    (doublewell_spectrum, (0, 1.0, INF, SYMMETRIC), "u0"),
+    (doublewell_spectrum, (0, 1.0, -INF, ANTISYMMETRIC), "u0"),
+    (doublewell_verify, (1, 1.0, NAN, SYMMETRIC), "u0"),
+    (coulomb3s_energy, (1, 0, NAN), "gamma"),
+    (coulomb3s_verify, (1, 0, NAN), "gamma"),
+    (coulomb3s_verify, (1, 0, complex(0.5, INF)), "gamma"),
+    (electrons_sphere_state, (1, NAN, 2.0), "gamma"),
+    (electrons_sphere_state, (1, 1.0, -INF), "delta"),
+    (bethe_residual, ([0.5], 1.0, NAN), "delta"),
+]
+
+
+@pytest.mark.parametrize("func, args, name", NON_FINITE_CALLS, ids=[
+    "%s-%s-%d" % (func.__name__, name, k) for k, (func, _, name) in enumerate(NON_FINITE_CALLS)])
+def test_non_finite_float_parameter_is_refused_by_name(func, args, name):
+    # NaN gave a NaN level or a Bethe residual of 0, an infinity a level
+    # of -inf, and elsewhere an OverflowError that named no input
+    with pytest.raises(ValueError, match="^%s must be finite, not " % name):
+        func(*args)
+
+
 def test_coulomb_energy_exact_backend():
     e = coulomb3s_energy(2, 1, rc(F(1, 2)))
     assert isinstance(e, RationalComplex)

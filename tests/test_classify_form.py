@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from heunforge.che import CHE_CLASSES, CheParams, che_match, che_to_nu
-from heunforge.cli import RunConfig, _branch_label, cmd_classify
+from heunforge.cli import _branch_label, cmd_classify
 from heunforge.engine import CLASSIC, EXTENDED, NuEquation, enumerate_branches
 from heunforge.family import class_catalog
 from heunforge.heun import HEUN_CLASSES, HeunParams, heun_match, heun_to_nu
@@ -202,7 +202,7 @@ def test_printed_form_and_labels_match_the_division_and_the_old_catalog(backend)
         args = SimpleNamespace(mode=mode, tau=texts[0], sigma=texts[1], sigma_tilde=texts[2])
         eq = NuEquation(*(parse_poly(t, backend) for t in texts), mode=mode)
         branches = enumerate_branches(eq)
-        _, entries, _ = cmd_classify(args, RunConfig(backend=backend))
+        _, entries, _ = cmd_classify(args, backend)
         assert len(entries) == len(branches), i
         catalog = _old_catalog(heun_match(eq), che_match(eq))
         p = heun_match(eq) or che_match(eq)

@@ -43,29 +43,26 @@ from heunforge.scalars import parse_scalar
 DEGREES = range(1, 9)
 
 
-def _reference_state(eq, pi, n, accessory, samples=50):
+def _reference_state(eq, pi, n, accessory):
     """One state assembled from scratch, as heun_eigenstate and
     che_eigenstate did before the shared setup."""
     branch = branch_from_pi(eq, pi)
     qr = quantization(eq, branch, n)
     poly = polynomial_solution(eq, branch, n)
     phi = phi_factor(eq, branch)
-    res = ode_residual(SimpleNamespace(poly=poly, phi=phi), eq.psi_ode(),
-                       samples)
+    res = ode_residual(SimpleNamespace(poly=poly, phi=phi), eq.psi_ode())
     return Eigenstate(n=n, accessory=accessory, quantization=qr, phi=phi,
                       poly=poly, residual=res)
 
 
-def _reference_heun(p, label, n, samples=50):
+def _reference_heun(p, label, n):
     check_relation(p, label, n)
-    return _reference_state(heun_to_nu(p), heun_class(label).pi(p), n, p.q,
-                            samples)
+    return _reference_state(heun_to_nu(p), heun_class(label).pi(p), n, p.q)
 
 
-def _reference_che(p, label, n, samples=50):
+def _reference_che(p, label, n):
     check_relation(p, label, n)
-    return _reference_state(che_to_nu(p), che_class(label).pi(p), n, p.mu,
-                            samples)
+    return _reference_state(che_to_nu(p), che_class(label).pi(p), n, p.mu)
 
 
 def _float_params(p):
@@ -130,28 +127,27 @@ def test_shared_assembly_equals_per_state_loop(family, label, exact):
     rng = random.Random("%s/%s/%s" % (family, label, exact))
     checked = 0
     for n in DEGREES:
-        samples = 50 if n % 2 else 32
         if family == "heun":
             p = _heun_params(rng, label, n, exact)
             roots = heun_accessory(p, label, n)
             pf = _float_params(p) if exact else p
 
             def shared(values):
-                return heun_eigenstates(pf, label, n, values, samples)
+                return heun_eigenstates(pf, label, n, values)
 
             def reference(v):
-                return _reference_heun(replace(pf, q=v), label, n, samples)
+                return _reference_heun(replace(pf, q=v), label, n)
         else:
             p = _che_params(rng, label, n, exact)
             roots = che_accessory(p, label, n)
             pf = _float_params(p) if exact else p
 
             def shared(values):
-                return che_eigenstates(pf, label, n, values, samples)
+                return che_eigenstates(pf, label, n, values)
 
             def reference(v):
                 pv = replace(pf, mu=v, nu=complex(p.coupling) - complex(v))
-                return _reference_che(pv, label, n, samples)
+                return _reference_che(pv, label, n)
         refs, error = [], None
         for v in roots:
             try:

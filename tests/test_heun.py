@@ -132,6 +132,33 @@ def test_product_values_all_shapes():
     assert heun_class("VIII").product_value(1, g, d, e) == 3 * (g + d + e - 4)
 
 
+def _four_case_product(flags, n, gamma, delta, epsilon):
+    """alpha*beta as product_value wrote it, one formula per flag count."""
+    trio = (gamma, delta, epsilon)
+    inside = [v for f, v in zip(flags, trio) if f]
+    outside = [v for f, v in zip(flags, trio) if not f]
+    if len(inside) == 0:
+        return -n * (gamma + delta + epsilon + (n - 1))
+    if len(inside) == 1:
+        return (inside[0] - (n + 1)) * (outside[0] + outside[1] + n)
+    if len(inside) == 2:
+        return (inside[0] + inside[1] - (n + 2)) * (outside[0] + (n + 1))
+    return (n + 2) * (gamma + delta + epsilon - (n + 3))
+
+
+def test_product_value_closed_form_is_the_four_cases_to_the_bit():
+    rng = np.random.default_rng(3838)
+    parts = [0.0, -0.0, 1.0, -2.5, 1e-300, 1e308, *rng.uniform(-4, 4, 6)]
+    trios = [tuple(complex(*rng.choice(parts, 2)) for _ in range(3)) for _ in range(300)]
+    trios += [(rc(F(1, 2), F(-3, 7)), rc(F(1, 3)), rc(F(-9, 4), 2))]
+    for cls in HEUN_CLASSES:
+        for trio in trios:
+            for n in (0, 1, 2, 7):
+                got = cls.product_value(n, *trio)
+                want = _four_case_product(cls.flags, n, *trio)
+                assert type(got) is type(want) and repr(got) == repr(want), (cls.label, n, trio)
+
+
 def test_accessory_class_one_matches_two_by_two_determinant():
     av, gv, dv, ev = 1.9, 0.6, 0.8, 0.7
     p = heun_params_for_class("I", 1, av, gv, dv, ev)

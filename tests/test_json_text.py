@@ -296,9 +296,8 @@ def test_render_is_the_per_coefficient_encoder_byte_for_byte(capsys):
     for argv in _seeded_argvs(rng):
         for backend in (FLOAT, EXACT):
             args = cli.build_parser().parse_args(argv)
-            config = cli.RunConfig(backend=backend, fmt="json")
             try:
-                records.append((argv[0], args.func(args, config)))
+                records.append((argv[0], args.func(args, backend)))
             except (NoBranchError, ValueError, OverflowError, ZeroDivisionError,
                     cli.UsageError):
                 pass

@@ -29,6 +29,7 @@ from heunforge.heun import (
     heun_to_nu,
 )
 from heunforge.oracle import (
+    CONTOUR_SAMPLES,
     OdeFamily,
     OdeForm,
     ResidualContour,
@@ -76,6 +77,15 @@ def test_sinh_series():
     assert cs[2] == rc(Fraction(1, 6))
     assert cs[4] == rc(Fraction(1, 120))
     assert not cs[1] and not cs[3]
+
+
+def test_series_coeffs_gives_exactly_count_coefficients():
+    ode = OdeForm(Poly([rc(1)], EXACT), Poly.zero(EXACT), Poly([rc(-1)], EXACT))
+    rec = frobenius_recurrence(ode, 0, 1)
+    assert [len(series_coeffs(rec, 1, count)) for count in range(4)] == [0, 1, 2, 3]
+    for count in (-1, -5):
+        with pytest.raises(ValueError, match="^series coefficient count must be nonnegative, not %d$" % count):
+            series_coeffs(rec, 1, count)
 
 
 def test_indicial_collision_raises():
@@ -275,8 +285,8 @@ def test_residual_contour_avoids_singularities():
     z = Poly.x(FLOAT)
     one = Poly.one(FLOAT)
     sig = z * (z - one) * (z - Poly.constant(1.9, FLOAT))
-    pts = residual_contour(sig, 64)
-    assert 56 <= len(pts) <= 64
+    pts = residual_contour(sig)
+    assert 42 <= len(pts) <= 50
     for p in pts:
         assert min(abs(p), abs(p - 1), abs(p - 1.9)) > 0.1 - 1e-9
         assert abs(complex(sig(p))) > 1e-6
@@ -292,7 +302,7 @@ def test_ode_residual_on_known_solution():
     assert ode_residual(bad, ode) > 1e-3
 
 
-def _reference_residual(state, ode, samples=50):
+def _reference_residual(state, ode):
     """ode_residual with the prefactor's log-derivative terms rebuilt at
     every contour point, as a reference for the hoisted version."""
     poly, phi = state.poly, state.phi
@@ -301,7 +311,7 @@ def _reference_residual(state, ode, samples=50):
     dp = p.derivative()
     ddp = dp.derivative()
     worst = 0.0
-    for z in residual_contour(odef.p2, samples):
+    for z in residual_contour(odef.p2):
         ep = phi.exp_part.to_float()
         lval = complex(ep.derivative()(z))
         lder = complex(ep.derivative().derivative()(z))
@@ -346,12 +356,10 @@ def test_ode_residual_matches_per_point_reference():
     states.append((SimpleNamespace(poly=z * z - rc(F(1, 2)), phi=phi), ode))
     assert len(states) > 20
     for state, ode in states:
-        for samples in (50, 17):
-            assert ode_residual(state, ode, samples) == _reference_residual(
-                state, ode, samples)
+        assert ode_residual(state, ode) == _reference_residual(state, ode)
 
 
-def _plain_reference_residual(poly, ode, samples=50):
+def _plain_reference_residual(poly, ode):
     """ode_residual of a bare polynomial, point by point in Python
     complex numbers."""
     odef = ode.to_float()
@@ -359,7 +367,7 @@ def _plain_reference_residual(poly, ode, samples=50):
     dp = p.derivative()
     ddp = dp.derivative()
     worst = 0.0
-    for z in residual_contour(odef.p2, samples):
+    for z in residual_contour(odef.p2):
         t2 = odef.p2(z) * ddp(z)
         t1 = odef.p1(z) * dp(z)
         t0 = odef.p0(z) * p(z)
@@ -465,15 +473,14 @@ def test_residuals_batch_with_rows_of_different_degrees():
         Poly.zero(FLOAT),
         Poly([rc(F(2, 3)), rc(F(-5, 7), 1)], EXACT),
     ]
-    for samples in (50, 17):
-        contour = ResidualContour(p2, p1, phi, samples)
-        got = contour.residuals(polys, p0s)
-        assert len(got) == len(polys)
-        for poly, p0, value in zip(polys, p0s, got):
-            state = SimpleNamespace(poly=poly, phi=phi)
-            ode = OdeForm(p2, p1, p0.to_float())
-            _assert_bits(value, _reference_residual(state, ode, samples))
-            _assert_bits(value, ode_residual(state, ode, samples))
+    contour = ResidualContour(p2, p1, phi)
+    got = contour.residuals(polys, p0s)
+    assert len(got) == len(polys)
+    for poly, p0, value in zip(polys, p0s, got):
+        state = SimpleNamespace(poly=poly, phi=phi)
+        ode = OdeForm(p2, p1, p0.to_float())
+        _assert_bits(value, _reference_residual(state, ode))
+        _assert_bits(value, ode_residual(state, ode))
     assert ResidualContour(p2, p1, phi).residuals([], []) == []
 
 
@@ -491,26 +498,22 @@ def test_phi_free_residual_is_the_per_point_reference():
     ]
     for ode in odes:
         for poly in polys:
-            for samples in (50, 17):
-                _assert_bits(ode_residual(poly, ode, samples),
-                             _plain_reference_residual(poly, ode, samples))
+            _assert_bits(ode_residual(poly, ode), _plain_reference_residual(poly, ode))
 
 
 def test_residual_on_a_contour_that_dropped_points():
-    # two sigma roots close together on the circle: one of the 17 sample
-    # points cannot be pushed clear of both and is dropped
+    # two sigma roots close together on the circle: sample points that
+    # cannot be pushed clear of both are dropped
     z = Poly.x(FLOAT)
     r1, r2 = 0.95 + 0.05j, 0.95 - 0.08j
     p2 = (z - Poly.constant(r1, FLOAT)) * (z - Poly.constant(r2, FLOAT))
-    assert len(residual_contour(p2, 17)) < 17
+    assert len(residual_contour(p2)) < CONTOUR_SAMPLES
     ode = OdeForm(p2, z * (0.7 + 0.2j) - 1.0, Poly.constant(-0.6, FLOAT))
     phi = PhiFactor(Poly([0.0, 0.3], FLOAT), ((r1, 0.25 + 0j), (r2, -0.5j)))
     for poly in (Poly([-0.5, 0.0, 1.0], FLOAT), Poly([0.2j, 1.0], FLOAT)):
         state = SimpleNamespace(poly=poly, phi=phi)
-        _assert_bits(ode_residual(state, ode, 17),
-                     _reference_residual(state, ode, 17))
-        _assert_bits(ode_residual(poly, ode, 17),
-                     _plain_reference_residual(poly, ode, 17))
+        _assert_bits(ode_residual(state, ode), _reference_residual(state, ode))
+        _assert_bits(ode_residual(poly, ode), _plain_reference_residual(poly, ode))
 
 
 def test_residual_where_all_three_terms_are_zero():
@@ -676,21 +679,23 @@ def _contour_corpus():
     return cases
 
 
-@pytest.mark.parametrize("samples", [8, 17, 50])
-def test_contour_build_is_the_poly_call_build_to_the_bit(samples):
+@pytest.mark.parametrize("samples", [8, 17, CONTOUR_SAMPLES])
+def test_contour_build_is_the_poly_call_build_to_the_bit(samples, contour_samples):
+    # the one contour, and the same build on two smaller circles
+    contour_samples(samples)
     cases = _contour_corpus()
     # a root exactly at sample point 3: a linear p2's root is -c0/c1 exactly
-    at_point = residual_contour(Poly.one(FLOAT), samples)[3]
+    at_point = residual_contour(Poly.one(FLOAT))[3]
     p2 = Poly([-at_point, 1.0], FLOAT)
     assert p2.roots() == [at_point]
     cases.append((p2, Poly([0.2, -1.1j], FLOAT),
                   (None, PhiFactor(Poly([0.0, 0.5j], FLOAT), ((at_point, 0.5),)))))
-    circle = set(residual_contour(Poly.one(FLOAT), samples))
+    circle = set(residual_contour(Poly.one(FLOAT)))
     pushed = dropped = 0
     for p2, p1, phis in cases:
         for phi in phis:
             z, v2, v1, logd = _poly_call_contour(p2, p1, phi, samples)
-            got = ResidualContour(p2, p1, phi, samples)
+            got = ResidualContour(p2, p1, phi)
             assert _complex_bits(got.z) == _complex_bits(z)
             assert _complex_bits(got.p2) == _complex_bits(v2)
             assert _complex_bits(got.p1) == _complex_bits(v1)

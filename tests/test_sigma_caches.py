@@ -14,11 +14,11 @@ import random
 import numpy as np
 import pytest
 
-from heunforge import cli, floatkernel
+from heunforge import cli, floatkernel, oracle
 from heunforge.engine import _prefactor, _simple_roots
-from heunforge.heun import heun_accessory, heun_eigenstates, heun_params_for_class
 from heunforge.oracle import (
-    CACHE_SIZE, OdeForm, _contour, _pushed_contour, ode_residual, residual_contour,
+    CACHE_SIZE, CONTOUR_SAMPLES, OdeForm, _contour, _pushed_contour, ode_residual,
+    residual_contour,
 )
 from heunforge.poly import Poly
 from heunforge.scalars import FLOAT
@@ -29,7 +29,7 @@ def _bits(values):
     return [(v.real.hex(), v.imag.hex()) for v in values]
 
 
-def _fresh_contour(p2, samples):
+def _fresh_contour(p2, samples=CONTOUR_SAMPLES):
     """(points, p2 at the points) as residual_contour built them before
     the cache: one cmath.exp per point and Poly calls."""
     p2f = p2.to_float()
@@ -81,13 +81,14 @@ def _sigma_corpus():
     return [rng.choice(distinct) for _ in range(120)] + distinct
 
 
-@pytest.mark.parametrize("samples", [8, 50])
-def test_cached_contours_and_roots_are_the_fresh_builds_to_the_bit(samples):
-    _pushed_contour.cache_clear()
+@pytest.mark.parametrize("samples", [8, CONTOUR_SAMPLES])
+def test_cached_contours_and_roots_are_the_fresh_builds_to_the_bit(samples, contour_samples):
+    # the one contour, and the same build on a smaller circle
+    contour_samples(samples)
     _simple_roots.cache_clear()
     for sigma in _sigma_corpus():
         p2 = sigma * sigma
-        points, values = _contour(p2, samples)
+        points, values = _contour(p2)
         want_points, want_values = _fresh_contour(p2, samples)
         assert _bits(points) == _bits(want_points)
         assert _bits(values) == _bits(want_values)
@@ -95,7 +96,7 @@ def test_cached_contours_and_roots_are_the_fresh_builds_to_the_bit(samples):
         want = _fresh_roots(sigma)
         assert [_bits(pair) for pair in got] == [_bits(pair) for pair in want]
         assert isinstance(points, tuple) and isinstance(got, tuple)
-        assert _contour(p2, samples) is _contour(p2, samples)
+        assert _contour(p2) is _contour(p2)
         for cached in (_pushed_contour, _simple_roots):
             assert cached.cache_info().currsize <= CACHE_SIZE == 16
     for cached in (_pushed_contour, _simple_roots):
@@ -112,15 +113,17 @@ def test_signed_zero_twins_get_their_own_entries():
         for sigma in (plus, minus):
             assert [_bits(pair) for pair in _simple_roots(sigma)] == \
                 [_bits(pair) for pair in _fresh_roots(sigma)]
-            points, values = _contour(sigma, 17)
-            assert (_bits(points), _bits(values)) == \
-                tuple(map(_bits, _fresh_contour(sigma, 17)))
+            points, values = _contour(sigma)
+            assert (_bits(points), _bits(values)) == tuple(map(_bits, _fresh_contour(sigma)))
     assert _simple_roots.cache_info()[:4] == (2, 2, CACHE_SIZE, 2)
     assert _pushed_contour.cache_info()[:4] == (2, 2, CACHE_SIZE, 2)
     assert _bits([_simple_roots(plus)[0][0]]) != _bits([_simple_roots(minus)[0][0]])
 
 
-def test_refusals_are_raised_on_every_call_and_never_kept():
+def test_refusals_are_raised_on_every_call_and_never_kept(monkeypatch):
+    # the contour cut to its first point, 0.95 with unit direction 1, so
+    # that one double root crowds out every point
+    monkeypatch.setattr(oracle, "_CIRCLE", oracle._CIRCLE[:1])
     z = Poly.x(FLOAT)
     double = (z - Poly.constant(0.95, FLOAT)) * (z - Poly.constant(0.95, FLOAT))
     pi = Poly([0.3, 1.0], FLOAT)
@@ -129,11 +132,11 @@ def test_refusals_are_raised_on_every_call_and_never_kept():
     calls = [
         # z^2 has the float roots 0 and -0, equal
         (ValueError, repeated, lambda: _prefactor(z * z, pi)),
-        # the one point of a 1-point contour sits on the double root 0.95,
-        # which the float roots split: no push clears it of both copies
-        (ValueError, crowded, lambda: residual_contour(double * double, 1)),
+        # the one point sits on the double root 0.95, which the float
+        # roots split: no push clears it of both copies
+        (ValueError, crowded, lambda: residual_contour(double * double)),
         (ValueError, crowded,
-         lambda: ode_residual(Poly.one(FLOAT), OdeForm(double * double, z, z), 1)),
+         lambda: ode_residual(Poly.one(FLOAT), OdeForm(double * double, z, z))),
         # a non-finite sigma fails in numpy's eigenvalue routine
         (np.linalg.LinAlgError, "Array must not contain infs or NaNs",
          lambda: _simple_roots(Poly([math.nan, 1.0, 1.0], FLOAT))),
@@ -156,23 +159,6 @@ def test_residual_contour_returns_a_fresh_list():
     want = list(first)
     first.clear()
     assert residual_contour(p2) == want and _bits(residual_contour(p2)) == _bits(want)
-
-
-@pytest.mark.parametrize("samples", [0, -1])
-def test_a_contour_needs_a_sample_point(samples):
-    p = heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7)
-    values = heun_accessory(p, "I", 2)
-    z = Poly.x(FLOAT)
-    before = _pushed_contour.cache_info()
-    message = "^the residual contour needs at least 1 sample point, not %d$" % samples
-    with pytest.raises(ValueError, match=message):
-        heun_eigenstates(p, "I", 2, values, samples=samples)
-    with pytest.raises(ValueError, match=message):
-        ode_residual(Poly.one(FLOAT), OdeForm(z * z, z, z), samples)
-    with pytest.raises(ValueError, match=message):
-        residual_contour(z, samples)
-    # refused before the cache is consulted
-    assert _pushed_contour.cache_info() == before
 
 
 def _serve(line):
