@@ -77,13 +77,16 @@ def coulomb3s_verify(n: int, m: int, gamma) -> Coulomb3SReport:
     ab = -n(eps + Gamma + Delta + n - 1); the flipped branch uses
     Gamma = 1 + s+ and the companion condition
     ab = (n + Delta + eps)(Gamma - n - 1). Both collapse to the same
-    identity (n+A)^2 + i gamma/2 = (n+A) s+. Raises OverflowError
-    if the energy overflows.
+    identity (n+A)^2 + i gamma/2 = (n+A) s+. Raises ValueError for a
+    gamma with a nonzero imaginary part, which the report could not name,
+    and OverflowError if the energy overflows.
     """
     energy = complex(coulomb3s_energy(n, m, gamma))
+    gval = complex(gamma)
+    if gval.imag:
+        raise ValueError("gamma must be real, not %r" % (gamma,))
     if not cmath.isfinite(energy):
         raise OverflowError("coulomb3s energy overflows the float range")
-    gval = complex(gamma)
     s_plus = cmath.sqrt(1 + energy + 1j * gval)
     s_minus = cmath.sqrt(1 + energy - 1j * gval)
     big_a = abs(m) + 1

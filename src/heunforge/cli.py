@@ -7,6 +7,10 @@ che_match recognises; `solve` resolves the accessory parameter for a
 (family, class, degree) request and assembles the eigenfunctions with
 their contour residuals; `app` runs one of the bundled model problems
 and reports closed-form values next to their verification residuals.
+Each of `classify`, `solve heun`, `solve che` and the three apps has a
+parser of its own that takes only the options its function reads, so an
+option of another family or app exits 2. The backend is `--backend`
+(default float) of classify and solve; the apps compute in floats.
 
 Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
@@ -46,6 +50,7 @@ from .apps import (
 )
 from .che import (
     che_accessory,
+    che_class,
     che_eigenstates,
     che_match,
     che_params_for_class,
@@ -60,6 +65,7 @@ from .engine import (
 from .family import class_catalog
 from .heun import (
     heun_accessory,
+    heun_class,
     heun_eigenstates,
     heun_match,
     heun_params_for_class,
@@ -249,31 +255,27 @@ _SOLVE_PARAMS = {
 
 
 def _solve_states(args, backend: str):
-    """One assembled eigenstate per accessory value, all from one setup."""
+    """The class's label as its family's class table spells it, and one
+    assembled eigenstate per accessory value, all from one setup."""
     # entry points are looked up per call, so a wrapper installed on the
     # module attribute (bench/tracing.py) is the one that runs
-    make, resolve, assemble = (
-        (heun_params_for_class, heun_accessory, heun_eigenstates)
+    find, make, resolve, assemble = (
+        (heun_class, heun_params_for_class, heun_accessory, heun_eigenstates)
         if args.family == "heun"
-        else (che_params_for_class, che_accessory, che_eigenstates)
+        else (che_class, che_params_for_class, che_accessory, che_eigenstates)
     )
     p = make(args.label, args.n, *(
         _arg(args, name, backend) for name in _SOLVE_PARAMS[args.family]))
+    label = find(args.label).label
     if args.accessory is not None:
         values = [_arg(args, "accessory", backend)]
     else:
-        values = resolve(p, args.label, args.n)
-    return assemble(p, args.label, args.n, values)
+        values = resolve(p, label, args.n)
+    return label, assemble(p, label, args.n, values)
 
 
 def cmd_solve(args, backend: str):
-    missing = [f for f in _SOLVE_PARAMS[args.family] if getattr(args, f) is None]
-    if missing:
-        raise UsageError(
-            "%s solve requires %s"
-            % (args.family, ", ".join("--" + f for f in missing))
-        )
-    states = _solve_states(args, backend)
+    label, states = _solve_states(args, backend)
     if not states:
         raise NoBranchError("no accessory value admits a terminating solution")
     entries = [
@@ -289,8 +291,7 @@ def cmd_solve(args, backend: str):
         }
         for s in states
     ]
-    top = {"backend": backend, "family": args.family,
-           "class": args.label, "n": args.n}
+    top = {"backend": backend, "family": args.family, "class": label, "n": args.n}
     return top, entries, [e["check"] for e in entries]
 
 
@@ -365,20 +366,26 @@ def _app_doublewell(args):
     return payload, checks
 
 
-# per app: its report function and the options it requires
+def finite(text: str) -> float:
+    """An app option's float. argparse exits 2 on any other text, NaN and
+    the infinities included, with "invalid finite value"."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+# per app: its report function and the options it requires, each with
+# its type; double-well also takes --parity
 _APPS = {
-    "coulomb3s": (_app_coulomb, ("n", "m", "gamma")),
-    "electrons-sphere": (_app_electrons, ("n", "gamma", "delta")),
-    "double-well": (_app_doublewell, ("n", "d", "u0")),
+    "coulomb3s": (_app_coulomb, (("n", int), ("m", int), ("gamma", finite))),
+    "electrons-sphere": (_app_electrons, (("n", int), ("gamma", finite), ("delta", finite))),
+    "double-well": (_app_doublewell, (("n", int), ("d", finite), ("u0", finite))),
 }
 
 
 def cmd_app(args, backend: str):
-    run, required = _APPS[args.name]
-    if any(getattr(args, name) is None for name in required):
-        raise UsageError("%s requires %s" % (
-            args.name, ", ".join("--" + name for name in required)))
-    report, checks = run(args)
+    report, checks = _APPS[args.name][0](args)
     return {"app": args.name, "backend": backend}, report, checks
 
 
@@ -435,41 +442,38 @@ def _render(command: str, fmt: str, record):
 # -- parser -------------------------------------------------------------------
 
 
-def finite(text: str) -> float:
-    """An app option's float. argparse exits 2 on any other text, NaN and
-    the infinities included, with "invalid finite value"."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+def _commands(parser, dest: str):
+    """parser's subparsers action, which stores the command's name in
+    dest; parser.command_parsers maps each name to its parser."""
+    commands = parser.add_subparsers(dest=dest, required=True)
+    parser.command_parsers = commands.choices
+    return commands
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: every default in it is
-    constant, and main reads the environment on each call. Its
-    `command_parsers` maps each command name to that command's parser."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--backend",
-        choices=(EXACT, FLOAT),
-        help="scalar arithmetic backend (env HEUNFORGE_BACKEND)",
-    )
-    common.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("json", "csv", "table"),
-        default="table",
-    )
+    constant. Its leaves, `classify`, `solve heun`, `solve che` and
+    each app, take only the options their functions read, and set
+    their command words (command, and family or name) as defaults. No
+    leaf takes an abbreviated option, so an option of another app, such
+    as double-well's --d, is never read as a prefix of its own --delta."""
+    backends = argparse.ArgumentParser(add_help=False)
+    backends.add_argument("--backend", choices=(EXACT, FLOAT), default=FLOAT,
+                          help="scalar arithmetic backend")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", dest="fmt", choices=("json", "csv", "table"),
+                         default="table")
     parser = argparse.ArgumentParser(
         prog="heunforge",
         description="Polynomial-solution branches, eigenvalue relations, "
         "and model problems for equations with up to four singular points.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = _commands(parser, "command")
 
-    cls = sub.add_parser(
-        "classify", parents=[common], help="enumerate reduction branches"
+    cls = commands.add_parser(
+        "classify", parents=[backends, formats], allow_abbrev=False,
+        help="enumerate reduction branches",
     )
     cls.add_argument("--sigma", required=True, help="leading polynomial")
     cls.add_argument("--tau", required=True, help="first-order polynomial")
@@ -478,58 +482,48 @@ def build_parser() -> argparse.ArgumentParser:
         help="zeroth-order polynomial (times sigma)",
     )
     cls.add_argument("--mode", choices=(CLASSIC, EXTENDED), default=EXTENDED)
-    cls.set_defaults(func=cmd_classify)
+    cls.set_defaults(func=cmd_classify, command="classify")
 
-    slv = sub.add_parser(
-        "solve", parents=[common], help="resolve accessory values and "
-        "assemble eigenfunctions"
-    )
-    slv.add_argument("family", choices=tuple(_SOLVE_PARAMS))
-    slv.add_argument("--class", dest="label", required=True)
-    slv.add_argument("-n", type=int, required=True, help="polynomial degree")
-    slv.add_argument("--a", help="third finite singular point (heun)")
-    slv.add_argument("--alpha", help="exponential scale (che)")
-    slv.add_argument("--beta", help="exponent parameter at 0 (che)")
-    slv.add_argument("--gamma", required=True)
-    slv.add_argument("--delta", help="exponent parameter at 1 (heun)")
-    slv.add_argument("--epsilon", help="exponent parameter at a (heun)")
-    slv.add_argument(
-        "--accessory", help="explicit accessory value (skips resolution)"
-    )
-    slv.set_defaults(func=cmd_solve)
+    families = _commands(commands.add_parser(
+        "solve", help="resolve accessory values and assemble eigenfunctions"), "family")
+    for family, params in _SOLVE_PARAMS.items():
+        slv = families.add_parser(family, parents=[backends, formats], allow_abbrev=False)
+        slv.add_argument("--class", dest="label", required=True)
+        slv.add_argument("-n", type=int, required=True, help="polynomial degree")
+        for name in params:
+            slv.add_argument("--" + name, required=True)
+        slv.add_argument(
+            "--accessory", help="explicit accessory value (skips resolution)"
+        )
+        slv.set_defaults(func=cmd_solve, command="solve", family=family)
 
-    app = sub.add_parser(
-        "app", parents=[common], help="run a bundled model problem"
+    apps = _commands(commands.add_parser("app", help="run a bundled model problem"), "name")
+    for name, (_, options) in _APPS.items():
+        app = apps.add_parser(name, parents=[formats], allow_abbrev=False)
+        for option, kind in options:
+            app.add_argument("--" + option, type=kind, required=True)
+        # every app computes in floats
+        app.set_defaults(func=cmd_app, command="app", name=name, backend=FLOAT)
+    apps.choices["double-well"].add_argument(
+        "--parity", choices=("symmetric", "antisymmetric"), default="symmetric"
     )
-    app.add_argument("name", choices=sorted(_APPS))
-    app.add_argument("--n", type=int, help="level / degree")
-    app.add_argument("--m", type=int, help="angular index (coulomb3s)")
-    app.add_argument("--gamma", type=finite, help="coupling")
-    app.add_argument("--delta", type=finite, help="exponent parameter")
-    app.add_argument("--d", type=finite, help="well width (double-well)")
-    app.add_argument("--u0", type=finite, help="well depth (double-well)")
-    app.add_argument(
-        "--parity",
-        choices=("symmetric", "antisymmetric"),
-        default="symmetric",
-    )
-    app.set_defaults(func=cmd_app)
-    parser.command_parsers = sub.choices
     return parser
 
 
 def _parse(parser, argv):
-    """The namespace parser.parse_args(argv) gives, or its SystemExit. An
-    argv led by a command goes to that command's parser alone, as the
-    subparsers action hands it over: the top-level pass would only match
-    each word against -h and pass them all on."""
-    sub = parser.command_parsers.get(argv[0]) if argv else None
-    if sub is None:
+    """The namespace parser.parse_args(argv) gives, or its SystemExit. The
+    command words that lead argv (`classify`, or `solve` or `app` and the
+    family or app after it) pick a parser, and the rest of argv goes to
+    it alone, as the subparsers actions hand it over: each pass above it
+    would only match each word against -h and pass them all on."""
+    sub, rest = parser, argv
+    while rest and rest[0] in getattr(sub, "command_parsers", ()):
+        sub, rest = sub.command_parsers[rest[0]], rest[1:]
+    if sub is parser:
         return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], None)
+    args, extras = sub.parse_known_args(rest, None)
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
-    args.command = argv[0]
     return args
 
 
@@ -539,14 +533,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code else EXIT_OK
     try:
-        # read on every call: the cached parser must not freeze it
-        backend = args.backend or os.environ.get("HEUNFORGE_BACKEND", FLOAT)
-        if backend not in (EXACT, FLOAT):
-            raise UsageError(
-                "HEUNFORGE_BACKEND must be %r or %r, not %r"
-                % (EXACT, FLOAT, backend)
-            )
-        record = args.func(args, backend)
+        record = args.func(args, args.backend)
         _render(args.command, args.fmt, record)
         # a closed stdout raises here, not in the interpreter's last flush
         sys.stdout.flush()

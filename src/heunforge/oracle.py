@@ -30,19 +30,19 @@ CACHE_SIZE = 16  # entries of each per-process cache of sigma-only float work
 
 
 def cached_by_bits(func):
-    """func(p, *args) of a float Poly p, kept for the CACHE_SIZE latest keys:
-    the bits of p's coefficients, never their values (0.0 == -0.0), and
-    args. A hit returns the object func returned, which must be immutable;
-    an exception is not kept."""
+    """func(p) of a float Poly p, kept for the CACHE_SIZE latest keys, each
+    the bits of p's coefficients, never their values (0.0 == -0.0). A hit
+    returns the object func returned, which must be immutable; an
+    exception is not kept."""
 
     @lru_cache(maxsize=CACHE_SIZE)
-    def from_bits(bits, *args):
+    def from_bits(bits):
         parts = struct.unpack("%dd" % (len(bits) // 8), bits)
-        return func(Poly._make(list(map(complex, parts[::2], parts[1::2])), FLOAT), *args)
+        return func(Poly._make(list(map(complex, parts[::2], parts[1::2])), FLOAT))
 
-    def cached(p, *args):
+    def cached(p):
         parts = [part for c in p.coeffs for part in (c.real, c.imag)]
-        return from_bits(struct.pack("%dd" % len(parts), *parts), *args)
+        return from_bits(struct.pack("%dd" % len(parts), *parts))
 
     cached.cache_info, cached.cache_clear = from_bits.cache_info, from_bits.cache_clear
     return cached

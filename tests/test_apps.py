@@ -59,6 +59,16 @@ def test_non_finite_float_parameter_is_refused_by_name(func, args, name):
         func(*args)
 
 
+@pytest.mark.parametrize("gamma", [complex(0.5, 1.0), rc(F(1, 2), 1)], ids=["float", "exact"])
+def test_coulomb_complex_gamma_is_refused_by_name(gamma):
+    # the report gave gamma=0.5 next to the energy 3.046875-0.0625i that
+    # the complex value made
+    with pytest.raises(ValueError, match="^gamma must be real, not "):
+        coulomb3s_verify(1, 0, gamma)
+    # a complex gamma whose imaginary part is zero is the real one
+    assert coulomb3s_verify(1, 0, complex(0.5, -0.0)) == coulomb3s_verify(1, 0, 0.5)
+
+
 def test_coulomb_energy_exact_backend():
     e = coulomb3s_energy(2, 1, rc(F(1, 2)))
     assert isinstance(e, RationalComplex)

@@ -121,13 +121,6 @@ def test_classify_table_and_csv(capsys):
     assert len(lines) == 9  # header plus eight branches
 
 
-def test_classify_float_backend_env(capsys, monkeypatch):
-    monkeypatch.setenv("HEUNFORGE_BACKEND", "exact")
-    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)["backend"] == "exact"
-
-
 @pytest.mark.parametrize("backend", ["exact", "float"])
 def test_classify_divides_no_branch(capsys, monkeypatch, backend):
     # a candidate's remainder test is its certificate, and tau and h come
@@ -436,41 +429,15 @@ SOLVE_ARGS = ["solve", "heun", "--class", "I", "-n", "2", "--a", "19/10",
               "--gamma", "3/5", "--delta", "4/5", "--epsilon", "7/10"]
 
 
-@pytest.mark.parametrize("argv", [
-    CLASSIFY_ARGS,
-    SOLVE_ARGS,
-    ["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "1.5"],
-])
-def test_unknown_backend_env_rejected(capsys, monkeypatch, argv):
-    monkeypatch.setenv("HEUNFORGE_BACKEND", "foo")
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "HEUNFORGE_BACKEND" in err and "'foo'" in err
-
-
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
-
-
-def test_reused_parser_reads_backend_env_per_call(capsys, monkeypatch):
-    monkeypatch.setenv("HEUNFORGE_BACKEND", "exact")
-    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)["backend"] == "exact"
-    monkeypatch.delenv("HEUNFORGE_BACKEND")
-    code, out, _ = run(capsys, *CLASSIFY_ARGS, "--format", "json")
-    assert code == EXIT_OK
-    assert json.loads(out)["backend"] == "float"
 
 
 @pytest.mark.parametrize("first, first_code", [
     (["solve", "heun", "--class", "I"], EXIT_USAGE),
     (["classify", "--help"], EXIT_OK),
 ])
-def test_reused_parser_after_exit_inside_argparse(capsys, monkeypatch,
-                                                  first, first_code):
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+def test_reused_parser_after_exit_inside_argparse(capsys, first, first_code):
     assert run(capsys, *first)[0] == first_code
     golden = Path(__file__).parent / "golden" / "classify_exact.json.txt"
     code, out, _ = run(capsys, *CLASSIFY_ARGS, "--backend", "exact",
@@ -590,11 +557,11 @@ def test_parameter_whose_products_overflow_is_a_usage_error(capsys, backend):
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("argv", [
     ["solve", "che", "--class", "1", "-n", "1", "--alpha", "1e308",
-     "--beta", "1/3", "--gamma", "2/5"],
+     "--beta", "1/3", "--gamma", "2/5", "--backend", "float"],
     ["app", "double-well", "--n", "1", "--d", "1e200", "--u0", "100"],
 ], ids=["solve-che", "app-double-well"])
 def test_class_relation_that_overflows_is_a_usage_error(capsys, argv, fmt):
-    code, out, err = run(capsys, *argv, "--backend", "float", "--format", fmt)
+    code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == "error: class relation overflows the float range\n"
 
@@ -641,7 +608,6 @@ def test_electrons_overflow_warns_nothing_under_w_error(case):
     # numpy RuntimeWarning on the way would escape main as a traceback
     argv, message = ELECTRONS_OVERFLOWS[case]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HEUNFORGE_BACKEND", None)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "heunforge.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
@@ -657,7 +623,6 @@ def test_noise_bound_beyond_float_range_is_a_usage_error(capsys):
     expected = (EXIT_USAGE, "", "error: noise bound at a root of sigma overflows the float range\n")
     assert run(capsys, *argv) == expected
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HEUNFORGE_BACKEND", None)
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "heunforge.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
@@ -726,8 +691,7 @@ def test_readme_lists_eight_commands():
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=[
     "%d-%s" % (k, argv[0]) for k, argv in enumerate(README_COMMANDS)])
-def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+def test_readme_command_runs(capsys, argv, fmt):
     # a later --format overrides the one a README command gives
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert code == EXIT_OK, err
@@ -740,6 +704,54 @@ def test_readme_command_runs(capsys, monkeypatch, argv, fmt):
 
 SOLVE_CHE_ARGS = ["solve", "che", "--class", "1", "-n", "2", "--alpha", "3/2",
                   "--beta", "1/3", "--gamma", "2/5"]
+
+
+# per case: an argv with an option its command does not read, and the
+# end of argparse's refusal
+FOREIGN_OPTIONS = {
+    "che-delta": (SOLVE_CHE_ARGS + ["--delta", "1/3"],
+                  "heunforge: error: unrecognized arguments: --delta 1/3\n"),
+    "heun-alpha": (SOLVE_HEUN_ARGS + ["--alpha", "1"],
+                   "heunforge: error: unrecognized arguments: --alpha 1\n"),
+    "che-a": (SOLVE_CHE_ARGS + ["--a", "7"],
+              "heunforge: error: unrecognized arguments: --a 7\n"),
+    "coulomb3s-d": (["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5", "--d", "1"],
+                    "heunforge: error: unrecognized arguments: --d 1\n"),
+    "electrons-sphere-parity": (
+        ["app", "electrons-sphere", "--n", "1", "--gamma", "1", "--delta", "2",
+         "--parity", "antisymmetric"],
+        "heunforge: error: unrecognized arguments: --parity antisymmetric\n"),
+    # no abbreviation: double-well's --d is not read as --delta
+    "electrons-sphere-d": (
+        ["app", "electrons-sphere", "--n", "1", "--gamma", "1", "--delta", "2", "--d", "5"],
+        "heunforge: error: unrecognized arguments: --d 5\n"),
+    # every app computes in floats
+    "coulomb3s-backend": (["app", "coulomb3s", "--n", "2", "--m", "1", "--gamma", "0.5",
+                           "--backend", "exact"],
+                          "heunforge: error: unrecognized arguments: --backend exact\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(FOREIGN_OPTIONS))
+def test_each_command_refuses_an_option_it_does_not_read(capsys, case):
+    # each was once parsed into a shared namespace and ignored, exit 0
+    argv, refusal = FOREIGN_OPTIONS[case]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith(refusal)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_class_label_prints_as_the_class_table_spells_it(capsys, fmt):
+    argv = ["solve", "heun", "-n", "1", "--a", "2", "--gamma", "1/2", "--delta", "1/3",
+            "--epsilon", "3/4", "--format", fmt]
+    lower = run(capsys, *argv, "--class", "ii")
+    assert lower == run(capsys, *argv, "--class", "II")
+    assert lower[0] == EXIT_OK
+    if fmt == "json":
+        assert json.loads(lower[1])["class"] == "II"
+    elif fmt == "table":
+        assert lower[1].startswith("heun class II, degree 1:")
 
 
 @pytest.mark.parametrize("argv, builds", [
@@ -812,6 +824,17 @@ def _outcome(parse, argv):
 
 APP_ARGS = ["app", "coulomb3s", "--n", "1", "--m", "0", "--gamma", "1"]
 
+@pytest.mark.parametrize("argv", [CLASSIFY_ARGS, SOLVE_ARGS, APP_ARGS],
+                         ids=["classify", "solve", "app"])
+def test_backend_comes_from_the_option_alone(capsys, monkeypatch, argv):
+    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+    unset = run(capsys, *argv, "--format", "json")
+    monkeypatch.setenv("HEUNFORGE_BACKEND", "exact")
+    assert run(capsys, *argv, "--format", "json") == unset
+    assert unset[0] == EXIT_OK
+    assert json.loads(unset[1])["backend"] == "float"
+
+
 PARSE_CORPUS = README_COMMANDS + [
     ["-h"], ["--help"], ["classify", "-h"], ["solve", "-h"], ["app", "-h"],
     [],
@@ -827,6 +850,12 @@ PARSE_CORPUS = README_COMMANDS + [
     ["solve", "che", "--class", "1", "-n", "two", "--gamma", "1"],
     ["solve", "che", "-n", "1", "--gamma", "1"],
     ["--backend", "exact", *CLASSIFY_ARGS],
+    ["solve", "heun", "-h"],
+    ["app", "double-well", "--help"],
+    SOLVE_CHE_ARGS + ["--delta", "1/3"],
+    APP_ARGS + ["--backend", "exact"],
+    ["app", "coulomb3s", "--n", "1", "--gamma", "1"],
+    ["solve", "--class", "I", "heun", *SOLVE_ARGS[4:]],
 ]
 
 
@@ -836,7 +865,6 @@ def test_one_pass_parse_is_the_top_level_parse(capsys, monkeypatch, argv):
     # parsed: the same namespace; refused or helped: the same exit
     assert _outcome(cli._parse, argv) == _outcome(_top_level_parse, argv)
     # and main prints and returns the same, byte for byte
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
     got = run(capsys, *argv)
     monkeypatch.setattr(cli, "_parse", _top_level_parse)
     assert got == run(capsys, *argv)
@@ -859,6 +887,28 @@ def test_command_argv_skips_the_top_level_pass(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_family_and_app_argv_skip_the_command_pass(capsys, monkeypatch):
+    # `solve heun` and `app coulomb3s` go straight to their leaf parsers
+    parser = build_parser()
+    calls = []
+    for name in ("solve", "app"):
+        sub = parser.command_parsers[name]
+
+        def counted(*args, sub=sub, **kwargs):
+            calls.append(args)
+            return type(sub).parse_known_args(sub, *args, **kwargs)
+
+        monkeypatch.setattr(sub, "parse_known_args", counted)
+    for argv in (SOLVE_ARGS, SOLVE_CHE_ARGS, APP_ARGS):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert calls == []
+    # a family that does not follow `solve` directly is refused there
+    code, out, err = run(capsys, "solve", "--class", "I", "heun", *SOLVE_ARGS[4:])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "heunforge solve: error: argument family: invalid choice: 'I'" in err
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("argv", [APP_ARGS, ["-h"]], ids=["app", "help"])
 def test_main_reads_sys_argv(capsys, monkeypatch, argv):
     expected = run(capsys, *argv)
@@ -878,7 +928,6 @@ def test_closed_stdout_exits_1_quietly(argv):
     # stdout is a pipe whose reader is gone before the first byte: the
     # write fails with EPIPE every time, where `| head` races the writer
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("HEUNFORGE_BACKEND", None)
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -87,8 +87,7 @@ def test_every_golden_text_file_is_a_case():
 
 
 @pytest.mark.parametrize("name, fmt", TEXT_FILES)
-def test_golden_text_output(name, fmt, capsys, monkeypatch):
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+def test_golden_text_output(name, fmt, capsys):
     assert main(TEXT_CASES[name] + ["--format", fmt]) == 0
     # bytes, so that CSV's \r\n line ends are compared too
     golden = (GOLDEN / ("%s.%s.txt" % (name, fmt))).read_bytes().decode()
@@ -132,8 +131,7 @@ def test_every_exact_classify_golden_is_a_case():
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_CLASSIFY_CASES))
-def test_exact_classify_golden(name, capsys, monkeypatch):
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
+def test_exact_classify_golden(name, capsys):
     sigma, tau, sigma_tilde = EXACT_CLASSIFY_CASES[name]
     argv = ["classify", "--sigma", sigma, "--tau", tau, "--sigma-tilde", sigma_tilde,
             "--backend", "exact", "--format", "json"]
@@ -147,7 +145,6 @@ def test_exact_classify_golden(name, capsys, monkeypatch):
 def test_exact_classify_builds_one_float_copy(name, capsys, monkeypatch):
     # every float branch of an exact equation, and its float half gap, run
     # on one float copy of the equation; one per branch made 9, 5 and 9
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
     copies, build = [], NuEquation.to_float
     monkeypatch.setattr(NuEquation, "to_float", lambda eq: copies.append(eq) or build(eq))
     if name in EXACT_CLASSIFY_CASES:

@@ -64,7 +64,6 @@ def _blocked(argv):
     """(exit code, stdout, stderr) of main(argv) in an interpreter that
     cannot import numpy."""
     env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
-    env.pop("HEUNFORGE_BACKEND", None)
     proc = subprocess.run([sys.executable, "-c", BLOCKED, *argv],
                           capture_output=True, env=env)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
@@ -72,7 +71,6 @@ def _blocked(argv):
 
 def _in_process(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("HEUNFORGE_BACKEND", raising=False)
     code = main(argv)
     return code, capsys.readouterr().out
 
