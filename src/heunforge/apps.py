@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .che import CheParams, che_class_relation
 from .engine import BranchSetup, NoBranchError, polynomial_solution
 from .family import class_setup
 from .heun import heun_class, heun_nu_from_product
-from .oracle import frobenius_recurrence, series_coeffs, termination_solve
+from .oracle import frobenius_recurrence, record, series_coeffs, termination_solve
 from .poly import Poly
 from .scalars import FLOAT, as_scalar, infer_backend, negligible
 
@@ -52,19 +51,12 @@ def coulomb3s_energy(n: int, m: int, gamma):
     return lead - gamma * gamma * as_scalar(Fraction(1, 4 * (k + 1) ** 2), backend)
 
 
-@dataclass(frozen=True)
-class Coulomb3SReport:
+class Coulomb3SReport(record("Coulomb3SReport", "n m gamma energy s_plus s_minus "
+                                                 "residual_direct residual_flipped")):
     """Closed-form energy with the residuals of the two product
     relations |ab - required| built from principal square roots."""
 
-    n: int
-    m: int
-    gamma: float
-    energy: complex
-    s_plus: complex
-    s_minus: complex
-    residual_direct: float
-    residual_flipped: float
+    __slots__ = ()
 
 
 def coulomb3s_verify(n: int, m: int, gamma) -> Coulomb3SReport:
@@ -115,21 +107,13 @@ def coulomb3s_verify(n: int, m: int, gamma) -> Coulomb3SReport:
 # -- two electrons on a sphere -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ElectronsSphereState:
+class ElectronsSphereState(record("ElectronsSphereState", "n gamma_param delta_param radius "
+                                                           "energy accessory poly roots bethe")):
     """Degree-n polynomial state: sphere radius R, energy E, the
     resolved accessory value, the polynomial roots, and the Bethe-type
     residual at those roots."""
 
-    n: int
-    gamma_param: float
-    delta_param: float
-    radius: float
-    energy: float
-    accessory: float
-    poly: Poly
-    roots: tuple
-    bethe: float
+    __slots__ = ()
 
 
 def _electrons_equation(n, gamma_param, delta_param, q):
@@ -263,21 +247,15 @@ def _doublewell_params(N, d, u0, parity, eps=None) -> CheParams:
     return CheParams(alpha, beta, gamma, mu, nu)
 
 
-@dataclass(frozen=True)
-class DoubleWellReport:
+class DoubleWellReport(record("DoubleWellReport", "N parity epsilon params matched_class "
+                                                   "relation_residual resolved_mu "
+                                                   "termination_residual")):
     """Level verification: the class of the parity pair whose degree-N
     condition the parameters satisfy, the relation residual, the
     accessory values mu admitting termination, and the size of the
     first trimmed series coefficient at the first resolved mu."""
 
-    N: int
-    parity: str
-    epsilon: float
-    params: CheParams
-    matched_class: str
-    relation_residual: float
-    resolved_mu: tuple
-    termination_residual: float
+    __slots__ = ()
 
 
 _PARITY_PAIRS = {SYMMETRIC: ("2", "7"), ANTISYMMETRIC: ("3", "5")}

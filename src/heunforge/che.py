@@ -17,23 +17,23 @@ degree <= n (a root of the degree n+1 truncation condition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
+from .oracle import record
 from .poly import Poly
 from .scalars import as_scalar, infer_backend
 
 
-@dataclass(frozen=True)
-class CheClass(family.FamilyClass):
+class CheClass(record("CheClass", "label flags coupling_coeffs"), family.FamilyClass):
     """One polynomial-solution class. flags mark which prefactor pieces
     (exp(-alpha z), z^(-beta), (z-1)^(-gamma)) the eigenfunction uses;
     coupling_value gives the class condition on mu + nu."""
 
-    _shift: tuple  # (const, beta coeff, gamma coeff, n coeff) of (mu+nu)/alpha
+    # coupling_coeffs: (const, beta coeff, gamma coeff, n coeff) of (mu+nu)/alpha
+    __slots__ = ()
 
     @staticmethod
     def parts(p) -> tuple:
@@ -50,7 +50,7 @@ class CheClass(family.FamilyClass):
         """The value of mu + nu admitting degree-n solutions."""
         if n < 0:
             raise ValueError("degree must be nonnegative")
-        c0, cb, cg, cn = self._shift
+        c0, cb, cg, cn = self.coupling_coeffs
         return alpha * (beta * cb + gamma * cg + (c0 + cn * n))
 
     def coupling_at(self, p: CheParams, n: int):
@@ -107,15 +107,8 @@ def che_match(eq: NuEquation):
     )
 
 
-@dataclass(frozen=True)
-class CheParams(family.FamilyParams):
+class CheParams(family.FamilyParams, record("CheParams", "alpha beta gamma mu nu")):
     """Parameters (alpha, beta, gamma; mu, nu)."""
-
-    alpha: object
-    beta: object
-    gamma: object
-    mu: object
-    nu: object
 
     # the family.py record interface: kappa = mu + nu, t = mu
     CLASSES = CHE_CLASSES
@@ -136,7 +129,7 @@ class CheParams(family.FamilyParams):
 
     def at(self, mu) -> "CheParams":
         """The record at accessory value mu, mu + nu held fixed."""
-        return replace(self, mu=mu, nu=self.coupling - mu)
+        return self._replace(mu=mu, nu=self.coupling - mu)
 
     def coupling_with(self, mu):
         """mu + nu of the state at mu, as p.at(mu) holds it."""

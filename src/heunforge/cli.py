@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -325,7 +324,7 @@ def _app_coulomb(args):
         _check("relation_direct", report.residual_direct, TOLERANCES["relation"]),
         _check("relation_flipped", report.residual_flipped, TOLERANCES["relation"]),
     ]
-    return asdict(report), checks
+    return report._asdict(), checks
 
 
 def _app_electrons(args):

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import comb, inf, isfinite
 
-from .oracle import OdeFamily, OdeForm, ResidualContour, cached_by_bits, coefficient_map
+from .oracle import (OdeFamily, OdeForm, ResidualContour, cached_by_bits, coefficient_map,
+                     record)
 from .poly import Poly, _deflate, _sum, _trim, float_kernel
 from .scalars import EXACT, FLOAT, RationalComplex, _mul_add, as_scalar, negligible, sqrt_exact
 
@@ -58,30 +58,22 @@ class NoBranchError(ValueError):
     """No admissible branch (or accessory value) exists for the input."""
 
 
-@dataclass(frozen=True)
-class NuEquation:
+class NuEquation(record("NuEquation", "tau_tilde sigma sigma_tilde mode")):
     """Equation psi'' + (tau~/sigma) psi' + (sigma~/sigma^2) psi = 0."""
 
-    tau_tilde: Poly
-    sigma: Poly
-    sigma_tilde: Poly
-    mode: str = EXTENDED
-
-    def __post_init__(self):
-        if self.mode not in _DEGREE_BOUNDS:
+    def __new__(cls, tau_tilde: Poly, sigma: Poly, sigma_tilde: Poly, mode: str = EXTENDED):
+        if mode not in _DEGREE_BOUNDS:
             raise ValueError("mode must be %r or %r" % (CLASSIC, EXTENDED))
-        if not (
-            self.tau_tilde.backend == self.sigma.backend == self.sigma_tilde.backend
-        ):
+        if not (tau_tilde.backend == sigma.backend == sigma_tilde.backend):
             raise ValueError("equation polynomials must share one backend")
-        if self.sigma.is_zero:
+        if sigma.is_zero:
             raise ValueError("sigma must be nonzero")
-        b1, b2, b3 = _DEGREE_BOUNDS[self.mode]
-        if self.tau_tilde.degree > b1 or self.sigma.degree > b2 or self.sigma_tilde.degree > b3:
+        b1, b2, b3 = _DEGREE_BOUNDS[mode]
+        if tau_tilde.degree > b1 or sigma.degree > b2 or sigma_tilde.degree > b3:
             raise ValueError(
                 "degree bounds for %s mode are (%d, %d, %d); got (%d, %d, %d)"
-                % (self.mode, b1, b2, b3, self.tau_tilde.degree,
-                   self.sigma.degree, self.sigma_tilde.degree))
+                % (mode, b1, b2, b3, tau_tilde.degree, sigma.degree, sigma_tilde.degree))
+        return tuple.__new__(cls, (tau_tilde, sigma, sigma_tilde, mode))
 
     @property
     def backend(self):
@@ -121,17 +113,13 @@ def radicand(eq: NuEquation, g: Poly) -> Poly:
     return half * half - eq.sigma_tilde + g * eq.sigma
 
 
-@dataclass(frozen=True)
-class PiBranch:
+class PiBranch(record("PiBranch", "g s pi sign")):
     """One admissible branch: pi = (sigma' - tau~)/2 + sign * s with
     radicand(g) = s^2. sign 0 marks the degenerate collapse (radicand
     identically zero). branch_from_pi gives a prescribed pi sign +1, or
     0 when it collapses."""
 
-    g: Poly
-    s: Poly
-    pi: Poly
-    sign: int
+    __slots__ = ()
 
     @property
     def backend(self):
@@ -145,20 +133,19 @@ class PiBranch:
         return ReducedForm(tau_tilde + self.pi + self.pi, self.g + self.pi.derivative())
 
 
-@dataclass(frozen=True)
-class ReducedForm:
+class ReducedForm(record("ReducedForm", "tau h")):
     """Coefficients of the reduced equation sigma y'' + tau y' + h y = 0.
     In classic mode h is the constant eigenvalue term."""
 
-    tau: Poly
-    h: Poly
+    __slots__ = ()
 
     def ode(self, eq: NuEquation) -> OdeForm:
         return OdeForm(eq.sigma, self.tau, self.h)
 
 
-@dataclass(frozen=True)
-class QuantizationRelation:
+class QuantizationRelation(record("QuantizationRelation",
+                                  "n mode slope_residual constant_offset lambda_n",
+                                  defaults=(None, None))):
     """Degree-n termination constraints read off h = h_n.
 
     Extended mode: slope_residual is the z-coefficient mismatch
@@ -168,32 +155,21 @@ class QuantizationRelation:
     -n tau' - n(n-1)/2 sigma'' and slope_residual is h - lambda_n.
     """
 
-    n: int
-    mode: str
-    slope_residual: object
-    constant_offset: object = None
-    lambda_n: object = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PhiFactor:
+class PhiFactor(record("PhiFactor", "exp_part powers")):
     """Prefactor phi = exp(exp_part) * prod (z - root)^exponent with
     phi'/phi = pi/sigma."""
 
-    exp_part: Poly
-    powers: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eigenstate:
+class Eigenstate(record("Eigenstate", "n accessory quantization phi poly residual",
+                        defaults=(None,))):
     """A degree-n polynomial solution with its prefactor and checks."""
 
-    n: int
-    accessory: object
-    quantization: QuantizationRelation
-    phi: PhiFactor
-    poly: Poly
-    residual: float = None
+    __slots__ = ()
 
 
 # -- branch enumeration -------------------------------------------------------

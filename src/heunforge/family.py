@@ -2,14 +2,14 @@
 
 Both put a class-fixed coupling kappa and the accessory value t into
 sigma~ = (kappa z - t) sigma: kappa = alpha*beta and t = q in heun.py,
-kappa = mu + nu and t = mu in che.py. A family's params record, a frozen
-dataclass on FamilyParams, supplies `CLASSES` (its class table),
+kappa = mu + nu and t = mu in che.py. A family's params record, a
+namedtuple on FamilyParams, supplies `CLASSES` (its class table),
 `coupling`, `coupling_name`, `accessory`, `relation_refs` (the values
 that scale the class relation in floats), `at(t)`, `to_nu()` and, where
 the state at t has a kappa of its own, `coupling_with(t)`; the base gives it
-`to_float()`, the record in complex floats. Its classes, frozen
-dataclasses on FamilyClass, supply `parts(p)` (the family's pi parts)
-and `coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
+`to_float()`, the record in complex floats. Its classes, namedtuples
+on FamilyClass, supply `parts(p)` (the family's pi parts) and
+`coupling_at(p, n)`, the kappa of degree-n solutions. The pipeline
 takes (p, label, ...) and no verification setting: every state's
 residual is on oracle's one contour. t moves no class branch (class_setup).
 """
@@ -17,10 +17,9 @@ residual is on oracle's one contour. t moves no class branch (class_setup).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, fields
 
 from .engine import BranchSetup, NoBranchError, NuEquation
-from .oracle import termination_solve
+from .oracle import record, termination_solve
 from .poly import _ONE, _ZERO, Poly, _sum
 from .scalars import EXACT, as_scalar, infer_backend, negligible
 
@@ -28,15 +27,17 @@ RELATION_TOL = 1e-8
 
 
 class FamilyParams:
-    """A params record: its fields in the one backend they infer, which is
-    `backend`, and class_setup's by label in `_setups`."""
+    """The base of a params record, before its record() base: its fields
+    in the one backend they infer, and in its __dict__ that backend as
+    `backend`, class_setup's by label in `_setups` and kept_factors' in
+    `_factors`."""
 
-    def __post_init__(self):
-        fields = self.__dict__  # the dataclass fields alone, in order, so far
-        backend = infer_backend(fields.values())
-        for name, value in fields.items():
-            fields[name] = as_scalar(value, backend)
-        fields["backend"], fields["_setups"] = backend, {}
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)  # args bound to fields
+        backend = infer_backend(fields)
+        self = tuple.__new__(cls, [as_scalar(value, backend) for value in fields])
+        vars(self).update(backend=backend, _setups={})
+        return self
 
     def coupling_with(self, t):
         """kappa of the state at accessory value t: the record's own."""
@@ -44,15 +45,13 @@ class FamilyParams:
 
     def to_float(self):
         """The record in complex floats, validated by its own constructor."""
-        return type(self)(*(complex(getattr(self, f.name)) for f in fields(self)))
+        return type(self)(*map(complex, self))
 
 
-@dataclass(frozen=True)
-class FamilyClass:
+class FamilyClass(record("FamilyClass", "label flags")):
     """flags mark which of its family's pi parts the class pi sums."""
 
-    label: str
-    flags: tuple
+    __slots__ = ()
 
     def pi(self, p) -> Poly:
         return flagged_sum(self.flags, self.parts(p))

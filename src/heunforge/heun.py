@@ -20,7 +20,6 @@ operator on polynomials of degree <= n.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -29,14 +28,16 @@ from types import SimpleNamespace
 from . import family
 from .engine import EXTENDED, Eigenstate, NuEquation
 from .family import sigma_tilde
+from .oracle import record
 from .poly import Poly
 from .scalars import as_scalar, infer_backend, negligible, scalar_sqrt
 
 
-@dataclass(frozen=True)
 class HeunClass(family.FamilyClass):
     """One polynomial-solution class. flags mark which finite singular
     points (0, 1, a) use their shifted exponent in the prefactor."""
+
+    __slots__ = ()
 
     @staticmethod
     def parts(p) -> tuple:
@@ -136,20 +137,12 @@ def heun_to_nu(p: HeunParams) -> NuEquation:
     )
 
 
-@dataclass(frozen=True)
-class HeunParams(family.FamilyParams):
+class HeunParams(family.FamilyParams,
+                 record("HeunParams", "a q alpha beta gamma delta epsilon")):
     """Parameters (a; q; alpha, beta, gamma, delta, epsilon)."""
 
-    a: object
-    q: object
-    alpha: object
-    beta: object
-    gamma: object
-    delta: object
-    epsilon: object
-
-    def __post_init__(self):
-        super().__post_init__()
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if _at_zero_or_one(self.a):
             raise ValueError("the third singular point a must differ from 0 and 1")
         gap = self.epsilon - (
@@ -162,6 +155,7 @@ class HeunParams(family.FamilyParams):
                 "exponent-sum constraint violated: epsilon must equal "
                 "alpha + beta - gamma - delta + 1 (gap %s)" % (gap,)
             )
+        return self
 
     @property
     def product(self):
@@ -182,7 +176,7 @@ class HeunParams(family.FamilyParams):
         return (self.product,)
 
     def at(self, q) -> "HeunParams":
-        return replace(self, q=q)
+        return self._replace(q=q)
 
 
 def heun_class(label) -> HeunClass:

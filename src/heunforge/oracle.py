@@ -11,6 +11,9 @@ forms elsewhere in the package were produced. It powers four jobs:
   in the unknown accessory value, kept as a reference for those values,
 * residual checks of assembled eigenfunctions on one deterministic
   contour of CONTOUR_SAMPLES points, the same for every check.
+
+It also holds record(), the namedtuple base of every record class in
+the package.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .poly import Poly, _horner, float_kernel
@@ -48,20 +51,32 @@ def cached_by_bits(func):
     return cached
 
 
-@dataclass(frozen=True)
-class OdeForm:
+def _make(cls, iterable):
+    return cls(*iterable)
+
+
+def record(name, fields, defaults=()):
+    """The namedtuple base of an immutable record class, whose _make, and
+    so _replace, builds through the record's own constructor: every way to
+    build a record, pickling and copying too, runs the checks of its
+    __new__. A record subclass sets __slots__ = () unless it keeps state."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(_make)
+    return base
+
+
+class OdeForm(record("OdeForm", "p2 p1 p0")):
     """Second-order ODE with polynomial coefficients:
     p2 w'' + p1 w' + p0 w = 0."""
 
-    p2: Poly
-    p1: Poly
-    p0: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.p2.backend == self.p1.backend == self.p0.backend):
+    def __new__(cls, p2: Poly, p1: Poly, p0: Poly):
+        if not (p2.backend == p1.backend == p0.backend):
             raise ValueError("OdeForm coefficients must share one backend")
-        if self.p2.is_zero:
+        if p2.is_zero:
             raise ValueError("p2 must be nonzero for a second-order equation")
+        return tuple.__new__(cls, (p2, p1, p0))
 
     @property
     def backend(self):
@@ -71,17 +86,16 @@ class OdeForm:
         return OdeForm(self.p2.to_float(), self.p1.to_float(), self.p0.to_float())
 
 
-@dataclass(frozen=True)
-class OdeFamily:
+class OdeFamily(record("OdeFamily", "base p0_dir")):
     """ODE whose zeroth-order coefficient depends affinely on one
     unknown scalar t: P0(t) = base.p0 + t * p0_dir."""
 
-    base: OdeForm
-    p0_dir: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p0_dir.backend != self.base.backend:
+    def __new__(cls, base: OdeForm, p0_dir: Poly):
+        if p0_dir.backend != base.backend:
             raise ValueError("direction backend differs from base")
+        return tuple.__new__(cls, (base, p0_dir))
 
     def at(self, t) -> OdeForm:
         return OdeForm(
@@ -89,8 +103,7 @@ class OdeFamily:
         )
 
 
-@dataclass(frozen=True)
-class Recurrence:
+class Recurrence(record("Recurrence", "point exponent bands backend")):
     """Banded coefficient recurrence for w = sum c_j (z-z0)^(j+rho).
 
     bands[i] is a polynomial G_i(s) in the index variable; equation m
@@ -99,10 +112,7 @@ class Recurrence:
         c_m = -(sum_{i>=1} G_i(m-i+rho) c_{m-i}) / G_0(m+rho).
     """
 
-    point: object
-    exponent: object
-    bands: tuple
-    backend: str
+    __slots__ = ()
 
 
 def _bands(ode: OdeForm, point):

@@ -5,7 +5,6 @@ verdicts. Every tolerance below is the contract value, not a convenience.
 """
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -246,7 +245,7 @@ def test_criterion_6_exact_determinant_oracle():
         p = heun_params_for_class("I", n, rc(2), rc(F(1, 2)), rc(F(1, 3)),
                                   rc(F(1, 4)))
         assert p.backend == EXACT
-        eq0 = heun_to_nu(replace(p, q=rc(0)))
+        eq0 = heun_to_nu(p.at(rc(0)))
         b = branch_from_pi(eq0, heun_class("I").pi(p))
         rf = reduce_branch(eq0, b)
         fam = OdeFamily(rf.ode(eq0), Poly.constant(rc(-1), EXACT))
@@ -267,18 +266,18 @@ def test_criterion_7_residual_gate():
     for cls in HEUN_CLASSES:
         p = heun_params_for_class(cls.label, 2, 1.9, 0.6, 0.8, 0.7)
         q0 = heun_accessory(p, cls.label, 2)[0]
-        st = heun_eigenstate(replace(p, q=q0), cls.label, 2)
+        st = heun_eigenstate(p.at(q0), cls.label, 2)
         assert st.residual < 1e-8, (cls.label, st.residual)
-        off = heun_to_nu(replace(p, q=q0 + 1e-3))
+        off = heun_to_nu(p.at(q0 + 1e-3))
         assert ode_residual(st, off.psi_ode()) > 1e-4, cls.label
     for cls in CHE_CLASSES:
         p = che_params_for_class(cls.label, 2, 1.3, 0.4, 0.7)
         mu0 = che_accessory(p, cls.label, 2)[0]
-        p2 = replace(p, mu=mu0, nu=complex(p.coupling) - mu0)
+        p2 = CheParams(p.alpha, p.beta, p.gamma, mu0, complex(p.coupling) - mu0)
         st = che_eigenstate(p2, cls.label, 2)
         assert st.residual < 1e-8, (cls.label, st.residual)
-        off = che_to_nu(replace(p2, mu=mu0 + 1e-3,
-                                nu=complex(p.coupling) - mu0 - 1e-3))
+        off = che_to_nu(CheParams(p2.alpha, p2.beta, p2.gamma, mu0 + 1e-3,
+                                  complex(p.coupling) - mu0 - 1e-3))
         assert ode_residual(st, off.psi_ode()) > 1e-4, cls.label
     print("criterion 7: PASS (16 eigenfunctions < 1e-8 on 50 contour "
           "points; 1e-3 detuning raises residual above 1e-4)")

@@ -1,7 +1,6 @@
 """Two-finite-singular (confluent) polynomial classes and eigenstates."""
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -133,7 +132,7 @@ def test_eigenstates_every_class():
         p = che_params_for_class(cls.label, 2, 1.3, 0.4, 0.7)
         roots = che_accessory(p, cls.label, 2)
         assert roots, cls.label
-        p2 = replace(p, mu=roots[0], nu=complex(p.coupling) - roots[0])
+        p2 = CheParams(p.alpha, p.beta, p.gamma, roots[0], complex(p.coupling) - roots[0])
         st = che_eigenstate(p2, cls.label, 2)
         assert st.poly.degree == 2
         assert st.residual < 1e-9, (cls.label, st.residual)

@@ -8,7 +8,6 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,7 +227,7 @@ def test_solve_samples_residual_matches_public_api(capsys):
     roots = heun_accessory(p, "I", 1)
     assert len(doc["states"]) == len(roots) == 2
     for st, q in zip(doc["states"], roots):
-        pq = replace(p, q=q)
+        pq = p.at(q)
         state = heun_eigenstate(pq, "I", 1)
         assert st["residual"] == ode_residual(state, heun_to_nu(pq).psi_ode())
         assert st["residual"] == state.residual

@@ -1,7 +1,6 @@
 """The shared class-solve pipeline against per-family reference copies."""
 
 import random
-from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -41,7 +40,7 @@ def _reference_heun_accessory(p, label, n):
     shared pipeline."""
     check_relation(p, label, n)
     cls = heun_class(label)
-    p0 = replace(p, q=as_scalar(0, p.backend))
+    p0 = p.at(as_scalar(0, p.backend))
     eq0 = heun_to_nu(p0)
     branch = branch_from_pi(eq0, cls.pi(p0))
     rf = reduce_branch(eq0, branch)
@@ -56,7 +55,7 @@ def _reference_che_accessory(p, label, n):
     check_relation(p, label, n)
     cls = che_class(label)
     zero = as_scalar(0, p.backend)
-    p0 = replace(p, mu=zero, nu=p.coupling)
+    p0 = CheParams(p.alpha, p.beta, p.gamma, zero, p.coupling)
     eq0 = che_to_nu(p0)
     branch = branch_from_pi(eq0, cls.pi(p0))
     rf = reduce_branch(eq0, branch)
@@ -129,10 +128,10 @@ def test_che_accessory_equals_reference(label, exact):
 
 def test_record_fields_are_the_parameters():
     # FamilyParams.to_float rebuilds a record from its fields, and callers
-    # replace() them; the backend is derived, not a field
-    assert [f.name for f in fields(HeunParams)] == [
-        "a", "q", "alpha", "beta", "gamma", "delta", "epsilon"]
-    assert [f.name for f in fields(CheParams)] == ["alpha", "beta", "gamma", "mu", "nu"]
+    # _replace() them; the backend is derived, not a field
+    assert HeunParams._fields == (
+        "a", "q", "alpha", "beta", "gamma", "delta", "epsilon")
+    assert CheParams._fields == ("alpha", "beta", "gamma", "mu", "nu")
 
 
 def _reference_fields(names, values):
@@ -166,7 +165,7 @@ def _mixes(rng, count):
     (CheParams, (3, -1, 2, -2, 5)),
 ], ids=["heun", "che"])
 def test_record_coercion_is_the_per_family_one(record, values):
-    names = [f.name for f in fields(record)]
+    names = list(record._fields)
     for kinds in _mixes(random.Random(record.__name__), len(values)):
         args = [kind(v) for kind, v in zip(kinds, values)]
         if RationalComplex in kinds and {float, complex} & set(kinds):
@@ -232,7 +231,7 @@ def test_family_match_returns_the_parameters_of_the_equation(exact):
         # a confluent shape without alpha and kappa fits classic mode
         classic = NuEquation(che.tau_tilde - che.sigma * wrap(alpha), che.sigma,
                              che.sigma * wrap(-mu), CLASSIC)
-        extended = replace(classic, mode=EXTENDED)
+        extended = classic._replace(mode=EXTENDED)
         assert che_match(extended).alpha == 0
         assert heun_match(classic) is None and che_match(classic) is None
 

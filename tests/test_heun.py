@@ -1,6 +1,5 @@
 """Three-singular-point polynomial classes: catalog, relations, spectra."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -178,7 +177,7 @@ def test_exact_termination_equals_determinant_polynomial():
     p = heun_params_for_class("I", 1, rc(2), rc(F(1, 2)), rc(F(1, 3)),
                               rc(F(1, 4)))
     assert p.backend == EXACT
-    eq0 = heun_to_nu(replace(p, q=rc(0)))
+    eq0 = heun_to_nu(p.at(rc(0)))
     b = branch_from_pi(eq0, heun_class("I").pi(p))
     rf = reduce_branch(eq0, b)
     fam = OdeFamily(rf.ode(eq0), Poly.constant(rc(-1), EXACT))
@@ -206,7 +205,7 @@ def test_eigenstates_every_class():
         p = heun_params_for_class(cls.label, 2, 1.9, 0.6, 0.8, 0.7)
         roots = heun_accessory(p, cls.label, 2)
         assert roots, cls.label
-        p2 = replace(p, q=roots[0])
+        p2 = p.at(roots[0])
         st = heun_eigenstate(p2, cls.label, 2)
         assert st.poly.degree == 2
         assert st.residual < 1e-9, (cls.label, st.residual)
@@ -231,13 +230,13 @@ def test_accessory_perturbation_degrades_residual():
     # a visibly nonzero residual against the perturbed equation
     p = heun_params_for_class("I", 2, 1.9, 0.6, 0.8, 0.7)
     q0 = heun_accessory(p, "I", 2)[0]
-    good = heun_eigenstate(replace(p, q=q0), "I", 2)
+    good = heun_eigenstate(p.at(q0), "I", 2)
     assert good.residual < 1e-9
     with pytest.raises(NoBranchError):
-        heun_eigenstate(replace(p, q=q0 + 1e-3), "I", 2)
+        heun_eigenstate(p.at(q0 + 1e-3), "I", 2)
     from heunforge.oracle import ode_residual
 
-    off_eq = heun_to_nu(replace(p, q=q0 + 1e-3))
+    off_eq = heun_to_nu(p.at(q0 + 1e-3))
     assert ode_residual(good, off_eq.psi_ode()) > 1e-4
 
 

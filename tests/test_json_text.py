@@ -13,7 +13,6 @@ import cmath
 import json
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -315,7 +314,7 @@ def test_json_with_a_nan_exits_2(capsys, monkeypatch, field, bad):
 
     def with_nan(*args):
         value = Poly([0.5, bad, 1.0], FLOAT) if field == "poly" else bad
-        return [replace(state, **{field: value}) for state in real(*args)]
+        return [state._replace(**{field: value}) for state in real(*args)]
 
     monkeypatch.setattr(cli, "heun_eigenstates", with_nan)
     code = cli.main(["solve", "heun", "--class", "I", "-n", "2", "--a", "19/10",

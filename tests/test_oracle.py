@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -260,7 +259,7 @@ def test_termination_solve_orders_values():
     # ascending real part, then imaginary part, and each value is within
     # a Newton step of a root of c_{n+1}
     p = heun_params_for_class("I", 5, 1.9, 0.6, 0.8, 0.7)
-    fam = BranchSetup(heun_to_nu(replace(p, q=0.0)), Poly.zero(FLOAT)).family
+    fam = BranchSetup(heun_to_nu(p.at(0.0)), Poly.zero(FLOAT)).family
     values = termination_solve(fam, 5)
     assert len(values) == 6
     assert values == sorted(values, key=lambda t: (t.real, t.imag))
@@ -338,12 +337,12 @@ def test_ode_residual_matches_per_point_reference():
     for label in HEUN_CLASSES:
         p = heun_params_for_class(label.label, 2, 1.9, 0.6, 0.8, 0.7)
         for q in heun_accessory(p, label.label, 2):
-            states.append((heun_eigenstate(replace(p, q=q), label.label, 2),
-                           heun_to_nu(replace(p, q=q)).psi_ode()))
+            states.append((heun_eigenstate(p.at(q), label.label, 2),
+                           heun_to_nu(p.at(q)).psi_ode()))
     for label in CHE_CLASSES:
         p = che_params_for_class(label.label, 1, 1.5, 0.3, 0.4)
         for mu in che_accessory(p, label.label, 1):
-            pm = replace(p, mu=mu, nu=p.coupling - mu)
+            pm = p.at(mu)
             states.append((che_eigenstate(pm, label.label, 1),
                            che_to_nu(pm).psi_ode()))
     # an exact prefactor with an exponential part, on an equation the
@@ -388,10 +387,10 @@ def _assert_bits(a, b):
 FAMILIES = {
     "heun": (HEUN_CLASSES, heun_params_for_class, heun_accessory,
              heun_eigenstates, heun_eigenstate, heun_to_nu,
-             lambda p, t: replace(p, q=t), (1.9, 0.6, 0.8, 0.7)),
+             lambda p, t: p.at(t), (1.9, 0.6, 0.8, 0.7)),
     "che": (CHE_CLASSES, che_params_for_class, che_accessory,
             che_eigenstates, che_eigenstate, che_to_nu,
-            lambda p, t: replace(p, mu=t, nu=p.coupling - t),
+            lambda p, t: p.at(t),
             (1.5, 1 / 3, 0.4)),
 }
 

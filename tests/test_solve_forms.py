@@ -13,7 +13,6 @@ division it replaces, exactly.
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import zip_longest
 from types import SimpleNamespace
@@ -458,7 +457,7 @@ def test_exact_setup_keeps_the_degree_bound():
     # tests it, as the division did
     pi = next(b.pi for b in enumerate_branches(eq) if b.backend == EXACT)
     setup = BranchSetup(eq, pi)
-    setup.branch = replace(setup.branch, g=setup.branch.g + Poly.x(EXACT))
+    setup.branch = setup.branch._replace(g=setup.branch.g + Poly.x(EXACT))
     with pytest.raises(NoBranchError, match="reduced h exceeds the mode's degree bound"):
         setup.family
 
