@@ -35,13 +35,13 @@ from .oracle import (
     termination_polynomial,
     termination_solve,
 )
+from .family import class_relation
 from .heun import (
     HEUN_CLASSES,
     HeunClass,
     HeunParams,
     heun_accessory,
     heun_class,
-    heun_class_relation,
     heun_eigenstate,
     heun_eigenstates,
     heun_nu_from_product,
@@ -54,7 +54,6 @@ from .che import (
     CheParams,
     che_accessory,
     che_class,
-    che_class_relation,
     che_eigenstate,
     che_eigenstates,
     che_params_for_class,

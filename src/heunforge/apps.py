@@ -15,9 +15,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from .che import CheParams, che_class_relation
+from .che import CheParams
 from .engine import BranchSetup, NoBranchError, polynomial_solution
-from .family import class_setup
+from .family import class_relation, class_setup
 from .heun import heun_class, heun_nu_from_product
 from .oracle import frobenius_recurrence, record, series_coeffs, termination_solve
 from .poly import Poly
@@ -275,7 +275,7 @@ def doublewell_verify(N: int, d, u0, parity: str) -> DoubleWellReport:
     matched = None
     best = None
     for label in _PARITY_PAIRS[parity]:
-        gap = abs(complex(che_class_relation(p, label, N)))
+        gap = abs(complex(class_relation(p, label, N)))
         if not math.isfinite(gap):
             raise OverflowError("class relation overflows the float range")
         if best is None or gap < best[1]:

@@ -153,12 +153,6 @@ def che_params_for_class(label, n: int, alpha, beta, gamma, mu=0) -> CheParams:
     return CheParams(alpha, beta, gamma, mu, coupling - mu)
 
 
-def che_class_relation(p: CheParams, label, n: int):
-    """Residual of the class condition on mu + nu at degree n; zero
-    exactly when degree-n polynomial solutions are admissible."""
-    return family.class_relation(p, label, n)
-
-
 def che_accessory(p: CheParams, label, n: int):
     """Accessory values mu admitting a degree-n class solution (the mu
     stored in p is ignored; mu + nu is held at the class value): the

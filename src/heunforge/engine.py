@@ -212,8 +212,8 @@ def _refine(values, step):
     keeps as many bits as a large one, and a value driven to 0 stops at
     the noise the other values' grids leave in its step. Float starts,
     entries of one float solve, share the grid of the largest."""
-    x = [v if isinstance(v, RationalComplex) else RationalComplex(v.real, v.imag)
-         for v in values]
+    x = [v if isinstance(v, RationalComplex)
+         else RationalComplex(Fraction(v.real), Fraction(v.imag)) for v in values]
     sizes = [max(a.bit_length(), b.bit_length()) - d.bit_length()
              for a, b, d in (v._abd for v in x)]
     shared = not isinstance(values[0], RationalComplex)
@@ -287,7 +287,7 @@ def _starts(poly: Poly):
         radius = Fraction(2) ** round((size[k] - size[j]) / (j - k))
         for i in range(j - k):
             w = cmath.exp(1j * (2 * cmath.pi * (i / (j - k) + k / poly.degree) + 0.7))
-            starts.append(RationalComplex(w.real, w.imag) * radius)
+            starts.append(RationalComplex(Fraction(w.real), Fraction(w.imag)) * radius)
         k = j
     return starts
 

@@ -109,8 +109,9 @@ def sigma_tilde(sigma: Poly, coupling, accessory, backend) -> Poly:
 
 
 def class_relation(p, label, n: int):
-    """Residual of the class condition on the coupling at degree n; zero
-    exactly when degree-n polynomial solutions are admissible."""
+    """Residual of the class condition on p's coupling at degree n
+    (alpha*beta of HeunParams, mu + nu of CheParams); zero exactly when
+    degree-n polynomial solutions are admissible."""
     return p.coupling - find_class(p.CLASSES, label).coupling_at(p, n)
 
 

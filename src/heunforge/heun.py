@@ -207,12 +207,6 @@ def heun_params_for_class(
     return HeunParams(a, q, alpha, beta, gamma, delta, epsilon)
 
 
-def heun_class_relation(p: HeunParams, label: str, n: int):
-    """Residual of the class condition on alpha*beta at degree n; zero
-    exactly when degree-n polynomial solutions are admissible."""
-    return family.class_relation(p, label, n)
-
-
 def heun_accessory(p: HeunParams, label: str, n: int):
     """Accessory values q admitting a degree-n class solution (the q
     stored in p is ignored): the n+1 eigenvalues of the degree-n

@@ -305,16 +305,11 @@ _CIRCLE = tuple(
 )
 
 
-def residual_contour(p2: Poly):
-    """Deterministic sample points: CONTOUR_SAMPLES points on a circle of
-    radius 0.45 about 0.5, with any point closer than 0.1 to a root of p2
-    pushed radially away from that root out to the clearance distance; a
-    fresh list each call."""
-    return list(_contour(p2)[0])
-
-
 def _contour(p2: Poly):
-    """(points, p2 at the points) of residual_contour, as kept tuples."""
+    """(points, p2 at the points) as kept tuples: CONTOUR_SAMPLES points on
+    a circle of radius 0.45 about 0.5, any point closer than 0.1 to a root
+    of p2 pushed radially away from that root out to the clearance
+    distance, and a point still that close after three pushes dropped."""
     return _pushed_contour(p2.to_float())
 
 

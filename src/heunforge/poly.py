@@ -32,7 +32,6 @@ from .scalars import (
     _convolve,
     _mul_add,
     as_scalar,
-    backend_of,
     format_scalar,
     infer_backend,
     negligible,
@@ -93,9 +92,7 @@ class Poly:
         return Poly._make([_ZERO[backend], _ONE[backend]], backend)
 
     @classmethod
-    def constant(cls, value, backend=None):
-        if backend is None:
-            backend = backend_of(value)
+    def constant(cls, value, backend):
         return cls([value], backend)
 
     # -- structure -------------------------------------------------------

@@ -33,15 +33,16 @@ class RationalComplex:
     The stored form is canonical: d > 0 and gcd(a, b, d) = 1, so a value
     has one form and equality compares the three ints. `.re` and `.im`
     are computed on each read, as Fraction(a, d) and Fraction(b, d).
+    The parts given are ints or Fractions, as as_scalar takes them.
     """
 
     __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
         if type(re) is not int and type(re) is not Fraction:
-            re = Fraction(re)
+            _check_exact(re)
         if type(im) is not int and type(im) is not Fraction:
-            im = Fraction(im)
+            _check_exact(im)
         q, s = re.denominator, im.denominator
         # d = lcm(q, s) needs no gcd: each prime of d divides q or s to its
         # full power, and that part's numerator is prime to it
@@ -182,6 +183,15 @@ _new = object.__new__
 _store = RationalComplex._abd.__set__
 
 
+def _check_exact(part):
+    """Refuse a RationalComplex part that is not an int or a Fraction: a
+    float or complex one with BackendMismatchError, any other with TypeError."""
+    if isinstance(part, (float, complex)):
+        raise BackendMismatchError("cannot take float part %r in exact backend" % (part,))
+    if not isinstance(part, (int, Fraction)):
+        raise TypeError("an exact part is an int or a Fraction, not %r" % (part,))
+
+
 def _reduced(a, b, d):
     """RationalComplex (a + b·i)/d for d > 0, divided through by
     gcd(a, b, d) and built without __init__."""
@@ -257,14 +267,6 @@ def sqrt_exact(value: RationalComplex):
 
 
 # -- backend helpers -----------------------------------------------------
-
-
-def backend_of(value):
-    if isinstance(value, RationalComplex):
-        return EXACT
-    if isinstance(value, (complex, float)):
-        return FLOAT
-    raise TypeError("no backend for %r (int/Fraction are neutral)" % (value,))
 
 
 def as_scalar(value, backend):

@@ -21,7 +21,6 @@ from heunforge.che import (
     CHE_CLASSES,
     CheParams,
     che_accessory,
-    che_class_relation,
     che_eigenstate,
     che_params_for_class,
     che_to_nu,
@@ -32,12 +31,12 @@ from heunforge.engine import (
     quantization,
     reduce_branch,
 )
+from heunforge.family import class_relation
 from heunforge.heun import (
     HEUN_CLASSES,
     HeunParams,
     heun_accessory,
     heun_class,
-    heun_class_relation,
     heun_eigenstate,
     heun_params_for_class,
     heun_to_nu,
@@ -132,7 +131,7 @@ def test_criterion_2_eigenvalue_relations():
             b = branch_from_pi(eqh, cls.pi(ph))
             for n in range(11):
                 qr = quantization(eqh, b, n)
-                rel = heun_class_relation(ph, cls.label, n)
+                rel = class_relation(ph, cls.label, n)
                 assert abs(complex(qr.slope_residual) - complex(rel)) \
                     < 1e-9, (cls.label, n)
         pc = _random_che(rng)
@@ -141,7 +140,7 @@ def test_criterion_2_eigenvalue_relations():
             b = branch_from_pi(eqc, cls.pi(pc))
             for n in range(11):
                 qr = quantization(eqc, b, n)
-                rel = che_class_relation(pc, cls.label, n)
+                rel = class_relation(pc, cls.label, n)
                 assert abs(complex(qr.slope_residual) - complex(rel)) \
                     < 1e-9, (cls.label, n)
     # at tuned parameters the slope constraint vanishes outright

@@ -10,7 +10,6 @@ from heunforge.che import (
     CheParams,
     che_accessory,
     che_class,
-    che_class_relation,
     che_eigenstate,
     che_params_for_class,
     che_to_nu,
@@ -21,6 +20,7 @@ from heunforge.engine import (
     enumerate_branches,
     quantization,
 )
+from heunforge.family import class_relation
 from heunforge.poly import Poly
 from heunforge.scalars import EXACT, RationalComplex
 
@@ -61,7 +61,7 @@ def test_relation_matches_quantization_slope():
         b = branch_from_pi(eq, cls.pi(GENERIC))
         for n in (0, 1, 2, 5):
             qr = quantization(eq, b, n)
-            rel = che_class_relation(GENERIC, cls.label, n)
+            rel = class_relation(GENERIC, cls.label, n)
             assert abs(complex(qr.slope_residual) - complex(rel)) < 1e-9, (
                 cls.label, n)
 

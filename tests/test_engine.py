@@ -230,6 +230,24 @@ def test_phi_factor_rejects_exact_repeated_sigma_root(c):
         phi_factor(eq, b)
 
 
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+    "known defect: the companion roots of the float sigma split its double root "
+    "by 3e-8 to 1.2e-7, wider than the float repeated-root gap, so phi_factor "
+    "returns two roots near c with exponents near +-2e7 instead of refusing"))
+@pytest.mark.parametrize("c", [1.0, 0.5, 2.0])
+def test_phi_factor_rejects_float_repeated_sigma_root(c):
+    # sigma = (z - c)^2 with tau~ = 1 + z and sigma~ = 1 + z^2, a raw float
+    # equation with two branches
+    z = Poly.x(FLOAT)
+    zc = z - Poly.constant(c, FLOAT)
+    eq = NuEquation(Poly([1.0, 1.0], FLOAT), zc * zc, Poly([1.0, 0.0, 1.0], FLOAT))
+    branches = enumerate_branches(eq)
+    assert len(branches) == 2
+    for b in branches:
+        with pytest.raises(ValueError, match="repeated root"):
+            phi_factor(eq, b)
+
+
 def test_degenerate_radicand_collapses():
     # sigma~ chosen so the radicand vanishes identically at g = 0: the
     # enumeration must report the sign-0 degenerate branch

@@ -860,7 +860,7 @@ def test_three_close_gaussian_rational_roots_come_out_exact():
 def _newton_gap(sigma, r):
     """|sigma(r) / sigma'(r)| / |r| at a float root r, exactly: the
     relative distance to the root that Newton sees from r."""
-    x = RationalComplex(r.real, r.imag)
+    x = RationalComplex(F(r.real), F(r.imag))
     return abs(complex(sigma(x) / sigma.derivative()(x))) / abs(r)
 
 
@@ -900,7 +900,7 @@ def test_float_roots_are_certified_to_half_an_ulp():
             if isinstance(r, RationalComplex):
                 disks.append((complex(r), 0.0))
                 continue
-            x = RationalComplex(r.real, r.imag)
+            x = RationalComplex(F(r.real), F(r.imag))
             delta = sigma(x) / slope(x)
             assert (delta.re ** 2 + delta.im ** 2) * 2 ** 106 <= x.re ** 2 + x.im ** 2, (sigma, r)
             disks.append((r, sigma.degree * abs(delta)))

@@ -1,12 +1,15 @@
-"""The public name set, and the names the benchmark's tracer wraps."""
+"""The public name set, the names the benchmark's tracer wraps, and that
+every public name is read somewhere."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import heunforge
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 PUBLIC = {
     "EXACT", "FLOAT", "BackendMismatchError", "RationalComplex",
@@ -19,12 +22,12 @@ PUBLIC = {
     "frobenius_recurrence", "ode_residual", "series_coeffs",
     "termination_polynomial", "termination_solve",
     "HEUN_CLASSES", "HeunClass", "HeunParams", "heun_accessory",
-    "heun_class", "heun_class_relation", "heun_eigenstate",
+    "heun_class", "heun_eigenstate",
     "heun_eigenstates", "heun_nu_from_product", "heun_params_for_class",
     "heun_to_nu",
     "CHE_CLASSES", "CheClass", "CheParams", "che_accessory", "che_class",
-    "che_class_relation", "che_eigenstate", "che_eigenstates",
-    "che_params_for_class", "che_to_nu",
+    "che_eigenstate", "che_eigenstates", "che_params_for_class", "che_to_nu",
+    "class_relation",
     "ANTISYMMETRIC", "SYMMETRIC", "Coulomb3SReport", "DoubleWellReport",
     "ElectronsSphereState", "bethe_residual", "coulomb3s_energy",
     "coulomb3s_verify", "doublewell_spectrum", "doublewell_verify",
@@ -44,12 +47,43 @@ def _resolve(path):
     return getattr(importlib.import_module("heunforge." + module), attr)
 
 
-def test_every_name_the_tracer_wraps_exists():
-    # a traced benchmark run patches these by name and fails on a missing one
+def _tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_name_the_tracer_wraps_exists():
+    # a traced benchmark run patches these by name and fails on a missing one
+    tracing = _tracing()
     for module, name in tracing.SPANNED:
         assert callable(_resolve("%s.%s" % (module, name))), (module, name)
     for path, method, _ in tracing.COUNTED + tracing.SPANNED_METHODS:
         assert callable(_resolve(path).__dict__.get(method)), (path, method)
+
+
+# a "from .module import ..." statement of the package's import block
+_IMPORT = re.compile(r"^from \.\w* import (?:\([^)]*\)|.*)$", re.M)
+
+
+def test_every_public_name_is_read_somewhere():
+    # read as text: src/ less its definitions and the package's import
+    # block, the README, and the names bench/tracing.py's lists bind
+    package = Path(heunforge.__file__).parent
+    src = [_IMPORT.sub("", path.read_text()) if path.name == "__init__.py"
+           else path.read_text() for path in sorted(package.glob("*.py"))]
+    tracing = _tracing()
+    bound = {name for _, name in tracing.SPANNED}
+    for path, method, _ in tracing.COUNTED + tracing.SPANNED_METHODS:
+        bound.update((path.rpartition(".")[2], method))
+    readme = (ROOT / "README.md").read_text()
+    unread = []
+    for name in heunforge.__all__:
+        own = re.compile(r"^(?:\s*(?:def|class) %s\b|%s\s*=).*$" % (name, name), re.M)
+        word = re.compile(r"\b%s\b" % re.escape(name))
+        if name in bound or word.search(readme):
+            continue
+        if not any(word.search(own.sub("", text)) for text in src):
+            unread.append(name)
+    assert unread == []

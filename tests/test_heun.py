@@ -13,12 +13,12 @@ from heunforge.engine import (
     quantization,
     reduce_branch,
 )
+from heunforge.family import class_relation
 from heunforge.heun import (
     HEUN_CLASSES,
     HeunParams,
     heun_accessory,
     heun_class,
-    heun_class_relation,
     heun_eigenstate,
     heun_nu_from_product,
     heun_params_for_class,
@@ -117,7 +117,7 @@ def test_relation_matches_quantization_slope():
         b = branch_from_pi(eq, cls.pi(FUCHSIAN))
         for n in (0, 1, 2, 3, 7):
             qr = quantization(eq, b, n)
-            rel = heun_class_relation(FUCHSIAN, cls.label, n)
+            rel = class_relation(FUCHSIAN, cls.label, n)
             assert abs(complex(qr.slope_residual) - complex(rel)) < 1e-9, (
                 cls.label, n)
 

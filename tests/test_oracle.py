@@ -35,7 +35,6 @@ from heunforge.oracle import (
     coefficient_map,
     frobenius_recurrence,
     ode_residual,
-    residual_contour,
     series_coeffs,
     termination_polynomial,
     termination_solve,
@@ -278,13 +277,18 @@ def test_termination_rejects_unknown_in_leading_band():
         termination_polynomial(OdeFamily(base, Poly.one(EXACT)), 1)
 
 
+def _points(p2):
+    """The residual contour's sample points for p2."""
+    return ResidualContour(p2, p2).z
+
+
 def test_residual_contour_avoids_singularities():
     # points within clearance of a root get pushed out radially; a point
     # that cannot escape is dropped, so the count may shrink slightly
     z = Poly.x(FLOAT)
     one = Poly.one(FLOAT)
     sig = z * (z - one) * (z - Poly.constant(1.9, FLOAT))
-    pts = residual_contour(sig)
+    pts = _points(sig)
     assert 42 <= len(pts) <= 50
     for p in pts:
         assert min(abs(p), abs(p - 1), abs(p - 1.9)) > 0.1 - 1e-9
@@ -310,7 +314,7 @@ def _reference_residual(state, ode):
     dp = p.derivative()
     ddp = dp.derivative()
     worst = 0.0
-    for z in residual_contour(odef.p2):
+    for z in _points(odef.p2):
         ep = phi.exp_part.to_float()
         lval = complex(ep.derivative()(z))
         lder = complex(ep.derivative().derivative()(z))
@@ -366,7 +370,7 @@ def _plain_reference_residual(poly, ode):
     dp = p.derivative()
     ddp = dp.derivative()
     worst = 0.0
-    for z in residual_contour(odef.p2):
+    for z in _points(odef.p2):
         t2 = odef.p2(z) * ddp(z)
         t1 = odef.p1(z) * dp(z)
         t0 = odef.p0(z) * p(z)
@@ -506,7 +510,7 @@ def test_residual_on_a_contour_that_dropped_points():
     z = Poly.x(FLOAT)
     r1, r2 = 0.95 + 0.05j, 0.95 - 0.08j
     p2 = (z - Poly.constant(r1, FLOAT)) * (z - Poly.constant(r2, FLOAT))
-    assert len(residual_contour(p2)) < CONTOUR_SAMPLES
+    assert len(_points(p2)) < CONTOUR_SAMPLES
     ode = OdeForm(p2, z * (0.7 + 0.2j) - 1.0, Poly.constant(-0.6, FLOAT))
     phi = PhiFactor(Poly([0.0, 0.3], FLOAT), ((r1, 0.25 + 0j), (r2, -0.5j)))
     for poly in (Poly([-0.5, 0.0, 1.0], FLOAT), Poly([0.2j, 1.0], FLOAT)):
@@ -515,11 +519,21 @@ def test_residual_on_a_contour_that_dropped_points():
         _assert_bits(ode_residual(poly, ode), _plain_reference_residual(poly, ode))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the contour is pushed from the float roots of p2 = sigma^2, "
+    "which split each double root of sigma^2 by about 1e-8, so the points next "
+    "to z = 1 stay within the clearance of one copy and are dropped: 48 of 50"))
+@pytest.mark.parametrize("label", [cls.label for cls in CHE_CLASSES])
+def test_every_che_contour_keeps_all_its_points(label):
+    psi = che_to_nu(che_params_for_class(label, 2, 1.5, 1 / 3, 0.4)).psi_ode()
+    assert len(ResidualContour(psi.p2, psi.p1).z) == CONTOUR_SAMPLES
+
+
 def test_residual_where_all_three_terms_are_zero():
     # p = z - z3 and p1 = z - z3 vanish at the contour point z3, and
     # p'' = 0, so T2, T1 and T0 are exactly 0 there and the point is
     # skipped; every other point counts
-    z3 = residual_contour(Poly.one(FLOAT))[3]
+    z3 = _points(Poly.one(FLOAT))[3]
     poly = Poly([-z3, 1.0], FLOAT)
     ode = OdeForm(Poly.one(FLOAT), Poly([-z3, 1.0], FLOAT),
                   Poly([-1.0, 0.5], FLOAT))
@@ -581,7 +595,7 @@ def test_residual_overflow_raises_as_python_abs_does():
 
 
 def _poly_call_contour(p2, p1, phi, samples):
-    """(z, p2, p1, logd) of ResidualContour as residual_contour and
+    """(z, p2, p1, logd) of ResidualContour as the contour build and
     ResidualContour.__init__ built them with a generator scan for the
     first root within the clearance and a Poly call per value: the
     reference for the build from Horner over coefficient tuples."""
@@ -684,12 +698,12 @@ def test_contour_build_is_the_poly_call_build_to_the_bit(samples, contour_sample
     contour_samples(samples)
     cases = _contour_corpus()
     # a root exactly at sample point 3: a linear p2's root is -c0/c1 exactly
-    at_point = residual_contour(Poly.one(FLOAT))[3]
+    at_point = _points(Poly.one(FLOAT))[3]
     p2 = Poly([-at_point, 1.0], FLOAT)
     assert p2.roots() == [at_point]
     cases.append((p2, Poly([0.2, -1.1j], FLOAT),
                   (None, PhiFactor(Poly([0.0, 0.5j], FLOAT), ((at_point, 0.5),)))))
-    circle = set(residual_contour(Poly.one(FLOAT)))
+    circle = set(_points(Poly.one(FLOAT)))
     pushed = dropped = 0
     for p2, p1, phis in cases:
         for phi in phis:

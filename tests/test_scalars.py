@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from heunforge.scalars import (
     BackendMismatchError,
     RationalComplex,
     as_scalar,
-    backend_of,
     format_scalar,
     infer_backend,
     negligible,
@@ -41,6 +41,23 @@ def test_field_arithmetic():
     assert a / a == rc(1)
     assert -a + a == rc(0)
     assert bool(rc(0, 0)) is False and bool(rc(0, 1)) is True
+
+
+@pytest.mark.parametrize("re, im, error", [
+    (0.1, 0, BackendMismatchError),
+    (1, 0.5, BackendMismatchError),
+    (1j, 0, BackendMismatchError),
+    ("1/3", 0, TypeError),
+    (0, "2", TypeError),
+    (Decimal("0.1"), 0, TypeError),
+    (None, 0, TypeError),
+])
+def test_exact_parts_are_ints_or_fractions_only(re, im, error):
+    # as Poly([0.1], EXACT) and as_scalar(0.1, EXACT) refuse a float, and
+    # text is read by parse_scalar alone
+    with pytest.raises(error) as err:
+        RationalComplex(re, im)
+    assert type(err.value) is error
 
 
 def test_division_by_zero_raises():
@@ -103,8 +120,6 @@ def test_scalar_sqrt_backends():
 
 
 def test_backend_helpers():
-    assert backend_of(rc(1)) == EXACT
-    assert backend_of(1.5) == FLOAT
     assert infer_backend([rc(1), rc(2)]) == EXACT
     assert infer_backend([1, 2]) == FLOAT
     # mixing exact and float scalars is an error, never a silent coercion

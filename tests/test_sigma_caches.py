@@ -17,8 +17,8 @@ import pytest
 from heunforge import cli, floatkernel, oracle
 from heunforge.engine import _prefactor, _simple_roots
 from heunforge.oracle import (
-    CACHE_SIZE, CONTOUR_SAMPLES, OdeForm, _contour, _pushed_contour, ode_residual,
-    residual_contour,
+    CACHE_SIZE, CONTOUR_SAMPLES, OdeForm, ResidualContour, _contour, _pushed_contour,
+    ode_residual,
 )
 from heunforge.poly import Poly
 from heunforge.scalars import FLOAT
@@ -30,8 +30,8 @@ def _bits(values):
 
 
 def _fresh_contour(p2, samples=CONTOUR_SAMPLES):
-    """(points, p2 at the points) as residual_contour built them before
-    the cache: one cmath.exp per point and Poly calls."""
+    """(points, p2 at the points) as the contour was built before the
+    cache: one cmath.exp per point and Poly calls."""
     p2f = p2.to_float()
     sing = p2f.roots() if p2f.degree >= 1 else []
     points = []
@@ -134,7 +134,7 @@ def test_refusals_are_raised_on_every_call_and_never_kept(monkeypatch):
         (ValueError, repeated, lambda: _prefactor(z * z, pi)),
         # the one point sits on the double root 0.95, which the float
         # roots split: no push clears it of both copies
-        (ValueError, crowded, lambda: residual_contour(double * double)),
+        (ValueError, crowded, lambda: ResidualContour(double * double, z)),
         (ValueError, crowded,
          lambda: ode_residual(Poly.one(FLOAT), OdeForm(double * double, z, z))),
         # a non-finite sigma fails in numpy's eigenvalue routine
@@ -150,15 +150,6 @@ def test_refusals_are_raised_on_every_call_and_never_kept(monkeypatch):
             assert str(err.value) == message
     assert _simple_roots.cache_info().currsize == 0
     assert _pushed_contour.cache_info().currsize == 0
-
-
-def test_residual_contour_returns_a_fresh_list():
-    sigma = Poly([0j, -1.0, 1.0], FLOAT)
-    p2 = sigma * sigma
-    first = residual_contour(p2)
-    want = list(first)
-    first.clear()
-    assert residual_contour(p2) == want and _bits(residual_contour(p2)) == _bits(want)
 
 
 def _serve(line):
