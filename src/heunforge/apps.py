@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .che import CheParams
 from .engine import BranchSetup, NoBranchError, polynomial_solution
-from .family import class_relation, class_setup
+from .family import class_relation, class_setup, sigma_tilde
 from .heun import heun_class, heun_nu_from_product
 from .oracle import frobenius_recurrence, record, series_coeffs, termination_solve
 from .poly import Poly
@@ -116,13 +116,14 @@ class ElectronsSphereState(record("ElectronsSphereState", "n gamma_param delta_p
     __slots__ = ()
 
 
-def _electrons_equation(n, gamma_param, delta_param, q):
+def _electrons_equation(n, gamma_param, delta_param):
+    """The equation at q = 0, and its coefficient product -n(n + delta - 1)."""
     inv = 1.0 / gamma_param
     half = 0.5 * (delta_param - inv)
     product = -n * (n + delta_param - 1)
     if not math.isfinite(product):
         raise OverflowError("electrons degree condition overflows the float range")
-    return heun_nu_from_product(-1.0, q, product, inv, half, half)
+    return heun_nu_from_product(-1.0, 0.0, product, inv, half, half), product
 
 
 def electrons_sphere_state(
@@ -143,7 +144,7 @@ def electrons_sphere_state(
     delta_param = _finite("delta", float(delta_param))
     if gamma_param == 0.0:
         raise ValueError("gamma must be nonzero")
-    eq0 = _electrons_equation(n, gamma_param, delta_param, 0.0)
+    eq0, product = _electrons_equation(n, gamma_param, delta_param)
     setup = BranchSetup(eq0, Poly.zero(FLOAT))
     candidates = []
     for root in termination_solve(setup.family, n):
@@ -156,7 +157,8 @@ def electrons_sphere_state(
         raise NoBranchError("no accessory root with positive radius")
     radius, q = max(candidates)
     energy = n * (n + delta_param - 1) / (4 * radius * radius)
-    eq = _electrons_equation(n, gamma_param, delta_param, q)
+    # q enters sigma~ alone
+    eq = eq0._replace(sigma_tilde=sigma_tilde(eq0.sigma, product, q, FLOAT))
     poly = polynomial_solution(eq, setup.branch, n)
     roots = tuple(poly.roots())
     return ElectronsSphereState(

@@ -31,7 +31,6 @@ usage error, parse error or a value beyond float range, 3 no solution
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -428,6 +427,8 @@ def _render(command: str, fmt: str, record):
         print(json.dumps(doc, sort_keys=True, default=_json_form,
                          allow_nan=False, check_circular=False))
     elif fmt == "csv":
+        import csv  # only a CSV run loads it
+
         # no rows writes the header alone
         header, rows = csv_rows(*record)
         writer = csv.writer(sys.stdout)

@@ -390,10 +390,14 @@ def _trim(coeffs, backend):
 # syntax; complex coefficients with two parts are parenthesized, e.g.
 # "(1+2i)*z^2 - 1/3".
 
-# one term: a sign, then a unit term or a parenthesized sum, any '*', and
-# z or z^k, either part alone; the next term's sign or the end follows
-_MONOMIAL_RE = re.compile(
-    r"([+-]?)(%s|\([^()]*\))?(\**z(?:\^(%s))?)?(?=[+-]|$)" % (_UNIT, _SMALL_INT))
+@functools.cache
+def _monomial_re():
+    """One term: a sign, then a unit term or a parenthesized sum, any '*',
+    and z or z^k, either part alone; the next term's sign or the end
+    follows. Compiled on the first parse, since solve and app arguments are
+    scalars."""
+    return re.compile(
+        r"([+-]?)(%s|\([^()]*\))?(\**z(?:\^(%s))?)?(?=[+-]|$)" % (_UNIT, _SMALL_INT))
 
 
 def parse_poly(text: str, backend: str) -> Poly:
@@ -402,9 +406,9 @@ def parse_poly(text: str, backend: str) -> Poly:
     if not text:
         raise ValueError("empty polynomial text")
     zero = as_scalar(0, backend)
-    coeffs, pos = {}, 0
+    coeffs, pos, monomial = {}, 0, _monomial_re()
     while pos < len(text):
-        m = _MONOMIAL_RE.match(text, pos)
+        m = monomial.match(text, pos)
         if m is None or not (m[2] or m[3]):
             raise ValueError("bad polynomial text %r" % (text,))
         sign, coeff, z, power = m.groups()

@@ -14,12 +14,12 @@ from itertools import product
 import numpy as np
 import pytest
 
+from heunforge.branches import _dedupe
 from heunforge.engine import (
     CLASSIC,
     NoBranchError,
     NuEquation,
     PiBranch,
-    _dedupe,
     enumerate_branches,
     radicand,
     reduce_branch,

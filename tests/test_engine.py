@@ -17,12 +17,12 @@ from heunforge import (
     heun_params_for_class,
     heun_to_nu,
 )
+from heunforge.branches import _local_sqrt
 from heunforge.engine import (
     CLASSIC,
     EXTENDED,
     NoBranchError,
     NuEquation,
-    _local_sqrt,
     branch_from_pi,
     enumerate_branches,
     phi_factor,

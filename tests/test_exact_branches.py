@@ -37,7 +37,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from heunforge import engine
+from heunforge import branches
+from heunforge.branches import _dedupe, _exact_roots, _sigma_points, _signed
 from heunforge.che import CHE_CLASSES, CheParams, che_to_nu
 from heunforge.cli import main
 from heunforge.engine import (
@@ -45,10 +46,6 @@ from heunforge.engine import (
     NoBranchError,
     NuEquation,
     PiBranch,
-    _dedupe,
-    _exact_roots,
-    _sigma_points,
-    _signed,
     branch_from_pi,
     enumerate_branches,
     radicand,
@@ -529,8 +526,8 @@ def test_non_square_head_keeps_the_float_branches(capsys, monkeypatch):
     want = _ladder_branches(eq)
     assert len(want) == 4 and all(b.backend == FLOAT for b in want)
     calls = []
-    original = engine._exact_candidate
-    monkeypatch.setattr(engine, "_exact_candidate",
+    original = branches._exact_candidate
+    monkeypatch.setattr(branches, "_exact_candidate",
                         lambda *args: calls.append(args) or original(*args))
     got = enumerate_branches(eq)
     assert len(got) == len(want)
@@ -759,7 +756,7 @@ def test_exact_roots_keep_the_branch_set(monkeypatch):
             made_exact += _check_against_ladder(eq, got, i)
             continue
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "_sigma_points", _eigvals_sigma_points)
+            patch.setattr(branches, "_sigma_points", _eigvals_sigma_points)
             want = enumerate_branches(eq)
         assert set(got) == set(want) and len(got) == len(want), i
         compared += 1
@@ -972,7 +969,7 @@ def test_singular_jacobian_ends_the_refinement(capsys, monkeypatch):
     # Newton step there took all GRID_BITS steps; it now stops at once,
     # and the branches are the ones printed before
     steps = []
-    real = engine._refine
+    real = branches._refine
 
     def counted(values, step):
         count = [0]
@@ -986,7 +983,7 @@ def test_singular_jacobian_ends_the_refinement(capsys, monkeypatch):
         finally:
             steps.append(count[0])
 
-    monkeypatch.setattr(engine, "_refine", counted)
+    monkeypatch.setattr(branches, "_refine", counted)
     argv = ["classify", "--sigma", "z^2 - 2", "--tau", "2 + 5/4*z + 2*z^2",
             "--sigma-tilde", "-10/7 - 6/11*z + 19/7*z^2 - 21/44*z^3 + z^4",
             "--backend", "exact"]
@@ -998,9 +995,9 @@ def test_singular_jacobian_ends_the_refinement(capsys, monkeypatch):
 
 
 def _counted_refinements(monkeypatch):
-    """The step count of each engine._refine call from now on, appended
+    """The step count of each branches._refine call from now on, appended
     as each call ends."""
-    steps, real = [], engine._refine
+    steps, real = [], branches._refine
 
     def counted(values, step):
         count = [0]
@@ -1014,7 +1011,7 @@ def _counted_refinements(monkeypatch):
         finally:
             steps.append(count[0])
 
-    monkeypatch.setattr(engine, "_refine", counted)
+    monkeypatch.setattr(branches, "_refine", counted)
     return steps
 
 
@@ -1040,17 +1037,17 @@ def test_aberth_keeps_a_grid_per_root(monkeypatch):
     # Aberth's starts are exact points, so each root keeps its own grid:
     # the roots of (z - 10^-30)(z^2 - 2) come out to 2^-128 of their size
     seen = []
-    real = engine._refine
+    real = branches._refine
 
     def spy(values, step):
         out = real(values, step)
         seen.append(out)
         return out
 
-    monkeypatch.setattr(engine, "_refine", spy)
+    monkeypatch.setattr(branches, "_refine", spy)
     tiny = RationalComplex(F(1, 10**30) + F(1, 10**45))
     poly = Poly([-tiny, 1], EXACT) * Poly([-2, 0, 1], EXACT)
-    roots = engine._exact_roots(poly)
+    roots = branches._exact_roots(poly)
     assert len(seen) == 1 and len(roots) == 3
     small = min(seen[0], key=abs)
     assert abs(complex(small) - complex(tiny)) <= 2.0 ** -120 * abs(complex(tiny))

@@ -7,7 +7,12 @@ Each README command runs with `--format json` through cli.main in a fresh
 interpreter where sys.modules holds None for the blocked modules, so any
 import of them raises, and must print what it prints in process. numpy
 imports `inspect` itself, so only the commands that need no numpy (exact
-`classify` and `app coulomb3s`) run with `inspect` blocked too."""
+`classify` and `app coulomb3s`) run with `inspect` blocked too.
+
+A launch also leaves out what only some commands read: branch
+enumeration (`heunforge.branches`), which only `classify` runs, and
+`csv`, which only `--format csv` writes. The README's `solve` and `app`
+commands print their JSON with both blocked."""
 
 import os
 import subprocess
@@ -21,6 +26,8 @@ import heunforge
 from heunforge.cli import main
 
 SRC = Path(heunforge.__file__).resolve().parents[1]
+
+SOLVES_AND_APPS = [argv for argv in README_COMMANDS if argv[0] in ("solve", "app")]
 
 BLOCKED = ("import sys\n"
            "for name in sys.argv[1].split(','): sys.modules[name] = None\n"
@@ -57,3 +64,27 @@ def test_import_adds_neither_module():
     code, bare, err = _fresh(probe % "")
     assert (code, err) == (0, "")
     assert _fresh(probe % "import heunforge.cli") == (0, bare, "")
+
+
+def test_import_loads_neither_enumeration_nor_csv():
+    probe = ("import sys, heunforge.cli\n"
+             "print(sorted({'heunforge.branches', 'csv'} & set(sys.modules)))")
+    assert _fresh(probe) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("argv", SOLVES_AND_APPS, ids=lambda argv: "-".join(argv[:2]))
+def test_readme_solve_or_app_runs_without_enumeration_or_csv(capsys, monkeypatch, argv):
+    argv = argv + ["--format", "json"]
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert _fresh(BLOCKED, "heunforge.branches,csv", *argv) == (0, out, "")
+
+
+def test_readme_classify_loads_enumeration():
+    probe = ("import contextlib, io, sys\n"
+             "from heunforge.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+             "print(code, 'heunforge.branches' in sys.modules)")
+    argv = next(argv for argv in README_COMMANDS if argv[0] == "classify")
+    assert _fresh(probe, *argv) == (0, "0 True\n", "")
