@@ -225,26 +225,28 @@ def _sigma_points(sigma: Poly, budget: int):
     return points
 
 
-def _local_sqrt(taylor, mult, noise, backend):
+def _local_sqrt(taylor, mult, noise, backend, at_infinity):
     """First `mult` Taylor coefficients of a square root of the series
     sum taylor[k] t^k, by Hensel lifting in `backend`; None when none
     exists there. An exact head root is sqrt_exact's, None when taylor[0]
     has no Gaussian-rational root; a float taylor[0] within `noise`, its
     rounding error, counts as zero.
 
-    At a repeated point a series that vanishes to odd order below `mult`
-    has no square root; one vanishing to any other positive order
-    leaves s underdetermined, a continuum, and raises NoBranchError."""
+    At a repeated point (a repeated root of sigma, or infinity when deg
+    sigma is at least 2 below the budget) a series that vanishes to odd
+    order below `mult` has no square root; one vanishing to any other
+    positive order leaves s underdetermined, a continuum, and raises
+    NoBranchError naming the point, infinity when `at_infinity`."""
     if mult > 1:
         order = next((k for k, c in enumerate(taylor[:mult])
                       if not negligible(c, ZERO_TOL, *taylor)), mult)
         if order % 2 and order < mult:
             return None
         if order:
+            point = ("infinity (deg sigma below the mode's degree budget)"
+                     if at_infinity else "a repeated root of sigma")
             raise NoBranchError(
-                "perfect-square set is not finite (the radicand vanishes "
-                "at a repeated root of sigma)"
-            )
+                "perfect-square set is not finite (the radicand vanishes at %s)" % point)
     if backend == EXACT:
         root = [sqrt_exact(taylor[0])]
         if root[0] is None:
@@ -325,7 +327,8 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
     refine = eq.backend == EXACT and not all(exact)
     size = bpoly  # scales the float tests below; an exact test reads no ref
     if backend == EXACT:
-        roots = [_local_sqrt(_taylor(bpoly, c, top, m), m, 0.0, EXACT) for c, m in points]
+        roots = [_local_sqrt(_taylor(bpoly, c, top, m), m, 0.0, EXACT, c is None)
+                 for c, m in points]
         if None in roots:
             backend = FLOAT
     if backend == FLOAT:
@@ -345,7 +348,7 @@ def _sqrt_mod_sigma_candidates(eq: NuEquation, points, half: Poly):
                     raise OverflowError("noise bound at a root of sigma overflows the float range")
                 noise = sys.float_info.epsilon * bpoly_f.degree * terms
             taylor = _taylor(bpoly if at_exact else bpoly_f, centre, top, mult)
-            roots.append(_local_sqrt(taylor, mult, noise, FLOAT))
+            roots.append(_local_sqrt(taylor, mult, noise, FLOAT, centre is None))
         if None in roots:
             return
         bpoly, exact_b, size = bpoly_f, bpoly, bpoly_f.max_abs()  # read once

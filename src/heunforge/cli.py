@@ -12,6 +12,13 @@ parser of its own that takes only the options its function reads, so an
 option of another family or app exits 2. The backend is `--backend`
 (default float) of classify and solve; the apps compute in floats.
 
+The modules `heun`, `che` and `apps` stand in sys.modules unexecuted
+until one of their names is read (the package registers them), so
+every function of theirs is read off its module when it is called. A
+launch runs none of them; classify runs `heun`, and `che` when
+heun_match recognises nothing, a solve its family's module alone, and
+an app all three.
+
 Each `cmd_*` formats nothing itself: it returns a record
 (top, items, checks) of raw values. `top` holds the top-level
 fields, `items` the branches, the states or the app report, and
@@ -39,20 +46,7 @@ import sys
 from fractions import Fraction
 from itertools import zip_longest
 
-from .apps import (
-    ANTISYMMETRIC,
-    SYMMETRIC,
-    coulomb3s_verify,
-    doublewell_verify,
-    electrons_sphere_state,
-)
-from .che import (
-    che_accessory,
-    che_class,
-    che_eigenstates,
-    che_match,
-    che_params_for_class,
-)
+from . import apps, che, heun
 from .engine import (
     CLASSIC,
     EXTENDED,
@@ -61,13 +55,6 @@ from .engine import (
     enumerate_branches,
 )
 from .family import class_catalog
-from .heun import (
-    heun_accessory,
-    heun_class,
-    heun_eigenstates,
-    heun_match,
-    heun_params_for_class,
-)
 from .poly import Poly, format_poly, parse_poly
 from .scalars import (
     EXACT,
@@ -161,8 +148,9 @@ def _cell(value) -> str:
 # -- family detection ---------------------------------------------------------
 
 
-# classify's families, each with its recogniser: parameters or None
-_FAMILIES = (("heun", heun_match), ("che", che_match))
+# classify's families, each with its module and the name of its
+# recogniser there (parameters or None), read per call
+_FAMILIES = (("heun", heun, "heun_match"), ("che", che, "che_match"))
 
 
 def _branch_label(branch, catalog) -> str:
@@ -193,8 +181,8 @@ def cmd_classify(args, backend: str):
     )
     branches = enumerate_branches(eq)
     family, catalog = "", []
-    for name, match in _FAMILIES:
-        p = match(eq)
+    for name, module, match in _FAMILIES:
+        p = getattr(module, match)(eq)
         if p is not None:
             family, catalog = name, class_catalog(p)
             break
@@ -255,12 +243,15 @@ _SOLVE_PARAMS = {
 def _solve_states(args, backend: str):
     """The class's label as its family's class table spells it, and one
     assembled eigenstate per accessory value, all from one setup."""
-    # entry points are looked up per call, so a wrapper installed on the
+    # entry points are read off the family's module per call: only that
+    # module runs, on its first solve, and a wrapper installed on the
     # module attribute (bench/tracing.py) is the one that runs
     find, make, resolve, assemble = (
-        (heun_class, heun_params_for_class, heun_accessory, heun_eigenstates)
+        (heun.heun_class, heun.heun_params_for_class, heun.heun_accessory,
+         heun.heun_eigenstates)
         if args.family == "heun"
-        else (che_class, che_params_for_class, che_accessory, che_eigenstates)
+        else (che.che_class, che.che_params_for_class, che.che_accessory,
+              che.che_eigenstates)
     )
     p = make(args.label, args.n, *(
         _arg(args, name, backend) for name in _SOLVE_PARAMS[args.family]))
@@ -318,7 +309,7 @@ def _solve_table(top, states, checks):
 
 
 def _app_coulomb(args):
-    report = coulomb3s_verify(args.n, args.m, float(args.gamma))
+    report = apps.coulomb3s_verify(args.n, args.m, float(args.gamma))
     checks = [
         _check("relation_direct", report.residual_direct, TOLERANCES["relation"]),
         _check("relation_flipped", report.residual_flipped, TOLERANCES["relation"]),
@@ -327,7 +318,7 @@ def _app_coulomb(args):
 
 
 def _app_electrons(args):
-    state = electrons_sphere_state(args.n, float(args.gamma), float(args.delta))
+    state = apps.electrons_sphere_state(args.n, float(args.gamma), float(args.delta))
     payload = {
         "n": state.n,
         "gamma": state.gamma_param,
@@ -342,10 +333,10 @@ def _app_electrons(args):
 
 
 def _app_doublewell(args):
-    parity = {"symmetric": SYMMETRIC, "antisymmetric": ANTISYMMETRIC}[
+    parity = {"symmetric": apps.SYMMETRIC, "antisymmetric": apps.ANTISYMMETRIC}[
         args.parity
     ]
-    report = doublewell_verify(args.n, float(args.d), float(args.u0), parity)
+    report = apps.doublewell_verify(args.n, float(args.d), float(args.u0), parity)
     checks = [
         _check("relation", report.relation_residual, TOLERANCES["relation"]),
         _check("termination", report.termination_residual, TOLERANCES["termination"]),
@@ -497,14 +488,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         slv.set_defaults(func=cmd_solve, command="solve", family=family)
 
-    apps = _commands(commands.add_parser("app", help="run a bundled model problem"), "name")
+    app_commands = _commands(
+        commands.add_parser("app", help="run a bundled model problem"), "name")
     for name, (_, options) in _APPS.items():
-        app = apps.add_parser(name, parents=[formats], allow_abbrev=False)
+        app = app_commands.add_parser(name, parents=[formats], allow_abbrev=False)
         for option, kind in options:
             app.add_argument("--" + option, type=kind, required=True)
         # every app computes in floats
         app.set_defaults(func=cmd_app, command="app", name=name, backend=FLOAT)
-    apps.choices["double-well"].add_argument(
+    app_commands.choices["double-well"].add_argument(
         "--parity", choices=("symmetric", "antisymmetric"), default="symmetric"
     )
     return parser

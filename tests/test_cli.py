@@ -500,6 +500,23 @@ def test_solve_rejects_eigenpolynomial_that_loses_its_degree(capsys):
     assert "degree below 12" in err
 
 
+CONTINUUM = "no solution: perfect-square set is not finite (the radicand vanishes at %s)\n"
+
+
+@pytest.mark.parametrize("backend", ["float", "exact"])
+@pytest.mark.parametrize("sigma, tau, sigma_tilde, point", [
+    # sigma = z has one simple root; infinity has multiplicity 2 in
+    # extended mode, and B = -1 + g0 z + g1 z^2 = (a + b z)^2 leaves b free
+    ("z", "1", "1", "infinity (deg sigma below the mode's degree budget)"),
+    # B = -z^2 vanishes to order 2 at the double root 0
+    ("z^2", "2*z", "z^2", "a repeated root of sigma"),
+], ids=["infinity", "repeated-root"])
+def test_continuum_error_names_its_point(capsys, sigma, tau, sigma_tilde, point, backend):
+    code, out, err = run(capsys, "classify", "--sigma", sigma, "--tau", tau,
+                         "--sigma-tilde", sigma_tilde, "--backend", backend)
+    assert (code, out, err) == (EXIT_NO_SOLUTION, "", CONTINUUM % point)
+
+
 def test_solve_exact_state_with_vanishing_terms_verifies(capsys):
     # at beta = 1 the mu = 0 state of class 7 is psi = 1: every ODE term
     # is rounding noise at every contour point, which the residual skips

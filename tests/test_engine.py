@@ -484,5 +484,5 @@ def test_exact_local_sqrt_reads_no_float():
     # an exact Taylor coefficient is zero only when it is, so the float
     # size of 10**400, which overflows, is never read
     taylor = [RationalComplex(4), RationalComplex(10**400), RationalComplex(1)]
-    assert _local_sqrt(taylor, 2, 0.0, EXACT) == [RationalComplex(2),
+    assert _local_sqrt(taylor, 2, 0.0, EXACT, False) == [RationalComplex(2),
                                                   RationalComplex(10**400 // 4)]

@@ -63,15 +63,25 @@ def test_every_name_the_tracer_wraps_exists():
         assert callable(_resolve(path).__dict__.get(method)), (path, method)
 
 
-# a "from .module import ..." statement of the package's import block
+# a "from .module import ..." statement of the package's import block,
+# and the package's table of the names it serves lazily, which lists them
+# as the import block does
 _IMPORT = re.compile(r"^from \.\w* import (?:\([^)]*\)|.*)$", re.M)
+_LAZY_TABLE = re.compile(r"^_LAZY = \{$.*?^\}$", re.M | re.S)
+
+
+def _listing_stripped(text):
+    stripped = _IMPORT.sub("", text)
+    assert _LAZY_TABLE.search(stripped), "no lazy-name table in __init__.py"
+    return _LAZY_TABLE.sub("", stripped)
 
 
 def test_every_public_name_is_read_somewhere():
     # read as text: src/ less its definitions and the package's import
-    # block, the README, and the names bench/tracing.py's lists bind
+    # block and lazy-name table, the README, and the names
+    # bench/tracing.py's lists bind
     package = Path(heunforge.__file__).parent
-    src = [_IMPORT.sub("", path.read_text()) if path.name == "__init__.py"
+    src = [_listing_stripped(path.read_text()) if path.name == "__init__.py"
            else path.read_text() for path in sorted(package.glob("*.py"))]
     tracing = _tracing()
     bound = {name for _, name in tracing.SPANNED}
@@ -87,3 +97,21 @@ def test_every_public_name_is_read_somewhere():
         if not any(word.search(own.sub("", text)) for text in src):
             unread.append(name)
     assert unread == []
+
+
+def test_lazy_names_are_their_modules_names():
+    # the table lists no name twice and none that is not public; every
+    # public name the package does not bind is in it, under the module
+    # that defines it, and the package serves that module's object
+    package = Path(heunforge.__file__).parent
+    lazy = {name: module for module, names in heunforge._LAZY.items() for name in names}
+    assert set(heunforge._LAZY) == {"heun", "che", "apps"}
+    assert sum(map(len, heunforge._LAZY.values())) == len(lazy)
+    assert set(lazy) <= PUBLIC
+    assert set(lazy) | (PUBLIC & set(vars(heunforge))) == PUBLIC
+    assert PUBLIC <= set(dir(heunforge))
+    for name, module_name in lazy.items():
+        module = importlib.import_module("heunforge." + module_name)
+        own = re.compile(r"^(?:(?:def|class) %s\b|%s\s*=)" % (name, name), re.M)
+        assert own.search((package / ("%s.py" % module_name)).read_text()), (module_name, name)
+        assert getattr(heunforge, name) is getattr(module, name), name

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heunforge import EXACT, FLOAT, Poly, RationalComplex, cli, heun_to_nu
+from heunforge import EXACT, FLOAT, Poly, RationalComplex, cli, heun, heun_to_nu
 from heunforge.cli import _json_form
 from heunforge.engine import NoBranchError
 from heunforge.heun import heun_params_for_class
@@ -310,13 +310,14 @@ def test_render_is_the_per_coefficient_encoder_byte_for_byte(capsys):
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(1.0, math.nan)])
 @pytest.mark.parametrize("field", ["poly", "accessory"])
 def test_json_with_a_nan_exits_2(capsys, monkeypatch, field, bad):
-    real = cli.heun_eigenstates
+    real = heun.heun_eigenstates
 
     def with_nan(*args):
         value = Poly([0.5, bad, 1.0], FLOAT) if field == "poly" else bad
         return [state._replace(**{field: value}) for state in real(*args)]
 
-    monkeypatch.setattr(cli, "heun_eigenstates", with_nan)
+    # cli reads the entry point off the heun module per call
+    monkeypatch.setattr(heun, "heun_eigenstates", with_nan)
     code = cli.main(["solve", "heun", "--class", "I", "-n", "2", "--a", "19/10",
                      "--gamma", "1/2", "--delta", "1/3", "--epsilon", "3/4",
                      "--format", "json"])
